@@ -11,6 +11,7 @@ baselines (`bench`), all behind one CLI (`ftrot`).
 """
 
 from .analytics import (
+    NoiseModel,
     RotationConfig,
     SubstrateLimitedError,
     branch_angle,
@@ -24,7 +25,7 @@ from .analytics import (
 )
 from .bench import CostPoint, DistillCostTable, pareto_report
 from .codes import StabilizerCode, get_code, list_codes, validate
-from .mcsim import McStats, NoiseModel, coherent_mc, estimate, run_prep_trial
+from .mcsim import McStats, coherent_mc, estimate
 from .pauli import PauliString, commutes
 from .schemes import (
     CostModelParams,
@@ -59,7 +60,6 @@ __all__ = [
     "coherent_angle_std",
     "NoiseModel",
     "McStats",
-    "run_prep_trial",
     "estimate",
     "coherent_mc",
     "CostModelParams",

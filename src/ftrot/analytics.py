@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple
 from .codes import Multiplicities
 
 __all__ = [
+    "NoiseModel",
     "RotationConfig",
     "ErrorBudget",
     "SuccessRate",
@@ -55,39 +56,56 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RotationConfig:
-    """Parameters of one preparation attempt.
+class NoiseModel:
+    """Phenomenological noise: depolarizing p_in per data qubit per
+    cycle, plus an independent outcome flip per stabilizer per cycle
+    (default 2p_in/3, which folds ancilla Z/Y errors into the readout).
+
+    The one noise description shared by the closed forms and the
+    Monte-Carlo engine, so both always see the same readout_flip.
+    """
+
+    p_in: float
+    r: int = 1
+    readout_flip: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p_in < 1.0:
+            raise ValueError(f"p_in must be in [0, 1), got {self.p_in}")
+        if self.r < 1:
+            raise ValueError(f"r must be >= 1, got {self.r}")
+        if self.readout_flip is None:
+            object.__setattr__(self, "readout_flip", 2.0 * self.p_in / 3.0)
+        if not 0.0 <= self.readout_flip < 1.0:
+            raise ValueError("readout_flip must be in [0, 1)")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RotationConfig(NoiseModel):
+    """Parameters of one preparation attempt: a NoiseModel plus
 
     theta: physical rotation angle, radians, in [0, pi].
     d: support weight of the logical Z (code distance for the
        odd-distance families).
-    p_in: depolarizing probability per qubit per cycle.
-    r: detection cycles.
     sigma_theta: per-qubit coherent angle standard deviation, radians.
+
+    Build one for a noise object `noise` with
+    RotationConfig(theta=..., d=..., **vars(noise)).
     """
 
     theta: float
     d: int
     p_in: float = 0.0
-    r: int = 1
     sigma_theta: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if not 0.0 <= self.p_in < 1.0:
-            raise ValueError(f"p_in must be in [0, 1), got {self.p_in}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
         if self.sigma_theta < 0.0:
             raise ValueError("sigma_theta must be non-negative")
-
-    @property
-    def readout_flip(self) -> float:
-        """Per-stabilizer per-cycle outcome-flip probability (2p/3)."""
-        return 2.0 * self.p_in / 3.0
 
 
 class ErrorBudget(NamedTuple):
@@ -255,12 +273,12 @@ def readout_error(cfg: RotationConfig, readout_combos: int) -> float:
 
     A weight-1 branch pattern whose true syndrome has a single hot bit
     survives when that bit's readout flips in every cycle:
-    combos * (2p_in/3)^r, times the same sin^{2(d-1)}/cos projection
+    combos * readout_flip^r, times the same sin^{2(d-1)}/cos projection
     factor as the flip path.
     """
     if readout_combos < 0:
         raise ValueError("readout_combos must be >= 0")
-    if cfg.p_in == 0.0 or readout_combos == 0:
+    if cfg.readout_flip == 0.0 or readout_combos == 0:
         return 0.0
     s = math.sin(cfg.theta / 2.0)
     c = math.cos(cfg.theta / 2.0)
@@ -301,7 +319,7 @@ def accepted_error_model(
 def success_rate(cfg: RotationConfig, n_qubits: int, n_stabilizers: int) -> SuccessRate:
     """Acceptance probability split into substrate and coherent parts.
 
-    p_s_in = (1-p_in)^{r n} (1-2p_in/3)^{r n_stab}: no substrate error
+    p_s_in = (1-p_in)^{r n} (1-readout_flip)^{r n_stab}: no substrate error
     on any qubit and no readout flip on any check over r cycles.
     p_s_coh = cos^{2d} + sin^{2d}: the trivial branch pair's weight.
     """

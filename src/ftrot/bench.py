@@ -24,7 +24,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from . import analytics
-from .mcsim import NoiseModel
+from .analytics import NoiseModel
 from .schemes import CostModelParams, ScaffoldPlan, iter_plans
 
 __all__ = [

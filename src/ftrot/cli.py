@@ -171,7 +171,7 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     code = codes.get_code(args.code, args.d)
-    noise = mcsim.NoiseModel(p_in=args.p_in, r=args.r, readout_flip=args.readout_flip)
+    noise = analytics.NoiseModel(p_in=args.p_in, r=args.r, readout_flip=args.readout_flip)
     seed = args.seed if args.seed is not None else _fresh_seed()
     theta_l = (
         args.theta_l_target
@@ -206,7 +206,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_scaffold(args) -> int:
-    noise = mcsim.NoiseModel(p_in=args.p_in, r=args.r)
+    noise = analytics.NoiseModel(p_in=args.p_in, r=args.r)
     bounds = {
         "d_values": list(args.d_values),
         "k_max": args.k_max,
@@ -252,7 +252,7 @@ def cmd_bench(args) -> int:
             distill = bench.DistillCostTable.load(args.distill_costs)
     config = bench.BenchConfig(
         theta_l_target=args.theta_l,
-        noise=mcsim.NoiseModel(p_in=args.p_in, r=args.r),
+        noise=analytics.NoiseModel(p_in=args.p_in, r=args.r),
         code_family=args.code,
         distill=distill,
         include_clifford=not args.no_clifford,

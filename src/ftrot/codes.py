@@ -116,43 +116,6 @@ class StabilizerCode:
     def syndrome_of(self, error: PauliString) -> Syndrome:
         return syndrome(error, self)
 
-    def check_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Gx, Gz) uint8 matrices, one row per generator.
-
-        ``Gx[i, q]`` / ``Gz[i, q]`` are the X / Z components of
-        generator i on qubit q; the simulation engine computes
-        syndromes as symplectic products against these.
-        """
-        s = len(self.stabilizers)
-        gx = np.zeros((s, self.n), dtype=np.uint8)
-        gz = np.zeros((s, self.n), dtype=np.uint8)
-        for i, p in enumerate(self.stabilizers):
-            for q in range(self.n):
-                gx[i, q] = (p.x >> q) & 1
-                gz[i, q] = (p.z >> q) & 1
-        return gx, gz
-
-    def as_dict(self) -> dict:
-        """JSON-ready description (used by ``ftrot codes export``)."""
-        m = self.error_multiplicities
-        return {
-            "name": self.name,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "distance_metric": self.distance_metric,
-            "stabilizers": [p.label() for p in self.stabilizers],
-            "logical_z": self.logical_z.label(),
-            "logical_x": self.logical_x.label(),
-            "z_support": list(self.z_support),
-            "noncommuting_set": list(self.noncommuting_set),
-            "error_multiplicities": {
-                "flip_projection": m.flip_projection,
-                "secondary_flip": m.secondary_flip,
-                "readout_combos": m.readout_combos,
-            },
-        }
-
 
 def syndrome(error: PauliString, code: StabilizerCode) -> Syndrome:
     """Bit i is 1 when ``error`` anticommutes with generator i."""
@@ -510,9 +473,8 @@ def _brute_force_distance(code: StabilizerCode) -> int:
     xs, zs = xs[ok], zs[ok]
 
     weights = np.bitwise_count(xs | zs)
-    best = None
     for w in range(1, n + 1):
         for x, z in zip(xs[weights == w], zs[weights == w]):
             if (int(x), int(z)) not in group:
                 return w
-    return best if best is not None else n
+    return n

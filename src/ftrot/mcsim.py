@@ -14,15 +14,22 @@ frame * Z^b with readout flips applied is all-zero.  Accepted trials
 land in the branch weight class m = min(|b|, d-|b|), whose infidelity
 against the target angle is a closed form; the estimator averages it.
 
-Determinism: trials are partitioned into fixed-size batches, batch i
-drawing from a counter-based Philox stream keyed by (seed, i).  All
-reductions are integer counts, so results are bit-identical for a
-given (seed, n_trials, batch_size) regardless of thread count.
+Determinism: `_philox_batches` is the one place the contract is
+implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
+Work is partitioned into fixed-size batches, batch i drawing from a
+counter-based Philox stream keyed by (seed, i).  All reductions are
+integer counts, so results are bit-identical for a given
+(seed, n_trials, batch_size) regardless of thread count.
+
+The noise description, `NoiseModel`, lives in `analytics` and is
+re-exported here.  A scalar one-trial-at-a-time reference engine lives
+in the test suite (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,22 +38,16 @@ from typing import Callable
 import numpy as np
 
 from . import analytics
-from .codes import StabilizerCode, syndrome
-from .pauli import PauliString
+from .analytics import NoiseModel
+from .codes import StabilizerCode
 
 DEFAULT_BATCH_SIZE = 1 << 16
 
-_SIMULABLE = ("phase-flip", "surface")
-
 __all__ = [
     "NoiseModel",
-    "TrialOutcome",
     "McStats",
     "CoherentStats",
     "RareEventWarning",
-    "sample_branch",
-    "sample_depolarizing",
-    "run_prep_trial",
     "estimate",
     "coherent_mc",
 ]
@@ -54,34 +55,6 @@ __all__ = [
 
 class RareEventWarning(UserWarning):
     """Requested N is too small to resolve the predicted error rate."""
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Phenomenological noise: depolarizing p_in per data qubit per
-    cycle, plus an independent outcome flip per stabilizer per cycle
-    (default 2p_in/3, which folds ancilla Z/Y errors into the readout)."""
-
-    p_in: float
-    r: int = 1
-    readout_flip: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_in < 1.0:
-            raise ValueError(f"p_in must be in [0, 1), got {self.p_in}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.readout_flip is None:
-            object.__setattr__(self, "readout_flip", 2.0 * self.p_in / 3.0)
-        if not 0.0 <= self.readout_flip < 1.0:
-            raise ValueError("readout_flip must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    accepted: bool
-    branch_weight: int
-    infidelity_sample: float | None
 
 
 @dataclass(frozen=True)
@@ -118,75 +91,44 @@ class CoherentStats:
     seed: int
 
 
-def sample_branch(d: int, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Branch string b: each bit independently 1 w.p. sin^2(theta/2)."""
-    s2 = math.sin(theta / 2.0) ** 2
-    return (rng.random(d) < s2).astype(np.uint8)
+def _worker_count(threads: int, n_batches: int) -> int:
+    """Threads to start: never more than the batches or the cpus."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return min(threads, n_batches, os.cpu_count() or 1)
 
 
-def sample_depolarizing(n: int, p_in: float, rng: np.random.Generator) -> PauliString:
-    """One depolarizing draw on n qubits: I w.p. 1-p, else X/Y/Z w.p. p/3.
+def _philox_batches(
+    seed: int,
+    n: int,
+    batch_size: int,
+    fn: Callable[[np.random.Generator, int], object],
+    threads: int = 1,
+    progress: Callable[[int, int], None] | None = None,
+) -> list:
+    """fn(rng, size) over the batch partition of n items, in batch order.
 
-    A single uniform per qubit selects the slice: [0, p/3) -> X,
-    [p/3, 2p/3) -> Y, [2p/3, p) -> Z.  The vectorized engine uses the
-    identical mapping.
+    Batch i holds batch_size items (the last one the remainder) and
+    draws from Philox key (seed, i); the partition depends only on
+    (n, batch_size), so the results do not depend on `threads`.
+    `progress(i + 1, n_batches)` is called once per finished batch.
     """
-    v = rng.random(n)
-    x = z = 0
-    for q in range(n):
-        if v[q] < 2.0 * p_in / 3.0:
-            x |= 1 << q
-        if p_in / 3.0 <= v[q] < p_in:
-            z |= 1 << q
-    return PauliString(n, x, z)
+    n_batches = (n + batch_size - 1) // batch_size
+    workers = _worker_count(threads, n_batches)
 
-
-def _require_simulable(code: StabilizerCode) -> None:
-    if code.name not in _SIMULABLE:
-        raise ValueError(
-            f"simulation supports code families {_SIMULABLE}, got {code.name!r}"
+    def run(i: int):
+        rng = np.random.Generator(
+            np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i])
         )
+        out = fn(rng, min(batch_size, n - i * batch_size))
+        if progress is not None:
+            progress(i + 1, n_batches)
+        return out
 
-
-def run_prep_trial(
-    code: StabilizerCode,
-    theta: float,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    inject_z: int | None = None,
-) -> TrialOutcome:
-    """One preparation trial, written for readability over speed.
-
-    `inject_z` deterministically adds a Z error on the given qubit in
-    the first cycle (used to isolate single error paths).  The branch
-    weight class is taken from the sampled b: on acceptance the
-    surviving pair is {b, bbar}, and the residual frame is a Pauli
-    layer this model does not track.
-    """
-    _require_simulable(code)
-    d = code.d
-    b = sample_branch(d, theta, rng)
-    bz = 0
-    for i, q in enumerate(code.z_support):
-        bz |= int(b[i]) << q
-
-    frame = PauliString.identity(code.n)
-    accepted = True
-    for cycle in range(noise.r):
-        err = sample_depolarizing(code.n, noise.p_in, rng)
-        frame = frame * err
-        if cycle == 0 and inject_z is not None:
-            frame = frame * PauliString.single_z(code.n, inject_z)
-        true_bits = syndrome(PauliString(code.n, frame.x, frame.z ^ bz), code)
-        flips = rng.random(len(true_bits)) < noise.readout_flip
-        if any(bit ^ int(f) for bit, f in zip(true_bits, flips)):
-            accepted = False
-            break
-
-    w = int(b.sum())
-    m = min(w, d - w)
-    infid = analytics.branch_infidelity(m, d, theta) if accepted else None
-    return TrialOutcome(accepted=accepted, branch_weight=m, infidelity_sample=infid)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(n_batches)))
+    return [run(i) for i in range(n_batches)]
 
 
 def _stabilizer_plan(
@@ -196,13 +138,23 @@ def _stabilizer_plan(
 
     X-type checks see Z-frame parity XOR branch-bit parity over the
     overlap with the rotation support; Z-type checks see X-frame
-    parity.  Every registered simulable code has pure-type generators.
+    parity.  The engine needs every generator to be pure X or pure Z,
+    and an odd support weight d = len(z_support), so that the accepted
+    branch pair is {0, 1^d} and the weight classes are 0..d//2.
     """
+    d = code.d
+    if (
+        any(p.x and p.z for p in code.stabilizers)
+        or len(code.z_support) != d
+        or d % 2 == 0
+    ):
+        raise ValueError(
+            "simulation supports codes with pure X- or Z-type generators "
+            f"and an odd-weight logical Z of weight d; {code.name!r} is not one"
+        )
     support_pos = {q: i for i, q in enumerate(code.z_support)}
     plan = []
     for p in code.stabilizers:
-        if p.x and p.z:
-            raise ValueError("engine requires pure X- or Z-type generators")
         is_x = p.x != 0
         cols = np.array(p.support, dtype=np.intp)
         bcols = (
@@ -219,10 +171,9 @@ def _run_batch(
     plan: list[tuple[bool, np.ndarray, np.ndarray]],
     theta: float,
     noise: NoiseModel,
-    seed: int,
-    batch_index: int,
-    size: int,
     inject_z: int | None,
+    rng: np.random.Generator,
+    size: int,
 ) -> tuple[int, np.ndarray]:
     """Simulate one batch; returns (accepted count, branch histogram).
 
@@ -230,9 +181,6 @@ def _run_batch(
     uniform per data qubit, one per stabilizer) and is part of the
     determinism contract.
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, batch_index])
-    )
     n, d = code.n, code.d
     p, q = noise.p_in, noise.readout_flip
     s2 = math.sin(theta / 2.0) ** 2
@@ -284,7 +232,7 @@ def estimate(
     bit-identical across thread counts.  theta_l_target defaults to
     the accepted angle of (theta, d), making the m=0 class exact-zero.
     """
-    _require_simulable(code)
+    plan = _stabilizer_plan(code)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if batch_size < 1:
@@ -303,7 +251,7 @@ def estimate(
     )
 
     if inject_z is None and noise.p_in > 0:
-        cfg = analytics.RotationConfig(theta=theta, d=d, p_in=noise.p_in, r=noise.r)
+        cfg = analytics.RotationConfig(theta=theta, d=d, **vars(noise))
         predicted = analytics.accepted_error_model(cfg, code.error_multiplicities)
         p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
         expected_events = predicted * p_s * n_trials
@@ -317,25 +265,14 @@ def estimate(
                 stacklevel=2,
             )
 
-    plan = _stabilizer_plan(code)
-    n_batches = (n_trials + batch_size - 1) // batch_size
-    sizes = [
-        batch_size if i < n_batches - 1 else n_trials - batch_size * (n_batches - 1)
-        for i in range(n_batches)
-    ]
-
-    def run(i: int) -> tuple[int, np.ndarray]:
-        out = _run_batch(code, plan, theta, noise, seed, i, sizes[i], inject_z)
-        if progress is not None:
-            progress(i + 1, n_batches)
-        return out
-
-    if threads > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(n_batches)))
-    else:
-        results = [run(i) for i in range(n_batches)]
-
+    results = _philox_batches(
+        seed,
+        n_trials,
+        batch_size,
+        lambda rng, size: _run_batch(code, plan, theta, noise, inject_z, rng, size),
+        threads,
+        progress,
+    )
     accepted = sum(r[0] for r in results)
     hist = np.sum([r[1] for r in results], axis=0, dtype=np.int64)
 
@@ -388,9 +325,13 @@ def coherent_mc(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0]))
-    angles = theta + sigma_theta * rng.standard_normal((n_samples, d))
-    theta_l = 2.0 * np.arctan(np.prod(np.tan(angles / 2.0), axis=1))
+
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        angles = theta + sigma_theta * rng.standard_normal((size, d))
+        return 2.0 * np.arctan(np.prod(np.tan(angles / 2.0), axis=1))
+
+    # one batch keyed (seed, 0)
+    (theta_l,) = _philox_batches(seed, n_samples, n_samples, sample)
     return CoherentStats(
         mean_theta_l=float(theta_l.mean()),
         std_theta_l=float(theta_l.std(ddof=1)),

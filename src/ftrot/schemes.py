@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
 from . import analytics
+from .analytics import NoiseModel
 from .codes import StabilizerCode, get_code
-from .mcsim import NoiseModel
+from .mcsim import _philox_batches
 
 __all__ = [
     "CostModelParams",
@@ -48,37 +47,15 @@ __all__ = [
 _WALK_BATCH = 1 << 14
 
 
-@lru_cache(maxsize=None)
 def walk_expected_steps(m: int) -> int:
-    """Expected steps of a fair +/-1 walk from 0 to hit +/-m, exactly.
+    """Expected steps of a fair +/-1 walk from 0 to hit +/-m: m^2.
 
-    Solves the absorption system E[x] = 1 + (E[x-1] + E[x+1])/2 with
-    E[+/-m] = 0 over the 2m-1 interior states in rational arithmetic
-    (Thomas sweep); the solution at the origin is m^2.
+    This is the origin entry of the absorption system
+    E[x] = 1 + (E[x-1] + E[x+1])/2 with E[+/-m] = 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return 1
-    size = 2 * m - 1
-    half = Fraction(1, 2)
-    # rows: x_i - (x_{i-1} + x_{i+1})/2 = 1
-    c_prime = [Fraction(0)] * size
-    d_prime = [Fraction(0)] * size
-    c_prime[0] = -half
-    d_prime[0] = Fraction(1)
-    for i in range(1, size):
-        denom = 1 - (-half) * c_prime[i - 1]
-        c_prime[i] = -half / denom
-        d_prime[i] = (1 - (-half) * d_prime[i - 1]) / denom
-    x = [Fraction(0)] * size
-    x[-1] = d_prime[-1]
-    for i in range(size - 2, -1, -1):
-        x[i] = d_prime[i] - c_prime[i] * x[i + 1]
-    origin = x[m - 1]
-    if origin.denominator != 1:
-        raise AssertionError(f"absorption solve gave non-integer {origin}")
-    return int(origin)
+    return m * m
 
 
 @dataclass(frozen=True)
@@ -114,14 +91,8 @@ def simulate_walk(m: int, n_walks: int, seed: int) -> WalkStats:
     if m < 1 or n_walks < 1:
         raise ValueError("m and n_walks must be >= 1")
     step_cap = 1000 * m * m + 1000
-    steps_out = []
-    plus = 0
-    n_batches = (n_walks + _WALK_BATCH - 1) // _WALK_BATCH
-    for batch in range(n_batches):
-        size = min(_WALK_BATCH, n_walks - batch * _WALK_BATCH)
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, batch])
-        )
+
+    def batch(rng: np.random.Generator, size: int) -> tuple[int, np.ndarray]:
         pos = np.zeros(size, dtype=np.int32)
         steps = np.zeros(size, dtype=np.int64)
         active = np.ones(size, dtype=bool)
@@ -136,9 +107,11 @@ def simulate_walk(m: int, n_walks: int, seed: int) -> WalkStats:
             active[idx[done]] = False
         else:
             raise RuntimeError(f"walk exceeded {step_cap} steps")
-        plus += int((pos == m).sum())
-        steps_out.append(steps)
-    all_steps = np.concatenate(steps_out)
+        return int((pos == m).sum()), steps
+
+    results = _philox_batches(seed, n_walks, _WALK_BATCH, batch)
+    plus = sum(r[0] for r in results)
+    all_steps = np.concatenate([r[1] for r in results])
     return WalkStats(
         m=m,
         n_walks=n_walks,
@@ -205,9 +178,7 @@ def prep_expected_cost(
         cost = CostModelParams.defaults(code.d, noise.r)
     if cost.d != code.d:
         raise ValueError("cost model distance does not match code")
-    cfg = analytics.RotationConfig(
-        theta=theta, d=code.d, p_in=noise.p_in, r=noise.r
-    )
+    cfg = analytics.RotationConfig(theta=theta, d=code.d, **vars(noise))
     p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
     if p_s < 1e-300:
         raise ValueError(
@@ -266,7 +237,7 @@ def _make_plan(
         return None
     # invert the accepted-angle chain: theta_L(base) = target/(m k)
     theta_base = 2.0 * math.atan(math.tan(step_angle / 2.0) ** (1.0 / d))
-    cfg = analytics.RotationConfig(theta=theta_base, d=d, p_in=noise.p_in, r=noise.r)
+    cfg = analytics.RotationConfig(theta=theta_base, d=d, **vars(noise))
     p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
     if p_s <= 0.0:
         return None

@@ -2,15 +2,23 @@
 
 Everything here is deliberately brute-force and route-independent from
 the package: dense state vectors and matrices, float linear algebra,
-and direct enumeration.  Kept slow and obvious.
+direct enumeration, and a scalar one-trial-at-a-time preparation
+engine that the vectorized `mcsim` engine is checked against.  Kept
+slow and obvious.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from ftrot import analytics
+from ftrot.analytics import NoiseModel
+from ftrot.codes import StabilizerCode, syndrome
+from ftrot.pauli import PauliString
 
 
 def statevector_branch_angles(d: int, theta: float) -> list[float]:
@@ -166,3 +174,74 @@ def logical_angle_reference(theta: float, d: int) -> float:
     s = math.sin(theta / 2.0) ** d
     c = math.cos(theta / 2.0) ** d
     return 2.0 * math.asin(s / math.hypot(s, c))
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    accepted: bool
+    branch_weight: int
+    infidelity_sample: float | None
+
+
+def sample_branch(d: int, theta: float, rng: np.random.Generator) -> np.ndarray:
+    """Branch string b: each bit independently 1 w.p. sin^2(theta/2)."""
+    s2 = math.sin(theta / 2.0) ** 2
+    return (rng.random(d) < s2).astype(np.uint8)
+
+
+def sample_depolarizing(n: int, p_in: float, rng: np.random.Generator) -> PauliString:
+    """One depolarizing draw on n qubits: I w.p. 1-p, else X/Y/Z w.p. p/3.
+
+    A single uniform per qubit selects the slice: [0, p/3) -> X,
+    [p/3, 2p/3) -> Y, [2p/3, p) -> Z.  The vectorized engine uses the
+    identical mapping.
+    """
+    v = rng.random(n)
+    x = z = 0
+    for q in range(n):
+        if v[q] < 2.0 * p_in / 3.0:
+            x |= 1 << q
+        if p_in / 3.0 <= v[q] < p_in:
+            z |= 1 << q
+    return PauliString(n, x, z)
+
+
+def run_prep_trial(
+    code: StabilizerCode,
+    theta: float,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+    inject_z: int | None = None,
+) -> TrialOutcome:
+    """One preparation trial, written for readability over speed.
+
+    `inject_z` deterministically adds a Z error on the given qubit in
+    the first cycle (used to isolate single error paths).  The branch
+    weight class is taken from the sampled b: on acceptance the
+    surviving pair is {b, bbar}, and the residual frame is a Pauli
+    layer this model does not track.  Meaningful for the codes
+    `mcsim.estimate` accepts.
+    """
+    d = code.d
+    b = sample_branch(d, theta, rng)
+    bz = 0
+    for i, q in enumerate(code.z_support):
+        bz |= int(b[i]) << q
+
+    frame = PauliString.identity(code.n)
+    accepted = True
+    for cycle in range(noise.r):
+        err = sample_depolarizing(code.n, noise.p_in, rng)
+        frame = frame * err
+        if cycle == 0 and inject_z is not None:
+            frame = frame * PauliString.single_z(code.n, inject_z)
+        true_bits = syndrome(PauliString(code.n, frame.x, frame.z ^ bz), code)
+        flips = rng.random(len(true_bits)) < noise.readout_flip
+        if any(bit ^ int(f) for bit, f in zip(true_bits, flips)):
+            accepted = False
+            break
+
+    w = int(b.sum())
+    m = min(w, d - w)
+    infid = analytics.branch_infidelity(m, d, theta) if accepted else None
+    return TrialOutcome(accepted=accepted, branch_weight=m, infidelity_sample=infid)

@@ -32,6 +32,8 @@ class TestRotationConfig:
             RotationConfig(theta=0.5, d=3, p_in=1.0)
         with pytest.raises(ValueError):
             RotationConfig(theta=0.5, d=3, r=0)
+        with pytest.raises(ValueError):
+            RotationConfig(theta=0.5, d=3, readout_flip=1.0)
 
     def test_readout_flip_default(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=3e-3)
@@ -181,6 +183,13 @@ class TestReadout:
         r1 = analytics.readout_error(cfg1, combos)
         r2 = analytics.readout_error(cfg2, combos)
         assert r2 / r1 == pytest.approx(cfg1.readout_flip, rel=1e-12)
+
+    def test_uses_readout_flip_override(self):
+        # readout flips alone, with a clean substrate, still mask
+        base = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
+        flips_only = RotationConfig(theta=0.5, d=3, p_in=0.0, r=2, readout_flip=0.05)
+        ratio = analytics.readout_error(flips_only, 2) / analytics.readout_error(base, 2)
+        assert ratio == pytest.approx((0.05 / base.readout_flip) ** 2, rel=1e-12)
 
     def test_monotone_decay(self):
         vals = [

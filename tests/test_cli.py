@@ -220,6 +220,11 @@ class TestSimulateCommand:
         assert rc == 2
         assert "error:" in err
 
+    def test_bad_threads(self, capsys):
+        rc, _, err = run_main(self.ARGS + ["--threads", "0"], capsys)
+        assert rc == 2
+        assert "threads must be >= 1" in err
+
     def test_fresh_seed_recorded(self, capsys):
         rc, out, _ = run_main(
             ["simulate", "--theta", "0.5", "--trials", "1000"], capsys

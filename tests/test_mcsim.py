@@ -1,10 +1,16 @@
+import dataclasses
 import math
+import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ftrot import analytics, codes, mcsim
 from ftrot.mcsim import NoiseModel, RareEventWarning
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +38,17 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(p_in=0.1, readout_flip=1.5)
 
+    def test_one_noise_model(self):
+        assert mcsim.NoiseModel is analytics.NoiseModel
+        assert issubclass(analytics.RotationConfig, NoiseModel)
+
 
 class TestSamplers:
     def test_branch_bit_rate(self):
         rng = np.random.Generator(np.random.Philox(key=[1, 0]))
         theta = 0.9
         n = 200_000
-        hits = sum(int(mcsim.sample_branch(5, theta, rng).sum()) for _ in range(n // 5))
+        hits = sum(int(oracles.sample_branch(5, theta, rng).sum()) for _ in range(n // 5))
         rate = hits / n
         s2 = math.sin(theta / 2) ** 2
         assert abs(rate - s2) < 3 * math.sqrt(s2 * (1 - s2) / n)
@@ -46,7 +56,7 @@ class TestSamplers:
     def test_depolarizing_rates(self):
         rng = np.random.Generator(np.random.Philox(key=[2, 0]))
         n, p = 60_000, 0.3
-        err = mcsim.sample_depolarizing(n, p, rng)
+        err = oracles.sample_depolarizing(n, p, rng)
         nx = ny = nz = 0
         for q in range(n):
             xb, zb = (err.x >> q) & 1, (err.z >> q) & 1
@@ -59,7 +69,7 @@ class TestSamplers:
 
     def test_depolarizing_zero(self):
         rng = np.random.default_rng(0)
-        err = mcsim.sample_depolarizing(9, 0.0, rng)
+        err = oracles.sample_depolarizing(9, 0.0, rng)
         assert err.x == 0 and err.z == 0
 
 
@@ -70,7 +80,7 @@ class TestRunPrepTrial:
         rng = np.random.Generator(np.random.Philox(key=[3, 0]))
         nm = NoiseModel(p_in=0.0)
         theta = 0.7
-        outs = [mcsim.run_prep_trial(surface3, theta, nm, rng) for _ in range(2_000)]
+        outs = [oracles.run_prep_trial(surface3, theta, nm, rng) for _ in range(2_000)]
         acc = [o for o in outs if o.accepted]
         assert acc and len(acc) < len(outs)
         assert all(o.branch_weight == 0 for o in acc)
@@ -83,23 +93,17 @@ class TestRunPrepTrial:
     def test_rejected_trials_have_no_sample(self, surface3):
         rng = np.random.Generator(np.random.Philox(key=[4, 0]))
         nm = NoiseModel(p_in=0.05, r=2)
-        outs = [mcsim.run_prep_trial(surface3, 0.7, nm, rng) for _ in range(500)]
+        outs = [oracles.run_prep_trial(surface3, 0.7, nm, rng) for _ in range(500)]
         rejected = [o for o in outs if not o.accepted]
         assert rejected, "p_in=0.05 over two cycles should reject some trials"
         assert all(o.infidelity_sample is None for o in rejected)
-
-    def test_unsupported_code(self):
-        rng = np.random.default_rng(0)
-        perfect = codes.get_code("perfect")
-        with pytest.raises(ValueError, match="simulation supports"):
-            mcsim.run_prep_trial(perfect, 0.5, NoiseModel(p_in=0.0), rng)
 
     def test_scalar_agrees_with_vectorized(self, surface3):
         # independent code paths, statistical comparison only
         rng = np.random.Generator(np.random.Philox(key=[5, 0]))
         nm = NoiseModel(p_in=0.02, r=1)
         n = 30_000
-        outs = [mcsim.run_prep_trial(surface3, 0.8, nm, rng) for _ in range(n)]
+        outs = [oracles.run_prep_trial(surface3, 0.8, nm, rng) for _ in range(n)]
         acc = sum(o.accepted for o in outs)
         rate = acc / n
         rate_err = math.sqrt(rate * (1 - rate) / n)
@@ -208,9 +212,41 @@ class TestEstimate:
             )
         assert a.accepted != b.accepted  # different stream layout, same law
 
+    def test_readout_flip_override_reaches_model(self, surface3):
+        # the model must see the same readout-flip rate as the engine
+        noise = NoiseModel(p_in=1e-3, r=2, readout_flip=0.05)
+        cfg = analytics.RotationConfig(theta=0.5, d=3, **vars(noise))
+        assert cfg.readout_flip == 0.05
+        ps = analytics.success_rate(cfg, surface3.n, len(surface3.stabilizers)).p_s
+        with pytest.warns(RareEventWarning) as record:
+            st = mcsim.estimate(surface3, 0.5, None, noise, 200_000, seed=11)
+        assert abs(st.acceptance_rate - ps) < 4 * st.acceptance_stderr
+        rate = float(re.search(r"analytic rate (\S+)\)", str(record[0].message)).group(1))
+        assert rate == pytest.approx(
+            analytics.accepted_error_model(cfg, surface3.error_multiplicities), rel=1e-2
+        )
+        assert rate == pytest.approx(3.2e-5, rel=0.05)
+
+    def test_simulability_is_structural(self, surface3):
+        custom = dataclasses.replace(surface3, name="custom")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RareEventWarning)
+            a = mcsim.estimate(surface3, 0.5, None, self.NM, 20_000, seed=11).to_dict()
+            b = mcsim.estimate(custom, 0.5, None, self.NM, 20_000, seed=11).to_dict()
+        assert b["params"].pop("code") == "custom"
+        assert a["params"].pop("code") == "surface"
+        assert a == b
+
+    def test_unsupported_code(self):
+        for code in (codes.get_code("perfect"), codes.get_code("four-qubit")):
+            with pytest.raises(ValueError, match="simulation supports"):
+                mcsim.estimate(code, 0.5, None, NoiseModel(p_in=0.0), 1_000, seed=1)
+
     def test_validation(self, surface3):
         with pytest.raises(ValueError):
             mcsim.estimate(surface3, 0.5, None, self.NM, 0, seed=1)
+        with pytest.raises(ValueError, match="threads"):
+            mcsim.estimate(surface3, 0.5, None, NoiseModel(p_in=0.0), 10, seed=1, threads=0)
         with pytest.raises(ValueError):
             mcsim.estimate(surface3, 0.5, None, self.NM, 10, seed=1, batch_size=0)
         with pytest.raises(ValueError):
@@ -248,6 +284,21 @@ class TestEstimate:
             progress=lambda i, n: seen.append((i, n)),
         )
         assert sorted(seen) == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestWorkerCount:
+    # a pure function, so the clamp is checked without starting threads
+    def test_clamped_to_batches_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert mcsim._worker_count(1, 1526) == 1
+        assert mcsim._worker_count(10**6, 1526) == min(cpus, 1526)
+        assert mcsim._worker_count(64, 3) == min(cpus, 3)
+        assert mcsim._worker_count(4, 1) == 1
+
+    def test_rejects_non_positive(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                mcsim._worker_count(threads, 4)
 
 
 class TestCoherentMc:
