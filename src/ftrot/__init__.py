@@ -28,9 +28,9 @@ from .codes import StabilizerCode, get_code, list_codes, validate
 from .mcsim import McStats, coherent_mc, estimate
 from .pauli import PauliString, commutes
 from .schemes import (
-    CostModelParams,
     InfeasibleError,
     ScaffoldPlan,
+    attempt_cost,
     ghz_expected_attempts,
     prep_expected_cost,
     scaffold_optimize,
@@ -62,12 +62,12 @@ __all__ = [
     "McStats",
     "estimate",
     "coherent_mc",
-    "CostModelParams",
     "ScaffoldPlan",
     "InfeasibleError",
     "walk_expected_steps",
     "simulate_walk",
     "ghz_expected_attempts",
+    "attempt_cost",
     "prep_expected_cost",
     "scaffold_optimize",
     "CostPoint",

@@ -87,7 +87,6 @@ class RotationConfig(NoiseModel):
     theta: physical rotation angle, radians, in [0, pi].
     d: support weight of the logical Z (code distance for the
        odd-distance families).
-    sigma_theta: per-qubit coherent angle standard deviation, radians.
 
     Build one for a noise object `noise` with
     RotationConfig(theta=..., d=..., **vars(noise)).
@@ -96,7 +95,6 @@ class RotationConfig(NoiseModel):
     theta: float
     d: int
     p_in: float = 0.0
-    sigma_theta: float = 0.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -104,8 +102,6 @@ class RotationConfig(NoiseModel):
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.sigma_theta < 0.0:
-            raise ValueError("sigma_theta must be non-negative")
 
 
 class ErrorBudget(NamedTuple):

@@ -6,7 +6,9 @@ Costs are space-time volumes in d^3 qubit-cycle units.  T-state
 distillation costs are external inputs loaded from a JSON table with a
 mandatory provenance string; a bundled illustrative table ships with
 the package.  Entries are never interpolated: asking for a fidelity
-the table does not list is an error, not an estimate.
+the table does not list is an error, not an estimate.  The baselines'
+gate costs are fixed weights (`rs_clifford_cost`, `COH_COSTS`), and
+their rows carry no code distance, so the `d` column stays empty.
 
 Baseline error accounting follows the source comparison: both
 baselines count only the infidelity of the distilled T states they
@@ -23,12 +25,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
-from . import analytics
 from .analytics import NoiseModel
-from .schemes import CostModelParams, ScaffoldPlan, iter_plans
+from .schemes import ScaffoldPlan, iter_plans
 
 __all__ = [
-    "CliffordCostTable",
     "DistillCostTable",
     "DistillEntry",
     "CostPoint",
@@ -47,17 +47,6 @@ __all__ = [
     "REPORT_COLUMNS",
 ]
 
-
-@dataclass(frozen=True)
-class CliffordCostTable:
-    """Per-gate space-time costs in d^3 units (H, S, and T-consumption)."""
-
-    h_cost: float = 1.0
-    s_cost: float = 6.0
-    t_cost: float = 5.0
-
-
-DEFAULT_CLIFFORD_COSTS = CliffordCostTable()
 
 # (H count, S count, T count) of the synthesized circuits at the three
 # reference angles, accuracy one decade below the angle.
@@ -82,24 +71,23 @@ COH_COSTS: dict[str, float] = {
 }
 
 
-def rs_t_count(theta_eps: float, correction: float = 0.0) -> int:
+def rs_t_count(theta_eps: float) -> int:
     """T count to synthesize a rotation to accuracy theta_eps.
 
     Uses the information-theoretic scaling 3 log2(1/eps) rounded to
-    the nearest integer; `correction` adds an optional constant/loglog
-    refinement term (default 0).
+    the nearest integer.
     """
     if not 0.0 < theta_eps < 1.0:
         raise ValueError("theta_eps must be in (0, 1)")
-    return round(3.0 * math.log2(1.0 / theta_eps) + correction)
+    return round(3.0 * math.log2(1.0 / theta_eps))
 
 
 def rs_clifford_cost(
     theta_label: str | None = None,
     counts: tuple[int, int, int] | None = None,
-    costs: CliffordCostTable = DEFAULT_CLIFFORD_COSTS,
 ) -> float:
-    """Circuit cost h*1 + s*6 + t*5 for a tabulated angle or raw counts."""
+    """Circuit cost h*1 + s*6 + t*5 for a tabulated angle or raw counts:
+    per-gate space-time costs in d^3 units of H, S and T consumption."""
     if counts is None:
         if theta_label is None or theta_label not in RS_GATE_COUNTS:
             raise KeyError(
@@ -108,7 +96,7 @@ def rs_clifford_cost(
             )
         counts = RS_GATE_COUNTS[theta_label]
     h, s, t = counts
-    return h * costs.h_cost + s * costs.s_cost + t * costs.t_cost
+    return h * 1.0 + s * 6.0 + t * 5.0
 
 
 @dataclass(frozen=True)
@@ -197,7 +185,6 @@ class CostPoint:
 def rs_total(
     theta_l: float,
     distill: DistillCostTable,
-    d: int | None = None,
     include_clifford: bool = True,
     *,
     p_in: float,
@@ -235,7 +222,6 @@ def rs_total(
         method="rs",
         logical_error=n_t * entry.out_error,
         cost_d3=cost,
-        d=d,
         error_kind="incoherent-t-only",
         params_echo={
             "theta_eps": theta_eps,
@@ -250,21 +236,13 @@ def rs_total(
 def rs_curve(
     theta_l: float,
     distill: DistillCostTable,
-    d: int | None = None,
     include_clifford: bool = True,
     *,
     p_in: float,
 ) -> list[CostPoint]:
     """One point per distillation entry at this p_in."""
     return [
-        rs_total(
-            theta_l,
-            distill,
-            d,
-            include_clifford,
-            p_in=p_in,
-            t_state_error=e.out_error,
-        )
+        rs_total(theta_l, distill, include_clifford, p_in=p_in, t_state_error=e.out_error)
         for e in distill.at_p_in(p_in)
     ]
 
@@ -277,51 +255,33 @@ def coh_error_step(eps_t: float, eps_l1: float, eps_l: float) -> float:
     return 8.0 * eps_t * eps_t + eps_l1 * eps_l1 + 0.25 * eps_l
 
 
-def coh_ladder(
-    target_level: int,
-    eps_t: float,
-    start_errors: dict[int, float] | None = None,
-    cost_table: dict[str, float] | None = None,
-    *,
-    t_state_cost: float = 0.0,
-) -> dict:
+def coh_ladder(target_level: int, eps_t: float, *, t_state_cost: float = 0.0) -> dict:
     """Climb the hierarchy from level 4 to target_level.
 
-    Each rung checks a raw level-(l+1) candidate (default error eps_t,
-    override via start_errors[l+1]) against the level-l state, burning
-    8 T states per attempt.  The pivotal-rotation teleport succeeds
-    with probability 1/2; a failure aborts the rung and restarts it on
-    fresh ancillae, so every consumed input is billed per attempt and
-    the expected attempt count is 2.  The level-3 resource is the T
-    state itself (error eps_t, cost t_state_cost).
+    Each rung checks a raw level-(l+1) candidate (error eps_t) against
+    the level-l state, burning 8 T states per attempt.  The
+    pivotal-rotation teleport succeeds with probability 1/2; a failure
+    aborts the rung and restarts it on fresh ancillae, so every consumed
+    input is billed per attempt and the expected attempt count is 2.
+    The level-3 resource is the T state itself (error eps_t, cost
+    t_state_cost).
     """
     if target_level < 4:
         raise ValueError("ladder starts at level 4")
-    costs = dict(COH_COSTS if cost_table is None else cost_table)
-    overrides = start_errors or {}
-
-    attempt_clifford = costs["average"]
     expected_attempts = 2.0
-    err = overrides.get(3, eps_t)
+    err = eps_t
     cost = t_state_cost
     levels = [{"level": 3, "error": err, "cost": cost}]
     for level in range(4, target_level + 1):
-        candidate = overrides.get(level, eps_t)
-        err = coh_error_step(eps_t, candidate, err)
+        err = coh_error_step(eps_t, eps_t, err)
         cost = expected_attempts * (
-            attempt_clifford + costs["t_inject"] * t_state_cost + cost
+            COH_COSTS["average"] + COH_COSTS["t_inject"] * t_state_cost + cost
         )
         levels.append({"level": level, "error": err, "cost": cost})
     return {"error": err, "cost": cost, "levels": levels}
 
 
-def coh_curve(
-    theta_l: float,
-    distill: DistillCostTable,
-    d: int | None = None,
-    *,
-    p_in: float,
-) -> list[CostPoint]:
+def coh_curve(theta_l: float, distill: DistillCostTable, *, p_in: float) -> list[CostPoint]:
     """One ladder climb per distillation entry; target level from the
     angle, which must be 2pi/2^level for an integer level >= 4."""
     level_f = math.log2(math.tau / theta_l)
@@ -338,7 +298,6 @@ def coh_curve(
                 method="coh",
                 logical_error=res["error"],
                 cost_d3=res["cost"],
-                d=d,
                 error_kind="incoherent-t-only",
                 params_echo={
                     "target_level": level,
@@ -367,26 +326,12 @@ def pareto_front(points: Iterable[CostPoint]) -> list[CostPoint]:
 
 
 def our_method_curve(
-    theta_l: float,
-    code_family: str,
-    noise: NoiseModel,
-    cost_model=None,
-    *,
-    d_values: tuple[int, ...] = (3, 5, 7),
-    k_max: int = 9,
-    m_max: int = 64,
+    theta_l: float, code_family: str, noise: NoiseModel, **grid
 ) -> list[CostPoint]:
-    """Pareto front of the scaffold grid for this target angle."""
+    """Pareto front of the scaffold grid for this target angle; `grid`
+    (d_values, k_max, m_max) goes to `iter_plans` unchanged."""
     points = []
-    for plan in iter_plans(
-        theta_l,
-        code_family,
-        noise,
-        d_values=d_values,
-        k_max=k_max,
-        m_max=m_max,
-        cost_model=cost_model,
-    ):
+    for plan in iter_plans(theta_l, code_family, noise, **grid):
         points.append(_plan_point(plan))
     return pareto_front(points)
 
@@ -427,31 +372,29 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    theta_l_target: float
-    noise: NoiseModel
-    code_family: str = "surface"
-    distill: DistillCostTable | None = None
-    include_clifford: bool = True
-    d_values: tuple[int, ...] = (3, 5, 7)
-    k_max: int = 9
-    m_max: int = 64
-
-
-def pareto_report(methods: Sequence[str], config: BenchConfig) -> list[dict]:
+def pareto_report(
+    methods: Sequence[str],
+    theta_l_target: float,
+    noise: NoiseModel,
+    *,
+    code_family: str = "surface",
+    distill: DistillCostTable | None = None,
+    include_clifford: bool = True,
+    **grid,
+) -> list[dict]:
     """Merged per-method cost curves as flat rows, one dict per point.
 
     Methods are emitted in the order given; within a method, rows run
     from high error to low.  Baselines require a distillation table;
-    refusing to default one keeps external inputs explicit.
+    refusing to default one keeps external inputs explicit.  `grid`
+    (d_values, k_max, m_max) goes to `iter_plans` for "ours".
     """
     known = {"ours", "rs", "coh"}
     unknown = [m for m in methods if m not in known]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {sorted(known)}")
     needs_table = [m for m in methods if m in ("rs", "coh")]
-    if needs_table and config.distill is None:
+    if needs_table and distill is None:
         raise ValueError(
             f"methods {needs_table} need a distillation cost table "
             "(--distill-costs or DistillCostTable)"
@@ -460,25 +403,13 @@ def pareto_report(methods: Sequence[str], config: BenchConfig) -> list[dict]:
     rows: list[dict] = []
     for method in methods:
         if method == "ours":
-            points = our_method_curve(
-                config.theta_l_target,
-                config.code_family,
-                config.noise,
-                d_values=config.d_values,
-                k_max=config.k_max,
-                m_max=config.m_max,
-            )
+            points = our_method_curve(theta_l_target, code_family, noise, **grid)
         elif method == "rs":
             points = rs_curve(
-                config.theta_l_target,
-                config.distill,
-                include_clifford=config.include_clifford,
-                p_in=config.noise.p_in,
+                theta_l_target, distill, include_clifford=include_clifford, p_in=noise.p_in
             )
         else:
-            points = coh_curve(
-                config.theta_l_target, config.distill, p_in=config.noise.p_in
-            )
+            points = coh_curve(theta_l_target, distill, p_in=noise.p_in)
         points = sorted(points, key=lambda p: (-p.logical_error, p.cost_d3))
         for p in points:
             rows.append(

@@ -129,13 +129,13 @@ def cmd_codes(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.sigma < 0.0:
+        raise ValueError("--sigma must be non-negative")
     code = codes.get_code(args.code, args.d)
     mult = code.error_multiplicities
     rows = []
     for theta in args.theta:
-        cfg = analytics.RotationConfig(
-            theta=theta, d=code.d, p_in=args.p_in, r=args.r, sigma_theta=args.sigma
-        )
+        cfg = analytics.RotationConfig(theta=theta, d=code.d, p_in=args.p_in, r=args.r)
         theta_l = analytics.logical_angle(theta, code.d)
         try:
             eps_total = analytics.incoherent_error_total(
@@ -207,20 +207,10 @@ def cmd_walk(args) -> int:
 
 def cmd_scaffold(args) -> int:
     noise = analytics.NoiseModel(p_in=args.p_in, r=args.r)
-    bounds = {
-        "d_values": list(args.d_values),
-        "k_max": args.k_max,
-        "m_max": args.m_max,
-    }
+    bounds = _grid(args)
     try:
         plan = schemes.scaffold_optimize(
-            args.theta_l,
-            args.code,
-            noise,
-            d_values=args.d_values,
-            k_max=args.k_max,
-            m_max=args.m_max,
-            error_ceiling=args.error_ceiling,
+            args.theta_l, args.code, noise, error_ceiling=args.error_ceiling, **bounds
         )
     except schemes.InfeasibleError as exc:
         payload = {
@@ -250,17 +240,15 @@ def cmd_bench(args) -> int:
             distill = bench.DistillCostTable.bundled()
         else:
             distill = bench.DistillCostTable.load(args.distill_costs)
-    config = bench.BenchConfig(
-        theta_l_target=args.theta_l,
-        noise=analytics.NoiseModel(p_in=args.p_in, r=args.r),
+    rows = bench.pareto_report(
+        methods,
+        args.theta_l,
+        analytics.NoiseModel(p_in=args.p_in, r=args.r),
         code_family=args.code,
         distill=distill,
         include_clifford=not args.no_clifford,
-        d_values=args.d_values,
-        k_max=args.k_max,
-        m_max=args.m_max,
+        **_grid(args),
     )
-    rows = bench.pareto_report(methods, config)
     _emit(rows, args.format, args.out, columns=bench.REPORT_COLUMNS)
     return 0
 
@@ -286,6 +274,16 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-in", type=float, default=1e-3, help="depolarizing rate per qubit per cycle")
     p.add_argument("--r", type=int, default=2, help="detection cycles")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d-values", type=_csv_ints, default=schemes.D_VALUES)
+    p.add_argument("--k-max", type=int, default=schemes.K_MAX)
+    p.add_argument("--m-max", type=int, default=schemes.M_MAX)
+
+
+def _grid(args) -> dict:
+    return {"d_values": args.d_values, "k_max": args.k_max, "m_max": args.m_max}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-l", type=parse_angle, required=True, help="target logical angle")
     p.add_argument("--code", default="surface")
     _add_noise_flags(p)
-    p.add_argument("--d-values", type=_csv_ints, default=(3, 5, 7))
-    p.add_argument("--k-max", type=int, default=9)
-    p.add_argument("--m-max", type=int, default=64)
+    _add_grid_flags(p)
     p.add_argument("--error-ceiling", type=float, default=None)
     _add_output_flags(p, "json")
     p.set_defaults(func=cmd_scaffold)
@@ -360,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distillation table JSON, or 'bundled'")
     p.add_argument("--no-clifford", action="store_true",
                    help="count T-state costs only in the synthesis baseline")
-    p.add_argument("--d-values", type=_csv_ints, default=(3, 5, 7))
-    p.add_argument("--k-max", type=int, default=9)
-    p.add_argument("--m-max", type=int, default=64)
+    _add_grid_flags(p)
     _add_output_flags(p, "csv")
     p.set_defaults(func=cmd_bench)
 

@@ -18,9 +18,9 @@ Four code families are registered:
     supported on only three qubits.
 
 Every code records, besides the usual stabilizer data, the three
-numbers the analytic error model needs: how many single-qubit phase
-errors project onto a wrong branch without tripping any check
-(``flip_projection``), how many off-support errors mimic one of those
+numbers the analytic error model needs: how many single-qubit errors
+on the rotated support project onto a wrong branch without tripping any
+check (``flip_projection``), how many off-support errors mimic one of those
 via an identical syndrome footprint (``secondary_flip``), and how many
 weight-one branch patterns have a syndrome that a single readout flip
 can mask (``readout_combos``).  The stored values are properties of the
@@ -46,9 +46,10 @@ class Multiplicities:
     Attributes
     ----------
     flip_projection:
-        Number of single-qubit Z locations (one per logical-Z support
-        qubit) whose error projects the state onto a weight-1 branch
-        with a perfectly clean syndrome.
+        Number of single-qubit Pauli channels on the logical-Z support
+        whose error projects the state onto a weight-1 branch with a
+        perfectly clean syndrome: Z on each support qubit, plus Y
+        wherever no Z-type check sees its X part (phase-flip: 2d).
     secondary_flip:
         Number of off-support single-qubit errors whose syndrome equals
         that of a support-qubit error, so they feed the same branch.
@@ -150,12 +151,15 @@ def phase_flip_code(d: int) -> StabilizerCode:
 
     Stabilizers are ``X_i X_{i+1}``; the logical Z is the full-weight
     ``Z...Z`` string and every generator is in the noncommuting set.
+    With no Z-type checks, Y on a support qubit has Z's syndrome, so
+    both feed the first-order path.
     """
     _require_odd(d)
     stabs = tuple(
         PauliString(d, (0b11 << i), 0) for i in range(d - 1)
     )
     mask = (1 << d) - 1
+    z_support = tuple(range(d))
     return StabilizerCode(
         name="phase-flip",
         n=d,
@@ -164,10 +168,10 @@ def phase_flip_code(d: int) -> StabilizerCode:
         stabilizers=stabs,
         logical_z=PauliString(d, 0, mask),
         logical_x=PauliString(d, mask, 0),
-        z_support=tuple(range(d)),
-        noncommuting_set=tuple(range(d - 1)),
+        z_support=z_support,
+        noncommuting_set=_noncommuting_set(stabs, z_support),
         error_multiplicities=Multiplicities(
-            flip_projection=d, secondary_flip=0, readout_combos=2
+            flip_projection=2 * d, secondary_flip=0, readout_combos=2
         ),
         distance_metric="phase",
     )

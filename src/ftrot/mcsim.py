@@ -235,6 +235,8 @@ def estimate(
     plan = _stabilizer_plan(code)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if inject_z is not None and not 0 <= inject_z < code.n:

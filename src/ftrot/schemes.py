@@ -13,16 +13,22 @@ Three composition mechanisms:
   the requested logical angle.
 
 Costs are expected space-time volumes in d^3 qubit-cycle units.  The
-accounting covers preparation only (attempt qubits x cycles, retries,
-GHZ merges, walk teleportations); consuming the final state into the
-data patch is common to every method and excluded.
+accounting covers preparation only; consuming the final state into the
+data patch is common to every method and excluded.  One attempt holds a
+rotated-code patch of 2d^2-1 physical qubits (data plus ancillas) for
+r+1 cycles (init+rotation, then r detection rounds), see
+`attempt_cost`; retries multiply it, and each GHZ merge leg and each
+walk teleportation is one logical CNOT worth 2 d^3.
+
+The plan grid is searched over d in D_VALUES, k in 1..K_MAX and m in
+1..M_MAX unless a caller narrows it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +38,10 @@ from .codes import StabilizerCode, get_code
 from .mcsim import _philox_batches
 
 __all__ = [
-    "CostModelParams",
+    "D_VALUES",
+    "K_MAX",
+    "M_MAX",
+    "attempt_cost",
     "ScaffoldPlan",
     "WalkStats",
     "InfeasibleError",
@@ -43,6 +52,13 @@ __all__ = [
     "iter_plans",
     "scaffold_optimize",
 ]
+
+D_VALUES = (3, 5, 7)
+K_MAX = 9
+M_MAX = 64
+
+_TELEPORT_STEP_COST = 2.0
+_GHZ_MERGE_COST_PER_LEG = 2.0
 
 _WALK_BATCH = 1 << 14
 
@@ -134,57 +150,20 @@ def ghz_expected_attempts(p_s: float, m: int) -> float:
     return p_s ** (-m)
 
 
-@dataclass(frozen=True)
-class CostModelParams:
-    """Space-time accounting knobs, all in d^3 qubit-cycle units.
-
-    Defaults: a rotated-code patch holds 2d^2-1 physical qubits (data
-    plus ancillas) and one attempt spans r+1 cycles (init+rotation,
-    then r detection rounds); a teleportation step is one logical CNOT
-    worth 2 d^3; each GHZ merge leg likewise 2 d^3.
-    """
-
-    d: int
-    prep_attempt_qubits: int
-    prep_attempt_cycles: int
-    teleport_step_cost: float = 2.0
-    ghz_merge_cost_per_leg: float = 2.0
-    unit: str = "d^3 qubit-cycles"
-
-    @classmethod
-    def defaults(cls, d: int, r: int) -> "CostModelParams":
-        return cls(d=d, prep_attempt_qubits=2 * d * d - 1, prep_attempt_cycles=r + 1)
-
-    def __post_init__(self) -> None:
-        if min(self.d, self.prep_attempt_qubits, self.prep_attempt_cycles) < 1:
-            raise ValueError("cost parameters must be positive")
-        if self.teleport_step_cost <= 0 or self.ghz_merge_cost_per_leg <= 0:
-            raise ValueError("cost parameters must be positive")
-
-    @property
-    def attempt_cost(self) -> float:
-        """One preparation attempt, in d^3 units."""
-        return self.prep_attempt_qubits * self.prep_attempt_cycles / self.d ** 3
+def attempt_cost(d: int, r: int) -> float:
+    """One preparation attempt, in d^3 units: 2d^2-1 qubits for r+1 cycles."""
+    return (2 * d * d - 1) * (r + 1) / d**3
 
 
-def prep_expected_cost(
-    code: StabilizerCode,
-    theta: float,
-    noise: NoiseModel,
-    cost: CostModelParams | None = None,
-) -> float:
+def prep_expected_cost(code: StabilizerCode, theta: float, noise: NoiseModel) -> float:
     """Expected cost of one accepted preparation: attempt cost / p_s."""
-    if cost is None:
-        cost = CostModelParams.defaults(code.d, noise.r)
-    if cost.d != code.d:
-        raise ValueError("cost model distance does not match code")
     cfg = analytics.RotationConfig(theta=theta, d=code.d, **vars(noise))
     p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
     if p_s < 1e-300:
         raise ValueError(
             f"success rate underflow (p_s = {p_s:.3g}); expected cost diverges"
         )
-    return cost.attempt_cost / p_s
+    return attempt_cost(code.d, noise.r) / p_s
 
 
 @dataclass(frozen=True)
@@ -229,7 +208,7 @@ def _make_plan(
     noise: NoiseModel,
     k: int,
     m: int,
-    cost: CostModelParams,
+    attempt: float,
 ) -> ScaffoldPlan | None:
     d = code.d
     step_angle = theta_l_target / (m * k)
@@ -244,11 +223,9 @@ def _make_plan(
 
     walk_steps = walk_expected_steps(m)
     attempts = ghz_expected_attempts(p_s, k)
-    prep = walk_steps * attempts * k * cost.attempt_cost
-    merge = (
-        walk_steps * attempts * k * cost.ghz_merge_cost_per_leg if k >= 2 else 0.0
-    )
-    teleport = walk_steps * cost.teleport_step_cost if m >= 2 else 0.0
+    prep = walk_steps * attempts * k * attempt
+    merge = walk_steps * attempts * k * _GHZ_MERGE_COST_PER_LEG if k >= 2 else 0.0
+    teleport = walk_steps * _TELEPORT_STEP_COST if m >= 2 else 0.0
     breakdown = {
         "prep_attempts": prep,
         "ghz_merges": merge,
@@ -277,10 +254,9 @@ def iter_plans(
     code_family: str,
     noise: NoiseModel,
     *,
-    d_values: tuple[int, ...] = (3, 5, 7),
-    k_max: int = 9,
-    m_max: int = 64,
-    cost_model: Callable[[int], CostModelParams] | None = None,
+    d_values: tuple[int, ...] = D_VALUES,
+    k_max: int = K_MAX,
+    m_max: int = M_MAX,
 ) -> Iterator[ScaffoldPlan]:
     """All candidate plans on the (d, k, m) grid.
 
@@ -291,13 +267,10 @@ def iter_plans(
         raise ValueError("theta_l_target must be positive")
     for d in d_values:
         code = get_code(code_family, d)
-        cost = (
-            cost_model(d) if cost_model is not None
-            else CostModelParams.defaults(d, noise.r)
-        )
+        attempt = attempt_cost(d, noise.r)
         for k in range(1, k_max + 1):
             for m in range(1, m_max + 1):
-                plan = _make_plan(theta_l_target, code, noise, k, m, cost)
+                plan = _make_plan(theta_l_target, code, noise, k, m, attempt)
                 if plan is not None:
                     yield plan
 
@@ -307,27 +280,15 @@ def scaffold_optimize(
     code_family: str,
     noise: NoiseModel,
     *,
-    d_values: tuple[int, ...] = (3, 5, 7),
-    k_max: int = 9,
-    m_max: int = 64,
     error_ceiling: float | None = None,
-    cost_model: Callable[[int], CostModelParams] | None = None,
+    **grid,
 ) -> ScaffoldPlan:
     """Cheapest plan hitting theta_l_target, optionally under an error
     ceiling.  Ties break toward lower predicted error, then smaller d,
     then smaller m, then smaller k (a total order, so the result does
-    not depend on enumeration order)."""
-    plans = list(
-        iter_plans(
-            theta_l_target,
-            code_family,
-            noise,
-            d_values=d_values,
-            k_max=k_max,
-            m_max=m_max,
-            cost_model=cost_model,
-        )
-    )
+    not depend on enumeration order).  `grid` (d_values, k_max, m_max)
+    goes to `iter_plans` unchanged."""
+    plans = list(iter_plans(theta_l_target, code_family, noise, **grid))
     if not plans:
         raise ValueError("empty grid: no representable plan")
 

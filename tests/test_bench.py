@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ftrot import bench
 from ftrot.bench import (
     COH_COSTS,
-    BenchConfig,
     CostPoint,
     DistillCostTable,
     DistillEntry,
@@ -52,8 +51,7 @@ class TestRsPrimitives:
         for g, ref in zip(got, (14, 22, 30)):
             assert abs(g - ref) <= 3
 
-    def test_t_count_correction_and_domain(self):
-        assert rs_t_count(0.5, correction=4.0) == 7
+    def test_t_count_domain(self):
         with pytest.raises(ValueError):
             rs_t_count(0.0)
         with pytest.raises(ValueError):
@@ -127,11 +125,6 @@ class TestCohPrimitives:
         eps = 1e-4
         deep = coh_ladder(30, eps)["error"]
         assert deep == pytest.approx(12.0 * eps * eps, rel=1e-6)
-
-    def test_ladder_start_override(self):
-        base = coh_ladder(5, 1e-4)
-        better = coh_ladder(5, 1e-4, start_errors={4: 1e-8})
-        assert better["error"] < base["error"]
 
     def test_ladder_domain(self):
         with pytest.raises(ValueError):
@@ -279,37 +272,30 @@ class TestOurCurveAndReport:
         assert all(p.method == "ours" and p.error_kind == "incoherent" for p in pts)
 
     def test_report_ours_only_without_table(self):
-        cfg = BenchConfig(
-            theta_l_target=self.TARGET,
-            noise=self.NOISE,
-            d_values=(3,),
-            k_max=2,
-            m_max=4,
+        rows = bench.pareto_report(
+            ["ours"], self.TARGET, self.NOISE, d_values=(3,), k_max=2, m_max=4
         )
-        rows = bench.pareto_report(["ours"], cfg)
         assert rows
         assert set(rows[0]) == set(bench.REPORT_COLUMNS)
 
     def test_report_baselines_need_table(self):
-        cfg = BenchConfig(theta_l_target=self.TARGET, noise=self.NOISE)
         with pytest.raises(ValueError, match="distill"):
-            bench.pareto_report(["ours", "rs"], cfg)
+            bench.pareto_report(["ours", "rs"], self.TARGET, self.NOISE)
 
     def test_report_unknown_method(self):
-        cfg = BenchConfig(theta_l_target=self.TARGET, noise=self.NOISE)
         with pytest.raises(ValueError, match="unknown"):
-            bench.pareto_report(["ours", "magic"], cfg)
+            bench.pareto_report(["ours", "magic"], self.TARGET, self.NOISE)
 
     def test_report_full(self, table):
-        cfg = BenchConfig(
-            theta_l_target=self.TARGET,
-            noise=self.NOISE,
+        rows = bench.pareto_report(
+            ["ours", "rs", "coh"],
+            self.TARGET,
+            self.NOISE,
             distill=table,
             d_values=(3, 5),
             k_max=3,
             m_max=8,
         )
-        rows = bench.pareto_report(["ours", "rs", "coh"], cfg)
         methods = [r["method"] for r in rows]
         assert methods == sorted(methods, key=["ours", "rs", "coh"].index)
         assert {"ours", "rs", "coh"} == set(methods)

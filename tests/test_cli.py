@@ -89,6 +89,12 @@ class TestCodesCommand:
 
 
 class TestAnalyzeCommand:
+    def test_negative_sigma(self, capsys):
+        rc, out, err = run_main(["analyze", "--theta", "0.5", "--sigma", "-0.1"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_csv_header_and_sweep(self, capsys):
         rc, out, _ = run_main(["analyze", "--theta", "0.2:0.8:4"], capsys)
         assert rc == 0
@@ -224,6 +230,15 @@ class TestSimulateCommand:
         rc, _, err = run_main(self.ARGS + ["--threads", "0"], capsys)
         assert rc == 2
         assert "threads must be >= 1" in err
+        # in a fresh process so the warning would reach stderr unfiltered
+        proc = subprocess.run(
+            [sys.executable, "-m", "ftrot.cli"] + self.ARGS + ["--threads", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "threads must be >= 1" in proc.stderr
+        assert "RareEventWarning" not in proc.stderr
 
     def test_fresh_seed_recorded(self, capsys):
         rc, out, _ = run_main(

@@ -121,10 +121,10 @@ def test_multiplicities_match_enumeration_oracle():
 
     The oracle counts single-qubit Paulis whose stabilizer signature a
     weight-1 branch pattern can cancel.  For surface and perfect codes
-    that count equals the stored first-order multiplicity.  Phase-flip
-    stores the d pure-dephasing channels; under the full depolarizing
-    channel Y errors share Z's signature (no Z-type checks exist to
-    see their X part), so enumeration finds 2d.
+    that count equals the stored first-order multiplicity.  For
+    phase-flip, Y errors share Z's signature under the depolarizing
+    channel (no Z-type checks exist to see their X part), so both the
+    enumeration and the stored count are 2d.
     """
     for name, d in (("surface", 3), ("surface", 5), ("surface", 7)):
         code = codes.get_code(name, d)
@@ -137,14 +137,14 @@ def test_multiplicities_match_enumeration_oracle():
     for d in (3, 5):
         code = codes.get_code("phase-flip", d)
         flips, readout = first_order_multiplicity(code)
-        assert flips == 2 * d
-        assert code.error_multiplicities.first_order == d
+        assert flips == code.error_multiplicities.first_order == 2 * d
         assert readout == code.error_multiplicities.readout_combos == 2
 
 
 def test_stored_multiplicity_tuples():
     assert codes.get_code("surface", 5).error_multiplicities == codes.Multiplicities(5, 2, 2)
-    assert codes.get_code("phase-flip", 3).error_multiplicities == codes.Multiplicities(3, 0, 2)
+    # Z and Y on each support qubit: no Z-type check sees the Y
+    assert codes.get_code("phase-flip", 3).error_multiplicities == codes.Multiplicities(6, 0, 2)
     # weight-2 support makes X and Y first order as well; the closed
     # form folds all eight channels into one count
     assert codes.get_code("four-qubit").error_multiplicities == codes.Multiplicities(8, 0, 2)

@@ -252,6 +252,23 @@ class TestEstimate:
         with pytest.raises(ValueError):
             mcsim.estimate(surface3, 0.5, None, self.NM, 10, seed=1, inject_z=99)
 
+    def test_bad_threads_rejected_before_warning(self, surface3):
+        # 1,000 trials at p_in=1e-3 would warn; the bad option stops first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RareEventWarning)
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                mcsim.estimate(surface3, 0.5, None, self.NM, 1_000, seed=1, threads=0)
+
+    def test_phase_flip_matches_error_model(self):
+        # Y on a support qubit has Z's X-check signature, so the model
+        # must count 2d first-order channels (with d it is 8 sigma low)
+        code = codes.get_code("phase-flip", 3)
+        noise = NoiseModel(p_in=5e-3, r=2)
+        cfg = analytics.RotationConfig(theta=0.5, d=3, **vars(noise))
+        model = analytics.accepted_error_model(cfg, code.error_multiplicities)
+        st = mcsim.estimate(code, 0.5, None, noise, 500_000, seed=5, threads=1)
+        assert abs(st.mean_infidelity - model) < 4 * st.infidelity_stderr
+
     def test_to_dict_schema(self, surface3):
         st = mcsim.estimate(
             surface3, 0.5, None, NoiseModel(p_in=0.0), 1_000, seed=5

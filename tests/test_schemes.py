@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ftrot import analytics, codes, schemes
 from ftrot.mcsim import NoiseModel
-from ftrot.schemes import CostModelParams, InfeasibleError
+from ftrot.schemes import InfeasibleError
 
 from oracles import walk_expected_steps_float
 
@@ -95,19 +95,8 @@ class TestGhzAttempts:
 
 class TestCostModel:
     def test_defaults(self):
-        cm = CostModelParams.defaults(3, r=2)
-        assert cm.prep_attempt_qubits == 17
-        assert cm.prep_attempt_cycles == 3
-        assert cm.attempt_cost == pytest.approx(17 * 3 / 27)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CostModelParams(d=3, prep_attempt_qubits=0, prep_attempt_cycles=3)
-        with pytest.raises(ValueError):
-            CostModelParams(
-                d=3, prep_attempt_qubits=17, prep_attempt_cycles=3,
-                teleport_step_cost=0.0,
-            )
+        # 2d^2-1 = 17 qubits for r+1 = 3 cycles, in d^3 = 27 units
+        assert schemes.attempt_cost(3, 2) == 17 * 3 / 27
 
     def test_prep_expected_cost(self):
         code = codes.get_code("surface", d=3)
@@ -115,14 +104,7 @@ class TestCostModel:
         got = schemes.prep_expected_cost(code, 0.5, noise)
         cfg = analytics.RotationConfig(theta=0.5, d=3, p_in=0.0, r=2)
         p_coh = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s_coh
-        assert got == pytest.approx(CostModelParams.defaults(3, 2).attempt_cost / p_coh)
-
-    def test_prep_cost_d_mismatch(self):
-        code = codes.get_code("surface", d=3)
-        with pytest.raises(ValueError, match="distance"):
-            schemes.prep_expected_cost(
-                code, 0.5, NoiseModel(p_in=0.0), CostModelParams.defaults(5, 1)
-            )
+        assert got == pytest.approx(schemes.attempt_cost(3, 2) / p_coh)
 
 
 class TestScaffold:
