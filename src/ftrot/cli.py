@@ -233,6 +233,7 @@ def cmd_scaffold(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    grid = _grid(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     distill = None
     if args.distill_costs is not None:
@@ -247,7 +248,7 @@ def cmd_bench(args) -> int:
         code_family=args.code,
         distill=distill,
         include_clifford=not args.no_clifford,
-        **_grid(args),
+        **grid,
     )
     _emit(rows, args.format, args.out, columns=bench.REPORT_COLUMNS)
     return 0
@@ -283,6 +284,12 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _grid(args) -> dict:
+    """The grid flags, checked here whichever methods will read them."""
+    for flag, value in (("--k-max", args.k_max), ("--m-max", args.m_max)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    for d in args.d_values:
+        codes.check_distance(args.code, d)
     return {"d_values": args.d_values, "k_max": args.k_max, "m_max": args.m_max}
 
 

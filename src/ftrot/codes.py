@@ -341,16 +341,28 @@ def get_code(name: str, d: int | None = None) -> StabilizerCode:
     ``d`` is required for the parametrized families (phase-flip,
     surface) and must be omitted or match for the fixed ones.
     """
+    check_distance(name, d)
+    if name in _PARAMETRIZED:
+        return _PARAMETRIZED[name](d)
+    return _FIXED[name]()
+
+
+def check_distance(name: str, d: int | None) -> None:
+    """Raise ValueError unless `get_code(name, d)` accepts the pair.
+
+    Builds no parametrized code, so a caller can check a grid of
+    distances before any work starts.
+    """
     if name in _PARAMETRIZED:
         if d is None:
             raise ValueError(f"code {name!r} needs a distance d")
-        return _PARAMETRIZED[name](d)
-    if name in _FIXED:
-        code = _FIXED[name]()
-        if d is not None and d != code.d:
-            raise ValueError(f"code {name!r} has fixed d={code.d}")
-        return code
-    raise ValueError(f"unknown code {name!r}")
+        _require_odd(d)
+    elif name in _FIXED:
+        fixed = _FIXED[name]().d
+        if d is not None and d != fixed:
+            raise ValueError(f"code {name!r} has fixed d={fixed}")
+    else:
+        raise ValueError(f"unknown code {name!r}")
 
 
 def _require_odd(d: int) -> None:

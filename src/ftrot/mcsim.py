@@ -14,12 +14,26 @@ frame * Z^b with readout flips applied is all-zero.  Accepted trials
 land in the branch weight class m = min(|b|, d-|b|), whose infidelity
 against the target angle is a closed form; the estimator averages it.
 
+Noise is sparse at the rates of interest, so a batch draws only the
+faults that occur: data-qubit hits and readout flips are exact
+Bernoulli samples over flat index spaces, and only the trials they
+touch are evaluated cycle by cycle.  A trial that nothing touches is
+judged from its branch string alone.
+
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
 Work is partitioned into fixed-size batches, batch i drawing from a
 counter-based Philox stream keyed by (seed, i).  All reductions are
 integer counts, so results are bit-identical for a given
-(seed, n_trials, batch_size) regardless of thread count.
+(seed, n_trials, batch_size, stream) regardless of thread count.
+`estimate` records the stream version as `params["stream"]`.  Stream 2
+draws, per batch:
+
+  1. the branch uniforms, shape (trials, d);
+  2. for each cycle in turn, the data-hit count, the hit positions over
+     the flat (trial, qubit) index, and one X/Y/Z kind per hit;
+  3. for each cycle in turn, the readout-flip count and the flip
+     positions over the flat (trial, check) index.
 
 The noise description, `NoiseModel`, lives in `analytics` and is
 re-exported here.  A scalar one-trial-at-a-time reference engine lives
@@ -166,6 +180,29 @@ def _stabilizer_plan(
     return plan
 
 
+def _sparse_hits(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """Hit positions of an i.i.d. Bernoulli(p) mask over range(total).
+
+    Exact: the hit count is Binomial(total, p), and given the count the
+    hits are a uniform subset of that size.  Draws the count, then the
+    positions; at low p the cost scales with the hits, not with total.
+    """
+    return rng.choice(total, rng.binomial(total, p), replace=False)
+
+
+def _data_hits(
+    rng: np.random.Generator, total: int, p: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depolarizing faults over range(total): (positions, x bits, z bits).
+
+    Each hit is X, Y or Z with probability 1/3, from one uniform integer
+    per hit drawn after the positions.
+    """
+    pos = _sparse_hits(rng, total, p)
+    kind = rng.integers(0, 3, size=pos.size)  # 0 X, 1 Y, 2 Z
+    return pos, kind != 2, kind != 0
+
+
 def _run_batch(
     code: StabilizerCode,
     plan: list[tuple[bool, np.ndarray, np.ndarray]],
@@ -177,39 +214,64 @@ def _run_batch(
 ) -> tuple[int, np.ndarray]:
     """Simulate one batch; returns (accepted count, branch histogram).
 
-    Draw order per batch is fixed (branch bits, then per cycle: one
-    uniform per data qubit, one per stabilizer) and is part of the
-    determinism contract.
+    Draw order per batch (stream 2) is part of the determinism contract:
+      1. branch uniforms, shape (size, d);
+      2. for each cycle, data faults over the flat (trial, qubit)
+         index: the hit count, the positions, then one X/Y/Z kind per
+         hit;
+      3. for each cycle, readout flips over the flat (trial, check)
+         index: the flip count, then the positions.
+    A trial with no fault and no flip sees the syndrome of Z^b (times
+    the injected Z) in every cycle, so it is judged from b alone.  Only
+    the touched trials get a frame, which accumulates their hits cycle
+    by cycle.
     """
-    n, d = code.n, code.d
-    p, q = noise.p_in, noise.readout_flip
+    n, n_chk, d = code.n, len(plan), code.d
     s2 = math.sin(theta / 2.0) ** 2
 
-    b = rng.random((size, d)) < s2
-    fx = np.zeros((size, n), dtype=bool)
-    fz = np.zeros((size, n), dtype=bool)
+    # branch bits as (support qubit, trial) rows
+    b = (rng.random((size, d)) < s2).T.copy()
+    hits = [_data_hits(rng, size * n, noise.p_in) for _ in range(noise.r)]
+    flips = [_sparse_hits(rng, size * n_chk, noise.readout_flip) for _ in range(noise.r)]
+
     ok = np.ones(size, dtype=bool)
+    for is_x, cols, bcols in plan:
+        injected = is_x and inject_z is not None and inject_z in cols
+        if bcols.size or injected:
+            ok &= np.bitwise_xor.reduce(b[bcols], axis=0) == injected
 
-    for cycle in range(noise.r):
-        v = rng.random((size, n))
-        fx ^= v < 2.0 * p / 3.0
-        fz ^= (v >= p / 3.0) & (v < p)
-        if cycle == 0 and inject_z is not None:
-            fz[:, inject_z] ^= True
-        ro = rng.random((size, len(plan)))
-        for i, (is_x, cols, bcols) in enumerate(plan):
-            if is_x:
-                par = np.bitwise_xor.reduce(fz[:, cols], axis=1)
-                if bcols.size:
-                    par ^= np.bitwise_xor.reduce(b[:, bcols], axis=1)
-            else:
-                par = np.bitwise_xor.reduce(fx[:, cols], axis=1)
-            ok &= ~(par ^ (ro[:, i] < q))
+    is_touched = np.zeros(size, dtype=bool)
+    for (pos, _, _), flip in zip(hits, flips):
+        is_touched[pos // n] = True
+        is_touched[flip // n_chk] = True
+    touched = np.flatnonzero(is_touched)
+    local = np.empty(size, dtype=np.intp)
+    local[touched] = np.arange(touched.size)
+    # frames are (qubit, touched trial), so a check's parity reduces
+    # over whole rows; they carry over cycles, so memory does not grow
+    # with r
+    fx = np.zeros((n, touched.size), dtype=bool)
+    fz = np.zeros((n, touched.size), dtype=bool)
+    fz[list(code.z_support)] = b[:, touched]
+    if inject_z is not None:
+        fz[inject_z] ^= True
+    ok_touched = np.ones(touched.size, dtype=bool)
+    for (pos, hx, hz), flip in zip(hits, flips):
+        trial, qubit = np.divmod(pos, n)
+        fx[qubit, local[trial]] ^= hx
+        fz[qubit, local[trial]] ^= hz
+        trial, check = np.divmod(flip, n_chk)
+        ro = np.zeros((n_chk, touched.size), dtype=bool)
+        ro[check, local[trial]] = True
+        for i, (is_x, cols, _) in enumerate(plan):
+            par = np.bitwise_xor.reduce((fz if is_x else fx)[cols], axis=0)
+            ok_touched &= par == ro[i]
+    ok[touched] = ok_touched
 
-    w = b.sum(axis=1)
-    m = np.minimum(w, d - w).astype(np.intp)
-    hist = np.bincount(m[ok], minlength=d // 2 + 1)
-    return int(ok.sum()), hist
+    w = b.sum(axis=0, dtype=np.int32)
+    m = np.minimum(w, d - w)
+    hist = np.array([np.count_nonzero(ok & (m == c)) for c in range(d // 2 + 1)])
+    return int(hist.sum()), hist
 
 
 def estimate(
@@ -298,6 +360,7 @@ def estimate(
         "readout_flip": noise.readout_flip,
         "r": noise.r,
         "batch_size": batch_size,
+        "stream": 2,
         "inject_z": inject_z,
     }
     return McStats(

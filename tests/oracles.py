@@ -122,14 +122,12 @@ def first_order_multiplicity(code) -> tuple[int, int]:
     A single error E on one qubit is accepted exactly when some branch
     pattern of weight one over the rotation support flips the same set
     of stabilizer readings E does; the sampled pattern then mislabels
-    the output branch.  Returns (count, distinct qubits involved).
-    Also counts the readout channels: weight-1 patterns whose reading
-    signature is a single stabilizer, which one persistent readout
-    flip can fake.
+    the output branch.  Returns (count, readout-channel count): the
+    readout channels are the weight-1 patterns whose reading signature
+    is a single stabilizer, which one persistent readout flip can fake.
     """
     support = sorted(code.z_support)
     flips = 0
-    qubits = set()
     for q in range(code.n):
         for p in ("X", "Y", "Z"):
             label = "".join(p if i == q else "I" for i in range(code.n))
@@ -141,7 +139,6 @@ def first_order_multiplicity(code) -> tuple[int, int]:
                     for g in code.stabilizers
                 ):
                     flips += 1
-                    qubits.add(q)
                     break
     readout = sum(
         1

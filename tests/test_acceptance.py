@@ -9,7 +9,7 @@ check runs `python -m ftrot.cli`, so the gate needs no install: `src/`
 on PYTHONPATH is enough.
 
 Run `pytest -v tests/test_acceptance.py` for one pass/fail line per
-check.  The Monte Carlo fixture takes a few minutes single-threaded;
+check.  The Monte Carlo fixture takes about 10 s single-threaded;
 every run uses a fixed seed, so outcomes are reproducible bit for bit.
 """
 

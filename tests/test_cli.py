@@ -110,8 +110,9 @@ class TestAnalyzeCommand:
         rows = json.loads(out)
         assert len(rows) == 1
         cfg = analytics.RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
-        # surface d=3 counts 5 first-order channels (support Z plus two
-        # corner Y), so the column reflects the code, not bare d
+        # surface d=3 counts 5 first-order channels (Z on the 3 support
+        # qubits plus Z on the off-support qubits 3 and 5), so the column
+        # reflects the code, not bare d
         assert rows[0]["eps_first_order"] == pytest.approx(
             analytics.incoherent_error_first_order(cfg, 5), rel=1e-12
         )
@@ -366,6 +367,29 @@ class TestBenchCommand:
             ["bench", "--theta-l", "2pi/2^10", "--methods", "magic"], capsys
         )
         assert rc == 2
+
+
+class TestGridFlags:
+    # the grid is checked at the boundary, also where no method reads it
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["scaffold"],
+            ["bench", "--methods", "ours"],
+            ["bench", "--methods", "rs,coh", "--distill-costs", "bundled"],
+        ],
+        ids=["scaffold", "bench-ours", "bench-baselines"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        [["--k-max", "-5"], ["--m-max", "0"], ["--d-values", "4"]],
+        ids=["k-max", "m-max", "d-values"],
+    )
+    def test_bad_grid_exits_2(self, capsys, command, flag):
+        rc, out, err = run_main(command + ["--theta-l", "2pi/2^7"] + flag, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestEntryPoint:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,19 @@ def test_get_code_distance_handling():
     assert codes.get_code("perfect", 3).n == 5
     with pytest.raises(ValueError):
         codes.get_code("no-such-code")
+
+
+def test_check_distance_agrees_with_get_code():
+    pairs = [(name, d) for name in codes.list_codes() for d in (None, 1, 2, 3, 4, 5)]
+    pairs.append(("no-such-code", 3))
+    for name, d in pairs:
+        try:
+            codes.get_code(name, d)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                codes.check_distance(name, d)
+        else:
+            codes.check_distance(name, d)
 
 
 def test_validate_passes_everywhere(code):

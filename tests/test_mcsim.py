@@ -18,6 +18,24 @@ def surface3():
     return codes.get_code("surface", d=3)
 
 
+def oracle_stats(code, theta, noise, n, rng, inject_z=None):
+    """(rate, rate stderr, mean infidelity, its stderr) of n scalar trials."""
+    outs = [oracles.run_prep_trial(code, theta, noise, rng, inject_z) for _ in range(n)]
+    vals = [o.infidelity_sample for o in outs if o.accepted]
+    rate = len(vals) / n
+    mean = sum(vals) / len(vals)
+    mean_err = math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals) ** 2)
+    return rate, math.sqrt(rate * (1 - rate) / n), mean, mean_err
+
+
+def pulls(oracle, st):
+    """Oracle-vs-engine z of the acceptance rate and of the mean infidelity."""
+    rate, rate_err, mean, mean_err = oracle
+    z_rate = abs(rate - st.acceptance_rate) / math.hypot(rate_err, st.acceptance_stderr)
+    z_mean = abs(mean - st.mean_infidelity) / math.hypot(mean_err, st.infidelity_stderr)
+    return z_rate, z_mean
+
+
 class TestNoiseModel:
     def test_defaults(self):
         nm = NoiseModel(p_in=3e-3)
@@ -73,6 +91,47 @@ class TestSamplers:
         assert err.x == 0 and err.z == 0
 
 
+class TestSparseHits:
+    """The engine's exact Bernoulli sampler: count, positions, kinds."""
+
+    def test_zero_rate_gives_no_hits(self):
+        rng = np.random.Generator(np.random.Philox(key=[30, 0]))
+        assert mcsim._sparse_hits(rng, 10**7, 0.0).size == 0
+        pos, x, z = mcsim._data_hits(rng, 10**7, 0.0)
+        assert pos.size == x.size == z.size == 0
+
+    def test_count_is_binomial(self):
+        # at p=0.3 a Poisson count would have variance 600, not 420
+        rng = np.random.Generator(np.random.Philox(key=[31, 0]))
+        total, p, draws = 2_000, 0.3, 4_000
+        counts = np.array([mcsim._sparse_hits(rng, total, p).size for _ in range(draws)])
+        mean, var = total * p, total * p * (1 - p)
+        assert abs(counts.mean() - mean) < 4 * math.sqrt(var / draws)
+        assert abs(counts.var(ddof=1) - var) < 4 * var * math.sqrt(2 / (draws - 1))
+
+    def test_positions_distinct_and_uniform(self):
+        rng = np.random.Generator(np.random.Philox(key=[32, 0]))
+        total, bins = 1 << 16, 16
+        seen = np.zeros(bins, dtype=np.int64)
+        for _ in range(200):
+            pos = mcsim._sparse_hits(rng, total, 0.01)
+            assert np.unique(pos).size == pos.size
+            assert pos.min() >= 0 and pos.max() < total
+            seen += np.bincount(pos // (total // bins), minlength=bins)
+        expected = seen.sum() / bins
+        chi2 = float(((seen - expected) ** 2 / expected).sum())
+        assert chi2 < 44.3, chi2  # 1e-4 upper tail of chi-square, 15 dof
+
+    def test_kinds_are_a_third_each(self):
+        rng = np.random.Generator(np.random.Philox(key=[33, 0]))
+        _, x, z = mcsim._data_hits(rng, 1 << 20, 0.05)
+        n = x.size
+        assert not (~x & ~z).any()
+        sigma = math.sqrt(n / 3 * (2 / 3))
+        for count in ((x & ~z).sum(), (x & z).sum(), (~x & z).sum()):
+            assert abs(count - n / 3) < 4 * sigma
+
+
 class TestRunPrepTrial:
     def test_noiseless_acceptance_is_branch_filter(self, surface3):
         # even without substrate noise the checks see the branch bits,
@@ -102,24 +161,32 @@ class TestRunPrepTrial:
         # independent code paths, statistical comparison only
         rng = np.random.Generator(np.random.Philox(key=[5, 0]))
         nm = NoiseModel(p_in=0.02, r=1)
-        n = 30_000
-        outs = [oracles.run_prep_trial(surface3, 0.8, nm, rng) for _ in range(n)]
-        acc = sum(o.accepted for o in outs)
-        rate = acc / n
-        rate_err = math.sqrt(rate * (1 - rate) / n)
-        vals = [o.infidelity_sample for o in outs if o.accepted]
-        mean = sum(vals) / len(vals)
-        mean_err = math.sqrt(
-            sum((v - mean) ** 2 for v in vals) / len(vals) ** 2
-        )
-
+        oracle = oracle_stats(surface3, 0.8, nm, 30_000, rng)
         vec = mcsim.estimate(surface3, 0.8, None, nm, 400_000, seed=6, threads=4)
-        z_rate = abs(rate - vec.acceptance_rate) / math.hypot(
-            rate_err, vec.acceptance_stderr
-        )
-        z_mean = abs(mean - vec.mean_infidelity) / math.hypot(
-            mean_err, vec.infidelity_stderr
-        )
+        z_rate, z_mean = pulls(oracle, vec)
+        assert z_rate < 4.0, z_rate
+        assert z_mean < 4.0, z_mean
+
+    # the sparse engine judges untouched trials from b alone and builds
+    # frames only for touched ones; each setting stresses one side
+    @pytest.mark.parametrize(
+        "noise, inject",
+        [
+            pytest.param(NoiseModel(p_in=2e-3, r=2), False, id="mostly-clean"),
+            pytest.param(NoiseModel(p_in=0.0, r=2, readout_flip=0.05), False, id="readout-only"),
+            pytest.param(NoiseModel(p_in=1e-2, r=2), True, id="inject-z-with-noise"),
+        ],
+    )
+    def test_sparse_engine_matches_oracle(self, surface3, noise, inject):
+        inject_z = surface3.z_support[1] if inject else None
+        rng = np.random.Generator(np.random.Philox(key=[8, 0]))
+        oracle = oracle_stats(surface3, 0.8, noise, 30_000, rng, inject_z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RareEventWarning)
+            st = mcsim.estimate(
+                surface3, 0.8, None, noise, 1_000_000, seed=9, inject_z=inject_z
+            )
+        z_rate, z_mean = pulls(oracle, st)
         assert z_rate < 4.0, z_rate
         assert z_mean < 4.0, z_mean
 
@@ -130,11 +197,12 @@ class TestEstimate:
     def test_golden_run(self, surface3):
         with pytest.warns(RareEventWarning):
             st = mcsim.estimate(surface3, 0.5, None, self.NM, 200_000, seed=11, threads=4)
-        assert st.accepted == 160823
-        assert st.acceptance_rate == pytest.approx(0.804115, abs=1e-12)
-        assert st.mean_infidelity == pytest.approx(1.0361387729601241e-05, rel=1e-12)
-        assert st.branch_histogram == (160799, 24)
+        assert st.accepted == 160833
+        assert st.acceptance_rate == pytest.approx(0.804165, abs=1e-12)
+        assert st.mean_infidelity == pytest.approx(8.202255268382823e-06, rel=1e-12)
+        assert st.branch_histogram == (160814, 19)
         assert st.seed == 11
+        assert st.params["stream"] == 2
 
     def test_thread_count_invariance(self, surface3):
         import warnings
