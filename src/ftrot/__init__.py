@@ -13,14 +13,11 @@ baselines (`bench`), all behind one CLI (`ftrot`).
 from .analytics import (
     NoiseModel,
     RotationConfig,
-    SubstrateLimitedError,
+    accepted_error_model,
     branch_angle,
     branch_infidelity,
     coherent_angle_std,
-    incoherent_error_first_order,
-    incoherent_error_total,
     logical_angle,
-    readout_error,
     success_rate,
 )
 from .bench import CostPoint, DistillCostTable, pareto_report
@@ -49,13 +46,10 @@ __all__ = [
     "list_codes",
     "validate",
     "RotationConfig",
-    "SubstrateLimitedError",
     "logical_angle",
     "branch_angle",
     "branch_infidelity",
-    "incoherent_error_first_order",
-    "incoherent_error_total",
-    "readout_error",
+    "accepted_error_model",
     "success_rate",
     "coherent_angle_std",
     "NoiseModel",

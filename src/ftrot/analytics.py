@@ -9,8 +9,8 @@ pairs labelled by bit-strings b, with amplitudes
 Error detection keeps only the pair {b, bbar}; the surviving state is a
 logical Z rotation whose angle depends only on the weight class
 m = min(|b|, d-|b|).  This module collects the resulting closed forms:
-the accepted logical angle, the per-branch angles, first-order and
-summed incoherent error rates, the readout-masking error, success
+the accepted logical angle, the per-branch angles, the one
+accepted-error model (first order, readout masking included), success
 rates, coherent-noise spread, multi-rotation trade-offs, the
 even-distance filter coefficients, and the dedicated four-qubit /
 five-qubit variants.
@@ -26,24 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .codes import Multiplicities
 
 __all__ = [
     "NoiseModel",
     "RotationConfig",
-    "ErrorBudget",
     "SuccessRate",
-    "SubstrateLimitedError",
     "logical_angle",
     "logical_angle_small",
     "branch_angle",
     "branch_infidelity",
-    "incoherent_error_first_order",
-    "incoherent_error_total",
-    "binomial_multiplicity",
-    "readout_error",
     "accepted_error_model",
     "success_rate",
     "coherent_angle_std",
@@ -104,23 +98,10 @@ class RotationConfig(NoiseModel):
             raise ValueError(f"d must be >= 1, got {self.d}")
 
 
-class ErrorBudget(NamedTuple):
-    eps_first_order: float
-    eps_total: float
-    eps_readout: float
-    coherent_std: float
-
-
 class SuccessRate(NamedTuple):
     p_s: float
     p_s_in: float
     p_s_coh: float
-
-
-class SubstrateLimitedError(ValueError):
-    """Raised when the error series cannot converge: p_in/3 is at or
-    above sin^2(theta/2)cos^2(theta/2), so substrate noise dominates
-    the rotation itself and the perturbative sum is meaningless."""
 
 
 def _stable_pow(base: float, exponent: float) -> float:
@@ -192,98 +173,6 @@ def branch_infidelity(b_weight: int, d: int, theta: float,
     return math.sin((theta_l_target - phi) / 2.0) ** 2
 
 
-def incoherent_error_first_order(cfg: RotationConfig, d_prime: int) -> float:
-    """Leading-order accepted error rate, small-angle closed form.
-
-    d_prime * (p_in/3) * sin^{2(d-1)}(theta/2) / cos(theta/2).  This is
-    the compact published form; `accepted_error_model` below keeps the
-    exact branch-pair factors and is what the Monte-Carlo engine is
-    compared against.
-    """
-    if d_prime < 0:
-        raise ValueError("d_prime must be >= 0")
-    if cfg.p_in == 0.0 or d_prime == 0:
-        return 0.0
-    s = math.sin(cfg.theta / 2.0)
-    c = math.cos(cfg.theta / 2.0)
-    if c == 0.0:
-        raise ValueError("theta = pi: cos factor vanishes")
-    return d_prime * (cfg.p_in / 3.0) * _stable_pow(s, 2 * (cfg.d - 1)) / c
-
-
-def binomial_multiplicity(d_prime_1: int) -> Callable[[int, int], int]:
-    """Default multiplicity extrapolation: d'(d, n) = C(d'_1, n).
-
-    Only the n=1 count is a derived quantity; higher orders use this
-    combinatorial heuristic (documented, and far below leading order in
-    the regimes of interest).
-    """
-
-    def mult(d: int, n: int) -> int:
-        return math.comb(d_prime_1, n)
-
-    return mult
-
-
-def incoherent_error_total(
-    cfg: RotationConfig,
-    multiplicity_fn: Callable[[int, int], int],
-    rel_tol: float = 1e-3,
-) -> float:
-    """Summed accepted error rate over error orders n >= 1.
-
-    sum_n d'(d, n) (p_in/3)^n sin^{2(d-n)}(theta/2) cos^{-2n}(theta/2),
-    truncated once a term falls below `rel_tol` of the running sum.
-    The n=1 term carries cos^{-2}, one cos factor away from the
-    first-order form above; both are exposed on purpose.
-
-    Raises SubstrateLimitedError when p_in/3 >= sin^2 cos^2 (term ratio
-    reaches 1: substrate noise exceeds the rotation being prepared).
-    """
-    if cfg.p_in == 0.0:
-        return 0.0
-    s = math.sin(cfg.theta / 2.0)
-    c = math.cos(cfg.theta / 2.0)
-    s2, c2 = s * s, c * c
-    if cfg.p_in / 3.0 >= s2 * c2:
-        raise SubstrateLimitedError(
-            f"substrate-limited regime: p_in/3 = {cfg.p_in / 3.0:.3g} >= "
-            f"sin^2 cos^2 = {s2 * c2:.3g} at theta = {cfg.theta:.3g}"
-        )
-    total = 0.0
-    for n in range(1, cfg.d + 1):
-        term = (
-            multiplicity_fn(cfg.d, n)
-            * _stable_pow(cfg.p_in / 3.0, n)
-            * _stable_pow(s, 2 * (cfg.d - n))
-            * _stable_pow(c, -2 * n)
-        )
-        total += term
-        if term < rel_tol * total:
-            break
-    return total
-
-
-def readout_error(cfg: RotationConfig, readout_combos: int) -> float:
-    """Accepted error rate from r-fold masking of a weight-1 syndrome.
-
-    A weight-1 branch pattern whose true syndrome has a single hot bit
-    survives when that bit's readout flips in every cycle:
-    combos * readout_flip^r, times the same sin^{2(d-1)}/cos projection
-    factor as the flip path.
-    """
-    if readout_combos < 0:
-        raise ValueError("readout_combos must be >= 0")
-    if cfg.readout_flip == 0.0 or readout_combos == 0:
-        return 0.0
-    s = math.sin(cfg.theta / 2.0)
-    c = math.cos(cfg.theta / 2.0)
-    if c == 0.0:
-        raise ValueError("theta = pi: cos factor vanishes")
-    q = cfg.readout_flip
-    return readout_combos * _stable_pow(q, cfg.r) * _stable_pow(s, 2 * (cfg.d - 1)) / c
-
-
 def accepted_error_model(
     cfg: RotationConfig, mult: Multiplicities, theta_l_target: float | None = None
 ) -> float:
@@ -296,7 +185,10 @@ def accepted_error_model(
     by branch_angle(1), and the acceptance normalization is p_s_coh.
     The (1-p_in)^{-1} factor accounts for the conditioning of the
     single-error path on the otherwise-clean history; all neglected
-    contributions are higher order in p_in.
+    contributions are higher order in p_in.  As theta -> 0 it tends to
+    the compact published form (m1 p_in/3 + combos q^r)
+    sin^{2(d-1)}(theta/2) / cos(theta/2), with the flip term divided
+    by (1-p_in).
     """
     d = cfg.d
     s = math.sin(cfg.theta / 2.0)

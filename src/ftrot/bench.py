@@ -116,7 +116,8 @@ class DistillCostTable:
         if not self.provenance.strip():
             raise ValueError("distillation table requires a provenance string")
         for e in self.entries:
-            if e.cost <= 0 or e.out_error <= 0 or not 0 < e.p_in < 1:
+            # written so that NaN fails every comparison
+            if not (0 < e.cost < math.inf and 0 < e.out_error < 1 and 0 < e.p_in < 1):
                 raise ValueError(f"invalid distillation entry {e}")
         ordered = tuple(sorted(self.entries, key=lambda e: e.out_error))
         object.__setattr__(self, "entries", ordered)
@@ -178,8 +179,8 @@ class CostPoint:
     params_echo: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.logical_error <= 0 or self.cost_d3 <= 0:
-            raise ValueError("cost points need positive coordinates")
+        if not (0 < self.logical_error < math.inf and 0 < self.cost_d3 < math.inf):
+            raise ValueError("cost points need finite positive coordinates")
 
 
 def rs_total(

@@ -21,9 +21,7 @@ from . import analytics, bench, codes, mcsim, schemes
 ANALYZE_COLUMNS = (
     "theta",
     "theta_L",
-    "eps_first_order",
-    "eps_total",
-    "eps_readout",
+    "eps",
     "p_s",
     "p_s_in",
     "p_s_coh",
@@ -32,15 +30,25 @@ ANALYZE_COLUMNS = (
 
 _ANGLE_LITERAL = re.compile(r"2pi/2\^(\d+)")
 
+_D_HELP = "distance (default: 3 for parametrized families, the code's own for fixed codes)"
+
+
+def finite_float(text: str) -> float:
+    """float(text), refusing NaN and +/-inf with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
 
 def parse_angle(text: str) -> float:
-    """Float radians, or the exact dyadic literal '2pi/2^k'."""
+    """Finite float radians, or the exact dyadic literal '2pi/2^k'."""
     text = text.strip()
     m = _ANGLE_LITERAL.fullmatch(text)
     if m:
-        return math.tau / (1 << int(m.group(1)))
+        return math.ldexp(math.tau, -int(m.group(1)))
     try:
-        return float(text)
+        return finite_float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad angle {text!r}: expected radians or 2pi/2^k"
@@ -54,7 +62,8 @@ def parse_theta_range(text: str) -> list[float]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad range {text!r}: want start:stop:steps")
         try:
-            start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop = finite_float(parts[0]), finite_float(parts[1])
+            steps = int(parts[2])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
         if steps < 1:
@@ -72,7 +81,7 @@ def _fresh_seed() -> int:
 def _emit(payload, fmt: str, out: str | None, columns=None) -> None:
     """Serialize deterministically; rows need a column tuple for CSV."""
     if fmt == "json":
-        text = json.dumps(_json_safe(payload), indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         if columns is None:
             raise ValueError("CSV output needs tabular data")
@@ -87,18 +96,6 @@ def _emit(payload, fmt: str, out: str | None, columns=None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _json_safe(obj):
-    # json refuses NaN only with allow_nan=False; emit null instead so
-    # downstream parsers do not need a dialect flag
-    if isinstance(obj, float):
-        return None if math.isnan(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
 
 
 def cmd_codes(args) -> int:
@@ -131,18 +128,11 @@ def cmd_codes(args) -> int:
 def cmd_analyze(args) -> int:
     if args.sigma < 0.0:
         raise ValueError("--sigma must be non-negative")
-    code = codes.get_code(args.code, args.d)
-    mult = code.error_multiplicities
+    code = _code(args)
     rows = []
     for theta in args.theta:
         cfg = analytics.RotationConfig(theta=theta, d=code.d, p_in=args.p_in, r=args.r)
         theta_l = analytics.logical_angle(theta, code.d)
-        try:
-            eps_total = analytics.incoherent_error_total(
-                cfg, analytics.binomial_multiplicity(mult.first_order)
-            )
-        except analytics.SubstrateLimitedError:
-            eps_total = math.nan
         if theta > 0.0 and args.sigma > 0.0:
             coh = analytics.coherent_angle_std(code.d, theta_l, args.sigma / theta)
         else:
@@ -152,11 +142,7 @@ def cmd_analyze(args) -> int:
             {
                 "theta": theta,
                 "theta_L": theta_l,
-                "eps_first_order": analytics.incoherent_error_first_order(
-                    cfg, mult.first_order
-                ),
-                "eps_total": eps_total,
-                "eps_readout": analytics.readout_error(cfg, mult.readout_combos),
+                "eps": analytics.accepted_error_model(cfg, code.error_multiplicities),
                 "p_s": sr.p_s,
                 "p_s_in": sr.p_s_in,
                 "p_s_coh": sr.p_s_coh,
@@ -170,7 +156,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    code = codes.get_code(args.code, args.d)
+    code = _code(args)
     noise = analytics.NoiseModel(p_in=args.p_in, r=args.r, readout_flip=args.readout_flip)
     seed = args.seed if args.seed is not None else _fresh_seed()
     theta_l = (
@@ -264,6 +250,15 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return values
 
 
+def _code(args) -> codes.StabilizerCode:
+    """The --code/--d pair; an unset --d is 3 for the parametrized
+    families and the code's own distance for the fixed ones."""
+    d = args.d
+    if d is None and codes.is_parametrized(args.code):
+        d = 3
+    return codes.get_code(args.code, d)
+
+
 def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument(
@@ -273,7 +268,7 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-in", type=float, default=1e-3, help="depolarizing rate per qubit per cycle")
+    p.add_argument("--p-in", type=finite_float, default=1e-3, help="depolarizing rate per qubit per cycle")
     p.add_argument("--r", type=int, default=2, help="detection cycles")
 
 
@@ -310,19 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form error and success-rate sweep")
     p.add_argument("--code", default="surface")
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--d", type=int, default=None, help=_D_HELP)
     p.add_argument(
         "--theta", type=parse_theta_range, required=True,
         help="angle sweep start:stop:steps, a float, or 2pi/2^k",
     )
     _add_noise_flags(p)
-    p.add_argument("--sigma", type=float, default=0.0, help="per-qubit coherent angle std (radians)")
+    p.add_argument("--sigma", type=finite_float, default=0.0, help="per-qubit coherent angle std (radians)")
     _add_output_flags(p, "csv")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="Monte Carlo preparation trials")
     p.add_argument("--code", default="surface")
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--d", type=int, default=None, help=_D_HELP)
     p.add_argument("--theta", type=parse_angle, required=True)
     _add_noise_flags(p)
     p.add_argument("--trials", type=int, required=True)
@@ -331,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads; does not affect results")
     p.add_argument("--theta-l-target", type=parse_angle, default=None,
                    help="reference angle for infidelity (default: the accepted logical angle)")
-    p.add_argument("--readout-flip", type=float, default=None,
+    p.add_argument("--readout-flip", type=finite_float, default=None,
                    help="override per-stabilizer readout flip probability (default 2*p_in/3)")
     p.add_argument("--inject-z", type=int, default=None, metavar="QUBIT",
                    help="deterministically inject one Z on this qubit each trial")
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", default="surface")
     _add_noise_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--error-ceiling", type=float, default=None)
+    p.add_argument("--error-ceiling", type=finite_float, default=None)
     _add_output_flags(p, "json")
     p.set_defaults(func=cmd_scaffold)
 

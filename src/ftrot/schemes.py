@@ -202,25 +202,31 @@ class InfeasibleError(Exception):
         self.best_plan = best_plan
 
 
-def _make_plan(
-    theta_l_target: float,
-    code: StabilizerCode,
-    noise: NoiseModel,
-    k: int,
-    m: int,
-    attempt: float,
-) -> ScaffoldPlan | None:
-    d = code.d
-    step_angle = theta_l_target / (m * k)
+def _base_state(
+    step_angle: float, code: StabilizerCode, noise: NoiseModel
+) -> tuple[float, float, float] | None:
+    """Physical angle, success rate and accepted error of the state whose
+    logical angle is step_angle, or None when no such state exists."""
     if not 0.0 < step_angle < math.pi:
         return None
-    # invert the accepted-angle chain: theta_L(base) = target/(m k)
-    theta_base = 2.0 * math.atan(math.tan(step_angle / 2.0) ** (1.0 / d))
-    cfg = analytics.RotationConfig(theta=theta_base, d=d, **vars(noise))
+    # invert the accepted-angle chain: theta_L(base) = step_angle
+    theta_base = 2.0 * math.atan(math.tan(step_angle / 2.0) ** (1.0 / code.d))
+    cfg = analytics.RotationConfig(theta=theta_base, d=code.d, **vars(noise))
     p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
     if p_s <= 0.0:
         return None
+    return theta_base, p_s, analytics.accepted_error_model(cfg, code.error_multiplicities)
 
+
+def _make_plan(
+    theta_l_target: float,
+    d: int,
+    k: int,
+    m: int,
+    attempt: float,
+    state: tuple[float, float, float],
+) -> ScaffoldPlan:
+    theta_base, p_s, eps_base = state
     walk_steps = walk_expected_steps(m)
     attempts = ghz_expected_attempts(p_s, k)
     prep = walk_steps * attempts * k * attempt
@@ -231,10 +237,6 @@ def _make_plan(
         "ghz_merges": merge,
         "walk_teleports": teleport,
     }
-
-    eps_base = analytics.incoherent_error_first_order(
-        cfg, code.error_multiplicities.first_order
-    ) + analytics.readout_error(cfg, code.error_multiplicities.readout_combos)
     return ScaffoldPlan(
         d=d,
         k=k,
@@ -261,18 +263,23 @@ def iter_plans(
     """All candidate plans on the (d, k, m) grid.
 
     Errors compose linearly across the walk_steps * k consumed states
-    (rates are far below 1 in every regime the grid reaches).
+    (rates are far below 1 in every regime the grid reaches).  Cells
+    with the same d and k * m consume the same state, so each state is
+    worked out once.
     """
     if theta_l_target <= 0.0:
         raise ValueError("theta_l_target must be positive")
     for d in d_values:
         code = get_code(code_family, d)
         attempt = attempt_cost(d, noise.r)
+        states: dict[int, tuple[float, float, float] | None] = {}
         for k in range(1, k_max + 1):
             for m in range(1, m_max + 1):
-                plan = _make_plan(theta_l_target, code, noise, k, m, attempt)
-                if plan is not None:
-                    yield plan
+                if k * m not in states:
+                    states[k * m] = _base_state(theta_l_target / (k * m), code, noise)
+                state = states[k * m]
+                if state is not None:
+                    yield _make_plan(theta_l_target, d, k, m, attempt, state)
 
 
 def scaffold_optimize(

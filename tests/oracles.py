@@ -173,6 +173,21 @@ def logical_angle_reference(theta: float, d: int) -> float:
     return 2.0 * math.asin(s / math.hypot(s, c))
 
 
+def compact_error_first_order(cfg, mult) -> float:
+    """The compact published first-order error, readout masking included.
+
+    (m1 (p_in/3) + combos q^r) sin^{2(d-1)}(theta/2) / cos(theta/2) with
+    m1 = mult.first_order, combos = mult.readout_combos and q the
+    readout flip: the small-angle form that
+    `analytics.accepted_error_model` refines with the exact branch-pair
+    factors and the (1-p_in)^{-1} conditioning of the flip path.
+    """
+    s = math.sin(cfg.theta / 2.0)
+    c = math.cos(cfg.theta / 2.0)
+    rate = mult.first_order * cfg.p_in / 3.0 + mult.readout_combos * cfg.readout_flip ** cfg.r
+    return rate * s ** (2 * (cfg.d - 1)) / c
+
+
 @dataclass(frozen=True)
 class TrialOutcome:
     accepted: bool

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from ftrot import analytics
 from ftrot.analytics import RotationConfig
-from ftrot.codes import Multiplicities
+from ftrot.codes import Multiplicities, get_code
 
 from oracles import (
+    compact_error_first_order,
     gaussian_logical_angle_std,
     logical_angle_reference,
     statevector_branch_angles,
@@ -119,91 +120,58 @@ class TestBranchAngle:
 
 
 class TestIncoherentError:
-    CFG = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
+    """The substrate-flip path of the one accepted-error model."""
 
-    def test_zero_noise(self):
-        cfg = RotationConfig(theta=0.5, d=3, p_in=0.0)
-        assert analytics.incoherent_error_first_order(cfg, 3) == 0.0
-        assert analytics.incoherent_error_total(
-            cfg, analytics.binomial_multiplicity(3)
-        ) == 0.0
+    CFG = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2, readout_flip=0.0)
 
     def test_derived_value(self):
-        assert analytics.incoherent_error_first_order(self.CFG, 3) == pytest.approx(
-            3.866714064534887e-06, rel=1e-12
+        # m1 (p/3)/(1-p) * pair probability * weight-1 branch infidelity
+        # / p_s_coh, with the branch angles from the state-vector oracle
+        s2, c2 = math.sin(0.25) ** 2, math.cos(0.25) ** 2
+        phi = statevector_branch_angles(3, 0.5)
+        infid = math.sin((phi[0] - phi[1]) / 2) ** 2
+        expected = (
+            3 * (1e-3 / 3) / (1 - 1e-3) * (s2 * c2**2 + s2**2 * c2) * infid
+            / (c2**3 + s2**3)
         )
-
-    def test_series_close_to_first_order(self):
-        total = analytics.incoherent_error_total(
-            self.CFG, analytics.binomial_multiplicity(3)
-        )
-        assert total == pytest.approx(4.013972599093224e-06, rel=1e-6)
-        n1 = 3 * (1e-3 / 3) * math.sin(0.25) ** 4 / math.cos(0.25) ** 2
-        assert abs(total / n1 - 1.0) < 0.05
+        got = analytics.accepted_error_model(self.CFG, Multiplicities(3, 0, 0))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_log_domain_stability(self):
-        # deep-underflow regime: plain powers give 0, the log route a number
+        # far below the scale of every input the model stays positive
         cfg = RotationConfig(theta=1e-3, d=9, p_in=1e-3)
-        val = analytics.incoherent_error_first_order(cfg, 9)
-        assert 0.0 < val < 1e-40
-        # and agrees with direct evaluation to 10 digits where both work
-        cfg2 = RotationConfig(theta=0.3, d=5, p_in=1e-3)
-        direct = 5 * (1e-3 / 3) * math.sin(0.15) ** 8 / math.cos(0.15)
-        assert analytics.incoherent_error_first_order(cfg2, 5) == pytest.approx(
-            direct, rel=1e-10
-        )
-
-    def test_substrate_limited_raises(self):
-        cfg = RotationConfig(theta=0.02, d=3, p_in=5e-3)
-        # p/3 > sin^2 cos^2 = 1e-4: perturbative series meaningless
-        with pytest.raises(analytics.SubstrateLimitedError):
-            analytics.incoherent_error_total(cfg, analytics.binomial_multiplicity(3))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=1, max_value=9), angles)
-    def test_binomial_multiplicities_complete(self, d, theta):
-        # sum over weight classes of the pair probabilities is unity
-        s2 = math.sin(theta / 2) ** 2
-        c2 = math.cos(theta / 2) ** 2
-        total = sum(
-            math.comb(d, w) * c2 ** (d - w) * s2 ** w for w in range(d + 1)
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
-        fn = analytics.binomial_multiplicity(d)
-        assert [fn(d, n) for n in range(1, d + 1)] == [
-            math.comb(d, n) for n in range(1, d + 1)
-        ]
+        val = analytics.accepted_error_model(cfg, Multiplicities(9, 0, 0))
+        assert val == pytest.approx(4.582227338430586e-56, rel=1e-12, abs=0)
 
 
 class TestReadout:
+    """The r-fold readout-masking path of the one accepted-error model:
+    with a clean substrate (p_in = 0) the model is that path alone."""
+
+    MULT = Multiplicities(3, 2, 2)
+    Q = 2e-3 / 3
+
+    def readout_only(self, r: int, q: float = Q) -> float:
+        cfg = RotationConfig(theta=0.5, d=3, p_in=0.0, r=r, readout_flip=q)
+        return analytics.accepted_error_model(cfg, self.MULT)
+
     def test_r_ratio(self):
-        combos = 2
-        cfg1 = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=1)
-        cfg2 = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
-        r1 = analytics.readout_error(cfg1, combos)
-        r2 = analytics.readout_error(cfg2, combos)
-        assert r2 / r1 == pytest.approx(cfg1.readout_flip, rel=1e-12)
+        assert self.readout_only(2) / self.readout_only(1) == pytest.approx(
+            self.Q, rel=1e-12
+        )
 
     def test_uses_readout_flip_override(self):
-        # readout flips alone, with a clean substrate, still mask
-        base = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
-        flips_only = RotationConfig(theta=0.5, d=3, p_in=0.0, r=2, readout_flip=0.05)
-        ratio = analytics.readout_error(flips_only, 2) / analytics.readout_error(base, 2)
-        assert ratio == pytest.approx((0.05 / base.readout_flip) ** 2, rel=1e-12)
+        ratio = self.readout_only(2, q=0.05) / self.readout_only(2)
+        assert ratio == pytest.approx((0.05 / self.Q) ** 2, rel=1e-12)
 
     def test_monotone_decay(self):
-        vals = [
-            analytics.readout_error(
-                RotationConfig(theta=0.5, d=3, p_in=1e-3, r=r), 2
-            )
-            for r in range(1, 8)
-        ]
+        vals = [self.readout_only(r) for r in range(1, 8)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_below_first_order_at_paper_point(self):
-        cfg = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
-        assert analytics.readout_error(cfg, 2) < analytics.incoherent_error_first_order(
-            cfg, 5
+        flips_only = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2, readout_flip=0.0)
+        assert 0 < self.readout_only(2) < analytics.accepted_error_model(
+            flips_only, self.MULT
         )
 
 
@@ -216,6 +184,19 @@ class TestAcceptedErrorModel:
     def test_zero_noise_zero(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=0.0, r=2)
         assert analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2)) == 0.0
+
+    @pytest.mark.parametrize(
+        "family,d",
+        [("surface", 3), ("surface", 5), ("surface", 7), ("phase-flip", 5), ("perfect", None)],
+    )
+    def test_small_angle_limit_is_compact_form(self, family, d):
+        # the model keeps the exact branch-pair factors and divides the
+        # flip path by (1 - p_in); as theta -> 0 only that factor remains
+        code = get_code(family, d)
+        cfg = RotationConfig(theta=1e-3, d=code.d, p_in=1e-3, r=2)
+        mult = code.error_multiplicities
+        ratio = compact_error_first_order(cfg, mult) / analytics.accepted_error_model(cfg, mult)
+        assert ratio == pytest.approx(1 - 1e-3, abs=5e-6)
 
 
 class TestSuccessRate:

@@ -161,6 +161,21 @@ class TestDistillTable:
                 entries=(DistillEntry(p_in=1e-3, out_error=0.0, cost=1.0, protocol=""),),
             )
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("cost", math.nan),
+            ("cost", math.inf),
+            ("out_error", math.nan),
+            ("out_error", 1.0),
+            ("p_in", math.nan),
+        ],
+    )
+    def test_from_dict_rejects_non_finite(self, field, value):
+        entry = {"p_in": 1e-3, "out_error": 1e-8, "cost": 10.0, field: value}
+        with pytest.raises(ValueError, match="invalid distillation entry"):
+            DistillCostTable.from_dict({"provenance": "x", "entries": [entry]})
+
     def test_load_round_trip(self, table, tmp_path):
         p = tmp_path / "t.json"
         p.write_text(
@@ -312,3 +327,6 @@ class TestOurCurveAndReport:
             CostPoint("x", 0.0, 1.0)
         with pytest.raises(ValueError):
             CostPoint("x", 1e-6, -1.0)
+        for error, cost in ((math.nan, 1.0), (1e-6, math.nan), (math.inf, 1.0), (1e-6, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                CostPoint("x", error, cost)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ftrot import analytics, bench, cli, schemes
+from ftrot import analytics, bench, cli, codes, schemes
+from ftrot.codes import Multiplicities
 from ftrot.mcsim import NoiseModel
 
 
@@ -47,6 +48,51 @@ class TestParsing:
             cli.parse_theta_range("0.1:0.3:0")
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_theta_range("a:b:3")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_angles(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_angle(text)
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_theta_range(f"{text}:0.3:3")
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_theta_range(f"0.1:{text}:3")
+
+    def test_huge_dyadic_exponent_is_zero_not_overflow(self):
+        assert cli.parse_angle("2pi/2^2000") == 0.0
+
+    BASE = {
+        "analyze": ["analyze", "--theta", "0.5"],
+        "simulate": ["simulate", "--theta", "0.5", "--trials", "10", "--seed", "1"],
+        "scaffold": ["scaffold", "--theta-l", "2pi/2^10"],
+        "bench": ["bench", "--theta-l", "2pi/2^10"],
+    }
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("analyze", "--theta", "nan"),
+            ("analyze", "--theta", "0.1:inf:3"),
+            ("analyze", "--sigma", "nan"),
+            ("analyze", "--sigma", "inf"),
+            ("analyze", "--p-in", "nan"),
+            ("simulate", "--theta", "inf"),
+            ("simulate", "--theta-l-target", "nan"),
+            ("simulate", "--readout-flip", "nan"),
+            ("scaffold", "--theta-l", "nan"),
+            ("scaffold", "--error-ceiling", "nan"),
+            ("scaffold", "--error-ceiling", "inf"),
+            ("bench", "--theta-l", "-inf"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, capsys, command, flag, value):
+        # the later occurrence of a repeated flag wins
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.BASE[command] + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 class TestCodesCommand:
@@ -111,10 +157,10 @@ class TestAnalyzeCommand:
         assert len(rows) == 1
         cfg = analytics.RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
         # surface d=3 counts 5 first-order channels (Z on the 3 support
-        # qubits plus Z on the off-support qubits 3 and 5), so the column
-        # reflects the code, not bare d
-        assert rows[0]["eps_first_order"] == pytest.approx(
-            analytics.incoherent_error_first_order(cfg, 5), rel=1e-12
+        # qubits plus Z on the off-support qubits 3 and 5) and 2 readout
+        # channels, so the column reflects the code, not bare d
+        assert rows[0]["eps"] == pytest.approx(
+            analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2)), rel=1e-12, abs=0
         )
         assert rows[0]["theta_L"] == pytest.approx(
             analytics.logical_angle(0.5, 3), rel=1e-12
@@ -125,28 +171,29 @@ class TestAnalyzeCommand:
             ["analyze", "--theta", "0.5", "--p-in", "0", "--format", "json"], capsys
         )
         rows = json.loads(out)
-        assert rows[0]["eps_first_order"] == 0.0
-        assert rows[0]["eps_readout"] == 0.0
+        assert rows[0]["eps"] == 0.0
         assert rows[0]["p_s_in"] == 1.0
 
-    def test_substrate_limited_is_null(self, capsys):
-        # perturbative series refuses; the column goes to null, rc stays 0
-        rc, out, _ = run_main(
-            [
-                "analyze",
-                "--theta",
-                "0.02",
-                "--p-in",
-                "5e-3",
-                "--format",
-                "json",
-            ],
-            capsys,
+    @pytest.mark.parametrize("family,d", [("four-qubit", 2), ("perfect", 3)])
+    def test_fixed_code_needs_no_d(self, capsys, family, d):
+        rc, out, err = run_main(
+            ["analyze", "--code", family, "--theta", "0.5", "--format", "json"], capsys
         )
-        assert rc == 0
-        rows = json.loads(out)
-        assert rows[0]["eps_total"] is None
-        assert rows[0]["eps_first_order"] > 0.0
+        assert rc == 0, err
+        code = codes.get_code(family)
+        cfg = analytics.RotationConfig(theta=0.5, d=d, p_in=1e-3, r=2)
+        assert json.loads(out)[0]["eps"] == pytest.approx(
+            analytics.accepted_error_model(cfg, code.error_multiplicities), rel=1e-12, abs=0
+        )
+
+    def test_non_finite_value_is_refused_not_nulled(self, capsys):
+        # sigma/theta overflows: JSON has no spelling for the result
+        rc, out, err = run_main(
+            ["analyze", "--theta", "1e-5", "--sigma", "1e308", "--format", "json"], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_sigma_column(self, capsys):
         rc, out, _ = run_main(
@@ -219,6 +266,17 @@ class TestSimulateCommand:
         assert payload["mean_infidelity"] == pytest.approx(
             analytics.branch_infidelity(1, 3, 0.5), rel=1e-12
         )
+
+    def test_fixed_code_gets_structural_message(self, capsys):
+        rc, out, err = run_main(
+            ["simulate", "--code", "four-qubit", "--theta", "0.5", "--trials", "10",
+             "--seed", "1"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert "fixed d" not in err
+        assert "'four-qubit' is not one" in err
 
     def test_bad_trials(self, capsys):
         rc, _, err = run_main(

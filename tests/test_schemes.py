@@ -116,7 +116,32 @@ class TestScaffold:
         assert (plan.d, plan.k, plan.m) == (5, 1, 1)
         assert plan.theta_base == pytest.approx(0.6090818542976749, rel=1e-12)
         assert plan.expected_cost == pytest.approx(2.0446394994823125, rel=1e-12)
-        assert plan.predicted_error == pytest.approx(1.5991681776808782e-07, rel=1e-12)
+        assert plan.predicted_error == pytest.approx(
+            2.6876008040666354e-07, rel=1e-12, abs=0
+        )
+
+    def test_predicted_error_is_the_accepted_error_model(self):
+        def model_error(plan):
+            code = codes.get_code("surface", plan.d)
+            cfg = analytics.RotationConfig(theta=plan.theta_base, d=plan.d, **vars(self.NOISE))
+            eps = analytics.accepted_error_model(cfg, code.error_multiplicities)
+            return plan.walk_steps_expected * plan.k * eps
+
+        plans = list(
+            schemes.iter_plans(
+                self.TARGET, "surface", self.NOISE, d_values=(3, 5), k_max=4, m_max=6
+            )
+        )
+        assert len(plans) == 2 * 4 * 6
+        for plan in plans:
+            assert plan.predicted_error == pytest.approx(model_error(plan), rel=1e-12, abs=0)
+        # the ceiling binds on the model's error, not on a lower estimate
+        plan = schemes.scaffold_optimize(
+            self.TARGET, "surface", self.NOISE, error_ceiling=1e-7
+        )
+        assert plan.predicted_error == pytest.approx(model_error(plan), rel=1e-12, abs=0)
+        assert model_error(plan) <= 1e-7
+        assert (plan.d, plan.k, plan.m) == (5, 5, 1)
 
     def test_breakdown_sums_to_total(self):
         for plan in schemes.iter_plans(
