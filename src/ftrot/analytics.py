@@ -11,9 +11,10 @@ logical Z rotation whose angle depends only on the weight class
 m = min(|b|, d-|b|).  This module collects the resulting closed forms:
 the accepted logical angle, the per-branch angles, the one
 accepted-error model (first order, readout masking included), success
-rates, coherent-noise spread, multi-rotation trade-offs, the
-even-distance filter coefficients, and the dedicated four-qubit /
-five-qubit variants.
+rates, coherent-noise spread, multi-rotation trade-offs and the
+even-distance filter coefficients.  Every code goes through the same
+forms; a code enters only through its support weight and its derived
+error multiplicities.
 
 Conventions (fixed package-wide): angles in radians; the rotation is
 cos + i*sin*Z per qubit; branch angles are reported in the frame where
@@ -44,9 +45,11 @@ __all__ = [
     "multi_rotation_incoherent",
     "multi_rotation_coherent_std",
     "filter_coefficients",
-    "four_qubit_analytics",
-    "perfect_code_analytics",
 ]
+
+
+class _DefaultReadoutFlip(float):
+    """A readout_flip worked out from p_in rather than set by a caller."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,9 @@ class NoiseModel:
     (default 2p_in/3, which folds ancilla Z/Y errors into the readout).
 
     The one noise description shared by the closed forms and the
-    Monte-Carlo engine, so both always see the same readout_flip.
+    Monte-Carlo engine, so both always see the same readout_flip.  The
+    default stays tied to p_in: ``dataclasses.replace(noise, p_in=...)``
+    works it out again, while a readout_flip set by the caller is kept.
     """
 
     p_in: float
@@ -68,8 +73,10 @@ class NoiseModel:
             raise ValueError(f"p_in must be in [0, 1), got {self.p_in}")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.readout_flip is None:
-            object.__setattr__(self, "readout_flip", 2.0 * self.p_in / 3.0)
+        if self.readout_flip is None or type(self.readout_flip) is _DefaultReadoutFlip:
+            object.__setattr__(
+                self, "readout_flip", _DefaultReadoutFlip(2.0 * self.p_in / 3.0)
+            )
         if not 0.0 <= self.readout_flip < 1.0:
             raise ValueError("readout_flip must be in [0, 1)")
 
@@ -289,57 +296,3 @@ def filter_coefficients(theta: float, d: int, sign: int = 1) -> tuple[float, flo
     if sign == -1:
         c0, c1 = c1, c0
     return (c0, c1)
-
-
-class FourQubitResult(NamedTuple):
-    theta_l: float
-    eps_in: float
-    correlation: float
-    axis: str
-
-
-def four_qubit_analytics(theta: float, p_in: float) -> FourQubitResult:
-    """Closed forms for the weight-2-support four-qubit variant.
-
-    The accepted rotation is by theta_L = 2 asin(sin^2 / sqrt(cos^4 +
-    sin^4)) about the -y axis (the even support weight turns i^2 into a
-    quarter-turn of the rotation plane).  First-order error
-    eps = 8 (p/3) sin^2 cos^2 cos^2(theta_L); the two encoded qubits
-    fail together, with outcome correlation 1/2 - eps/(2(1-eps)).
-    """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must be in [0, pi]")
-    s = math.sin(theta / 2.0)
-    c = math.cos(theta / 2.0)
-    s2, c2 = s * s, c * c
-    denom = math.sqrt(c2 * c2 + s2 * s2)
-    theta_l = 2.0 * math.asin(s2 / denom) if denom > 0 else 0.0
-    eps = 8.0 * (p_in / 3.0) * s2 * c2 * math.cos(theta_l) ** 2
-    correlation = 0.5 - eps / (2.0 * (1.0 - eps)) if eps < 1.0 else 0.0
-    return FourQubitResult(theta_l=theta_l, eps_in=eps, correlation=correlation, axis="-y")
-
-
-class PerfectCodeResult(NamedTuple):
-    theta_l: float
-    eps_in: float
-    delta_theta_l: float
-
-
-def perfect_code_analytics(theta: float, p_in: float) -> PerfectCodeResult:
-    """Closed forms for the weight-3-support five-qubit variant.
-
-    theta_L = -2 asin(sin^3 / sqrt(cos^6 + sin^6)): the accepted
-    rotation runs backwards (theta_L ~ -theta^3/4 at small angle), so a
-    rotation by theta leaves a net offset Delta = theta_L - theta.
-    First-order error eps = 3 (p/3) sin^2 cos^4 sin^2(Delta/2).
-    """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must be in [0, pi]")
-    s = math.sin(theta / 2.0)
-    c = math.cos(theta / 2.0)
-    s2, c2 = s * s, c * c
-    denom = math.sqrt(c2 ** 3 + s2 ** 3)
-    theta_l = -2.0 * math.asin(s2 * s / denom) if denom > 0 else 0.0
-    delta = theta_l - theta
-    eps = 3.0 * (p_in / 3.0) * s2 * c2 * c2 * math.sin(delta / 2.0) ** 2
-    return PerfectCodeResult(theta_l=theta_l, eps_in=eps, delta_theta_l=delta)

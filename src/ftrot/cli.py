@@ -30,6 +30,10 @@ ANALYZE_COLUMNS = (
 
 _ANGLE_LITERAL = re.compile(r"2pi/2\^(\d+)")
 
+# Largest 'start:stop:steps' sweep; far beyond any useful plot, small
+# enough that the list of angles is never a memory problem.
+MAX_THETA_STEPS = 10**5
+
 _D_HELP = "distance (default: 3 for parametrized families, the code's own for fixed codes)"
 
 
@@ -66,8 +70,8 @@ def parse_theta_range(text: str) -> list[float]:
             steps = int(parts[2])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
-        if steps < 1:
-            raise argparse.ArgumentTypeError("steps must be >= 1")
+        if not 1 <= steps <= MAX_THETA_STEPS:
+            raise argparse.ArgumentTypeError(f"steps must be in [1, {MAX_THETA_STEPS}]")
         if steps == 1:
             return [start]
         return [start + i * (stop - start) / (steps - 1) for i in range(steps)]

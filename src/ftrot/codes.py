@@ -17,20 +17,23 @@ Four code families are registered:
     A [[5,1,3]] code in a gauge where the logical Z is ``ZZZII``, i.e.
     supported on only three qubits.
 
-Every code records, besides the usual stabilizer data, the three
-numbers the analytic error model needs: how many single-qubit errors
-on the rotated support project onto a wrong branch without tripping any
-check (``flip_projection``), how many off-support errors mimic one of those
-via an identical syndrome footprint (``secondary_flip``), and how many
-weight-one branch patterns have a syndrome that a single readout flip
-can mask (``readout_combos``).  The stored values are properties of the
-check structure; the test suite re-derives them by direct search.
+A code stores only the values someone chooses: its checks, its
+logical pair and its parameters.  Everything else is derived from the
+checks, once per code object: the rotation support (the support of
+``logical_z``), the checks that do not commute with the rotation, and
+the three numbers the analytic error model needs.  Those count the
+single-qubit errors on the rotated support that a weight-one branch
+pattern hides (``flip_projection``), the off-support errors hidden the
+same way (``secondary_flip``), and the weight-one branch patterns whose
+syndrome a single readout flip can mask (``readout_combos``).  The test
+suite re-derives the counts by direct enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,16 +46,20 @@ Syndrome = tuple[int, ...]
 class Multiplicities:
     """First-order error-path counts for the analytic model.
 
+    A weight-1 branch pattern on support qubit s flips the readings of
+    exactly the checks that Z_s trips, so a single-qubit fault is first
+    order when its syndrome equals that of Z on some support qubit.
+    Derived from the checks by the code (see
+    ``StabilizerCode.error_multiplicities``).
+
     Attributes
     ----------
     flip_projection:
-        Number of single-qubit Pauli channels on the logical-Z support
-        whose error projects the state onto a weight-1 branch with a
-        perfectly clean syndrome: Z on each support qubit, plus Y
-        wherever no Z-type check sees its X part (phase-flip: 2d).
+        Number of single-qubit X/Y/Z channels on the logical-Z support
+        that a weight-1 branch pattern hides: Z on each support qubit,
+        plus Y wherever no Z-type check sees its X part (phase-flip: 2d).
     secondary_flip:
-        Number of off-support single-qubit errors whose syndrome equals
-        that of a support-qubit error, so they feed the same branch.
+        The same count over the qubits off the support.
     readout_combos:
         Number of weight-1 branch patterns whose true syndrome has
         weight 1, so a single readout flip per cycle hides them.
@@ -72,6 +79,10 @@ class Multiplicities:
 class StabilizerCode:
     """An [[n, k, d]] stabilizer code with a designated logical pair.
 
+    The fields are the values someone chooses; ``z_support``,
+    ``noncommuting_set`` and ``error_multiplicities`` are derived from
+    them on first use, so ``dataclasses.replace`` re-derives them.
+
     Attributes
     ----------
     name:
@@ -87,14 +98,6 @@ class StabilizerCode:
         The designated logical pair.  ``logical_z`` is always a pure
         Z-type operator here; the rotation is transversal over its
         support.
-    z_support:
-        Qubit indices of ``logical_z``'s support.
-    noncommuting_set:
-        Indices of the generators whose X/Y part touches ``z_support``.
-        These are the checks that do not commute with the transversal
-        rotation and hence drive branch projection.
-    error_multiplicities:
-        See :class:`Multiplicities`.
     distance_metric:
         ``"full"`` for a genuine distance-d code, ``"phase"`` when only
         Z-type logicals are counted (phase-flip family).
@@ -107,12 +110,46 @@ class StabilizerCode:
     stabilizers: tuple[PauliString, ...]
     logical_z: PauliString
     logical_x: PauliString
-    z_support: tuple[int, ...]
-    noncommuting_set: tuple[int, ...] = field(default=())
-    error_multiplicities: Multiplicities = field(
-        default=Multiplicities(0, 0, 0)
-    )
     distance_metric: str = "full"
+
+    @cached_property
+    def z_support(self) -> tuple[int, ...]:
+        """Qubit indices of ``logical_z``'s support."""
+        return self.logical_z.support
+
+    @cached_property
+    def noncommuting_set(self) -> tuple[int, ...]:
+        """Indices of the generators whose X/Y part touches ``z_support``.
+
+        These are the checks that do not commute with the transversal
+        rotation and hence drive branch projection: such a generator
+        anticommutes with at least one of the single-qubit Z factors.
+        """
+        mask = self.logical_z.x | self.logical_z.z
+        return tuple(i for i, s in enumerate(self.stabilizers) if s.x & mask)
+
+    @cached_property
+    def error_multiplicities(self) -> Multiplicities:
+        """See :class:`Multiplicities`."""
+        # Per-qubit check columns: bit i of z_trips[q] is set when Z_q
+        # anticommutes with generator i (its X part covers q), and of
+        # x_trips[q] when X_q does; Y_q trips the XOR of the two.
+        z_trips = [0] * self.n
+        x_trips = [0] * self.n
+        for i, s in enumerate(self.stabilizers):
+            for q in _bits(s.x):
+                z_trips[q] |= 1 << i
+            for q in _bits(s.z):
+                x_trips[q] |= 1 << i
+        hidden = {z_trips[q] for q in self.z_support}
+        on_support = set(self.z_support)
+        counts = [0, 0]  # [on the support, off it]
+        for q in range(self.n):
+            for trips in (x_trips[q], x_trips[q] ^ z_trips[q], z_trips[q]):
+                if trips in hidden:
+                    counts[q not in on_support] += 1
+        readout = sum(1 for q in self.z_support if z_trips[q].bit_count() == 1)
+        return Multiplicities(counts[0], counts[1], readout)
 
     def syndrome_of(self, error: PauliString) -> Syndrome:
         return syndrome(error, self)
@@ -127,18 +164,12 @@ def syndrome(error: PauliString, code: StabilizerCode) -> Syndrome:
     )
 
 
-def _noncommuting_set(
-    stabilizers: tuple[PauliString, ...], z_support: tuple[int, ...]
-) -> tuple[int, ...]:
-    # A generator fails to commute with the transversal rotation exactly
-    # when its X/Y part touches the rotated support at all: it then
-    # anticommutes with at least one of the single-qubit Z factors.
-    mask = 0
-    for q in z_support:
-        mask |= 1 << q
-    return tuple(
-        i for i, s in enumerate(stabilizers) if s.x & mask
-    )
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # --------------------------------------------------------------------
@@ -159,7 +190,6 @@ def phase_flip_code(d: int) -> StabilizerCode:
         PauliString(d, (0b11 << i), 0) for i in range(d - 1)
     )
     mask = (1 << d) - 1
-    z_support = tuple(range(d))
     return StabilizerCode(
         name="phase-flip",
         n=d,
@@ -168,11 +198,6 @@ def phase_flip_code(d: int) -> StabilizerCode:
         stabilizers=stabs,
         logical_z=PauliString(d, 0, mask),
         logical_x=PauliString(d, mask, 0),
-        z_support=z_support,
-        noncommuting_set=_noncommuting_set(stabs, z_support),
-        error_multiplicities=Multiplicities(
-            flip_projection=2 * d, secondary_flip=0, readout_combos=2
-        ),
         distance_metric="phase",
     )
 
@@ -229,31 +254,24 @@ def rotated_surface_code(d: int) -> StabilizerCode:
     for t in range(d):
         z_mask |= 1 << qubit(t, t)
         x_mask |= 1 << qubit(t, d - 1 - t)
-    z_support = tuple(qubit(t, t) for t in range(d))
 
-    stabs_t = tuple(stabs)
     return StabilizerCode(
         name="surface",
         n=n,
         k=1,
         d=d,
-        stabilizers=stabs_t,
+        stabilizers=tuple(stabs),
         logical_z=PauliString(n, 0, z_mask),
         logical_x=PauliString(n, x_mask, 0),
-        z_support=z_support,
-        noncommuting_set=_noncommuting_set(stabs_t, z_support),
-        error_multiplicities=Multiplicities(
-            flip_projection=d, secondary_flip=2, readout_combos=2
-        ),
     )
 
 
 def four_qubit_code() -> StabilizerCode:
     """[[4,2,2]] code, one designated logical qubit.
 
-    The designated logical Z is ``ZZII`` (weight-2 support), which makes
-    the induced logical rotation axis sit in the x-y plane instead of
-    along z; the analytics module carries that case separately.
+    The designated logical Z is ``ZZII`` (weight-2 support).  Every X
+    or Y trips ``ZZZZ``, which no branch pattern can cancel, so only
+    the four single-qubit Z channels are first order.
     """
     stabs = (
         PauliString.from_label("XXXX"),
@@ -267,11 +285,6 @@ def four_qubit_code() -> StabilizerCode:
         stabilizers=stabs,
         logical_z=PauliString.from_label("ZZII"),
         logical_x=PauliString.from_label("XIXI"),
-        z_support=(0, 1),
-        noncommuting_set=_noncommuting_set(stabs, (0, 1)),
-        error_multiplicities=Multiplicities(
-            flip_projection=8, secondary_flip=0, readout_combos=2
-        ),
     )
 
 
@@ -296,11 +309,6 @@ def perfect_code() -> StabilizerCode:
         stabilizers=stabs,
         logical_z=PauliString.from_label("ZZZII"),
         logical_x=_PERFECT_LOGICAL_X,
-        z_support=(0, 1, 2),
-        noncommuting_set=_noncommuting_set(stabs, (0, 1, 2)),
-        error_multiplicities=Multiplicities(
-            flip_projection=3, secondary_flip=0, readout_combos=1
-        ),
     )
 
 
@@ -386,7 +394,7 @@ def validate(code: StabilizerCode) -> ValidationReport:
     """Re-derive the code's claimed structure from scratch.
 
     Checks generator commutation and independence, the logical pair
-    algebra, the stored support and noncommuting set, and (for n <= 9,
+    algebra, that ``logical_z`` is pure Z, and (for n <= 9,
     by exhaustive search over all 4^n Paulis) the distance.  The
     distance search respects ``distance_metric``: for ``"phase"`` only
     Z-type logicals are counted.
@@ -415,14 +423,6 @@ def validate(code: StabilizerCode) -> ValidationReport:
 
     if code.logical_z.x != 0:
         failures.append("logical_z is not pure Z")
-    if code.logical_z.support != code.z_support:
-        failures.append("z_support does not match logical_z")
-
-    expected_s = _noncommuting_set(code.stabilizers, code.z_support)
-    if expected_s != code.noncommuting_set:
-        failures.append(
-            f"noncommuting_set {code.noncommuting_set} != derived {expected_s}"
-        )
 
     distance: int | None = None
     if code.n <= 9:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftrot import analytics
-from ftrot.analytics import RotationConfig
+from ftrot.analytics import NoiseModel, RotationConfig
 from ftrot.codes import Multiplicities, get_code
 
 from oracles import (
@@ -39,6 +40,15 @@ class TestRotationConfig:
     def test_readout_flip_default(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=3e-3)
         assert cfg.readout_flip == pytest.approx(2e-3, rel=1e-15)
+
+    def test_readout_flip_default_follows_p_in_through_replace(self):
+        moved = dataclasses.replace(NoiseModel(p_in=1e-3), p_in=3e-3)
+        assert moved.readout_flip == pytest.approx(2e-3, rel=1e-15, abs=0)
+        cfg = dataclasses.replace(RotationConfig(theta=0.5, d=3, p_in=1e-3), p_in=3e-3)
+        assert cfg.readout_flip == pytest.approx(2e-3, rel=1e-15, abs=0)
+        # a rate the caller set is kept
+        kept = dataclasses.replace(NoiseModel(p_in=1e-3, readout_flip=0.05), p_in=3e-3)
+        assert kept.readout_flip == 0.05
 
 
 class TestLogicalAngle:
@@ -179,7 +189,7 @@ class TestAcceptedErrorModel:
     def test_frozen_surface_point(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
         got = analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2))
-        assert got == pytest.approx(8.046819839692327e-06, rel=1e-12)
+        assert got == pytest.approx(8.046819839692327e-06, rel=1e-12, abs=0)
 
     def test_zero_noise_zero(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=0.0, r=2)
@@ -259,7 +269,7 @@ class TestMultiRotation:
     def test_m1_reduces_to_one_shot(self):
         got = analytics.multi_rotation_incoherent(1, self.CFG, 3)
         want = 3 * (1e-3 / 3) * math.sin(0.25) ** 4 * math.cos(0.25) ** 2
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_ratio_example(self):
         cfg = RotationConfig(theta=0.2, d=3, p_in=1e-3)
@@ -325,32 +335,9 @@ class TestFilterCoefficients:
 
 
 class TestPerCodeVariants:
-    def test_four_qubit_frozen(self):
-        res = analytics.four_qubit_analytics(0.7, 1e-3)
-        assert res.theta_l == pytest.approx(0.26493105789287824, rel=1e-12)
-        assert res.eps_in == pytest.approx(0.0002577081542755581, rel=1e-12)
-        assert res.correlation == pytest.approx(0.49987111270755596, rel=1e-12)
-        assert res.axis == "-y"
-
     def test_four_qubit_angle_matches_branch_oracle(self):
-        # the weight-2 support; oracle class 0 of d=2 is the same map
+        # the four-qubit code goes through the generic forms with its
+        # weight-2 support; oracle class 0 of d=2 is the same map
         for theta in (0.2, 0.7, 1.3):
             ref = statevector_branch_angles(2, theta)[0]
-            assert analytics.four_qubit_analytics(theta, 0.0).theta_l == pytest.approx(
-                ref, abs=1e-12
-            )
-
-    def test_perfect_code_frozen(self):
-        res = analytics.perfect_code_analytics(0.7, 1e-3)
-        assert res.theta_l == pytest.approx(-0.09720042823271005, rel=1e-12)
-        assert res.delta_theta_l == pytest.approx(-0.79720042823271, rel=1e-12)
-        assert res.eps_in == pytest.approx(1.3792171011003736e-05, rel=1e-12)
-
-    def test_perfect_code_reversed_rotation(self):
-        # weight-3 support turns the accepted angle negative; magnitude
-        # is the d=3 accepted angle
-        for theta in (0.3, 0.7, 1.1):
-            res = analytics.perfect_code_analytics(theta, 0.0)
-            assert res.theta_l == pytest.approx(
-                -analytics.logical_angle(theta, 3), abs=1e-12
-            )
+            assert analytics.logical_angle(theta, 2) == pytest.approx(ref, abs=1e-12)

@@ -61,6 +61,17 @@ class TestParsing:
     def test_huge_dyadic_exponent_is_zero_not_overflow(self):
         assert cli.parse_angle("2pi/2^2000") == 0.0
 
+    def test_sweep_size_is_bounded(self, capsys):
+        steps = cli.MAX_THETA_STEPS
+        assert len(cli.parse_theta_range(f"0.1:0.2:{steps}")) == steps
+        # refused before any list is built
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--theta", "0.1:0.2:100000000"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     BASE = {
         "analyze": ["analyze", "--theta", "0.5"],
         "simulate": ["simulate", "--theta", "0.5", "--trials", "10", "--seed", "1"],

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -135,35 +136,52 @@ def test_multiplicities_match_enumeration_oracle():
     """Re-derive the undetected-channel counts by direct enumeration.
 
     The oracle counts single-qubit Paulis whose stabilizer signature a
-    weight-1 branch pattern can cancel.  For surface and perfect codes
-    that count equals the stored first-order multiplicity.  For
-    phase-flip, Y errors share Z's signature under the depolarizing
-    channel (no Z-type checks exist to see their X part), so both the
-    enumeration and the stored count are 2d.
+    weight-1 branch pattern can cancel, one Pauli at a time; the code
+    derives the same counts from its per-qubit check columns.
     """
-    for name, d in (("surface", 3), ("surface", 5), ("surface", 7)):
+    for name, d in ALL_INSTANCES:
         code = codes.get_code(name, d)
-        flips, readout = first_order_multiplicity(code)
-        assert flips == code.error_multiplicities.first_order == code.d + 2
-        assert readout == code.error_multiplicities.readout_combos == 2
-    perfect = codes.get_code("perfect")
-    assert first_order_multiplicity(perfect) == (3, 1)
-    assert perfect.error_multiplicities.first_order == 3
-    for d in (3, 5):
-        code = codes.get_code("phase-flip", d)
-        flips, readout = first_order_multiplicity(code)
-        assert flips == code.error_multiplicities.first_order == 2 * d
-        assert readout == code.error_multiplicities.readout_combos == 2
+        mult = code.error_multiplicities
+        assert first_order_multiplicity(code) == (
+            mult.first_order,
+            mult.readout_combos,
+        ), (name, d)
 
 
 def test_stored_multiplicity_tuples():
-    assert codes.get_code("surface", 5).error_multiplicities == codes.Multiplicities(5, 2, 2)
-    # Z and Y on each support qubit: no Z-type check sees the Y
-    assert codes.get_code("phase-flip", 3).error_multiplicities == codes.Multiplicities(6, 0, 2)
-    # weight-2 support makes X and Y first order as well; the closed
-    # form folds all eight channels into one count
-    assert codes.get_code("four-qubit").error_multiplicities == codes.Multiplicities(8, 0, 2)
-    assert codes.get_code("perfect").error_multiplicities == codes.Multiplicities(3, 0, 1)
+    expected = {
+        # Z on each support qubit, plus Z on the off-support qubits
+        # whose checks match a support qubit's
+        ("surface", 3): (3, 2, 2),
+        ("surface", 5): (5, 2, 2),
+        ("surface", 7): (7, 2, 2),
+        # Z and Y on each support qubit: no Z-type check sees the Y
+        ("phase-flip", 3): (6, 0, 2),
+        ("phase-flip", 5): (10, 0, 2),
+        # every X or Y trips ZZZZ, which no branch pattern can cancel,
+        # so only Z on each of the four qubits is first order
+        ("four-qubit", None): (2, 2, 2),
+        ("perfect", None): (3, 0, 1),
+    }
+    for (name, d), counts in expected.items():
+        got = codes.get_code(name, d).error_multiplicities
+        assert got == codes.Multiplicities(*counts), (name, d)
+
+
+def test_replace_rederives_from_the_checks():
+    # a surface d=3 copy whose logical Z is the diagonal times the
+    # Z-type check on qubits 3, 4, 6, 7: support, noncommuting set and
+    # counts all follow the new logical_z
+    code = codes.get_code("surface", 3)
+    moved = dataclasses.replace(
+        code, logical_z=code.logical_z * PauliString.from_label("IIIZZIZZI")
+    )
+    assert moved.z_support == (0, 3, 6, 7, 8)
+    assert code.noncommuting_set == (2, 5)
+    assert moved.noncommuting_set == (2, 5, 7)
+    mult = moved.error_multiplicities
+    assert first_order_multiplicity(moved) == (mult.first_order, mult.readout_combos)
+    assert codes.validate(moved).ok
 
 
 def test_syndrome_of_known_errors():
@@ -220,9 +238,6 @@ def test_validate_flags_broken_code():
         stabilizers=(good.stabilizers[0], PauliString.from_label("ZII")),
         logical_z=good.logical_z,
         logical_x=good.logical_x,
-        z_support=good.z_support,
-        noncommuting_set=good.noncommuting_set,
-        error_multiplicities=good.error_multiplicities,
         distance_metric=good.distance_metric,
     )
     report = codes.validate(bad)
