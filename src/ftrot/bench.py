@@ -5,7 +5,8 @@ synthesis up the Clifford hierarchy).
 Costs are space-time volumes in d^3 qubit-cycle units.  T-state
 distillation costs are external inputs loaded from a JSON table with a
 mandatory provenance string; a bundled illustrative table ships with
-the package.  Entries are never interpolated: asking for a fidelity
+the package.  Lookup is by exact p_in, and each entry at that rate
+gives one baseline point; entries are never interpolated, and a rate
 the table does not list is an error, not an estimate.  The baselines'
 gate costs are fixed weights (`rs_clifford_cost`, `COH_COSTS`), and
 their rows carry no code distance, so the `d` column stays empty.
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
 from .analytics import NoiseModel
-from .schemes import ScaffoldPlan, iter_plans
+from .schemes import iter_plans
 
 __all__ = [
     "DistillCostTable",
@@ -36,7 +37,6 @@ __all__ = [
     "COH_COSTS",
     "rs_t_count",
     "rs_clifford_cost",
-    "rs_total",
     "rs_curve",
     "coh_error_step",
     "coh_ladder",
@@ -156,15 +156,6 @@ class DistillCostTable:
             )
         return hits
 
-    def entry_at(self, p_in: float, out_error: float) -> DistillEntry:
-        for e in self.at_p_in(p_in):
-            if math.isclose(e.out_error, out_error, rel_tol=1e-9):
-                return e
-        raise LookupError(
-            f"no entry with out_error={out_error:g} at p_in={p_in:g}; "
-            "interpolation between entries is refused"
-        )
-
 
 @dataclass(frozen=True)
 class CostPoint:
@@ -176,62 +167,10 @@ class CostPoint:
     k: int | None = None
     m: int | None = None
     error_kind: str = "incoherent"
-    params_echo: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not (0 < self.logical_error < math.inf and 0 < self.cost_d3 < math.inf):
             raise ValueError("cost points need finite positive coordinates")
-
-
-def rs_total(
-    theta_l: float,
-    distill: DistillCostTable,
-    include_clifford: bool = True,
-    *,
-    p_in: float,
-    t_state_error: float | None = None,
-) -> CostPoint:
-    """One synthesis cost point: n_T T states at one table entry.
-
-    theta_eps is set a decade below the target angle.  The entry is
-    chosen by exact out_error match; with several entries at this p_in
-    and no selection the call fails rather than guess.
-    """
-    entries = distill.at_p_in(p_in)
-    if t_state_error is None:
-        if len(entries) != 1:
-            raise ValueError(
-                f"{len(entries)} distillation entries at p_in={p_in:g}; "
-                "pass t_state_error to select one"
-            )
-        entry = entries[0]
-    else:
-        entry = distill.entry_at(p_in, t_state_error)
-
-    theta_eps = theta_l / 10.0
-    n_t = rs_t_count(theta_eps)
-    cost = n_t * entry.cost
-    if include_clifford:
-        label = _angle_label(theta_l)
-        if label in RS_GATE_COUNTS:
-            cost += rs_clifford_cost(label)
-        else:
-            # table angles only; elsewhere reuse the T count itself as
-            # the H count scale (one H per T layer) plus one S
-            cost += rs_clifford_cost(counts=(n_t, 1, n_t))
-    return CostPoint(
-        method="rs",
-        logical_error=n_t * entry.out_error,
-        cost_d3=cost,
-        error_kind="incoherent-t-only",
-        params_echo={
-            "theta_eps": theta_eps,
-            "n_t": n_t,
-            "protocol": entry.protocol,
-            "t_state_error": entry.out_error,
-            "include_clifford": include_clifford,
-        },
-    )
 
 
 def rs_curve(
@@ -241,10 +180,26 @@ def rs_curve(
     *,
     p_in: float,
 ) -> list[CostPoint]:
-    """One point per distillation entry at this p_in."""
+    """One synthesis cost point per distillation entry at this p_in:
+    n_T T states of that entry, with theta_eps a decade below the
+    target angle, plus the circuit's Clifford cost if included."""
+    entries = distill.at_p_in(p_in)
+    n_t = rs_t_count(theta_l / 10.0)
+    clifford = 0.0
+    if include_clifford:
+        # table angles only (no key matches a non-dyadic angle);
+        # elsewhere reuse the T count as the H count scale (one H per T
+        # layer) plus one S
+        label = f"2pi/2^{_dyadic_level(theta_l)}"
+        clifford = rs_clifford_cost(counts=RS_GATE_COUNTS.get(label, (n_t, 1, n_t)))
     return [
-        rs_total(theta_l, distill, include_clifford, p_in=p_in, t_state_error=e.out_error)
-        for e in distill.at_p_in(p_in)
+        CostPoint(
+            method="rs",
+            logical_error=n_t * e.out_error,
+            cost_d3=n_t * e.cost + clifford,
+            error_kind="incoherent-t-only",
+        )
+        for e in entries
     ]
 
 
@@ -285,9 +240,8 @@ def coh_ladder(target_level: int, eps_t: float, *, t_state_cost: float = 0.0) ->
 def coh_curve(theta_l: float, distill: DistillCostTable, *, p_in: float) -> list[CostPoint]:
     """One ladder climb per distillation entry; target level from the
     angle, which must be 2pi/2^level for an integer level >= 4."""
-    level_f = math.log2(math.tau / theta_l)
-    level = round(level_f)
-    if not math.isclose(level_f, level, abs_tol=1e-9) or level < 4:
+    level = _dyadic_level(theta_l)
+    if level is None or level < 4:
         raise ValueError(
             "parity-check synthesis targets angles 2pi/2^level with level >= 4"
         )
@@ -300,11 +254,6 @@ def coh_curve(theta_l: float, distill: DistillCostTable, *, p_in: float) -> list
                 logical_error=res["error"],
                 cost_d3=res["cost"],
                 error_kind="incoherent-t-only",
-                params_echo={
-                    "target_level": level,
-                    "protocol": e.protocol,
-                    "t_state_error": e.out_error,
-                },
             )
         )
     return points
@@ -330,35 +279,33 @@ def our_method_curve(
     theta_l: float, code_family: str, noise: NoiseModel, **grid
 ) -> list[CostPoint]:
     """Pareto front of the scaffold grid for this target angle; `grid`
-    (d_values, k_max, m_max) goes to `iter_plans` unchanged."""
-    points = []
-    for plan in iter_plans(theta_l, code_family, noise, **grid):
-        points.append(_plan_point(plan))
+    (d_values, k_max, m_max) goes to `iter_plans` unchanged.  A grid
+    with no plan is an error, not an empty curve."""
+    points = [
+        CostPoint(
+            method="ours",
+            logical_error=plan.predicted_error,
+            cost_d3=plan.expected_cost,
+            d=plan.d,
+            theta=plan.theta_base,
+            k=plan.k,
+            m=plan.m,
+            error_kind="incoherent",
+        )
+        for plan in iter_plans(theta_l, code_family, noise, **grid)
+    ]
+    if not points:
+        raise ValueError("empty grid: no representable plan")
     return pareto_front(points)
 
 
-def _plan_point(plan: ScaffoldPlan) -> CostPoint:
-    return CostPoint(
-        method="ours",
-        logical_error=plan.predicted_error,
-        cost_d3=plan.expected_cost,
-        d=plan.d,
-        theta=plan.theta_base,
-        k=plan.k,
-        m=plan.m,
-        error_kind="incoherent",
-        params_echo={"theta_l_target": plan.theta_l_target},
-    )
-
-
-def _angle_label(theta_l: float) -> str:
-    if theta_l <= 0:
-        return ""
-    k_f = math.log2(math.tau / theta_l)
+def _dyadic_level(theta: float) -> int | None:
+    """The integer k with theta = 2pi/2^k (to 1e-9 in k), else None."""
+    if theta <= 0:
+        return None
+    k_f = math.log2(math.tau / theta)
     k = round(k_f)
-    if math.isclose(k_f, k, abs_tol=1e-9):
-        return f"2pi/2^{k}"
-    return ""
+    return k if math.isclose(k_f, k, abs_tol=1e-9) else None
 
 
 REPORT_COLUMNS = (
@@ -394,6 +341,8 @@ def pareto_report(
     unknown = [m for m in methods if m not in known]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {sorted(known)}")
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be a non-empty list without repeats, got {list(methods)}")
     needs_table = [m for m in methods if m in ("rs", "coh")]
     if needs_table and distill is None:
         raise ValueError(
@@ -412,17 +361,5 @@ def pareto_report(
         else:
             points = coh_curve(theta_l_target, distill, p_in=noise.p_in)
         points = sorted(points, key=lambda p: (-p.logical_error, p.cost_d3))
-        for p in points:
-            rows.append(
-                {
-                    "method": p.method,
-                    "logical_error": p.logical_error,
-                    "cost_d3": p.cost_d3,
-                    "d": p.d,
-                    "theta": p.theta,
-                    "k": p.k,
-                    "m": p.m,
-                    "error_kind": p.error_kind,
-                }
-            )
+        rows.extend({c: getattr(p, c) for c in REPORT_COLUMNS} for p in points)
     return rows

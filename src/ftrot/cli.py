@@ -277,19 +277,31 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-values", type=_csv_ints, default=schemes.D_VALUES)
+    p.add_argument(
+        "--d-values", type=_csv_ints, default=None,
+        help=f"comma list of distances (default: {','.join(map(str, schemes.D_VALUES))} "
+        "for parametrized families, the code's own for fixed codes)",
+    )
     p.add_argument("--k-max", type=int, default=schemes.K_MAX)
     p.add_argument("--m-max", type=int, default=schemes.M_MAX)
 
 
 def _grid(args) -> dict:
-    """The grid flags, checked here whichever methods will read them."""
+    """The grid flags, checked here whichever methods will read them; an
+    unset --d-values is D_VALUES for the parametrized families and the
+    code's own distance for the fixed ones."""
     for flag, value in (("--k-max", args.k_max), ("--m-max", args.m_max)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    for d in args.d_values:
+    d_values = args.d_values
+    if d_values is None:
+        if codes.is_parametrized(args.code):
+            d_values = schemes.D_VALUES
+        else:
+            d_values = (codes.get_code(args.code).d,)
+    for d in d_values:
         codes.check_distance(args.code, d)
-    return {"d_values": args.d_values, "k_max": args.k_max, "m_max": args.m_max}
+    return {"d_values": d_values, "k_max": args.k_max, "m_max": args.m_max}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -265,7 +265,9 @@ def iter_plans(
     Errors compose linearly across the walk_steps * k consumed states
     (rates are far below 1 in every regime the grid reaches).  Cells
     with the same d and k * m consume the same state, so each state is
-    worked out once.
+    worked out once.  A cell is skipped when its state does not exist
+    or has p_s = 0, and when its GHZ attempt count or expected cost
+    overflows a float: such a cell is as hopeless as p_s = 0.
     """
     if theta_l_target <= 0.0:
         raise ValueError("theta_l_target must be positive")
@@ -278,8 +280,14 @@ def iter_plans(
                 if k * m not in states:
                     states[k * m] = _base_state(theta_l_target / (k * m), code, noise)
                 state = states[k * m]
-                if state is not None:
-                    yield _make_plan(theta_l_target, d, k, m, attempt, state)
+                if state is None:
+                    continue
+                try:
+                    plan = _make_plan(theta_l_target, d, k, m, attempt, state)
+                except OverflowError:
+                    continue
+                if math.isfinite(plan.expected_cost):
+                    yield plan
 
 
 def scaffold_optimize(

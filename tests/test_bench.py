@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrot import bench
+from ftrot import bench, cli
 from ftrot.bench import (
     COH_COSTS,
     CostPoint,
@@ -138,17 +138,13 @@ class TestDistillTable:
         assert len(table.at_p_in(1e-4)) == 5
         errs = [e.out_error for e in table.entries]
         assert errs == sorted(errs)
+        (entry,) = [e for e in table.at_p_in(1e-3) if e.out_error == 4.5e-8]
+        assert entry.cost == pytest.approx(12.6)
+        assert "15-to-1" in entry.protocol
 
     def test_at_p_in_missing(self, table):
         with pytest.raises(LookupError, match="table covers"):
             table.at_p_in(5e-5)
-
-    def test_entry_at_exact_only(self, table):
-        e = table.entry_at(1e-3, 4.5e-8)
-        assert e.cost == pytest.approx(12.6)
-        assert "15-to-1" in e.protocol
-        with pytest.raises(LookupError, match="refused"):
-            table.entry_at(1e-3, 5e-8)
 
     def test_provenance_required(self):
         with pytest.raises(ValueError, match="provenance"):
@@ -198,39 +194,155 @@ class TestDistillTable:
 
 
 class TestRsTotal:
+    """Synthesis totals: one `rs_curve` point per table entry."""
+
+    @staticmethod
+    def entry_and_point(table, points):
+        """The 1e-3 entry with out_error 4.5e-8 and its point; rs_curve
+        emits one point per `at_p_in` entry, in the table's order."""
+        entries = table.at_p_in(1e-3)
+        (i,) = [i for i, e in enumerate(entries) if e.out_error == 4.5e-8]
+        assert len(points) == len(entries)
+        return entries[i], points[i]
+
     def test_single_entry_forms(self, table):
         theta = math.tau / 2 ** 10
-        entry = table.entry_at(1e-3, 4.5e-8)
-        pt = bench.rs_total(theta, table, p_in=1e-3, t_state_error=4.5e-8)
+        entry, pt = self.entry_and_point(table, bench.rs_curve(theta, table, p_in=1e-3))
         n_t = rs_t_count(theta / 10)
         assert pt.logical_error == n_t * entry.out_error
         assert pt.cost_d3 == pytest.approx(n_t * entry.cost + 186.0)
         assert pt.error_kind == "incoherent-t-only"
-        assert pt.params_echo["n_t"] == n_t
 
     def test_no_clifford(self, table):
         theta = math.tau / 2 ** 10
-        entry = table.entry_at(1e-3, 4.5e-8)
-        pt = bench.rs_total(
-            theta, table, include_clifford=False, p_in=1e-3, t_state_error=4.5e-8
-        )
+        pts = bench.rs_curve(theta, table, include_clifford=False, p_in=1e-3)
+        entry, pt = self.entry_and_point(table, pts)
         assert pt.cost_d3 == rs_t_count(theta / 10) * entry.cost
 
     def test_untabled_angle_fallback(self, table):
-        pt = bench.rs_total(0.01, table, p_in=1e-3, t_state_error=4.5e-8)
+        _, pt = self.entry_and_point(table, bench.rs_curve(0.01, table, p_in=1e-3))
         n_t = rs_t_count(0.001)
         assert pt.cost_d3 == pytest.approx(
             n_t * 12.6 + rs_clifford_cost(counts=(n_t, 1, n_t))
         )
 
-    def test_ambiguous_entry_refused(self, table):
-        with pytest.raises(ValueError, match="t_state_error"):
-            bench.rs_total(math.tau / 2 ** 10, table, p_in=1e-3)
-
     def test_curve_one_point_per_entry(self, table):
         pts = bench.rs_curve(math.tau / 2 ** 10, table, p_in=1e-4)
         assert len(pts) == 5
         assert all(p.method == "rs" for p in pts)
+
+
+class TestGoldenBaselineRows:
+    """Every rs and coh report row, pinned exactly, with the bundled table.
+
+    2pi/2^10 takes the tabulated Clifford counts, 2pi/2^12 the fallback
+    (n_T, 1, n_T).  Rows run from high error to low, as reported.
+    """
+
+    # (level, p_in) -> rs rows (logical_error, cost_d3 with Clifford
+    # costs, cost_d3 T states only)
+    RS = {
+        (10, 1e-3): [
+            (1.44e-06, 589.2, 403.2),
+            (4.48e-09, 11715.6, 11529.6),
+            (8.32e-10, 15232.4, 15046.4),
+            (8.64e-11, 5373.2, 5187.2),
+            (1.056e-12, 7994.0, 7808.0),
+            (1.44e-18, 19427.6, 19241.6),
+        ],
+        (10, 1e-4): [
+            (1.408e-06, 399.44, 213.44),
+            (2.976e-08, 489.04, 303.04),
+            (6.08e-10, 1090.6399999999999, 904.64),
+            (7.68e-14, 21757.2, 21571.2),
+            (2.016e-23, 18554.0, 18368.0),
+        ],
+        (12, 1e-3): [
+            (1.71e-06, 712.8, 478.8),
+            (5.320000000000001e-09, 13925.4, 13691.4),
+            (9.880000000000001e-10, 18101.6, 17867.6),
+            (1.0259999999999999e-10, 6393.8, 6159.8),
+            (1.254e-12, 9506.0, 9272.0),
+            (1.7100000000000001e-18, 23083.399999999998, 22849.399999999998),
+        ],
+        (12, 1e-4): [
+            (1.6719999999999998e-06, 487.46000000000004, 253.46),
+            (3.534e-08, 593.86, 359.86),
+            (7.22e-10, 1308.26, 1074.26),
+            (9.119999999999999e-14, 25849.8, 25615.8),
+            (2.3939999999999998e-23, 22046.0, 21812.0),
+        ],
+    }
+
+    # (level, p_in) -> coh rows (logical_error, cost_d3); the Clifford
+    # flag does not reach this baseline
+    COH = {
+        (10, 1e-3): [
+            (2.770880548095703e-12, 74714.00000000001),
+            (8.545157060644531e-15, 825746.0000000001),
+            (1.5869221740048829e-15, 1063130.0),
+            (1.6479500934966063e-16, 397633.99999999994),
+            (2.0141601693172023e-18, 574538.0),
+            (2.7465820312500243e-24, 1346306.0),
+        ],
+        (10, 1e-4): [
+            (2.70877745703125e-12, 61905.20000000001),
+            (5.677307347902832e-14, 67953.2),
+            (1.1596723004855957e-15, 108561.2),
+            (1.4648437506911577e-19, 1503554.0000000002),
+            (3.84521484375e-29, 1287338.0),
+        ],
+        (12, 1e-3): [
+            (1.9596128425598143e-13, 300582.80000000005),
+            (5.342928162902832e-16, 3321400.4000000004),
+            (9.919024087530518e-17, 4276211.600000001),
+            (1.029977009685379e-17, 1599438.7999999998),
+            (1.2588502283357514e-19, 2310986.0),
+            (1.716613769531493e-25, 5415208.399999999),
+        ],
+        (12, 1e-4): [
+            (1.9107859106445313e-13, 249062.96000000005),
+            (3.55804721743927e-15, 273389.36),
+            (7.248358003034973e-17, 436723.76),
+            (9.155273506619736e-21, 6047694.800000001),
+            (2.40325927734375e-30, 5178026.0),
+        ],
+    }
+
+    @classmethod
+    def expected(cls, level, p_in, include_clifford):
+        rs = [
+            ("rs", err, cost if include_clifford else t_only, "incoherent-t-only")
+            for err, cost, t_only in cls.RS[level, p_in]
+        ]
+        coh = [("coh", err, cost, "incoherent-t-only") for err, cost in cls.COH[level, p_in]]
+        return rs + coh
+
+    @staticmethod
+    def pinned(rows):
+        return [(r["method"], r["logical_error"], r["cost_d3"], r["error_kind"]) for r in rows]
+
+    @pytest.mark.parametrize("include_clifford", [True, False])
+    @pytest.mark.parametrize("p_in", [1e-3, 1e-4])
+    @pytest.mark.parametrize("level", [10, 12])
+    def test_rows_exact(self, table, level, p_in, include_clifford):
+        rows = bench.pareto_report(
+            ["rs", "coh"],
+            math.tau / 2 ** level,
+            NoiseModel(p_in=p_in),
+            distill=table,
+            include_clifford=include_clifford,
+        )
+        # plain == on floats: abs=0, rel=0
+        assert self.pinned(rows) == self.expected(level, p_in, include_clifford)
+        assert all(r[c] is None for r in rows for c in ("d", "theta", "k", "m"))
+
+    def test_cli_no_clifford_json(self, capsys):
+        argv = ["bench", "--theta-l", "2pi/2^10", "--methods", "rs,coh",
+                "--distill-costs", "bundled", "--no-clifford", "--format", "json"]
+        assert cli.main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert self.pinned(rows) == self.expected(10, 1e-3, False)
 
 
 class TestParetoFront:
@@ -319,8 +431,15 @@ class TestOurCurveAndReport:
             assert errs == sorted(errs, reverse=True)
 
     def test_coh_curve_rejects_non_dyadic(self, table):
-        with pytest.raises(ValueError, match="2pi/2"):
-            bench.coh_curve(0.5, table, p_in=1e-3)
+        # 0 and negative angles included: no level, not a division by zero
+        for theta in (0.5, math.tau / 2 ** 3, 0.0, -1.0):
+            with pytest.raises(ValueError, match="2pi/2"):
+                bench.coh_curve(theta, table, p_in=1e-3)
+
+    @pytest.mark.parametrize("methods", [[], ["ours", "ours"], ["rs", "coh", "rs"]])
+    def test_report_refuses_empty_or_repeated_methods(self, table, methods):
+        with pytest.raises(ValueError, match="repeats"):
+            bench.pareto_report(methods, self.TARGET, self.NOISE, distill=table)
 
     def test_cost_point_validation(self):
         with pytest.raises(ValueError):

@@ -424,6 +424,17 @@ class TestBenchCommand:
         rows = json.loads(out)
         assert {r["method"] for r in rows} == {"ours", "rs", "coh"}
 
+    @pytest.mark.parametrize("methods", [",", "ours,ours", "rs,coh,rs"])
+    def test_empty_or_repeated_methods_exit_2(self, capsys, methods):
+        rc, out, err = run_main(
+            ["bench", "--theta-l", "2pi/2^10", "--methods", methods,
+             "--distill-costs", "bundled"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert "repeats" in err
+
     def test_baseline_without_table(self, capsys):
         rc, _, err = run_main(
             ["bench", "--theta-l", "2pi/2^10", "--methods", "rs"], capsys
@@ -459,6 +470,45 @@ class TestGridFlags:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+class TestPlannerGrid:
+    @pytest.mark.parametrize("command", ["scaffold", "bench"])
+    @pytest.mark.parametrize(
+        "noise",
+        [["--p-in", "0.5"], ["--r", "10000"]],
+        ids=["p_in-0.5", "r-10000"],
+    )
+    def test_overflowing_cells_are_skipped(self, capsys, command, noise):
+        # some cells need more GHZ attempts (p_s^-k) than a float holds
+        rc, out, err = run_main([command, "--theta-l", "2pi/2^10"] + noise, capsys)
+        assert rc == 0, err
+        if command == "scaffold":
+            costs = [json.loads(out)["plan"]["expected_cost"]]
+        else:
+            costs = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert costs and all(math.isfinite(c) for c in costs)
+
+    # one cell: r = 145 overflows p_s^-1, r = 142 overflows its cost
+    @pytest.mark.parametrize("command", ["scaffold", "bench"])
+    @pytest.mark.parametrize("r", ["145", "142"])
+    def test_grid_without_finite_cell_exits_2(self, capsys, command, r):
+        rc, out, err = run_main(
+            [command, "--theta-l", "2pi/2^10", "--p-in", "0.3", "--r", r,
+             "--d-values", "3", "--k-max", "1", "--m-max", "1"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert "empty grid" in err
+
+    @pytest.mark.parametrize("command", ["scaffold", "bench"])
+    @pytest.mark.parametrize("family,d", [("four-qubit", 2), ("perfect", 3)])
+    def test_fixed_code_grid_defaults_to_own_d(self, capsys, command, family, d):
+        argv = [command, "--theta-l", "2pi/2^8", "--code", family]
+        rc, out, err = run_main(argv, capsys)
+        assert rc == 0, err
+        assert run_main(argv + ["--d-values", str(d)], capsys) == (0, out, "")
 
 
 class TestEntryPoint:
