@@ -11,10 +11,10 @@ logical Z rotation whose angle depends only on the weight class
 m = min(|b|, d-|b|).  This module collects the resulting closed forms:
 the accepted logical angle, the per-branch angles, the one
 accepted-error model (first order, readout masking included), success
-rates, coherent-noise spread, multi-rotation trade-offs and the
-even-distance filter coefficients.  Every code goes through the same
-forms; a code enters only through its support weight and its derived
-error multiplicities.
+rates, coherent-noise spread and multi-rotation trade-offs.  Every
+code that `codes.require_rotation` accepts goes through the same forms;
+a code enters only through its support weight and its derived error
+multiplicities.
 
 Conventions (fixed package-wide): angles in radians; the rotation is
 cos + i*sin*Z per qubit; branch angles are reported in the frame where
@@ -36,7 +36,6 @@ __all__ = [
     "RotationConfig",
     "SuccessRate",
     "logical_angle",
-    "logical_angle_small",
     "branch_angle",
     "branch_infidelity",
     "accepted_error_model",
@@ -44,7 +43,6 @@ __all__ = [
     "coherent_angle_std",
     "multi_rotation_incoherent",
     "multi_rotation_coherent_std",
-    "filter_coefficients",
 ]
 
 
@@ -140,11 +138,6 @@ def logical_angle(theta: float, d: int) -> float:
     if theta == math.pi:
         return math.pi
     return 2.0 * math.atan(_stable_pow(math.tan(theta / 2.0), d))
-
-
-def logical_angle_small(theta: float, d: int) -> float:
-    """Small-angle form 2*(theta/2)**d of the accepted logical angle."""
-    return 2.0 * _stable_pow(theta / 2.0, d)
 
 
 def branch_angle(b_weight: int, d: int, theta: float) -> float:
@@ -276,23 +269,3 @@ def multi_rotation_coherent_std(m: int, d: int, sigma_frac: float) -> float:
         raise ValueError("sigma_frac must be non-negative")
     return math.sqrt(d / m) * sigma_frac
 
-
-def filter_coefficients(theta: float, d: int, sign: int = 1) -> tuple[float, float]:
-    """Amplitude pair of the even-distance weak filter.
-
-    For even d the accepted operation is not a rotation but a filter:
-    c0 = cos^d(theta/2) - sin^d(theta/2) on |0_L> and
-    c1 = cos^d + sin^d on |1_L>, damping |0_L> relative to |1_L>.
-    `sign` = -1 encodes the opposite (-1)^{d/2} convention and swaps
-    the roles.
-    """
-    if d < 2 or d % 2:
-        raise ValueError("filter_coefficients requires even d >= 2")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    c = math.cos(theta / 2.0) ** d
-    s = math.sin(theta / 2.0) ** d
-    c0, c1 = c - s, c + s
-    if sign == -1:
-        c0, c1 = c1, c0
-    return (c0, c1)

@@ -1,7 +1,8 @@
 """Command-line driver: seeded batch runs emitting CSV or JSON.
 
 Exit codes: 0 success, 1 validation failure (codes validate), 2 usage
-error, 3 infeasible or diverged computation.
+error (an unreadable input file or an unwritable --out included), 3
+infeasible or diverged computation.
 """
 
 from __future__ import annotations
@@ -102,6 +103,17 @@ def _emit(payload, fmt: str, out: str | None, columns=None) -> None:
             fh.write(text)
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that cannot be a file, before any work runs."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path!r}: no directory {parent!r}")
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+
+
 def cmd_codes(args) -> int:
     if args.action == "list":
         rows = [
@@ -133,6 +145,7 @@ def cmd_analyze(args) -> int:
     if args.sigma < 0.0:
         raise ValueError("--sigma must be non-negative")
     code = _code(args)
+    codes.require_rotation(code)
     rows = []
     for theta in args.theta:
         cfg = analytics.RotationConfig(theta=theta, d=code.d, p_in=args.p_in, r=args.r)
@@ -387,11 +400,12 @@ def main(argv=None) -> int:
     if args.command == "codes" and args.action == "validate" and args.code is None:
         parser.error("codes validate needs a code name")
     try:
+        _check_out(args.out)
         return args.func(args)
     except schemes.InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,10 @@ Four code families are registered:
     The rotated d x d surface code with the logical Z on the main
     diagonal and the logical X on the anti-diagonal.
 ``four-qubit``
-    The [[4,2,2]] code with one designated logical qubit; the logical Z
-    has weight-2 support, so the induced rotation axis picks up an
-    extra quarter turn relative to the odd-distance families.
+    The [[4,2,2]] code with one designated logical qubit.  Its logical
+    Z has weight 2, so the projected transversal rotation is a weak
+    filter of |0_L> against |1_L>, not a rotation: `require_rotation`
+    refuses it.
 ``perfect``
     A [[5,1,3]] code in a gauge where the logical Z is ``ZZZII``, i.e.
     supported on only three qubits.
@@ -27,6 +28,9 @@ pattern hides (``flip_projection``), the off-support errors hidden the
 same way (``secondary_flip``), and the weight-one branch patterns whose
 syndrome a single readout flip can mask (``readout_combos``).  The test
 suite re-derives the counts by direct enumeration.
+
+`require_rotation` is the one rule for which codes the protocol
+covers; the Monte Carlo engine, the planner and ``analyze`` call it.
 """
 
 from __future__ import annotations
@@ -151,9 +155,6 @@ class StabilizerCode:
         readout = sum(1 for q in self.z_support if z_trips[q].bit_count() == 1)
         return Multiplicities(counts[0], counts[1], readout)
 
-    def syndrome_of(self, error: PauliString) -> Syndrome:
-        return syndrome(error, self)
-
 
 def syndrome(error: PauliString, code: StabilizerCode) -> Syndrome:
     """Bit i is 1 when ``error`` anticommutes with generator i."""
@@ -162,6 +163,23 @@ def syndrome(error: PauliString, code: StabilizerCode) -> Syndrome:
     return tuple(
         0 if commutes(error, s) else 1 for s in code.stabilizers
     )
+
+
+def require_rotation(code: StabilizerCode) -> None:
+    """Raise ValueError unless the transversal rotation on ``code``
+    prepares a logical rotation state.
+
+    ``logical_z`` must be pure Z with odd weight d.  Projected onto the
+    code space, the rotation is then cos^d + (i sin)^d Z_L (half-angles
+    implied), a rotation about Z_L, and the accepted branch pair is
+    {0, 1^d}.  With even weight both coefficients are real, so it is a
+    filter instead.
+    """
+    if code.logical_z.x or len(code.z_support) != code.d or code.d % 2 == 0:
+        raise ValueError(
+            f"code {code.name!r} gives no rotation state: its logical Z "
+            "must be pure Z with odd weight d"
+        )
 
 
 def _bits(mask: int):

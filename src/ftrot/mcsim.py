@@ -53,7 +53,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode
+from .codes import StabilizerCode, require_rotation
 
 DEFAULT_BATCH_SIZE = 1 << 16
 
@@ -68,7 +68,8 @@ __all__ = [
 
 
 class RareEventWarning(UserWarning):
-    """Requested N is too small to resolve the predicted error rate."""
+    """Fewer than 10 accepted weight-1 trials are expected at the requested N,
+    too few to resolve the predicted error rate."""
 
 
 @dataclass(frozen=True)
@@ -145,38 +146,25 @@ def _philox_batches(
     return [run(i) for i in range(n_batches)]
 
 
-def _stabilizer_plan(
-    code: StabilizerCode,
-) -> list[tuple[bool, np.ndarray, np.ndarray]]:
-    """Per generator: (is_x_type, data columns, branch columns).
+def _stabilizer_plan(code: StabilizerCode) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per generator: (frame rows, branch columns).
 
-    X-type checks see Z-frame parity XOR branch-bit parity over the
-    overlap with the rotation support; Z-type checks see X-frame
-    parity.  The engine needs every generator to be pure X or pure Z,
-    and an odd support weight d = len(z_support), so that the accepted
-    branch pair is {0, 1^d} and the weight classes are 0..d//2.
+    A frame holds a Pauli's Z part in rows 0..n-1 and its X part in
+    rows n..2n-1, so a generator's reading is the XOR over its X
+    support followed by n + its Z support: the symplectic product
+    (Aaronson & Gottesman, PRA 70, 052328 (2004); Gidney, Quantum 5,
+    497 (2021)).  Its branch columns are the positions of the rotation
+    support inside its X support, where a branch Z anticommutes with it.
     """
-    d = code.d
-    if (
-        any(p.x and p.z for p in code.stabilizers)
-        or len(code.z_support) != d
-        or d % 2 == 0
-    ):
-        raise ValueError(
-            "simulation supports codes with pure X- or Z-type generators "
-            f"and an odd-weight logical Z of weight d; {code.name!r} is not one"
-        )
+    require_rotation(code)
+    n = code.n
     support_pos = {q: i for i, q in enumerate(code.z_support)}
     plan = []
     for p in code.stabilizers:
-        is_x = p.x != 0
-        cols = np.array(p.support, dtype=np.intp)
-        bcols = (
-            np.array([support_pos[q] for q in p.support if q in support_pos], dtype=np.intp)
-            if is_x
-            else np.empty(0, dtype=np.intp)
-        )
-        plan.append((is_x, cols, bcols))
+        xs = [q for q in p.support if p.x >> q & 1]
+        zs = [n + q for q in p.support if p.z >> q & 1]
+        bcols = [support_pos[q] for q in xs if q in support_pos]
+        plan.append((np.array(xs + zs, dtype=np.intp), np.array(bcols, dtype=np.intp)))
     return plan
 
 
@@ -205,7 +193,7 @@ def _data_hits(
 
 def _run_batch(
     code: StabilizerCode,
-    plan: list[tuple[bool, np.ndarray, np.ndarray]],
+    plan: list[tuple[np.ndarray, np.ndarray]],
     theta: float,
     noise: NoiseModel,
     inject_z: int | None,
@@ -235,8 +223,8 @@ def _run_batch(
     flips = [_sparse_hits(rng, size * n_chk, noise.readout_flip) for _ in range(noise.r)]
 
     ok = np.ones(size, dtype=bool)
-    for is_x, cols, bcols in plan:
-        injected = is_x and inject_z is not None and inject_z in cols
+    for rows, bcols in plan:
+        injected = inject_z is not None and inject_z in rows
         if bcols.size or injected:
             ok &= np.bitwise_xor.reduce(b[bcols], axis=0) == injected
 
@@ -247,25 +235,23 @@ def _run_batch(
     touched = np.flatnonzero(is_touched)
     local = np.empty(size, dtype=np.intp)
     local[touched] = np.arange(touched.size)
-    # frames are (qubit, touched trial), so a check's parity reduces
-    # over whole rows; they carry over cycles, so memory does not grow
-    # with r
-    fx = np.zeros((n, touched.size), dtype=bool)
-    fz = np.zeros((n, touched.size), dtype=bool)
-    fz[list(code.z_support)] = b[:, touched]
+    # the frame is (Z rows then X rows, touched trial), so a check's
+    # parity reduces over whole rows; it carries over cycles, so memory
+    # does not grow with r
+    frame = np.zeros((2 * n, touched.size), dtype=bool)
+    frame[list(code.z_support)] = b[:, touched]
     if inject_z is not None:
-        fz[inject_z] ^= True
+        frame[inject_z] ^= True
     ok_touched = np.ones(touched.size, dtype=bool)
     for (pos, hx, hz), flip in zip(hits, flips):
         trial, qubit = np.divmod(pos, n)
-        fx[qubit, local[trial]] ^= hx
-        fz[qubit, local[trial]] ^= hz
+        frame[qubit, local[trial]] ^= hz
+        frame[n + qubit, local[trial]] ^= hx
         trial, check = np.divmod(flip, n_chk)
         ro = np.zeros((n_chk, touched.size), dtype=bool)
         ro[check, local[trial]] = True
-        for i, (is_x, cols, _) in enumerate(plan):
-            par = np.bitwise_xor.reduce((fz if is_x else fx)[cols], axis=0)
-            ok_touched &= par == ro[i]
+        for i, (rows, _) in enumerate(plan):
+            ok_touched &= np.bitwise_xor.reduce(frame[rows], axis=0) == ro[i]
     ok[touched] = ok_touched
 
     w = b.sum(axis=0, dtype=np.int32)
@@ -314,15 +300,17 @@ def estimate(
         ]
     )
 
-    if inject_z is None and noise.p_in > 0:
+    infid1 = analytics.branch_infidelity(1, d, theta)
+    if inject_z is None and noise.p_in > 0 and infid1 > 0:
         cfg = analytics.RotationConfig(theta=theta, d=d, **vars(noise))
         predicted = analytics.accepted_error_model(cfg, code.error_multiplicities)
         p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
-        expected_events = predicted * p_s * n_trials
+        # the model is (weight-1 share of accepted trials) * infid(1)
+        expected_events = predicted / infid1 * p_s * n_trials
         if expected_events < 10.0:
             warnings.warn(
                 RareEventWarning(
-                    f"expected about {expected_events:.2f} accepted-error events "
+                    f"expected about {expected_events:.2f} accepted weight-1 trials "
                     f"at N={n_trials} (analytic rate {predicted:.3g}); "
                     "the infidelity estimate will be noise-dominated"
                 ),

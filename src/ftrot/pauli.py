@@ -96,9 +96,6 @@ class PauliString:
         s = self.x | self.z
         return tuple(q for q in range(self.n) if (s >> q) & 1)
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        return commutes(self, other)
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("qubit counts differ")

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode, get_code
+from .codes import StabilizerCode, get_code, require_rotation
 from .mcsim import _philox_batches
 
 __all__ = [
@@ -267,12 +267,14 @@ def iter_plans(
     with the same d and k * m consume the same state, so each state is
     worked out once.  A cell is skipped when its state does not exist
     or has p_s = 0, and when its GHZ attempt count or expected cost
-    overflows a float: such a cell is as hopeless as p_s = 0.
+    overflows a float: such a cell is as hopeless as p_s = 0.  A code
+    that `require_rotation` refuses raises ValueError.
     """
     if theta_l_target <= 0.0:
         raise ValueError("theta_l_target must be positive")
     for d in d_values:
         code = get_code(code_family, d)
+        require_rotation(code)
         attempt = attempt_cost(d, noise.r)
         states: dict[int, tuple[float, float, float] | None] = {}
         for k in range(1, k_max + 1):

@@ -173,6 +173,33 @@ def logical_angle_reference(theta: float, d: int) -> float:
     return 2.0 * math.asin(s / math.hypot(s, c))
 
 
+def logical_angle_small(theta: float, d: int) -> float:
+    """Small-angle form 2*(theta/2)**d of the accepted logical angle."""
+    return 2.0 * (theta / 2.0) ** d
+
+
+def filter_coefficients(theta: float, d: int, sign: int = 1) -> tuple[float, float]:
+    """Amplitude pair of the even-distance weak filter.
+
+    For even d the projected transversal rotation is not a rotation but
+    a filter: c0 = cos^d(theta/2) - sin^d(theta/2) on |0_L> and
+    c1 = cos^d + sin^d on |1_L>, damping |0_L> relative to |1_L>.
+    `sign` = -1 encodes the opposite (-1)^{d/2} convention and swaps
+    the roles.  `codes.require_rotation` refuses such codes; this form
+    pins why.
+    """
+    if d < 2 or d % 2:
+        raise ValueError("filter_coefficients requires even d >= 2")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    c = math.cos(theta / 2.0) ** d
+    s = math.sin(theta / 2.0) ** d
+    c0, c1 = c - s, c + s
+    if sign == -1:
+        c0, c1 = c1, c0
+    return (c0, c1)
+
+
 def compact_error_first_order(cfg, mult) -> float:
     """The compact published first-order error, readout masking included.
 

@@ -12,8 +12,11 @@ from ftrot.codes import Multiplicities, get_code
 
 from oracles import (
     compact_error_first_order,
+    filter_coefficients,
     gaussian_logical_angle_std,
     logical_angle_reference,
+    logical_angle_small,
+    pauli_matrix,
     statevector_branch_angles,
 )
 
@@ -67,7 +70,7 @@ class TestLogicalAngle:
         assert analytics.logical_angle(0.2, 3) == pytest.approx(
             0.0020201469163225716, abs=1e-15
         )
-        assert analytics.logical_angle_small(0.2, 3) == pytest.approx(2.0e-3, abs=1e-12)
+        assert logical_angle_small(0.2, 3) == pytest.approx(2.0e-3, abs=1e-12)
 
     def test_matches_asin_reference(self):
         # the asin form loses precision as cos^d underflows near pi,
@@ -310,34 +313,69 @@ class TestMultiRotation:
 
 
 class TestFilterCoefficients:
+    """The oracle's even-weight filter, the reason `require_rotation`
+    refuses the four-qubit code."""
+
     def test_identity_at_zero(self):
-        assert analytics.filter_coefficients(0.0, 2) == (1.0, 1.0)
+        assert filter_coefficients(0.0, 2) == (1.0, 1.0)
 
     def test_full_filter(self):
-        c0, c1 = analytics.filter_coefficients(math.pi / 2, 2)
+        c0, c1 = filter_coefficients(math.pi / 2, 2)
         assert c0 == pytest.approx(0.0, abs=1e-15)
         assert c1 == pytest.approx(1.0, rel=1e-15)
 
     def test_odd_d_unsupported(self):
         with pytest.raises(ValueError):
-            analytics.filter_coefficients(0.5, 3)
+            filter_coefficients(0.5, 3)
 
     def test_sign_swaps_roles(self):
-        c0, c1 = analytics.filter_coefficients(0.4, 4, sign=1)
-        d0, d1 = analytics.filter_coefficients(0.4, 4, sign=-1)
+        c0, c1 = filter_coefficients(0.4, 4, sign=1)
+        d0, d1 = filter_coefficients(0.4, 4, sign=-1)
         assert (c0, c1) == (d1, d0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0.0, max_value=math.pi / 2))
     def test_amplification_ordering(self, theta):
-        c0, c1 = analytics.filter_coefficients(theta, 2)
+        c0, c1 = filter_coefficients(theta, 2)
         assert c1 * c1 - c0 * c0 >= -1e-15
 
 
 class TestPerCodeVariants:
     def test_four_qubit_angle_matches_branch_oracle(self):
-        # the four-qubit code goes through the generic forms with its
-        # weight-2 support; oracle class 0 of d=2 is the same map
+        # the weight-2 map of the generic form equals oracle class 0 of
+        # d = 2; that number is not a rotation angle (see below)
         for theta in (0.2, 0.7, 1.3):
             ref = statevector_branch_angles(2, theta)[0]
             assert analytics.logical_angle(theta, 2) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["four-qubit", "perfect"])
+    def test_projected_rotation(self, name):
+        # with dense matrices, P R P = a P + b Z_L P: b is real for the
+        # weight-2 logical Z (a filter) and imaginary for weight 3 (a
+        # rotation by the accepted angle)
+        code = get_code(name)
+        theta = 0.5
+        dim = 1 << code.n
+        proj = np.eye(dim, dtype=complex)
+        for g in code.stabilizers:
+            proj = proj @ (np.eye(dim) + pauli_matrix(g.label())) / 2
+        rot = np.eye(dim, dtype=complex)
+        for q in code.z_support:
+            z_q = pauli_matrix("".join("Z" if i == q else "I" for i in range(code.n)))
+            rot = rot @ (math.cos(theta / 2) * np.eye(dim) + 1j * math.sin(theta / 2) * z_q)
+        zl = pauli_matrix(code.logical_z.label())
+        prp = proj @ rot @ proj
+        a = np.trace(prp) / np.trace(proj)
+        b = np.trace(zl @ prp) / np.trace(proj)
+        assert np.abs(prp - a * proj - b * zl @ proj).max() < 1e-12
+        assert abs(a.imag) < 1e-12
+        if name == "four-qubit":
+            assert abs(b.imag) < 1e-12
+            # a + b acts on Z_L = +1, a - b on Z_L = -1
+            assert (a + b).real == pytest.approx(filter_coefficients(theta, 2)[0], abs=1e-12)
+            assert (a - b).real == pytest.approx(filter_coefficients(theta, 2)[1], abs=1e-12)
+        else:
+            assert abs(b.real) < 1e-12
+            assert 2 * math.atan2(abs(b), a.real) == pytest.approx(
+                analytics.logical_angle(theta, 3), abs=1e-12
+            )

@@ -20,6 +20,14 @@ def run_main(argv, capsys):
     return rc, captured.out, captured.err
 
 
+def refusal(name):
+    """The one stderr line every command prints for a code that
+    `codes.require_rotation` refuses."""
+    with pytest.raises(ValueError) as exc:
+        codes.require_rotation(codes.get_code(name))
+    return f"error: {exc.value}\n"
+
+
 class TestParsing:
     def test_dyadic_literal_is_exact(self):
         assert cli.parse_angle("2pi/2^10") == math.tau / (1 << 10)
@@ -190,6 +198,10 @@ class TestAnalyzeCommand:
         rc, out, err = run_main(
             ["analyze", "--code", family, "--theta", "0.5", "--format", "json"], capsys
         )
+        if family == "four-qubit":
+            # weight-2 logical Z: the projected rotation is a filter
+            assert (rc, out, err) == (2, "", refusal(family))
+            return
         assert rc == 0, err
         code = codes.get_code(family)
         cfg = analytics.RotationConfig(theta=0.5, d=d, p_in=1e-3, r=2)
@@ -284,10 +296,8 @@ class TestSimulateCommand:
              "--seed", "1"],
             capsys,
         )
-        assert rc == 2
-        assert out == ""
+        assert (rc, out, err) == (2, "", refusal("four-qubit"))
         assert "fixed d" not in err
-        assert "'four-qubit' is not one" in err
 
     def test_bad_trials(self, capsys):
         rc, _, err = run_main(
@@ -507,8 +517,44 @@ class TestPlannerGrid:
     def test_fixed_code_grid_defaults_to_own_d(self, capsys, command, family, d):
         argv = [command, "--theta-l", "2pi/2^8", "--code", family]
         rc, out, err = run_main(argv, capsys)
+        if family == "four-qubit":
+            assert (rc, out, err) == (2, "", refusal(family))
+            return
         assert rc == 0, err
         assert run_main(argv + ["--d-values", str(d)], capsys) == (0, out, "")
+
+
+class TestBadPaths:
+    """A path that cannot be read or written exits 2 with one error
+    line, before the command computes anything."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        monkeypatch.setattr(schemes, "scaffold_optimize", fail)
+        monkeypatch.setattr(bench, "pareto_report", fail)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_distill_costs(self, capsys, tmp_path, no_work, kind):
+        path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+        rc, out, err = run_main(
+            ["bench", "--theta-l", "2pi/2^10", "--methods", "rs",
+             "--distill-costs", str(path)],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["scaffold", "bench"])
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_out(self, capsys, tmp_path, no_work, command, kind):
+        path = tmp_path / "missing" / "x.json" if kind == "missing-dir" else tmp_path
+        rc, out, err = run_main([command, "--theta-l", "2pi/2^10", "--out", str(path)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestEntryPoint:

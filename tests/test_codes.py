@@ -184,16 +184,36 @@ def test_replace_rederives_from_the_checks():
     assert codes.validate(moved).ok
 
 
+def test_require_rotation(code):
+    if code.name == "four-qubit":
+        with pytest.raises(ValueError, match="'four-qubit' gives no rotation state: its "
+                           "logical Z must be pure Z with odd weight d"):
+            codes.require_rotation(code)
+    else:
+        codes.require_rotation(code)
+
+
+def test_require_rotation_refuses_x_part_and_wrong_weight():
+    good = codes.get_code("phase-flip", 3)
+    for changed in (
+        dataclasses.replace(good, logical_z=PauliString.from_label("YZZ")),
+        dataclasses.replace(good, logical_z=PauliString.from_label("ZZI")),
+        dataclasses.replace(good, d=5),
+    ):
+        with pytest.raises(ValueError, match="pure Z with odd weight d"):
+            codes.require_rotation(changed)
+
+
 def test_syndrome_of_known_errors():
     code = codes.get_code("phase-flip", 3)
-    clean = code.syndrome_of(PauliString.identity(3))
+    clean = codes.syndrome(PauliString.identity(3), code)
     assert clean == (0,) * 2
     z_mid = PauliString.single_z(3, 1)
-    assert code.syndrome_of(z_mid) == (1, 1)
+    assert codes.syndrome(z_mid, code) == (1, 1)
     z_end = PauliString.single_z(3, 0)
-    assert code.syndrome_of(z_end) == (1, 0)
+    assert codes.syndrome(z_end, code) == (1, 0)
     # X errors commute with the X-type checks
-    assert code.syndrome_of(PauliString.single_x(3, 1)) == (0, 0)
+    assert codes.syndrome(PauliString.single_x(3, 1), code) == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -204,9 +224,9 @@ def test_syndrome_is_linear(data):
     bits = st.integers(min_value=0, max_value=(1 << code.n) - 1)
     e1 = PauliString(code.n, data.draw(bits), data.draw(bits))
     e2 = PauliString(code.n, data.draw(bits), data.draw(bits))
-    s1 = code.syndrome_of(e1)
-    s2 = code.syndrome_of(e2)
-    s12 = code.syndrome_of(e1 * e2)
+    s1 = codes.syndrome(e1, code)
+    s2 = codes.syndrome(e2, code)
+    s12 = codes.syndrome(e1 * e2, code)
     assert s12 == tuple(a ^ b for a, b in zip(s1, s2))
 
 
@@ -217,7 +237,7 @@ def test_syndrome_matches_commutation(data):
     code = codes.get_code(name, d)
     bits = st.integers(min_value=0, max_value=(1 << code.n) - 1)
     err = PauliString(code.n, data.draw(bits), data.draw(bits))
-    syn = code.syndrome_of(err)
+    syn = codes.syndrome(err, code)
     for bit, g in zip(syn, code.stabilizers):
         assert bit == (0 if commutes(err, g) else 1)
 

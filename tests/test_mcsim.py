@@ -168,7 +168,8 @@ class TestRunPrepTrial:
         assert z_mean < 4.0, z_mean
 
     # the sparse engine judges untouched trials from b alone and builds
-    # frames only for touched ones; each setting stresses one side
+    # frames only for touched ones; each setting stresses one side.  The
+    # perfect code's generators mix X and Z on one qubit.
     @pytest.mark.parametrize(
         "noise, inject",
         [
@@ -177,15 +178,17 @@ class TestRunPrepTrial:
             pytest.param(NoiseModel(p_in=1e-2, r=2), True, id="inject-z-with-noise"),
         ],
     )
-    def test_sparse_engine_matches_oracle(self, surface3, noise, inject):
-        inject_z = surface3.z_support[1] if inject else None
+    @pytest.mark.parametrize(
+        "name, d", [("surface", 3), ("perfect", None)], ids=["surface3", "perfect"]
+    )
+    def test_sparse_engine_matches_oracle(self, name, d, noise, inject):
+        code = codes.get_code(name, d)
+        inject_z = code.z_support[1] if inject else None
         rng = np.random.Generator(np.random.Philox(key=[8, 0]))
-        oracle = oracle_stats(surface3, 0.8, noise, 30_000, rng, inject_z)
+        oracle = oracle_stats(code, 0.8, noise, 30_000, rng, inject_z)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RareEventWarning)
-            st = mcsim.estimate(
-                surface3, 0.8, None, noise, 1_000_000, seed=9, inject_z=inject_z
-            )
+            st = mcsim.estimate(code, 0.8, None, noise, 1_000_000, seed=9, inject_z=inject_z)
         z_rate, z_mean = pulls(oracle, st)
         assert z_rate < 4.0, z_rate
         assert z_mean < 4.0, z_mean
@@ -195,7 +198,9 @@ class TestEstimate:
     NM = NoiseModel(p_in=1e-3, r=2)
 
     def test_golden_run(self, surface3):
-        with pytest.warns(RareEventWarning):
+        # 18.6 accepted weight-1 trials expected (19 seen): no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RareEventWarning)
             st = mcsim.estimate(surface3, 0.5, None, self.NM, 200_000, seed=11, threads=4)
         assert st.accepted == 160833
         assert st.acceptance_rate == pytest.approx(0.804165, abs=1e-12)
@@ -286,14 +291,33 @@ class TestEstimate:
         cfg = analytics.RotationConfig(theta=0.5, d=3, **vars(noise))
         assert cfg.readout_flip == 0.05
         ps = analytics.success_rate(cfg, surface3.n, len(surface3.stabilizers)).p_s
+        # 3.3 accepted weight-1 trials expected, so it warns
         with pytest.warns(RareEventWarning) as record:
-            st = mcsim.estimate(surface3, 0.5, None, noise, 200_000, seed=11)
+            st = mcsim.estimate(surface3, 0.5, None, noise, 20_000, seed=11)
         assert abs(st.acceptance_rate - ps) < 4 * st.acceptance_stderr
         rate = float(re.search(r"analytic rate (\S+)\)", str(record[0].message)).group(1))
         assert rate == pytest.approx(
             analytics.accepted_error_model(cfg, surface3.error_multiplicities), rel=1e-2
         )
         assert rate == pytest.approx(3.2e-5, rel=0.05)
+
+    # the golden setting expects 9.32e-5 accepted weight-1 trials per
+    # trial, so the warning threshold of 10 sits at N = 107,290
+    def test_warns_below_ten_weight1_trials(self, surface3):
+        with pytest.warns(RareEventWarning, match="expected about 9.32 accepted weight-1"):
+            mcsim.estimate(surface3, 0.5, None, self.NM, 100_000, seed=11)
+
+    def test_quiet_from_ten_weight1_trials(self, surface3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RareEventWarning)
+            mcsim.estimate(surface3, 0.5, None, self.NM, 110_000, seed=11)
+
+    def test_quiet_where_weight1_is_exact(self, surface3):
+        # at theta = 0 every class has infidelity 0: nothing to resolve
+        assert analytics.branch_infidelity(1, 3, 0.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RareEventWarning)
+            mcsim.estimate(surface3, 0.0, None, self.NM, 1_000, seed=11)
 
     def test_simulability_is_structural(self, surface3):
         custom = dataclasses.replace(surface3, name="custom")
@@ -306,9 +330,11 @@ class TestEstimate:
         assert a == b
 
     def test_unsupported_code(self):
-        for code in (codes.get_code("perfect"), codes.get_code("four-qubit")):
-            with pytest.raises(ValueError, match="simulation supports"):
-                mcsim.estimate(code, 0.5, None, NoiseModel(p_in=0.0), 1_000, seed=1)
+        # weight-2 logical Z: the projected rotation is a filter
+        with pytest.raises(ValueError, match="'four-qubit' gives no rotation state"):
+            mcsim.estimate(
+                codes.get_code("four-qubit"), 0.5, None, NoiseModel(p_in=0.0), 1_000, seed=1
+            )
 
     def test_validation(self, surface3):
         with pytest.raises(ValueError):
@@ -335,6 +361,15 @@ class TestEstimate:
         cfg = analytics.RotationConfig(theta=0.5, d=3, **vars(noise))
         model = analytics.accepted_error_model(cfg, code.error_multiplicities)
         st = mcsim.estimate(code, 0.5, None, noise, 500_000, seed=5, threads=1)
+        assert abs(st.mean_infidelity - model) < 4 * st.infidelity_stderr
+
+    def test_perfect_code_matches_error_model(self):
+        # mixed X/Z generators; about 2,500 accepted weight-1 trials
+        code = codes.get_code("perfect")
+        noise = NoiseModel(p_in=1e-3, r=2)
+        cfg = analytics.RotationConfig(theta=0.8, d=3, **vars(noise))
+        model = analytics.accepted_error_model(cfg, code.error_multiplicities)
+        st = mcsim.estimate(code, 0.8, None, noise, 20_000_000, seed=5, threads=2)
         assert abs(st.mean_infidelity - model) < 4 * st.infidelity_stderr
 
     def test_to_dict_schema(self, surface3):

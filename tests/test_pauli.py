@@ -78,7 +78,6 @@ def test_commutes_matches_matrix_oracle(a_label, data):
     assert commutes(a, b) == matrices_commute(
         pauli_matrix(a_label), pauli_matrix(b_label)
     )
-    assert a.commutes_with(b) == commutes(a, b)
 
 
 @settings(max_examples=80, deadline=None)
