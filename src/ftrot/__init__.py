@@ -29,7 +29,6 @@ from .schemes import (
     ScaffoldPlan,
     attempt_cost,
     ghz_expected_attempts,
-    prep_expected_cost,
     scaffold_optimize,
     simulate_walk,
     walk_expected_steps,
@@ -62,7 +61,6 @@ __all__ = [
     "simulate_walk",
     "ghz_expected_attempts",
     "attempt_cost",
-    "prep_expected_cost",
     "scaffold_optimize",
     "CostPoint",
     "DistillCostTable",

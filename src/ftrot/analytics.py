@@ -173,9 +173,7 @@ def branch_infidelity(b_weight: int, d: int, theta: float,
     return math.sin((theta_l_target - phi) / 2.0) ** 2
 
 
-def accepted_error_model(
-    cfg: RotationConfig, mult: Multiplicities, theta_l_target: float | None = None
-) -> float:
+def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     """Exact first-order prediction of the Monte-Carlo mean infidelity.
 
     Each first-order path (flip projection, secondary flip, r-fold
@@ -198,7 +196,7 @@ def accepted_error_model(
         + _stable_pow(s, 2 * (d - 1)) * c * c
     )
     p_s_coh = _stable_pow(c, 2 * d) + _stable_pow(s, 2 * d)
-    infid = branch_infidelity(1, d, cfg.theta, theta_l_target)
+    infid = branch_infidelity(1, d, cfg.theta)
     flip_rate = mult.first_order * (cfg.p_in / 3.0) / (1.0 - cfg.p_in)
     mask_rate = mult.readout_combos * _stable_pow(cfg.readout_flip, cfg.r)
     return (flip_rate + mask_rate) * pair * infid / p_s_coh

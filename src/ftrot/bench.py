@@ -227,14 +227,12 @@ def coh_ladder(target_level: int, eps_t: float, *, t_state_cost: float = 0.0) ->
     expected_attempts = 2.0
     err = eps_t
     cost = t_state_cost
-    levels = [{"level": 3, "error": err, "cost": cost}]
     for level in range(4, target_level + 1):
         err = coh_error_step(eps_t, eps_t, err)
         cost = expected_attempts * (
             COH_COSTS["average"] + COH_COSTS["t_inject"] * t_state_cost + cost
         )
-        levels.append({"level": level, "error": err, "cost": cost})
-    return {"error": err, "cost": cost, "levels": levels}
+    return {"error": err, "cost": cost}
 
 
 def coh_curve(theta_l: float, distill: DistillCostTable, *, p_in: float) -> list[CostPoint]:

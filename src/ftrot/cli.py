@@ -88,8 +88,6 @@ def _emit(payload, fmt: str, out: str | None, columns=None) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        if columns is None:
-            raise ValueError("CSV output needs tabular data")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
         writer.writeheader()
@@ -114,18 +112,20 @@ def _check_out(path: str | None) -> None:
         raise ValueError(f"--out {path!r} is a directory")
 
 
-def cmd_codes(args) -> int:
-    if args.action == "list":
-        rows = [
-            {
-                "name": name,
-                "parametrized": codes.is_parametrized(name),
-                "description": codes.CODE_DESCRIPTIONS[name],
-            }
-            for name in codes.list_codes()
-        ]
-        _emit(rows, args.format, args.out, columns=("name", "parametrized", "description"))
-        return 0
+def cmd_codes_list(args) -> int:
+    rows = [
+        {
+            "name": name,
+            "parametrized": codes.is_parametrized(name),
+            "description": codes.CODE_DESCRIPTIONS[name],
+        }
+        for name in codes.list_codes()
+    ]
+    _emit(rows, args.format, args.out, columns=("name", "parametrized", "description"))
+    return 0
+
+
+def cmd_codes_validate(args) -> int:
     code = codes.get_code(args.code, args.d)
     report = codes.validate(code)
     payload = {
@@ -176,16 +176,11 @@ def cmd_simulate(args) -> int:
     code = _code(args)
     noise = analytics.NoiseModel(p_in=args.p_in, r=args.r, readout_flip=args.readout_flip)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    theta_l = (
-        args.theta_l_target
-        if args.theta_l_target is not None
-        else analytics.logical_angle(args.theta, code.d)
-    )
     t0 = time.monotonic()
     stats = mcsim.estimate(
         code,
         args.theta,
-        theta_l,
+        args.theta_l_target,
         noise,
         args.trials,
         seed,
@@ -276,12 +271,15 @@ def _code(args) -> codes.StabilizerCode:
     return codes.get_code(args.code, d)
 
 
-def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, default_format: str | None = None) -> None:
+    """--out for every command; --format only for the tabular payloads,
+    which pass their default format."""
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument(
-        "--format", choices=("csv", "json"), default=default_format,
-        help=f"output format (default: {default_format})",
-    )
+    if default_format is not None:
+        p.add_argument(
+            "--format", choices=("csv", "json"), default=default_format,
+            help=f"output format (default: {default_format})",
+        )
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
@@ -325,12 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("codes", help="list registered codes or validate one")
-    p.add_argument("action", choices=("list", "validate"))
-    p.add_argument("code", nargs="?", help="code name (validate)")
-    p.add_argument("--d", type=int, default=None, help="distance for parametrized families")
+    codes_sub = sub.add_parser(
+        "codes", help="list registered codes or validate one"
+    ).add_subparsers(dest="action", required=True)
+    p = codes_sub.add_parser("list", help="registered codes")
     _add_output_flags(p, "json")
-    p.set_defaults(func=cmd_codes)
+    p.set_defaults(func=cmd_codes_list)
+    p = codes_sub.add_parser("validate", help="re-derive one code's structure")
+    p.add_argument("code", help="code name")
+    p.add_argument("--d", type=int, default=None, help="distance for parametrized families")
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_codes_validate)
 
     p = sub.add_parser("analyze", help="closed-form error and success-rate sweep")
     p.add_argument("--code", default="surface")
@@ -359,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override per-stabilizer readout flip probability (default 2*p_in/3)")
     p.add_argument("--inject-z", type=int, default=None, metavar="QUBIT",
                    help="deterministically inject one Z on this qubit each trial")
-    _add_output_flags(p, "json")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("walk", help="teleportation random-walk Monte Carlo")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--walks", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    _add_output_flags(p, "json")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("scaffold", help="optimize a (d, k, m) composition plan")
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise_flags(p)
     _add_grid_flags(p)
     p.add_argument("--error-ceiling", type=finite_float, default=None)
-    _add_output_flags(p, "json")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_scaffold)
 
     p = sub.add_parser("bench", help="cost-vs-error comparison table")
@@ -397,14 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "codes" and args.action == "validate" and args.code is None:
-        parser.error("codes validate needs a code name")
     try:
         _check_out(args.out)
         return args.func(args)
-    except schemes.InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

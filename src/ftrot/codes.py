@@ -21,13 +21,13 @@ Four code families are registered:
 A code stores only the values someone chooses: its checks, its
 logical pair and its parameters.  Everything else is derived from the
 checks, once per code object: the rotation support (the support of
-``logical_z``), the checks that do not commute with the rotation, and
-the three numbers the analytic error model needs.  Those count the
-single-qubit errors on the rotated support that a weight-one branch
-pattern hides (``flip_projection``), the off-support errors hidden the
-same way (``secondary_flip``), and the weight-one branch patterns whose
-syndrome a single readout flip can mask (``readout_combos``).  The test
-suite re-derives the counts by direct enumeration.
+``logical_z``) and the three numbers the analytic error model needs.
+Those count the single-qubit errors on the rotated support that a
+weight-one branch pattern hides (``flip_projection``), the off-support
+errors hidden the same way (``secondary_flip``), and the weight-one
+branch patterns whose syndrome a single readout flip can mask
+(``readout_combos``).  The test suite re-derives the counts by direct
+enumeration.
 
 `require_rotation` is the one rule for which codes the protocol
 covers; the Monte Carlo engine, the planner and ``analyze`` call it.
@@ -83,9 +83,9 @@ class Multiplicities:
 class StabilizerCode:
     """An [[n, k, d]] stabilizer code with a designated logical pair.
 
-    The fields are the values someone chooses; ``z_support``,
-    ``noncommuting_set`` and ``error_multiplicities`` are derived from
-    them on first use, so ``dataclasses.replace`` re-derives them.
+    The fields are the values someone chooses; ``z_support`` and
+    ``error_multiplicities`` are derived from them on first use, so
+    ``dataclasses.replace`` re-derives them.
 
     Attributes
     ----------
@@ -120,17 +120,6 @@ class StabilizerCode:
     def z_support(self) -> tuple[int, ...]:
         """Qubit indices of ``logical_z``'s support."""
         return self.logical_z.support
-
-    @cached_property
-    def noncommuting_set(self) -> tuple[int, ...]:
-        """Indices of the generators whose X/Y part touches ``z_support``.
-
-        These are the checks that do not commute with the transversal
-        rotation and hence drive branch projection: such a generator
-        anticommutes with at least one of the single-qubit Z factors.
-        """
-        mask = self.logical_z.x | self.logical_z.z
-        return tuple(i for i, s in enumerate(self.stabilizers) if s.x & mask)
 
     @cached_property
     def error_multiplicities(self) -> Multiplicities:
@@ -199,7 +188,7 @@ def phase_flip_code(d: int) -> StabilizerCode:
     """Distance-d phase-flip repetition code, [[d, 1, d]]_Z.
 
     Stabilizers are ``X_i X_{i+1}``; the logical Z is the full-weight
-    ``Z...Z`` string and every generator is in the noncommuting set.
+    ``Z...Z`` string, so every generator's X part meets the rotation.
     With no Z-type checks, Y on a support qubit has Z's syndrome, so
     both feed the first-order path.
     """
@@ -311,7 +300,7 @@ def perfect_code() -> StabilizerCode:
 
     The generators are a cyclic-code gauge chosen so that
     ``logical_z = ZZZII``: the rotation then acts on three qubits only,
-    at the cost of all four generators landing in the noncommuting set.
+    at the cost of all four generators' X parts meeting that support.
     """
     stabs = (
         PauliString.from_label("YYIZZ"),
@@ -452,29 +441,15 @@ def validate(code: StabilizerCode) -> ValidationReport:
 
 
 def _gf2_rank(code: StabilizerCode) -> int:
-    rows = np.array(
-        [
-            [(p.x >> q) & 1 for q in range(code.n)]
-            + [(p.z >> q) & 1 for q in range(code.n)]
-            for p in code.stabilizers
-        ],
-        dtype=np.uint8,
-    )
-    rank = 0
-    for col in range(rows.shape[1]):
-        pivot = None
-        for r in range(rank, rows.shape[0]):
-            if rows[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[[rank, pivot]] = rows[[pivot, rank]]
-        for r in range(rows.shape[0]):
-            if r != rank and rows[r, col]:
-                rows[r] ^= rows[rank]
-        rank += 1
-    return rank
+    """Rank over GF(2) of the generators' symplectic masks x | z << n."""
+    basis: list[int] = []
+    for p in code.stabilizers:
+        row = p.x | p.z << code.n
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(basis)
 
 
 def _brute_force_distance(code: StabilizerCode) -> int:

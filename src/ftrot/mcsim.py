@@ -46,7 +46,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -85,17 +85,7 @@ class McStats:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "accepted": self.accepted,
-            "acceptance_rate": self.acceptance_rate,
-            "acceptance_stderr": self.acceptance_stderr,
-            "mean_infidelity": self.mean_infidelity,
-            "infidelity_stderr": self.infidelity_stderr,
-            "branch_histogram": list(self.branch_histogram),
-            "seed": self.seed,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ The plan grid is searched over d in D_VALUES, k in 1..K_MAX and m in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "walk_expected_steps",
     "simulate_walk",
     "ghz_expected_attempts",
-    "prep_expected_cost",
     "iter_plans",
     "scaffold_optimize",
 ]
@@ -155,17 +154,6 @@ def attempt_cost(d: int, r: int) -> float:
     return (2 * d * d - 1) * (r + 1) / d**3
 
 
-def prep_expected_cost(code: StabilizerCode, theta: float, noise: NoiseModel) -> float:
-    """Expected cost of one accepted preparation: attempt cost / p_s."""
-    cfg = analytics.RotationConfig(theta=theta, d=code.d, **vars(noise))
-    p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
-    if p_s < 1e-300:
-        raise ValueError(
-            f"success rate underflow (p_s = {p_s:.3g}); expected cost diverges"
-        )
-    return attempt_cost(code.d, noise.r) / p_s
-
-
 @dataclass(frozen=True)
 class ScaffoldPlan:
     d: int
@@ -180,18 +168,7 @@ class ScaffoldPlan:
     ghz_attempts_expected: float
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "m": self.m,
-            "theta_base": self.theta_base,
-            "theta_l_target": self.theta_l_target,
-            "expected_cost": self.expected_cost,
-            "predicted_error": self.predicted_error,
-            "breakdown": dict(self.breakdown),
-            "walk_steps_expected": self.walk_steps_expected,
-            "ghz_attempts_expected": self.ghz_attempts_expected,
-        }
+        return asdict(self)
 
 
 class InfeasibleError(Exception):

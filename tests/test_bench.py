@@ -104,7 +104,6 @@ class TestCohPrimitives:
     def test_ladder_single_rung(self):
         out = coh_ladder(4, 1e-4)
         assert out["error"] == coh_error_step(1e-4, 1e-4, 1e-4)
-        assert [lv["level"] for lv in out["levels"]] == [3, 4]
 
     def test_ladder_frozen_cost(self):
         out = coh_ladder(4, 1e-4, t_state_cost=12.6)

@@ -114,6 +114,56 @@ class TestParsing:
         assert "error:" in captured.err
 
 
+class TestFlagsRead:
+    """Each command accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--theta", "0.5", "--trials", "10", "--seed", "1", "--format", "csv"],
+            ["walk", "--m", "2", "--walks", "10", "--seed", "1", "--format", "csv"],
+            ["scaffold", "--theta-l", "2pi/2^10", "--format", "csv"],
+            ["codes", "validate", "perfect", "--format", "csv"],
+            ["codes", "list", "surface"],
+            ["codes", "list", "--d", "9"],
+        ],
+        ids=["simulate-format", "walk-format", "scaffold-format", "validate-format",
+             "list-code", "list-d"],
+    )
+    def test_unread_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_option_strings_are_pinned(self):
+        def commands(parser):
+            (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return sub.choices
+
+        def options(parser):
+            return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+        top = commands(cli.build_parser())
+        found = {name: options(p) for name, p in top.items() if name != "codes"}
+        found.update({f"codes {name}": options(p) for name, p in commands(top["codes"]).items()})
+        noise = {"--p-in", "--r"}
+        grid = {"--d-values", "--k-max", "--m-max"}
+        assert found == {
+            "codes list": {"--format", "--out"},
+            "codes validate": {"--d", "--out"},
+            "analyze": {"--code", "--d", "--theta", "--sigma", "--format", "--out"} | noise,
+            "simulate": {"--code", "--d", "--theta", "--trials", "--seed", "--threads",
+                         "--theta-l-target", "--readout-flip", "--inject-z", "--out"} | noise,
+            "walk": {"--m", "--walks", "--seed", "--out"},
+            "scaffold": {"--theta-l", "--code", "--error-ceiling", "--out"} | noise | grid,
+            "bench": {"--theta-l", "--methods", "--code", "--distill-costs", "--no-clifford",
+                      "--format", "--out"} | noise | grid,
+        }
+
+
 class TestCodesCommand:
     def test_list_json(self, capsys):
         rc, out, _ = run_main(["codes", "list"], capsys)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrot import codes
+from ftrot import codes, mcsim
 from ftrot.pauli import PauliString, commutes
 
 from oracles import first_order_multiplicity, matrices_commute, pauli_matrix
@@ -98,24 +98,31 @@ def test_logical_algebra(code):
     assert not commutes(code.logical_z, code.logical_x)
 
 
+def branch_checks(code):
+    """Indices of the generators with branch columns in the MC check plan."""
+    return tuple(i for i, (_, bcols) in enumerate(mcsim._stabilizer_plan(code)) if bcols.size)
+
+
 def test_noncommuting_set_matches_support_touch(code):
-    support_mask = 0
-    for q in code.z_support:
-        support_mask |= 1 << q
-    expected = tuple(
-        i for i, g in enumerate(code.stabilizers) if g.x & support_mask
-    )
-    assert code.noncommuting_set == expected
+    # a check has branch columns exactly where some Z_q on the rotation
+    # support anticommutes with it, at the support positions of those q
+    if code.name == "four-qubit":
+        with pytest.raises(ValueError, match="gives no rotation state"):
+            mcsim._stabilizer_plan(code)
+        return
+    z = [PauliString.single_z(code.n, q) for q in code.z_support]
+    for (_, bcols), g in zip(mcsim._stabilizer_plan(code), code.stabilizers):
+        expected = [pos for pos, zq in enumerate(z) if not commutes(zq, g)]
+        assert sorted(bcols.tolist()) == expected
 
 
 def test_noncommuting_set_sizes():
     # d-1 for the two main families; the transversal rotation only
     # collides with checks whose X part meets the support
-    assert len(codes.get_code("phase-flip", 5).noncommuting_set) == 4
-    assert len(codes.get_code("surface", 3).noncommuting_set) == 2
-    assert len(codes.get_code("surface", 7).noncommuting_set) == 6
-    assert len(codes.get_code("four-qubit").noncommuting_set) == 1
-    assert len(codes.get_code("perfect").noncommuting_set) == 4
+    assert len(branch_checks(codes.get_code("phase-flip", 5))) == 4
+    assert len(branch_checks(codes.get_code("surface", 3))) == 2
+    assert len(branch_checks(codes.get_code("surface", 7))) == 6
+    assert len(branch_checks(codes.get_code("perfect"))) == 4
 
 
 def test_perfect_code_commutation_table_exhaustive():
@@ -170,15 +177,13 @@ def test_stored_multiplicity_tuples():
 
 def test_replace_rederives_from_the_checks():
     # a surface d=3 copy whose logical Z is the diagonal times the
-    # Z-type check on qubits 3, 4, 6, 7: support, noncommuting set and
-    # counts all follow the new logical_z
+    # Z-type check on qubits 3, 4, 6, 7: support and counts both follow
+    # the new logical_z
     code = codes.get_code("surface", 3)
     moved = dataclasses.replace(
         code, logical_z=code.logical_z * PauliString.from_label("IIIZZIZZI")
     )
     assert moved.z_support == (0, 3, 6, 7, 8)
-    assert code.noncommuting_set == (2, 5)
-    assert moved.noncommuting_set == (2, 5, 7)
     mult = moved.error_multiplicities
     assert first_order_multiplicity(moved) == (mult.first_order, mult.readout_combos)
     assert codes.validate(moved).ok
@@ -263,3 +268,11 @@ def test_validate_flags_broken_code():
     report = codes.validate(bad)
     assert not report.ok
     assert report.failures
+
+
+def test_validate_flags_dependent_generators():
+    good = codes.get_code("phase-flip", 5)
+    first, second = good.stabilizers[:2]
+    dependent = dataclasses.replace(good, stabilizers=good.stabilizers[:-1] + (first * second,))
+    assert "generators are not independent" in codes.validate(dependent).failures
+    assert "generators are not independent" not in codes.validate(good).failures

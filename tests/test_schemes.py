@@ -99,12 +99,14 @@ class TestCostModel:
         assert schemes.attempt_cost(3, 2) == 17 * 3 / 27
 
     def test_prep_expected_cost(self):
+        # the (d, k = m = 1) plan prices one accepted state: attempt cost / p_s
         code = codes.get_code("surface", d=3)
+        theta_l = analytics.logical_angle(0.5, 3)
         noise = NoiseModel(p_in=0.0, r=2)
-        got = schemes.prep_expected_cost(code, 0.5, noise)
-        cfg = analytics.RotationConfig(theta=0.5, d=3, p_in=0.0, r=2)
+        (plan,) = schemes.iter_plans(theta_l, "surface", noise, d_values=(3,), k_max=1, m_max=1)
+        cfg = analytics.RotationConfig(theta=plan.theta_base, d=3, p_in=0.0, r=2)
         p_coh = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s_coh
-        assert got == pytest.approx(schemes.attempt_cost(3, 2) / p_coh)
+        assert plan.expected_cost == pytest.approx(schemes.attempt_cost(3, 2) / p_coh)
 
 
 class TestScaffold:
