@@ -332,8 +332,10 @@ def pareto_report(
 
     Methods are emitted in the order given; within a method, rows run
     from high error to low.  Baselines require a distillation table;
-    refusing to default one keeps external inputs explicit.  `grid`
-    (d_values, k_max, m_max) goes to `iter_plans` for "ours".
+    refusing to default one keeps external inputs explicit.  A table
+    without a baseline, or include_clifford=False without "rs", is
+    refused too: no method would read it.  `grid` (d_values, k_max,
+    m_max) goes to `iter_plans` for "ours".
     """
     known = {"ours", "rs", "coh"}
     unknown = [m for m in methods if m not in known]
@@ -347,6 +349,10 @@ def pareto_report(
             f"methods {needs_table} need a distillation cost table "
             "(--distill-costs or DistillCostTable)"
         )
+    if distill is not None and not needs_table:
+        raise ValueError(f"methods {list(methods)} read no distillation table (--distill-costs)")
+    if not include_clifford and "rs" not in methods:
+        raise ValueError(f"methods {list(methods)} read no Clifford setting (--no-clifford)")
 
     rows: list[dict] = []
     for method in methods:

@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=parse_angle, required=True)
     _add_noise_flags(p)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (generated and recorded if omitted)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed in [0, 2^64) (generated and recorded if omitted)")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker threads; does not affect results")
     p.add_argument("--theta-l-target", type=parse_angle, default=None,
@@ -366,9 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("walk", help="teleportation random-walk Monte Carlo")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True,
+                   help=f"walk target in steps, 1..{schemes.M_MAX}")
     p.add_argument("--walks", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed in [0, 2^64) (generated and recorded if omitted)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_walk)
 

@@ -23,9 +23,9 @@ judged from its branch string alone.
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
 Work is partitioned into fixed-size batches, batch i drawing from a
-counter-based Philox stream keyed by (seed, i).  All reductions are
-integer counts, so results are bit-identical for a given
-(seed, n_trials, batch_size, stream) regardless of thread count.
+counter-based Philox stream keyed by (seed, i), seed in [0, 2^64).
+All reductions are integer counts, so results are bit-identical for a
+given (seed, n_trials, batch_size, stream) regardless of thread count.
 `estimate` records the stream version as `params["stream"]`.  Stream 2
 draws, per batch:
 
@@ -103,6 +103,12 @@ def _worker_count(threads: int, n_batches: int) -> int:
     return min(threads, n_batches, os.cpu_count() or 1)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that is not a Philox key word, [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _philox_batches(
     seed: int,
     n: int,
@@ -118,13 +124,12 @@ def _philox_batches(
     (n, batch_size), so the results do not depend on `threads`.
     `progress(i + 1, n_batches)` is called once per finished batch.
     """
+    _check_seed(seed)
     n_batches = (n + batch_size - 1) // batch_size
     workers = _worker_count(threads, n_batches)
 
     def run(i: int):
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i])
-        )
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
         out = fn(rng, min(batch_size, n - i * batch_size))
         if progress is not None:
             progress(i + 1, n_batches)
@@ -275,6 +280,7 @@ def estimate(
         raise ValueError("n_trials must be >= 1")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_seed(seed)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if inject_z is not None and not 0 <= inject_z < code.n:

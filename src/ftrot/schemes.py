@@ -35,7 +35,7 @@ import numpy as np
 from . import analytics
 from .analytics import NoiseModel
 from .codes import StabilizerCode, get_code, require_rotation
-from .mcsim import _philox_batches
+from .mcsim import _check_seed, _philox_batches
 
 __all__ = [
     "D_VALUES",
@@ -93,45 +93,48 @@ class WalkStats:
             "plus_fraction": self.plus_fraction,
             "minus_fraction": self.minus_fraction,
             "seed": self.seed,
+            "stream": 2,
         }
 
 
+def _walk_cdf(m: int) -> np.ndarray:
+    """P(T <= t), t = 1, 2, ..., T the first time a fair +/-1 walk from 0 hits +/-m."""
+    live = np.zeros(2 * m + 1)
+    live[m] = left = 1.0
+    cdf = []
+    while left >= 2.0**-54:  # below a double uniform's resolution: cdf ends at 1.0
+        live = np.convolve(live, (0.5, 0.0, 0.5), mode="same")
+        live[0] = live[-1] = 0.0  # the ends absorb
+        left = min(left, float(live.sum()))
+        cdf.append(1.0 - left)
+    return np.array(cdf)
+
+
 def simulate_walk(m: int, n_walks: int, seed: int) -> WalkStats:
-    """Monte-Carlo the teleportation walk; records the terminal sign.
+    """Sample the teleportation walk; records the terminal sign.
 
     A +m terminal needs no fix-up; -m costs one Pauli-X correction.
-    Batches draw from Philox substreams keyed (seed, batch index), so
-    the result is deterministic for a given (seed, n_walks).
+    Batch i draws from Philox key (seed, i), seed in [0, 2^64): one
+    uniform per walk for its length T by inverse CDF, then one per walk
+    for its sign, a fair coin independent of T (stream 2).
     """
-    if m < 1 or n_walks < 1:
-        raise ValueError("m and n_walks must be >= 1")
-    step_cap = 1000 * m * m + 1000
+    if not 1 <= m <= M_MAX or n_walks < 1:
+        raise ValueError(f"need 1 <= m <= {M_MAX} and n_walks >= 1")
+    _check_seed(seed)
+    cdf = _walk_cdf(m)
 
-    def batch(rng: np.random.Generator, size: int) -> tuple[int, np.ndarray]:
-        pos = np.zeros(size, dtype=np.int32)
-        steps = np.zeros(size, dtype=np.int64)
-        active = np.ones(size, dtype=bool)
-        for _ in range(step_cap):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            moves = np.where(rng.random(idx.size) < 0.5, -1, 1).astype(np.int32)
-            pos[idx] += moves
-            steps[idx] += 1
-            done = np.abs(pos[idx]) >= m
-            active[idx[done]] = False
-        else:
-            raise RuntimeError(f"walk exceeded {step_cap} steps")
-        return int((pos == m).sum()), steps
+    def batch(rng: np.random.Generator, size: int) -> tuple[int, int, int]:
+        steps = np.searchsorted(cdf, rng.random(size), side="right") + 1
+        plus = np.count_nonzero(rng.random(size) < 0.5)
+        return plus, int(steps.sum()), int(steps @ steps)
 
-    results = _philox_batches(seed, n_walks, _WALK_BATCH, batch)
-    plus = sum(r[0] for r in results)
-    all_steps = np.concatenate([r[1] for r in results])
+    plus, s1, s2 = map(sum, zip(*_philox_batches(seed, n_walks, _WALK_BATCH, batch)))
+    var = (n_walks * s2 - s1 * s1) / (n_walks * (n_walks - 1)) if n_walks > 1 else 0.0
     return WalkStats(
         m=m,
         n_walks=n_walks,
-        mean_steps=float(all_steps.mean()),
-        std_steps=float(all_steps.std(ddof=1)) if n_walks > 1 else 0.0,
+        mean_steps=s1 / n_walks,
+        std_steps=math.sqrt(var),
         plus_fraction=plus / n_walks,
         minus_fraction=1.0 - plus / n_walks,
         seed=seed,
@@ -286,9 +289,6 @@ def scaffold_optimize(
     if not plans:
         raise ValueError("empty grid: no representable plan")
 
-    def order(p: ScaffoldPlan) -> tuple:
-        return (p.expected_cost, p.predicted_error, p.d, p.m, p.k)
-
     if error_ceiling is not None:
         feasible = [p for p in plans if p.predicted_error <= error_ceiling]
         if not feasible:
@@ -299,4 +299,4 @@ def scaffold_optimize(
                 best_plan=best,
             )
         plans = feasible
-    return min(plans, key=order)
+    return min(plans, key=lambda p: (p.expected_cost, p.predicted_error, p.d, p.m, p.k))

@@ -101,6 +101,27 @@ def walk_expected_steps_float(m: int) -> float:
     return float(np.linalg.solve(a, np.ones(size))[m - 1])
 
 
+def walk_hit_pmf_by_paths(m: int, t_max: int) -> np.ndarray:
+    """P(T = t), t = 1..t_max, for T the first time a fair +/-1 walk from
+    0 hits +/-m, by counting all 2^t_max equally likely step strings."""
+    paths = np.arange(1 << t_max)[:, None] >> np.arange(t_max) & 1
+    hit = np.abs(np.cumsum(2 * paths - 1, axis=1)) >= m
+    first = np.argmax(hit, axis=1)[hit.any(axis=1)]
+    return np.bincount(first, minlength=t_max) / float(1 << t_max)
+
+
+def walk_survival_spectral(m: int, t: np.ndarray) -> np.ndarray:
+    """P(T > t) for the same walk, from the eigenvalues cos(pi j / 2m) of
+    the interior chain (Feller vol. 1, ch. XIV.5):
+    (1/m) sum over odd j < 2m of (-1)^((j-1)/2) cot(pi j / 4m) cos(pi j / 2m)^t."""
+    t = np.asarray(t, dtype=float)
+    total = np.zeros_like(t)
+    for j in range(1, 2 * m, 2):
+        sign = -1.0 if j % 4 == 3 else 1.0
+        total += sign / math.tan(math.pi * j / (4 * m)) * math.cos(math.pi * j / (2 * m)) ** t
+    return total / m
+
+
 def gaussian_logical_angle_std(
     d: int, theta: float, sigma_theta: float, n_samples: int, seed: int
 ) -> float:

@@ -408,6 +408,14 @@ class TestOurCurveAndReport:
         with pytest.raises(ValueError, match="distill"):
             bench.pareto_report(["ours", "rs"], self.TARGET, self.NOISE)
 
+    def test_report_refuses_settings_no_method_reads(self, table):
+        with pytest.raises(ValueError, match="no distillation table"):
+            bench.pareto_report(["ours"], self.TARGET, self.NOISE, distill=table)
+        with pytest.raises(ValueError, match="no Clifford setting"):
+            bench.pareto_report(
+                ["ours", "coh"], self.TARGET, self.NOISE, distill=table, include_clifford=False
+            )
+
     def test_report_unknown_method(self):
         with pytest.raises(ValueError, match="unknown"):
             bench.pareto_report(["ours", "magic"], self.TARGET, self.NOISE)

@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -389,6 +390,45 @@ class TestWalkCommand:
         payload = json.loads(a.read_text())
         assert payload["expected_steps"] == 9
         assert payload["m"] == 3
+        assert payload["stream"] == 2
+
+    @pytest.mark.parametrize("m", ["0", "65"])
+    def test_m_outside_1_to_m_max_exits_2(self, capsys, m):
+        rc, out, err = run_main(["walk", "--m", m, "--walks", "10", "--seed", "1"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestSeedRange:
+    """A seed is a Philox key word, [0, 2^64): outside it nothing runs,
+    and the seeds from 2^63 on each get their own stream."""
+
+    COMMANDS = {
+        "walk": ["walk", "--m", "3", "--walks", "2000"],
+        "simulate": ["simulate", "--theta", "0.5", "--trials", "2000"],
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("command", ["walk", "simulate"])
+    def test_out_of_range_exits_2(self, capsys, command, seed):
+        # simulate at 2000 trials would warn; the refusal comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_main(self.COMMANDS[command] + ["--seed", str(seed)], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: seed must be in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.filterwarnings("ignore::ftrot.mcsim.RareEventWarning")
+    @pytest.mark.parametrize("command", ["walk", "simulate"])
+    def test_high_seeds_do_not_alias(self, capsys, command):
+        payloads = []
+        for seed in ((1 << 63) + 1, (1 << 63) + 1000):
+            rc, out, _ = run_main(self.COMMANDS[command] + ["--seed", str(seed)], capsys)
+            assert rc == 0
+            payload = json.loads(out)
+            assert payload.pop("seed") == seed
+            payloads.append(payload)
+        assert payloads[0] != payloads[1]
 
 
 class TestScaffoldCommand:
@@ -507,6 +547,21 @@ class TestBenchCommand:
             ["bench", "--theta-l", "2pi/2^10", "--methods", "magic"], capsys
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--methods", "ours", "--no-clifford", "--distill-costs", "bundled"],
+            ["--methods", "ours", "--distill-costs", "bundled"],
+            ["--methods", "ours", "--no-clifford"],
+            ["--methods", "ours,coh", "--no-clifford", "--distill-costs", "bundled"],
+        ],
+        ids=["ours-both", "ours-table", "ours-clifford", "coh-clifford"],
+    )
+    def test_flag_no_method_reads_exits_2(self, capsys, flags):
+        rc, out, err = run_main(["bench", "--theta-l", "2pi/2^10"] + flags, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: methods") and err.count("\n") == 1
 
 
 class TestGridFlags:

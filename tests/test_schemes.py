@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from ftrot import analytics, codes, schemes
 from ftrot.mcsim import NoiseModel
 from ftrot.schemes import InfeasibleError
 
-from oracles import walk_expected_steps_float
+from oracles import walk_expected_steps_float, walk_hit_pmf_by_paths, walk_survival_spectral
 
 
 class TestWalkExpectedSteps:
@@ -25,6 +26,35 @@ class TestWalkExpectedSteps:
     def test_domain(self):
         with pytest.raises(ValueError):
             schemes.walk_expected_steps(0)
+
+
+class TestWalkTable:
+    """`_walk_cdf` against path counting, the spectral form and the moments."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_matches_path_enumeration(self, m):
+        pmf = np.zeros(16)
+        table = np.diff(schemes._walk_cdf(m), prepend=0.0)[:16]
+        pmf[: table.size] = table
+        np.testing.assert_allclose(pmf, walk_hit_pmf_by_paths(m, 16), rtol=0, atol=1e-15)
+
+    def test_moments_and_tail_up_to_m_max(self):
+        for m in range(1, schemes.M_MAX + 1):
+            cdf = schemes._walk_cdf(m)
+            t = np.arange(1, cdf.size + 1)
+            pmf = np.diff(cdf, prepend=0.0)
+            mean = pmf @ t
+            assert cdf[-1] == 1.0 and np.all(pmf >= 0.0)
+            assert mean == pytest.approx(m * m, rel=1e-9)
+            assert pmf @ (t * t) - mean**2 == pytest.approx(
+                2 * m * m * (m * m - 1) / 3, rel=1e-9, abs=1e-9
+            )
+            # the mass the table leaves out, and the table at about 500 t
+            assert walk_survival_spectral(m, cdf.size) < 2.0**-53
+            every = t[:: -(-cdf.size // 500)]
+            np.testing.assert_allclose(
+                1.0 - cdf[every - 1], walk_survival_spectral(m, every), rtol=0, atol=1e-12
+            )
 
 
 class TestSimulateWalk:
@@ -66,6 +96,13 @@ class TestSimulateWalk:
             schemes.simulate_walk(0, 100, seed=1)
         with pytest.raises(ValueError):
             schemes.simulate_walk(3, 0, seed=1)
+
+    def test_refuses_m_above_m_max_and_seeds_outside_64_bits(self):
+        with pytest.raises(ValueError, match="m <= 64"):
+            schemes.simulate_walk(schemes.M_MAX + 1, 100, seed=1)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="seed"):
+                schemes.simulate_walk(3, 100, seed=seed)
 
 
 class TestGhzAttempts:
