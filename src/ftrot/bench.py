@@ -353,6 +353,10 @@ def pareto_report(
         raise ValueError(f"methods {list(methods)} read no distillation table (--distill-costs)")
     if not include_clifford and "rs" not in methods:
         raise ValueError(f"methods {list(methods)} read no Clifford setting (--no-clifford)")
+    if "ours" in methods and noise.p_in == 0.0:
+        raise ValueError(
+            "p_in = 0: every plan's predicted error is 0, which no cost-vs-error front holds"
+        )
 
     rows: list[dict] = []
     for method in methods:

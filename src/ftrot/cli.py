@@ -231,8 +231,14 @@ def cmd_scaffold(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    grid = _grid(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    given = [f"--{d.replace('_', '-')}" for d in args.planner if getattr(args, d) is not None]
+    if given and "ours" not in methods:
+        raise ValueError(f"methods {methods} read no planner flags ({', '.join(given)})")
+    for dest, default in args.planner.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    grid = _grid(args) if "ours" in methods else {}
     distill = None
     if args.distill_costs is not None:
         if args.distill_costs == "bundled":
@@ -395,7 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count T-state costs only in the synthesis baseline")
     _add_grid_flags(p)
     _add_output_flags(p, "csv")
-    p.set_defaults(func=cmd_bench)
+    # only "ours" reads the planner's flags: they start unset, so that
+    # cmd_bench can refuse them, and it fills in these defaults
+    planner = {dest: p.get_default(dest) for dest in ("code", "r", "d_values", "k_max", "m_max")}
+    p.set_defaults(func=cmd_bench, planner=planner, **dict.fromkeys(planner))
 
     return parser
 

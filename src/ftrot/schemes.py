@@ -93,38 +93,34 @@ class WalkStats:
             "plus_fraction": self.plus_fraction,
             "minus_fraction": self.minus_fraction,
             "seed": self.seed,
-            "stream": 2,
+            "stream": 3,
         }
 
 
-def _walk_cdf(m: int) -> np.ndarray:
-    """P(T <= t), t = 1, 2, ..., T the first time a fair +/-1 walk from 0 hits +/-m."""
-    live = np.zeros(2 * m + 1)
-    live[m] = left = 1.0
-    cdf = []
-    while left >= 2.0**-54:  # below a double uniform's resolution: cdf ends at 1.0
-        live = np.convolve(live, (0.5, 0.0, 0.5), mode="same")
-        live[0] = live[-1] = 0.0  # the ends absorb
-        left = min(left, float(live.sum()))
-        cdf.append(1.0 - left)
-    return np.array(cdf)
+def _walk_geometric_p(m: int) -> np.ndarray:
+    """p_j = sin^2((2j-1) pi / 2m), j = 1..floor(m/2), of T = (m mod 2) + 2 sum_j G_j."""
+    return np.sin(np.arange(1, m, 2) * (np.pi / (2 * m))) ** 2
 
 
 def simulate_walk(m: int, n_walks: int, seed: int) -> WalkStats:
     """Sample the teleportation walk; records the terminal sign.
 
     A +m terminal needs no fix-up; -m costs one Pauli-X correction.
-    Batch i draws from Philox key (seed, i), seed in [0, 2^64): one
-    uniform per walk for its length T by inverse CDF, then one per walk
-    for its sign, a fair coin independent of T (stream 2).
+    The hitting time T of +/-m has E[s^T] = 1/T_m(1/s), T_m the
+    Chebyshev polynomial, whose roots +/-cos((2j-1) pi / 2m) pair up:
+    T = (m mod 2) + 2 sum_j G_j over independent G_j ~ Geometric(p_j)
+    on {1, 2, ...}, p_j from `_walk_geometric_p`.  Batch i draws from
+    Philox key (seed, i), seed in [0, 2^64): one (walks, floor(m/2))
+    block of G_j, then one uniform per walk for its sign, a fair coin
+    independent of T (stream 3).  m <= M_MAX, the planner's walk grid.
     """
     if not 1 <= m <= M_MAX or n_walks < 1:
         raise ValueError(f"need 1 <= m <= {M_MAX} and n_walks >= 1")
     _check_seed(seed)
-    cdf = _walk_cdf(m)
+    p = _walk_geometric_p(m)
 
     def batch(rng: np.random.Generator, size: int) -> tuple[int, int, int]:
-        steps = np.searchsorted(cdf, rng.random(size), side="right") + 1
+        steps = m % 2 + 2 * rng.geometric(p, (size, p.size)).sum(axis=1)
         plus = np.count_nonzero(rng.random(size) < 0.5)
         return plus, int(steps.sum()), int(steps @ steps)
 

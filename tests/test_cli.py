@@ -390,7 +390,24 @@ class TestWalkCommand:
         payload = json.loads(a.read_text())
         assert payload["expected_steps"] == 9
         assert payload["m"] == 3
-        assert payload["stream"] == 2
+        assert payload["stream"] == 3
+
+    def test_stream_3_golden(self, capsys):
+        # 20,000 walks span two Philox batches; the numbers pin the
+        # stream-3 draw order (geometric block, then sign uniforms)
+        rc, out, _ = run_main(["walk", "--m", "5", "--walks", "20000", "--seed", "99"], capsys)
+        assert rc == 0
+        assert json.loads(out) == {
+            "m": 5,
+            "walks": 20000,
+            "mean_steps": 25.1095,
+            "std_steps": 20.055850059423566,
+            "expected_steps": 25,
+            "plus_fraction": 0.50475,
+            "minus_fraction": 0.49524999999999997,
+            "seed": 99,
+            "stream": 3,
+        }
 
     @pytest.mark.parametrize("m", ["0", "65"])
     def test_m_outside_1_to_m_max_exits_2(self, capsys, m):
@@ -563,9 +580,31 @@ class TestBenchCommand:
         assert (rc, out) == (2, "")
         assert err.startswith("error: methods") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--code", "perfect"], ["--r", "5"], ["--d-values", "5"], ["--k-max", "2"],
+         ["--m-max", "3"]],
+        ids=["code", "r", "d-values", "k-max", "m-max"],
+    )
+    def test_planner_flag_without_ours_exits_2(self, capsys, flag):
+        rc, out, err = run_main(
+            ["bench", "--theta-l", "2pi/2^10", "--methods", "rs,coh",
+             "--distill-costs", "bundled"] + flag,
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: methods ['rs', 'coh'] read no planner flags ({flag[0]})\n"
+
+    def test_p_in_zero_with_ours_exits_2(self, capsys):
+        # every plan's predicted error is 0 there: no point of a front
+        rc, out, err = run_main(["bench", "--theta-l", "2pi/2^10", "--p-in", "0"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: p_in = 0") and err.count("\n") == 1
+
 
 class TestGridFlags:
-    # the grid is checked at the boundary, also where no method reads it
+    # a bad grid exits 2 at the boundary; without "ours", bench refuses
+    # any grid flag as unread
     @pytest.mark.parametrize(
         "command",
         [

@@ -28,33 +28,48 @@ class TestWalkExpectedSteps:
             schemes.walk_expected_steps(0)
 
 
-class TestWalkTable:
-    """`_walk_cdf` against path counting, the spectral form and the moments."""
+def geometric_sum_pmf(m: int, t_max: int) -> np.ndarray:
+    """P(T = t), t = 0..t_max, of T = (m mod 2) + 2 sum_j G_j with
+    G_j ~ Geometric(p_j) on {1, 2, ...}; exact, since each G_j >= 1
+    makes the terms past t_max irrelevant below it."""
+    pmf = np.zeros(t_max + 1)
+    pmf[m % 2] = 1.0
+    k = np.arange(1, t_max // 2 + 1)
+    for p in schemes._walk_geometric_p(m):
+        g = np.zeros(t_max + 1)
+        g[2 * k] = p * (1.0 - p) ** (k - 1)
+        pmf = np.convolve(pmf, g)[: t_max + 1]
+    return pmf
+
+
+class TestWalkLaw:
+    """The geometric-sum law of the hitting time against path counting,
+    the spectral form and the moments."""
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_matches_path_enumeration(self, m):
-        pmf = np.zeros(16)
-        table = np.diff(schemes._walk_cdf(m), prepend=0.0)[:16]
-        pmf[: table.size] = table
-        np.testing.assert_allclose(pmf, walk_hit_pmf_by_paths(m, 16), rtol=0, atol=1e-15)
+        assert schemes._walk_geometric_p(m).size == m // 2
+        np.testing.assert_allclose(
+            geometric_sum_pmf(m, 16)[1:], walk_hit_pmf_by_paths(m, 16), rtol=0, atol=1e-15
+        )
 
-    def test_moments_and_tail_up_to_m_max(self):
+    def test_moments_up_to_m_max(self):
         for m in range(1, schemes.M_MAX + 1):
-            cdf = schemes._walk_cdf(m)
-            t = np.arange(1, cdf.size + 1)
-            pmf = np.diff(cdf, prepend=0.0)
-            mean = pmf @ t
-            assert cdf[-1] == 1.0 and np.all(pmf >= 0.0)
-            assert mean == pytest.approx(m * m, rel=1e-9)
-            assert pmf @ (t * t) - mean**2 == pytest.approx(
-                2 * m * m * (m * m - 1) / 3, rel=1e-9, abs=1e-9
-            )
-            # the mass the table leaves out, and the table at about 500 t
-            assert walk_survival_spectral(m, cdf.size) < 2.0**-53
-            every = t[:: -(-cdf.size // 500)]
-            np.testing.assert_allclose(
-                1.0 - cdf[every - 1], walk_survival_spectral(m, every), rtol=0, atol=1e-12
-            )
+            p = schemes._walk_geometric_p(m)
+            mean = m % 2 + 2.0 * np.sum(1.0 / p)
+            var = 4.0 * np.sum((1.0 - p) / p**2)
+            assert mean == pytest.approx(m * m, rel=1e-12)
+            assert var == pytest.approx(2 * m * m * (m * m - 1) / 3, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [7, 16])
+    def test_tail_matches_spectral_form(self, m):
+        t = np.arange(8 * m * m + 1)
+        np.testing.assert_allclose(
+            1.0 - np.cumsum(geometric_sum_pmf(m, t[-1])),
+            walk_survival_spectral(m, t),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestSimulateWalk:
