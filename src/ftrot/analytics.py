@@ -39,7 +39,9 @@ __all__ = [
     "branch_angle",
     "branch_infidelity",
     "accepted_error_model",
+    "first_order_rate",
     "success_rate",
+    "substrate_success",
     "coherent_angle_std",
     "multi_rotation_incoherent",
     "multi_rotation_coherent_std",
@@ -109,18 +111,63 @@ class SuccessRate(NamedTuple):
     p_s_coh: float
 
 
-def _stable_pow(base: float, exponent: float) -> float:
-    """base**exponent via exp/log for tiny bases; exact at the edges.
+def _log(x: float) -> float:
+    """math.log, with log 0 = -inf (a zero sine or tangent at theta = 0)."""
+    return math.log(x) if x else -math.inf
+
+
+def _pow_log(log_base: float, exponent: float) -> float:
+    """base**exponent for exponent >= 0 as exp(exponent * log(base)),
+    given log(base); exactly 1.0 at exponent 0, also for base 0.
 
     math.pow underflows to 0.0 the same way, so the two routes agree
     wherever direct evaluation is representable; the log route is kept
-    as the single code path for the large-exponent formulas.
+    as the single code path for the large-exponent formulas, and taking
+    the log once lets one angle share it across several powers.
     """
-    if base == 0.0:
-        return 0.0 if exponent > 0 else 1.0
-    if exponent == 0.0:
-        return 1.0
-    return math.exp(exponent * math.log(base))
+    return math.exp(exponent * log_base) if exponent else 1.0
+
+
+def _stable_pow(base: float, exponent: float) -> float:
+    """base**exponent (exponent >= 0) via `_pow_log`."""
+    return _pow_log(_log(base), exponent)
+
+
+def _branch_angle(log_t: float, d: int, m: int) -> float:
+    """branch_angle of weight class m for theta < pi, given log tan(theta/2).
+
+    Near pi, tan^{d-2m} can pass the float range (d >= 27 within 1e-12
+    of pi); the angle is then 2*atan(+/-inf) = +/-pi, as at pi itself.
+    """
+    sign = -1.0 if m % 2 else 1.0
+    try:
+        t = _pow_log(log_t, d - 2 * m)
+    except OverflowError:
+        t = math.inf
+    return 2.0 * math.atan(sign * t)
+
+
+def _rotation_terms(theta: float, d: int) -> tuple[float, float, float]:
+    """The theta-dependent terms of the model at support weight d:
+    p_s_coh = cos^{2d} + sin^{2d}, the weight-1 branch-pair weight
+    sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2 (half-angles implied) and
+    infid(1) = branch_infidelity(1, d, theta).
+
+    log cos, log sin and log tan are taken once and every power is
+    `_pow_log` of one of them, so each term has the bits of the
+    per-power `_stable_pow` route.
+    """
+    half = theta / 2.0
+    s = math.sin(half)
+    c = math.cos(half)
+    log_s, log_c = _log(s), _log(c)
+    pair = s * s * _pow_log(log_c, 2 * (d - 1)) + _pow_log(log_s, 2 * (d - 1)) * c * c
+    p_s_coh = _pow_log(log_c, 2 * d) + _pow_log(log_s, 2 * d)
+    if theta == math.pi:
+        return p_s_coh, pair, branch_infidelity(1, d, theta)
+    log_t = _log(math.tan(half))
+    phi = _branch_angle(log_t, d, min(1, d - 1))
+    return p_s_coh, pair, math.sin((_branch_angle(log_t, d, 0) - phi) / 2.0) ** 2
 
 
 def logical_angle(theta: float, d: int) -> float:
@@ -137,7 +184,7 @@ def logical_angle(theta: float, d: int) -> float:
         raise ValueError(f"d must be >= 1, got {d}")
     if theta == math.pi:
         return math.pi
-    return 2.0 * math.atan(_stable_pow(math.tan(theta / 2.0), d))
+    return _branch_angle(_log(math.tan(theta / 2.0)), d, 0)
 
 
 def branch_angle(b_weight: int, d: int, theta: float) -> float:
@@ -153,11 +200,9 @@ def branch_angle(b_weight: int, d: int, theta: float) -> float:
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta}")
     m = min(b_weight, d - b_weight)
-    sign = -1.0 if m % 2 else 1.0
     if theta == math.pi:
-        return sign * math.pi
-    t = _stable_pow(math.tan(theta / 2.0), d - 2 * m)
-    return 2.0 * math.atan(sign * t)
+        return (-1.0 if m % 2 else 1.0) * math.pi
+    return _branch_angle(_log(math.tan(theta / 2.0)), d, m)
 
 
 def branch_infidelity(b_weight: int, d: int, theta: float,
@@ -188,37 +233,39 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     sin^{2(d-1)}(theta/2) / cos(theta/2), with the flip term divided
     by (1-p_in).
     """
-    d = cfg.d
-    s = math.sin(cfg.theta / 2.0)
-    c = math.cos(cfg.theta / 2.0)
-    pair = (
-        s * s * _stable_pow(c, 2 * (d - 1))
-        + _stable_pow(s, 2 * (d - 1)) * c * c
-    )
-    p_s_coh = _stable_pow(c, 2 * d) + _stable_pow(s, 2 * d)
-    infid = branch_infidelity(1, d, cfg.theta)
-    flip_rate = mult.first_order * (cfg.p_in / 3.0) / (1.0 - cfg.p_in)
-    mask_rate = mult.readout_combos * _stable_pow(cfg.readout_flip, cfg.r)
-    return (flip_rate + mask_rate) * pair * infid / p_s_coh
+    p_s_coh, pair, infid = _rotation_terms(cfg.theta, cfg.d)
+    return first_order_rate(cfg, mult) * pair * infid / p_s_coh
+
+
+def first_order_rate(noise: NoiseModel, mult: Multiplicities) -> float:
+    """Rate of the first-order paths into the weight-1 branch: the flip
+    paths, m1 (p_in/3) / (1-p_in), plus r-fold readout masking,
+    readout_combos * readout_flip^r.  `accepted_error_model` scales it
+    by the theta-dependent terms."""
+    flip_rate = mult.first_order * (noise.p_in / 3.0) / (1.0 - noise.p_in)
+    return flip_rate + mult.readout_combos * _stable_pow(noise.readout_flip, noise.r)
 
 
 def success_rate(cfg: RotationConfig, n_qubits: int, n_stabilizers: int) -> SuccessRate:
     """Acceptance probability split into substrate and coherent parts.
 
-    p_s_in = (1-p_in)^{r n} (1-readout_flip)^{r n_stab}: no substrate error
-    on any qubit and no readout flip on any check over r cycles.
-    p_s_coh = cos^{2d} + sin^{2d}: the trivial branch pair's weight.
+    p_s_in from `substrate_success`; p_s_coh = cos^{2d} + sin^{2d}: the
+    trivial branch pair's weight.
     """
+    p_s_in = substrate_success(cfg, n_qubits, n_stabilizers)
+    p_s_coh = _rotation_terms(cfg.theta, cfg.d)[0]
+    return SuccessRate(p_s=p_s_in * p_s_coh, p_s_in=p_s_in, p_s_coh=p_s_coh)
+
+
+def substrate_success(noise: NoiseModel, n_qubits: int, n_stabilizers: int) -> float:
+    """p_s_in = (1-p_in)^{r n} (1-readout_flip)^{r n_stab}: no substrate
+    error on any qubit and no readout flip on any check over r cycles."""
     if n_qubits < 1 or n_stabilizers < 0:
         raise ValueError("invalid qubit/stabilizer counts")
-    p_s_in = (
-        _stable_pow(1.0 - cfg.p_in, cfg.r * n_qubits)
-        * _stable_pow(1.0 - cfg.readout_flip, cfg.r * n_stabilizers)
+    return (
+        _stable_pow(1.0 - noise.p_in, noise.r * n_qubits)
+        * _stable_pow(1.0 - noise.readout_flip, noise.r * n_stabilizers)
     )
-    c = math.cos(cfg.theta / 2.0)
-    s = math.sin(cfg.theta / 2.0)
-    p_s_coh = _stable_pow(c, 2 * cfg.d) + _stable_pow(s, 2 * cfg.d)
-    return SuccessRate(p_s=p_s_in * p_s_coh, p_s_in=p_s_in, p_s_coh=p_s_coh)
 
 
 def coherent_angle_std(d: int, theta_l0: float, sigma_frac: float) -> float:

@@ -278,20 +278,28 @@ def our_method_curve(
 ) -> list[CostPoint]:
     """Pareto front of the scaffold grid for this target angle; `grid`
     (d_values, k_max, m_max) goes to `iter_plans` unchanged.  A grid
-    with no plan is an error, not an empty curve."""
-    points = [
-        CostPoint(
-            method="ours",
-            logical_error=plan.predicted_error,
-            cost_d3=plan.expected_cost,
-            d=plan.d,
-            theta=plan.theta_base,
-            k=plan.k,
-            m=plan.m,
-            error_kind="incoherent",
+    with no plan is an error, not an empty curve, and so is a plan whose
+    predicted error is 0 (p_in = 0, or an error that underflows): no
+    cost-vs-error front holds it."""
+    points = []
+    for plan in iter_plans(theta_l, code_family, noise, **grid):
+        if plan.predicted_error == 0.0:
+            raise ValueError(
+                f"p_in = {noise.p_in}: the predicted error of plan (d, k, m) = "
+                f"({plan.d}, {plan.k}, {plan.m}) is 0, which no cost-vs-error front holds"
+            )
+        points.append(
+            CostPoint(
+                method="ours",
+                logical_error=plan.predicted_error,
+                cost_d3=plan.expected_cost,
+                d=plan.d,
+                theta=plan.theta_base,
+                k=plan.k,
+                m=plan.m,
+                error_kind="incoherent",
+            )
         )
-        for plan in iter_plans(theta_l, code_family, noise, **grid)
-    ]
     if not points:
         raise ValueError("empty grid: no representable plan")
     return pareto_front(points)
@@ -353,10 +361,6 @@ def pareto_report(
         raise ValueError(f"methods {list(methods)} read no distillation table (--distill-costs)")
     if not include_clifford and "rs" not in methods:
         raise ValueError(f"methods {list(methods)} read no Clifford setting (--no-clifford)")
-    if "ours" in methods and noise.p_in == 0.0:
-        raise ValueError(
-            "p_in = 0: every plan's predicted error is 0, which no cost-vs-error front holds"
-        )
 
     rows: list[dict] = []
     for method in methods:

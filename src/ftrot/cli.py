@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import os
 import re
 import sys
 import time
+import types
 
 from . import analytics, bench, codes, mcsim, schemes
 
@@ -402,16 +404,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_output_flags(p, "csv")
     # only "ours" reads the planner's flags: they start unset, so that
-    # cmd_bench can refuse them, and it fills in these defaults
+    # cmd_bench can refuse them, and it fills in these defaults; every
+    # parse shares the mapping, so it is read-only
     planner = {dest: p.get_default(dest) for dest in ("code", "r", "d_values", "k_max", "m_max")}
-    p.set_defaults(func=cmd_bench, planner=planner, **dict.fromkeys(planner))
+    p.set_defaults(func=cmd_bench, planner=types.MappingProxyType(planner),
+                   **dict.fromkeys(planner))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, and
+    building it costs about as much as a `walk` query."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_out(args.out)
         return args.func(args)

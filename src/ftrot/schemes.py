@@ -27,14 +27,14 @@ The plan grid is searched over d in D_VALUES, k in 1..K_MAX and m in
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode, get_code, require_rotation
+from .codes import get_code, require_rotation
 from .mcsim import _check_seed, _philox_batches
 
 __all__ = [
@@ -153,8 +153,14 @@ def attempt_cost(d: int, r: int) -> float:
     return (2 * d * d - 1) * (r + 1) / d**3
 
 
-@dataclass(frozen=True)
-class ScaffoldPlan:
+class ScaffoldPlan(NamedTuple):
+    """One (d, k, m) cell of the plan grid; an immutable record.
+
+    A named tuple rather than a frozen dataclass: `iter_plans` builds
+    one per grid cell, and a dataclass __init__ costs several times
+    as much.
+    """
+
     d: int
     k: int
     m: int
@@ -167,7 +173,7 @@ class ScaffoldPlan:
     ghz_attempts_expected: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "breakdown": dict(self.breakdown)}
 
 
 class InfeasibleError(Exception):
@@ -179,52 +185,25 @@ class InfeasibleError(Exception):
 
 
 def _base_state(
-    step_angle: float, code: StabilizerCode, noise: NoiseModel
+    step_angle: float, d: int, p_s_in: float, rate: float
 ) -> tuple[float, float, float] | None:
     """Physical angle, success rate and accepted error of the state whose
-    logical angle is step_angle, or None when no such state exists."""
+    logical angle is step_angle, or None when no such state exists.
+
+    p_s_in and rate are `analytics.substrate_success` and
+    `analytics.first_order_rate` of the code and noise; p_s and the
+    error are `success_rate(...).p_s` and `accepted_error_model(...)`,
+    bit for bit, without a RotationConfig per state.
+    """
     if not 0.0 < step_angle < math.pi:
         return None
     # invert the accepted-angle chain: theta_L(base) = step_angle
-    theta_base = 2.0 * math.atan(math.tan(step_angle / 2.0) ** (1.0 / code.d))
-    cfg = analytics.RotationConfig(theta=theta_base, d=code.d, **vars(noise))
-    p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
+    theta_base = 2.0 * math.atan(math.tan(step_angle / 2.0) ** (1.0 / d))
+    p_s_coh, pair, infid = analytics._rotation_terms(theta_base, d)
+    p_s = p_s_in * p_s_coh
     if p_s <= 0.0:
         return None
-    return theta_base, p_s, analytics.accepted_error_model(cfg, code.error_multiplicities)
-
-
-def _make_plan(
-    theta_l_target: float,
-    d: int,
-    k: int,
-    m: int,
-    attempt: float,
-    state: tuple[float, float, float],
-) -> ScaffoldPlan:
-    theta_base, p_s, eps_base = state
-    walk_steps = walk_expected_steps(m)
-    attempts = ghz_expected_attempts(p_s, k)
-    prep = walk_steps * attempts * k * attempt
-    merge = walk_steps * attempts * k * _GHZ_MERGE_COST_PER_LEG if k >= 2 else 0.0
-    teleport = walk_steps * _TELEPORT_STEP_COST if m >= 2 else 0.0
-    breakdown = {
-        "prep_attempts": prep,
-        "ghz_merges": merge,
-        "walk_teleports": teleport,
-    }
-    return ScaffoldPlan(
-        d=d,
-        k=k,
-        m=m,
-        theta_base=theta_base,
-        theta_l_target=theta_l_target,
-        expected_cost=prep + merge + teleport,
-        predicted_error=walk_steps * k * eps_base,
-        breakdown=breakdown,
-        walk_steps_expected=walk_steps,
-        ghz_attempts_expected=attempts,
-    )
+    return theta_base, p_s, rate * pair * infid / p_s_coh
 
 
 def iter_plans(
@@ -245,6 +224,9 @@ def iter_plans(
     or has p_s = 0, and when its GHZ attempt count or expected cost
     overflows a float: such a cell is as hopeless as p_s = 0.  A code
     that `require_rotation` refuses raises ValueError.
+
+    A cell's walk takes m^2 steps (`walk_expected_steps`) and its GHZ
+    stage p_s^-k attempts (`ghz_expected_attempts`), both inlined here.
     """
     if theta_l_target <= 0.0:
         raise ValueError("theta_l_target must be positive")
@@ -252,20 +234,32 @@ def iter_plans(
         code = get_code(code_family, d)
         require_rotation(code)
         attempt = attempt_cost(d, noise.r)
+        p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
+        rate = analytics.first_order_rate(noise, code.error_multiplicities)
         states: dict[int, tuple[float, float, float] | None] = {}
         for k in range(1, k_max + 1):
             for m in range(1, m_max + 1):
                 if k * m not in states:
-                    states[k * m] = _base_state(theta_l_target / (k * m), code, noise)
+                    states[k * m] = _base_state(theta_l_target / (k * m), d, p_s_in, rate)
                 state = states[k * m]
                 if state is None:
                     continue
+                theta_base, p_s, eps_base = state
+                walk_steps = m * m
                 try:
-                    plan = _make_plan(theta_l_target, d, k, m, attempt, state)
+                    attempts = p_s ** -k
                 except OverflowError:
                     continue
-                if math.isfinite(plan.expected_cost):
-                    yield plan
+                prep = walk_steps * attempts * k * attempt
+                merge = walk_steps * attempts * k * _GHZ_MERGE_COST_PER_LEG if k >= 2 else 0.0
+                teleport = walk_steps * _TELEPORT_STEP_COST if m >= 2 else 0.0
+                cost = prep + merge + teleport
+                if math.isfinite(cost):
+                    yield ScaffoldPlan(
+                        d, k, m, theta_base, theta_l_target, cost, walk_steps * k * eps_base,
+                        {"prep_attempts": prep, "ghz_merges": merge, "walk_teleports": teleport},
+                        walk_steps, attempts,
+                    )
 
 
 def scaffold_optimize(

@@ -194,6 +194,31 @@ def logical_angle_reference(theta: float, d: int) -> float:
     return 2.0 * math.asin(s / math.hypot(s, c))
 
 
+def rotation_terms_per_power(theta: float, d: int) -> tuple[float, float, float]:
+    """p_s_coh, weight-1 pair weight and infid(1), with each power taken
+    on its own as exp(e * log(base)) and the angles through tan(theta/2)
+    again for each: the reference that `analytics._rotation_terms`, which
+    shares one log per base, must match bit for bit."""
+
+    def power(base: float, e: int) -> float:
+        if base == 0.0:
+            return 0.0 if e > 0 else 1.0
+        return math.exp(e * math.log(base)) if e else 1.0
+
+    s = math.sin(theta / 2.0)
+    c = math.cos(theta / 2.0)
+    pair = s * s * power(c, 2 * (d - 1)) + power(s, 2 * (d - 1)) * c * c
+    p_s_coh = power(c, 2 * d) + power(s, 2 * d)
+    m = min(1, d - 1)
+    sign = -1.0 if m % 2 else 1.0
+    if theta == math.pi:
+        theta_l, phi = math.pi, sign * math.pi
+    else:
+        theta_l = 2.0 * math.atan(power(math.tan(theta / 2.0), d))
+        phi = 2.0 * math.atan(sign * power(math.tan(theta / 2.0), d - 2 * m))
+    return p_s_coh, pair, math.sin((theta_l - phi) / 2.0) ** 2
+
+
 def logical_angle_small(theta: float, d: int) -> float:
     """Small-angle form 2*(theta/2)**d of the accepted logical angle."""
     return 2.0 * (theta / 2.0) ** d

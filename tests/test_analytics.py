@@ -17,6 +17,7 @@ from oracles import (
     logical_angle_reference,
     logical_angle_small,
     pauli_matrix,
+    rotation_terms_per_power,
     statevector_branch_angles,
 )
 
@@ -210,6 +211,43 @@ class TestAcceptedErrorModel:
         mult = code.error_multiplicities
         ratio = compact_error_first_order(cfg, mult) / analytics.accepted_error_model(cfg, mult)
         assert ratio == pytest.approx(1 - 1e-3, abs=5e-6)
+
+
+class TestRotationTerms:
+    def test_match_per_power_route_bit_for_bit(self):
+        # the shared logs must not move one bit of any term: edges, the
+        # planner's small angles and random angles, odd and even d
+        rng = np.random.default_rng(15)
+        thetas = [0.0, -0.0, math.pi, math.nextafter(math.pi, 0.0), 1e-300, 5e-324, 0.5]
+        thetas += [math.ldexp(math.tau, -k) for k in range(2, 40)]
+        thetas += list(rng.uniform(0.0, math.pi, 500))
+        for d in range(1, 16):
+            for theta in thetas:
+                assert analytics._rotation_terms(theta, d) == rotation_terms_per_power(theta, d)
+
+    def test_powers_past_the_float_range_give_pi(self):
+        # tan^27 of half an angle 1e-12 short of pi overflows a float;
+        # the angles are then +/-pi, as at pi itself, not an OverflowError
+        theta = 3.141592653588
+        assert analytics.logical_angle(theta, 27) == math.pi
+        assert analytics.branch_angle(1, 27, theta) == -math.pi
+        cfg = RotationConfig(theta=theta, d=27, p_in=1e-3)
+        assert analytics.success_rate(cfg, 10, 9).p_s_coh == 1.0
+        assert 0.0 < analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2)) < 1e-50
+
+    def test_public_model_is_built_from_them(self):
+        code = get_code("surface", 5)
+        noise = NoiseModel(p_in=1e-3, r=2)
+        cfg = RotationConfig(theta=0.7, d=5, **vars(noise))
+        p_s_coh, pair, infid = rotation_terms_per_power(0.7, 5)
+        rate = analytics.first_order_rate(noise, code.error_multiplicities)
+        p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
+        assert analytics.accepted_error_model(cfg, code.error_multiplicities) == (
+            rate * pair * infid / p_s_coh
+        )
+        assert analytics.success_rate(cfg, code.n, len(code.stabilizers)) == (
+            p_s_in * p_s_coh, p_s_in, p_s_coh
+        )
 
 
 class TestSuccessRate:

@@ -211,6 +211,12 @@ class TestAnalyzeCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_angle_past_the_float_range_of_tan_power(self, capsys):
+        # tan^27(theta/2) overflows 1e-12 short of pi: a row, not a traceback
+        rc, out, err = run_main(["analyze", "--d", "27", "--theta", "3.141592653588"], capsys)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1].startswith("3.141592653588,3.141592653589793,")
+
     def test_csv_header_and_sweep(self, capsys):
         rc, out, _ = run_main(["analyze", "--theta", "0.2:0.8:4"], capsys)
         assert rc == 0
@@ -600,6 +606,60 @@ class TestBenchCommand:
         rc, out, err = run_main(["bench", "--theta-l", "2pi/2^10", "--p-in", "0"], capsys)
         assert (rc, out) == (2, "")
         assert err.startswith("error: p_in = 0") and err.count("\n") == 1
+
+    def test_subnormal_p_in_with_ours_exits_2(self, capsys):
+        # the model error underflows to 0 there: the same rule as p_in = 0
+        rc, out, err = run_main(["bench", "--theta-l", "2pi/2^10", "--p-in", "5e-324"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: p_in = 5e-324: ") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; every call must still
+    behave as with a parser of its own."""
+
+    SEQUENCE = [
+        ["bench", "--theta-l", "2pi/2^10", "--methods", "rs,coh", "--distill-costs", "bundled",
+         "--k-max", "3"],
+        ["bench", "--theta-l", "2pi/2^6", "--methods", "ours,rs,coh", "--distill-costs",
+         "bundled", "--d-values", "3,5", "--m-max", "4"],
+        ["bench", "--theta-l", "2pi/2^10", "--methods", "rs,coh", "--distill-costs", "bundled"],
+        ["walk", "--m", "3", "--walks", "2000", "--seed", "5"],
+        ["walk", "--m", "3", "--walks", "2000", "--seed", "-1"],
+        ["walk", "--m", "3", "--walks", "2000", "--seed", "x"],
+        ["scaffold", "--theta-l", "2pi/2^8"],
+        ["bench", "--theta-l", "2pi/2^6"],
+    ]
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_matches_a_fresh_parser_per_call(self, capsys, monkeypatch):
+        assert cli._parser() is cli._parser()
+        reused = [self.call(argv, capsys) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [self.call(argv, capsys) for argv in self.SEQUENCE]
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [2, 0, 0, 0, 2, 2, 0, 0]
+
+    def test_planner_defaults_do_not_leak(self):
+        defaults = {"code": "surface", "r": 2, "d_values": None,
+                    "k_max": schemes.K_MAX, "m_max": schemes.M_MAX}
+        parser = cli._parser()
+        args = parser.parse_args(["bench", "--theta-l", "1", "--k-max", "3", "--r", "4"])
+        assert (args.k_max, args.r) == (3, 4)
+        assert dict(args.planner) == defaults
+        with pytest.raises(TypeError):
+            args.planner["k_max"] = 3
+        args = parser.parse_args(["bench", "--theta-l", "1"])
+        assert all(getattr(args, dest) is None for dest in defaults)
+        assert dict(args.planner) == defaults
 
 
 class TestGridFlags:

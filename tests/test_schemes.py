@@ -197,6 +197,24 @@ class TestScaffold:
         assert model_error(plan) <= 1e-7
         assert (plan.d, plan.k, plan.m) == (5, 5, 1)
 
+    @pytest.mark.parametrize(
+        "family,d", [("surface", 3), ("surface", 7), ("phase-flip", 5), ("perfect", None)]
+    )
+    def test_base_states_are_the_public_model_bit_for_bit(self, family, d):
+        # the planner shares p_s_in and the first-order rate across a
+        # code's states; p_s and the error must still be success_rate's
+        # and accepted_error_model's own bits
+        code = codes.get_code(family, d)
+        for noise in (self.NOISE, NoiseModel(p_in=1e-4, r=3),
+                      NoiseModel(p_in=2e-2, r=1, readout_flip=1e-3)):
+            p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
+            rate = analytics.first_order_rate(noise, code.error_multiplicities)
+            for step in [math.ldexp(math.tau, -k) for k in range(2, 60)] + [0.3, 2.5, 3.1]:
+                theta_base, p_s, eps = schemes._base_state(step, code.d, p_s_in, rate)
+                cfg = analytics.RotationConfig(theta=theta_base, d=code.d, **vars(noise))
+                assert p_s == analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
+                assert eps == analytics.accepted_error_model(cfg, code.error_multiplicities)
+
     def test_breakdown_sums_to_total(self):
         for plan in schemes.iter_plans(
             self.TARGET, "surface", self.NOISE, d_values=(3, 5), k_max=3, m_max=5
@@ -254,6 +272,19 @@ class TestScaffold:
         assert d["d"] == plan.d and d["theta_base"] == plan.theta_base
         assert d["breakdown"] == plan.breakdown
         assert d["walk_steps_expected"] == 1
+
+    def test_plan_record_is_immutable_with_fixed_keys(self):
+        plan = schemes.scaffold_optimize(self.TARGET, "surface", self.NOISE)
+        with pytest.raises(AttributeError):
+            plan.d = 3
+        d = plan.to_dict()
+        assert list(d) == [
+            "d", "k", "m", "theta_base", "theta_l_target", "expected_cost",
+            "predicted_error", "breakdown", "walk_steps_expected", "ghz_attempts_expected",
+        ]
+        assert list(d["breakdown"]) == ["prep_attempts", "ghz_merges", "walk_teleports"]
+        d["breakdown"]["ghz_merges"] = -1.0
+        assert plan.breakdown["ghz_merges"] == 0.0
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
