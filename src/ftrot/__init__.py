@@ -28,7 +28,6 @@ from .schemes import (
     InfeasibleError,
     ScaffoldPlan,
     attempt_cost,
-    ghz_expected_attempts,
     scaffold_optimize,
     simulate_walk,
     walk_expected_steps,
@@ -59,7 +58,6 @@ __all__ = [
     "InfeasibleError",
     "walk_expected_steps",
     "simulate_walk",
-    "ghz_expected_attempts",
     "attempt_cost",
     "scaffold_optimize",
     "CostPoint",

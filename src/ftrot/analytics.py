@@ -11,7 +11,7 @@ logical Z rotation whose angle depends only on the weight class
 m = min(|b|, d-|b|).  This module collects the resulting closed forms:
 the accepted logical angle, the per-branch angles, the one
 accepted-error model (first order, readout masking included), success
-rates, coherent-noise spread and multi-rotation trade-offs.  Every
+rates and coherent-noise spread.  Every
 code that `codes.require_rotation` accepts goes through the same forms;
 a code enters only through its support weight and its derived error
 multiplicities.
@@ -43,8 +43,6 @@ __all__ = [
     "success_rate",
     "substrate_success",
     "coherent_angle_std",
-    "multi_rotation_incoherent",
-    "multi_rotation_coherent_std",
 ]
 
 
@@ -281,36 +279,3 @@ def coherent_angle_std(d: int, theta_l0: float, sigma_frac: float) -> float:
     if theta_l0 < 0 or sigma_frac < 0:
         raise ValueError("inputs must be non-negative")
     return math.sqrt(d) * theta_l0 * sigma_frac
-
-
-def multi_rotation_incoherent(m: int, cfg: RotationConfig, d_prime: int) -> float:
-    """Total incoherent error of m sequential rotations hitting the
-    same target angle, each at physical angle theta / m^{1/d}.
-
-    m * d' * (p/3) * sin^{2(d-1)}(theta/(2 m^{1/d})) * cos^2(...):
-    splitting a rotation reduces the per-step angle slowly enough that
-    the total scales as m^{-(1-2/d)} (the error-time trade-off).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    scaled = cfg.theta / (2.0 * _stable_pow(float(m), 1.0 / cfg.d))
-    s = math.sin(scaled)
-    c = math.cos(scaled)
-    return (
-        m
-        * d_prime
-        * (cfg.p_in / 3.0)
-        * _stable_pow(s, 2 * (cfg.d - 1))
-        * c
-        * c
-    )
-
-
-def multi_rotation_coherent_std(m: int, d: int, sigma_frac: float) -> float:
-    """Fractional coherent spread after m split rotations: sqrt(d/m) * sigma_frac."""
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be >= 1")
-    if sigma_frac < 0:
-        raise ValueError("sigma_frac must be non-negative")
-    return math.sqrt(d / m) * sigma_frac
-

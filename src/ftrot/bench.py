@@ -280,29 +280,31 @@ def our_method_curve(
     (d_values, k_max, m_max) goes to `iter_plans` unchanged.  A grid
     with no plan is an error, not an empty curve, and so is a plan whose
     predicted error is 0 (p_in = 0, or an error that underflows): no
-    cost-vs-error front holds it."""
-    points = []
+    cost-vs-error front holds it.  `pareto_front` scans the plan records
+    themselves; only the plans on the front become cost points."""
+    plans = []
     for plan in iter_plans(theta_l, code_family, noise, **grid):
         if plan.predicted_error == 0.0:
             raise ValueError(
                 f"p_in = {noise.p_in}: the predicted error of plan (d, k, m) = "
                 f"({plan.d}, {plan.k}, {plan.m}) is 0, which no cost-vs-error front holds"
             )
-        points.append(
-            CostPoint(
-                method="ours",
-                logical_error=plan.predicted_error,
-                cost_d3=plan.expected_cost,
-                d=plan.d,
-                theta=plan.theta_base,
-                k=plan.k,
-                m=plan.m,
-                error_kind="incoherent",
-            )
-        )
-    if not points:
+        plans.append(plan)
+    if not plans:
         raise ValueError("empty grid: no representable plan")
-    return pareto_front(points)
+    return [
+        CostPoint(
+            method="ours",
+            logical_error=plan.predicted_error,
+            cost_d3=plan.expected_cost,
+            d=plan.d,
+            theta=plan.theta_base,
+            k=plan.k,
+            m=plan.m,
+            error_kind="incoherent",
+        )
+        for plan in pareto_front(plans)
+    ]
 
 
 def _dyadic_level(theta: float) -> int | None:

@@ -309,9 +309,10 @@ def _grid(args) -> dict:
     """The grid flags, checked here whichever methods will read them; an
     unset --d-values is D_VALUES for the parametrized families and the
     code's own distance for the fixed ones."""
-    for flag, value in (("--k-max", args.k_max), ("--m-max", args.m_max)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    for flag, value, top in (("--k-max", args.k_max, schemes.K_MAX),
+                             ("--m-max", args.m_max, schemes.M_MAX)):
+        if not 1 <= value <= top:
+            raise ValueError(f"{flag} must be in [1, {top}], got {value}")
     d_values = args.d_values
     if d_values is None:
         if codes.is_parametrized(args.code):

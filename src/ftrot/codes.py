@@ -192,7 +192,7 @@ def phase_flip_code(d: int) -> StabilizerCode:
     With no Z-type checks, Y on a support qubit has Z's syndrome, so
     both feed the first-order path.
     """
-    _require_odd(d)
+    _require_distance(d)
     stabs = tuple(
         PauliString(d, (0b11 << i), 0) for i in range(d - 1)
     )
@@ -221,7 +221,7 @@ def rotated_surface_code(d: int) -> StabilizerCode:
     main diagonal and the logical X along the anti-diagonal, so the
     rotation support is the d diagonal qubits.
     """
-    _require_odd(d)
+    _require_distance(d)
     n = d * d
 
     def qubit(r: int, c: int) -> int:
@@ -362,6 +362,11 @@ def get_code(name: str, d: int | None = None) -> StabilizerCode:
     return _FIXED[name]()
 
 
+# the largest distance a parametrized family builds: the surface code's
+# build time and memory grow as d^4
+D_MAX = 51
+
+
 def check_distance(name: str, d: int | None) -> None:
     """Raise ValueError unless `get_code(name, d)` accepts the pair.
 
@@ -371,7 +376,7 @@ def check_distance(name: str, d: int | None) -> None:
     if name in _PARAMETRIZED:
         if d is None:
             raise ValueError(f"code {name!r} needs a distance d")
-        _require_odd(d)
+        _require_distance(d)
     elif name in _FIXED:
         fixed = _FIXED[name]().d
         if d is not None and d != fixed:
@@ -380,9 +385,9 @@ def check_distance(name: str, d: int | None) -> None:
         raise ValueError(f"unknown code {name!r}")
 
 
-def _require_odd(d: int) -> None:
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"d must be odd and >= 3, got {d}")
+def _require_distance(d: int) -> None:
+    if not (3 <= d <= D_MAX and d % 2):
+        raise ValueError(f"d must be odd and in [3, {D_MAX}], got {d}")
 
 
 # --------------------------------------------------------------------

@@ -47,7 +47,6 @@ __all__ = [
     "InfeasibleError",
     "walk_expected_steps",
     "simulate_walk",
-    "ghz_expected_attempts",
     "iter_plans",
     "scaffold_optimize",
 ]
@@ -137,17 +136,6 @@ def simulate_walk(m: int, n_walks: int, seed: int) -> WalkStats:
     )
 
 
-def ghz_expected_attempts(p_s: float, m: int) -> float:
-    """Expected attempts until m parallel preparations all succeed."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if p_s <= 0.0:
-        raise ValueError("p_s = 0: expected attempts diverge")
-    if p_s > 1.0:
-        raise ValueError("p_s must be a probability")
-    return p_s ** (-m)
-
-
 def attempt_cost(d: int, r: int) -> float:
     """One preparation attempt, in d^3 units: 2d^2-1 qubits for r+1 cycles."""
     return (2 * d * d - 1) * (r + 1) / d**3
@@ -158,7 +146,10 @@ class ScaffoldPlan(NamedTuple):
 
     A named tuple rather than a frozen dataclass: `iter_plans` builds
     one per grid cell, and a dataclass __init__ costs several times
-    as much.
+    as much.  `logical_error` and `cost_d3` name the two coordinates
+    the way `bench.CostPoint` does, so `bench.pareto_front` reads plan
+    records directly and `bench` builds a `CostPoint` only for the
+    plans on the front.
     """
 
     d: int
@@ -171,6 +162,14 @@ class ScaffoldPlan(NamedTuple):
     breakdown: dict
     walk_steps_expected: int
     ghz_attempts_expected: float
+
+    @property
+    def logical_error(self) -> float:
+        return self.predicted_error
+
+    @property
+    def cost_d3(self) -> float:
+        return self.expected_cost
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "breakdown": dict(self.breakdown)}
@@ -225,8 +224,8 @@ def iter_plans(
     overflows a float: such a cell is as hopeless as p_s = 0.  A code
     that `require_rotation` refuses raises ValueError.
 
-    A cell's walk takes m^2 steps (`walk_expected_steps`) and its GHZ
-    stage p_s^-k attempts (`ghz_expected_attempts`), both inlined here.
+    A cell's walk takes m^2 steps (`walk_expected_steps`, inlined here)
+    and its GHZ stage p_s^-k attempts.
     """
     if theta_l_target <= 0.0:
         raise ValueError("theta_l_target must be positive")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ftrot import analytics
-from ftrot.analytics import NoiseModel
+from ftrot.analytics import NoiseModel, RotationConfig, _stable_pow
 from ftrot.codes import StabilizerCode, syndrome
 from ftrot.pauli import PauliString
 
@@ -135,6 +135,38 @@ def gaussian_logical_angle_std(
     prod = np.prod(np.tan((theta + deltas) / 2.0), axis=1)
     angles = 2.0 * np.arctan(prod)
     return float(np.std(angles, ddof=1))
+
+
+def multi_rotation_incoherent(m: int, cfg: RotationConfig, d_prime: int) -> float:
+    """Total incoherent error of m sequential rotations hitting the
+    same target angle, each at physical angle theta / m^{1/d}.
+
+    m * d' * (p/3) * sin^{2(d-1)}(theta/(2 m^{1/d})) * cos^2(...):
+    splitting a rotation reduces the per-step angle slowly enough that
+    the total scales as m^{-(1-2/d)} (the error-time trade-off).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    scaled = cfg.theta / (2.0 * _stable_pow(float(m), 1.0 / cfg.d))
+    s = math.sin(scaled)
+    c = math.cos(scaled)
+    return (
+        m
+        * d_prime
+        * (cfg.p_in / 3.0)
+        * _stable_pow(s, 2 * (cfg.d - 1))
+        * c
+        * c
+    )
+
+
+def multi_rotation_coherent_std(m: int, d: int, sigma_frac: float) -> float:
+    """Fractional coherent spread after m split rotations: sqrt(d/m) * sigma_frac."""
+    if m < 1 or d < 1:
+        raise ValueError("m and d must be >= 1")
+    if sigma_frac < 0:
+        raise ValueError("sigma_frac must be non-negative")
+    return math.sqrt(d / m) * sigma_frac
 
 
 def first_order_multiplicity(code) -> tuple[int, int]:

@@ -16,6 +16,8 @@ from oracles import (
     gaussian_logical_angle_std,
     logical_angle_reference,
     logical_angle_small,
+    multi_rotation_coherent_std,
+    multi_rotation_incoherent,
     pauli_matrix,
     rotation_terms_per_power,
     statevector_branch_angles,
@@ -305,24 +307,27 @@ class TestCoherent:
 
 
 class TestMultiRotation:
+    """The oracle's flip-only split-rotation model, the reference of
+    `test_08`; the planner ranks with `schemes._base_state`."""
+
     CFG = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
 
     def test_m1_reduces_to_one_shot(self):
-        got = analytics.multi_rotation_incoherent(1, self.CFG, 3)
+        got = multi_rotation_incoherent(1, self.CFG, 3)
         want = 3 * (1e-3 / 3) * math.sin(0.25) ** 4 * math.cos(0.25) ** 2
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_ratio_example(self):
         cfg = RotationConfig(theta=0.2, d=3, p_in=1e-3)
-        ratio = analytics.multi_rotation_incoherent(
+        ratio = multi_rotation_incoherent(
             100, cfg, 3
-        ) / analytics.multi_rotation_incoherent(1, cfg, 3)
+        ) / multi_rotation_incoherent(1, cfg, 3)
         assert ratio == pytest.approx(0.21889901681276538, rel=1e-12)
         assert abs(ratio / 100 ** (-1 / 3) - 1.0) < 0.05
 
     def test_scaling_exponent(self):
         ms = np.unique(np.round(np.logspace(1, 3, 25)).astype(int))
-        eps = [analytics.multi_rotation_incoherent(int(m), self.CFG, 3) for m in ms]
+        eps = [multi_rotation_incoherent(int(m), self.CFG, 3) for m in ms]
         slope = np.polyfit(np.log(ms), np.log(eps), 1)[0]
         assert abs(abs(slope) - (1 - 2 / 3)) < 0.05 * (1 - 2 / 3)
 
@@ -331,14 +336,14 @@ class TestMultiRotation:
         # product scales as m^(2/d): nearly constant at d = 25
         cfg = RotationConfig(theta=0.1, d=25, p_in=1e-3)
         prods = [
-            m * analytics.multi_rotation_incoherent(m, cfg, 25) for m in (10, 1000)
+            m * multi_rotation_incoherent(m, cfg, 25) for m in (10, 1000)
         ]
         assert max(prods) / min(prods) < 100 ** (2 / 25) * 1.05
 
     def test_coherent_fractional(self):
-        assert analytics.multi_rotation_coherent_std(3, 3, 0.01) == pytest.approx(0.01)
-        assert analytics.multi_rotation_coherent_std(12, 3, 0.01) == pytest.approx(0.005)
-        assert analytics.multi_rotation_coherent_std(20, 5, 0.01) == pytest.approx(
+        assert multi_rotation_coherent_std(3, 3, 0.01) == pytest.approx(0.01)
+        assert multi_rotation_coherent_std(12, 3, 0.01) == pytest.approx(0.005)
+        assert multi_rotation_coherent_std(20, 5, 0.01) == pytest.approx(
             0.005, rel=1e-12
         )
 
@@ -346,7 +351,7 @@ class TestMultiRotation:
     @given(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=9))
     def test_coherent_inverse_sqrt_m(self, m, d):
         # std * sqrt(m) is m-independent
-        v = analytics.multi_rotation_coherent_std(m, d, 0.01)
+        v = multi_rotation_coherent_std(m, d, 0.01)
         assert v * math.sqrt(m) == pytest.approx(math.sqrt(d) * 0.01, rel=1e-12)
 
 

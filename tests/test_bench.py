@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrot import bench, cli
+from ftrot import bench, cli, schemes
 from ftrot.bench import (
     COH_COSTS,
     CostPoint,
@@ -396,6 +396,18 @@ class TestOurCurveAndReport:
         assert pts
         assert pts == pareto_front(pts)
         assert all(p.method == "ours" and p.error_kind == "incoherent" for p in pts)
+
+    def test_our_curve_builds_cost_points_for_the_front_only(self, monkeypatch):
+        built = []
+
+        def counting_cost_point(*args, **kwargs):
+            built.append(1)
+            return CostPoint(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "CostPoint", counting_cost_point)
+        front = bench.our_method_curve(self.TARGET, "surface", self.NOISE)
+        plans = list(schemes.iter_plans(self.TARGET, "surface", self.NOISE))
+        assert len(built) == len(front) < len(plans)
 
     def test_report_ours_only_without_table(self):
         rows = bench.pareto_report(

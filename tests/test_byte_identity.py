@@ -47,6 +47,16 @@ CASES = {
     # exit 3: the payload carries the closest plan
     "scaffold-ceiling": ([["scaffold", "--theta-l", "2pi/2^10", "--error-ceiling", "1e-9"]],
                          "9bbe653b8417fce7d175c369738e81ea3c058177e81a2ebe96b6d0c845c32545"),
+    # the front on the fixed-distance codes and on a narrowed grid
+    "bench-ours-perfect": ([["bench", "--methods", "ours", "--code", "perfect",
+                             "--theta-l", "2pi/2^10"]],
+                           "d04b85317fa5fdd34a69ce27e1b6f68998fc11342dbf3fa42959a4a3913f9a4a"),
+    "bench-ours-phase-flip": ([["bench", "--methods", "ours", "--code", "phase-flip",
+                                "--d-values", "3,5", "--theta-l", "2pi/2^10"]],
+                              "9e2e0da458c7f93a18608c087165d500e90f553467ab171cd4f691f6a348c1a4"),
+    "bench-ours-narrow": ([["bench", "--methods", "ours", "--d-values", "3,5", "--k-max", "3",
+                            "--m-max", "8", "--theta-l", "2pi/2^10"]],
+                          "fa801b3accd75a7e5d7722f1fc0fc65c42593858c5409dee6642019ec0169544"),
     # theta = 0 included: the zero-base edge of the log-domain powers
     "analyze": ([["analyze", "--theta", "0:1.5:7", "--d", "5"]],
                 "010c87719869312222920f19c37b803ca08b712f895db68a10d0da9b59509ff8"),

@@ -217,6 +217,11 @@ class TestAnalyzeCommand:
         assert (rc, err) == (0, "")
         assert out.splitlines()[1].startswith("3.141592653588,3.141592653589793,")
 
+    def test_distance_above_d_max_exits_2(self, capsys):
+        rc, out, err = run_main(["analyze", "--d", "53", "--theta", "0.5"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "51" in err
+
     def test_csv_header_and_sweep(self, capsys):
         rc, out, _ = run_main(["analyze", "--theta", "0.2:0.8:4"], capsys)
         assert rc == 0
@@ -676,8 +681,9 @@ class TestGridFlags:
     )
     @pytest.mark.parametrize(
         "flag",
-        [["--k-max", "-5"], ["--m-max", "0"], ["--d-values", "4"]],
-        ids=["k-max", "m-max", "d-values"],
+        [["--k-max", "-5"], ["--m-max", "0"], ["--d-values", "4"], ["--k-max", "10"],
+         ["--m-max", "65"]],
+        ids=["k-max", "m-max", "d-values", "k-max-above", "m-max-above"],
     )
     def test_bad_grid_exits_2(self, capsys, command, flag):
         rc, out, err = run_main(command + ["--theta-l", "2pi/2^7"] + flag, capsys)

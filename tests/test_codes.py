@@ -50,7 +50,7 @@ def test_get_code_distance_handling():
 
 
 def test_check_distance_agrees_with_get_code():
-    pairs = [(name, d) for name in codes.list_codes() for d in (None, 1, 2, 3, 4, 5)]
+    pairs = [(name, d) for name in codes.list_codes() for d in (None, 1, 2, 3, 4, 5, 51, 53)]
     pairs.append(("no-such-code", 3))
     for name, d in pairs:
         try:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ftrot import analytics, codes, schemes
 from ftrot.mcsim import NoiseModel
@@ -120,31 +118,6 @@ class TestSimulateWalk:
                 schemes.simulate_walk(3, 100, seed=seed)
 
 
-class TestGhzAttempts:
-    def test_values(self):
-        assert schemes.ghz_expected_attempts(1.0, 5) == 1.0
-        assert schemes.ghz_expected_attempts(0.5, 2) == 4.0
-        assert schemes.ghz_expected_attempts(0.8, 1) == pytest.approx(1.25)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="diverge"):
-            schemes.ghz_expected_attempts(0.0, 2)
-        with pytest.raises(ValueError):
-            schemes.ghz_expected_attempts(1.5, 2)
-        with pytest.raises(ValueError):
-            schemes.ghz_expected_attempts(0.5, 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(min_value=0.01, max_value=1.0),
-        st.integers(min_value=1, max_value=9),
-    )
-    def test_monotone_in_m(self, p_s, m):
-        assert schemes.ghz_expected_attempts(p_s, m + 1) >= schemes.ghz_expected_attempts(
-            p_s, m
-        )
-
-
 class TestCostModel:
     def test_defaults(self):
         # 2d^2-1 = 17 qubits for r+1 = 3 cycles, in d^3 = 27 units
@@ -196,6 +169,19 @@ class TestScaffold:
         assert plan.predicted_error == pytest.approx(model_error(plan), rel=1e-12, abs=0)
         assert model_error(plan) <= 1e-7
         assert (plan.d, plan.k, plan.m) == (5, 5, 1)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_split_rotation_trade_off(self, d):
+        # m states at theta_L / m: the planner's total error m * eps
+        # falls as m^-(1-2/d), over test_08's m = 10..1000
+        code = codes.get_code("surface", d)
+        p_s_in = analytics.substrate_success(self.NOISE, code.n, len(code.stabilizers))
+        rate = analytics.first_order_rate(self.NOISE, code.error_multiplicities)
+        theta_l = analytics.logical_angle(0.5, d)
+        ms = np.unique(np.round(np.logspace(1, 3, 25)).astype(int))
+        eps = [m * schemes._base_state(theta_l / m, d, p_s_in, rate)[2] for m in ms]
+        slope = float(np.polyfit(np.log(ms), np.log(eps), 1)[0])
+        assert abs(slope / -(1.0 - 2.0 / d) - 1.0) < 0.05
 
     @pytest.mark.parametrize(
         "family,d", [("surface", 3), ("surface", 7), ("phase-flip", 5), ("perfect", None)]
