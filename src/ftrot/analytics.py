@@ -10,8 +10,9 @@ Error detection keeps only the pair {b, bbar}; the surviving state is a
 logical Z rotation whose angle depends only on the weight class
 m = min(|b|, d-|b|).  This module collects the resulting closed forms:
 the accepted logical angle, the per-branch angles, the one
-accepted-error model (first order, readout masking included), success
-rates and coherent-noise spread.  Every
+accepted-error model (through second order: every accepted set of at
+most two data faults and readout flips, plus r-fold readout masking),
+success rates and coherent-noise spread.  Every
 code that `codes.require_rotation` accepts goes through the same forms;
 a code enters only through its support weight and its derived error
 multiplicities.
@@ -39,6 +40,8 @@ __all__ = [
     "branch_angle",
     "branch_infidelity",
     "accepted_error_model",
+    "accepted_error_classes",
+    "class_rates",
     "first_order_rate",
     "success_rate",
     "substrate_success",
@@ -149,11 +152,27 @@ def _rotation_terms(theta: float, d: int) -> tuple[float, float, float]:
     """The theta-dependent terms of the model at support weight d:
     p_s_coh = cos^{2d} + sin^{2d}, the weight-1 branch-pair weight
     sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2 (half-angles implied) and
-    infid(1) = branch_infidelity(1, d, theta).
+    infid(1) = branch_infidelity(1, d, theta).  See `_model_terms`.
+    """
+    p_s_coh, pair, infid, _ = _model_terms(theta, d, (0.0,))
+    return p_s_coh, pair, infid
 
-    log cos, log sin and log tan are taken once and every power is
-    `_pow_log` of one of them, so each term has the bits of the
-    per-power `_stable_pow` route.
+
+def _model_terms(
+    theta: float, d: int, rates: tuple[float, ...]
+) -> tuple[float, float, float, float]:
+    """`_rotation_terms`, then the model error given `class_rates`.
+
+    The weight-1 terms take log cos, log sin and log tan once and every
+    power by `_pow_log`, so they have the bits of the per-power
+    `_stable_pow` route; the weight-1 part of the error is
+    `first_order_rate`'s product with them, in the first-order model's
+    operation order.  A class m >= 2 of nonzero rate adds rate times
+    its pair weight s^{2m} c^{2(d-m)} + s^{2(d-m)} c^{2m} times infid(m),
+    over p_s_coh.  That product is (s c)^{2(d-m)} (s^{2m} - (-1)^m
+    c^{2m})^2 / p_s_coh (half-angles implied): no tangent, so nothing
+    overflows near pi, and no difference of two angles near pi cancels.
+    With no fault sets listed the error has the first-order model's bits.
     """
     half = theta / 2.0
     s = math.sin(half)
@@ -162,10 +181,22 @@ def _rotation_terms(theta: float, d: int) -> tuple[float, float, float]:
     pair = s * s * _pow_log(log_c, 2 * (d - 1)) + _pow_log(log_s, 2 * (d - 1)) * c * c
     p_s_coh = _pow_log(log_c, 2 * d) + _pow_log(log_s, 2 * d)
     if theta == math.pi:
-        return p_s_coh, pair, branch_infidelity(1, d, theta)
-    log_t = _log(math.tan(half))
-    phi = _branch_angle(log_t, d, min(1, d - 1))
-    return p_s_coh, pair, math.sin((_branch_angle(log_t, d, 0) - phi) / 2.0) ** 2
+        infid = branch_infidelity(1, d, theta)
+    else:
+        log_t = _log(math.tan(half))
+        phi = _branch_angle(log_t, d, min(1, d - 1))
+        infid = math.sin((_branch_angle(log_t, d, 0) - phi) / 2.0) ** 2
+    error = rates[0] * pair * infid / p_s_coh
+    if len(rates) > 1:
+        s2, c2, sc2 = s * s, c * c, (s * c) ** 2
+        s2m, c2m = s2, c2
+        for m in range(2, len(rates) + 1):
+            s2m *= s2
+            c2m *= c2
+            if rates[m - 1]:
+                cross = s2m - c2m if m % 2 == 0 else s2m + c2m
+                error += rates[m - 1] * (sc2 ** (d - m) * cross * cross / p_s_coh) / p_s_coh
+    return p_s_coh, pair, infid, error
 
 
 def logical_angle(theta: float, d: int) -> float:
@@ -217,31 +248,77 @@ def branch_infidelity(b_weight: int, d: int, theta: float,
 
 
 def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
-    """Exact first-order prediction of the Monte-Carlo mean infidelity.
+    """Prediction of the Monte-Carlo mean infidelity through second order.
 
-    Each first-order path (flip projection, secondary flip, r-fold
-    readout masking) lands the accepted state in the weight-1 branch.
-    Per instance, the branch pair {b, bbar} is sampled with probability
-    sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2, the surviving state is off
-    by branch_angle(1), and the acceptance normalization is p_s_coh.
-    The (1-p_in)^{-1} factor accounts for the conditioning of the
-    single-error path on the otherwise-clean history; all neglected
-    contributions are higher order in p_in.  As theta -> 0 it tends to
-    the compact published form (m1 p_in/3 + combos q^r)
-    sin^{2(d-1)}(theta/2) / cos(theta/2), with the flip term divided
-    by (1-p_in).
+    A fault set (data faults and readout flips over r cycles) that
+    leaves the same syndrome in every cycle, equal to the syndrome of
+    some branch strings, is accepted with those strings; the accepted
+    state is then off by branch_angle(m) of their class m.  The model
+    sums every such set of at most two locations (`codes.Multiplicities
+    .fault_sets`) and the r-fold readout masking path, each weighted by
+    its rate (`class_rates`), the probability of its branch pairs and
+    their class infidelity, and normalizes by p_s_coh.  Sets of three
+    or more locations are left out, and so is the accepted-fault mass in
+    the normalization.  With a hand-built `Multiplicities`, which lists
+    no fault sets, only the first-order paths remain: flip projection,
+    secondary flip and masking into the weight-1 branch.  As theta -> 0
+    that part tends to the compact published form (m1 p_in/3 + combos
+    q^r) sin^{2(d-1)}(theta/2) / cos(theta/2), with the flip term
+    divided by (1-p_in).
     """
-    p_s_coh, pair, infid = _rotation_terms(cfg.theta, cfg.d)
-    return first_order_rate(cfg, mult) * pair * infid / p_s_coh
+    return _model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))[3]
+
+
+def accepted_error_classes(cfg: RotationConfig, mult: Multiplicities) -> tuple[float, ...]:
+    """The model's part from each weight class m = 1, 2, ...: the class
+    rate times the pair weight s^{2m} c^{2(d-m)} + s^{2(d-m)} c^{2m}
+    (half-angles implied) times infid(m), over p_s_coh.  They add up
+    to `accepted_error_model`."""
+    rates = class_rates(cfg, mult)
+    return tuple(
+        _model_terms(cfg.theta, cfg.d, tuple(r if i == m else 0.0 for i, r in enumerate(rates)))[3]
+        for m in range(len(rates))
+    )
 
 
 def first_order_rate(noise: NoiseModel, mult: Multiplicities) -> float:
     """Rate of the first-order paths into the weight-1 branch: the flip
     paths, m1 (p_in/3) / (1-p_in), plus r-fold readout masking,
-    readout_combos * readout_flip^r.  `accepted_error_model` scales it
-    by the theta-dependent terms."""
+    readout_combos * readout_flip^r.  `class_rates` adds the rest."""
     flip_rate = mult.first_order * (noise.p_in / 3.0) / (1.0 - noise.p_in)
     return flip_rate + mult.readout_combos * _stable_pow(noise.readout_flip, noise.r)
+
+
+def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
+    """Rate of the accepted fault sets per weight class m = 1, 2, ...
+
+    Class 1 starts from `first_order_rate`.  Every other fault set of at
+    most two locations adds a = (p_in/3)/(1-p_in) per data fault and q =
+    readout_flip per flip, as the first-order paths do: the rate of a
+    data fault on a history that is otherwise clean, and the flip
+    probability without its (1-q)^-1 conditioning, a relative O(q)
+    change.  The order-2 sets are the parts of `mult.fault_sets(r)` not
+    already in `first_order_rate`: the flip-projection and
+    secondary-flip faults in class 1 and, for r <= 2, the masking flips.
+    """
+    sets = mult.fault_sets(noise.r)
+    rate = first_order_rate(noise, mult)
+    if not sets:
+        return (rate,)
+    a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
+    q = noise.readout_flip
+    order_one = sets[0]._replace(data=sets[0].data - mult.first_order)
+    if noise.r == 1:
+        order_one = order_one._replace(flip=order_one.flip - mult.readout_combos)
+    elif noise.r == 2:
+        order_one = order_one._replace(flip_flip=order_one.flip_flip - mult.readout_combos)
+    rates = []
+    for counts in (order_one, *sets[1:]):
+        data, flip, data_data, data_flip, flip_flip = counts
+        rates.append(data * a + flip * q + data_data * a * a + data_flip * a * q
+                     + flip_flip * q * q)
+    rates[0] = rate + rates[0]
+    return tuple(rates)
 
 
 def success_rate(cfg: RotationConfig, n_qubits: int, n_stabilizers: int) -> SuccessRate:

@@ -26,8 +26,14 @@ Those count the single-qubit errors on the rotated support that a
 weight-one branch pattern hides (``flip_projection``), the off-support
 errors hidden the same way (``secondary_flip``), and the weight-one
 branch patterns whose syndrome a single readout flip can mask
-(``readout_combos``).  The test suite re-derives the counts by direct
-enumeration.
+(``readout_combos``).  The model's second order comes from
+``Multiplicities.fault_sets``: per number of cycles r, every accepted
+set of at most two data faults and readout flips, tallied by the weight
+classes of the branch strings it is accepted with.  It is enumerated
+once per check layout and r, shared by every code object with those
+checks; `branch_coset` solves for those strings over GF(2).  The test
+suite re-derives the counts by direct enumeration and walks every fault
+set one at a time.
 
 `require_rotation` is the one rule for which codes the protocol
 covers; the Monte Carlo engine, the planner and ``analyze`` call it.
@@ -35,9 +41,11 @@ covers; the Monte Carlo engine, the planner and ``analyze`` call it.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,10 +81,41 @@ class Multiplicities:
     secondary_flip: int
     readout_combos: int
 
+    # what the fault-set enumeration reads: the check bit mask of each
+    # single-qubit channel (qubit-major, X Y Z), of Z on each support
+    # position and the check count; empty in a hand-built instance,
+    # whose model is then order 1 alone
+    channels: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    branch_columns: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    n_checks: int = field(default=0, repr=False, compare=False)
+
     @property
     def first_order(self) -> int:
         """Total multiplicity of the first-order substrate error path."""
         return self.flip_projection + self.secondary_flip
+
+    def fault_sets(self, r: int) -> tuple[FaultSetCounts, ...]:
+        """Per weight class m = 1..d//2, the accepted fault sets of at
+        most two locations over r cycles (see `FaultSetCounts`)."""
+        return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r)
+
+
+class FaultSetCounts(NamedTuple):
+    """Accepted fault sets of one weight class, by their locations.
+
+    A location is one data fault (qubit, cycle, X/Y/Z) or one readout
+    flip (check, cycle).  A set is accepted with branch strings b when
+    the observed syndrome is the same in every cycle and equals H_b b;
+    those b form a coset (`branch_coset`).  Each field sums, over the
+    sets with that many data faults and flips, the coset's branch pairs
+    {b, bbar} of the class.
+    """
+
+    data: int
+    flip: int
+    data_data: int
+    data_flip: int
+    flip_flip: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +181,15 @@ class StabilizerCode:
                 if trips in hidden:
                     counts[q not in on_support] += 1
         readout = sum(1 for q in self.z_support if z_trips[q].bit_count() == 1)
-        return Multiplicities(counts[0], counts[1], readout)
+        channels = tuple(
+            trips
+            for q in range(self.n)
+            for trips in (x_trips[q], x_trips[q] ^ z_trips[q], z_trips[q])
+        )
+        return Multiplicities(
+            counts[0], counts[1], readout, channels,
+            tuple(z_trips[q] for q in self.z_support), len(self.stabilizers),
+        )
 
 
 def syndrome(error: PauliString, code: StabilizerCode) -> Syndrome:
@@ -169,6 +216,133 @@ def require_rotation(code: StabilizerCode) -> None:
             f"code {code.name!r} gives no rotation state: its logical Z "
             "must be pure Z with odd weight d"
         )
+
+
+def branch_coset(columns: tuple[int, ...], syndrome: int) -> tuple[int, ...] | None:
+    """The branch strings b with H_b b = syndrome, counted by weight.
+
+    columns[j] is the check bit mask that Z on support position j
+    trips, so H_b b is the XOR of the columns that b selects.  Returns
+    counts[w], the number of such b of weight w = 0..d, or None when no
+    branch string has this syndrome.  Over GF(2) the strings are one
+    solution b0 plus every sum of kernel vectors (2 strings, b0 and its
+    complement, for the registered codes).
+    """
+    rows, kernel = _branch_basis(columns)
+    rest, b0 = _reduce(rows, syndrome)
+    if rest:
+        return None
+    coset = [b0]
+    for k in kernel:
+        coset += [b ^ k for b in coset]
+    counts = [0] * (len(columns) + 1)
+    for b in coset:
+        counts[b.bit_count()] += 1
+    return tuple(counts)
+
+
+@functools.lru_cache(maxsize=64)
+def _branch_basis(
+    columns: tuple[int, ...],
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """Echelon form of the branch columns: rows (leading check, mask,
+    support positions summed), leading checks distinct and descending,
+    and a basis of the kernel as support-position masks."""
+    rows: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for j, col in enumerate(columns):
+        mask, pos = col, 1 << j
+        while mask:
+            lead = mask.bit_length() - 1
+            if lead not in rows:
+                rows[lead] = (mask, pos)
+                break
+            mask ^= rows[lead][0]
+            pos ^= rows[lead][1]
+        else:
+            kernel.append(pos)
+    return tuple((lead, *rows[lead]) for lead in sorted(rows, reverse=True)), tuple(kernel)
+
+
+def _reduce(rows: tuple[tuple[int, int, int], ...], syndrome: int) -> tuple[int, int]:
+    """(remainder, support positions) of a syndrome against the echelon
+    rows.  The remainder is the same for two syndromes exactly when
+    their XOR is a branch syndrome, and 0 for the branch syndromes."""
+    pos = 0
+    for lead, mask, p in rows:
+        if syndrome >> lead & 1:
+            syndrome ^= mask
+            pos ^= p
+    return syndrome, pos
+
+
+@functools.lru_cache(maxsize=64)
+def _fault_set_counts(
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
+) -> tuple[FaultSetCounts, ...]:
+    """`Multiplicities.fault_sets`, cached by value, so every code object
+    built with the same checks shares one enumeration per r.
+
+    With s_t the observed syndrome of cycle t (data faults persist from
+    their cycle on, a flip acts in its cycle only), a set is accepted
+    when s_1 = ... = s_r.  That leaves:
+      * one data fault: in cycle 1, or with a zero syndrome in any cycle;
+      * one flip: only when r = 1;
+      * two data faults in one cycle: cycle 1, or syndromes that cancel;
+        in cycles t1 < t2: the later one has a zero syndrome and the
+        earlier is in cycle 1 or has a zero syndrome too;
+      * a data fault and a flip: r = 1; or, for r >= 2, a fault of
+        syndrome e_i in cycle 2 with the flip of check i in cycle 1
+        (seen as e_i throughout), or both in cycle r (seen as 0);
+      * two flips: r = 1; r = 2 on one check in both cycles.
+    Two faults can only be accepted together when their syndromes have
+    the same remainder against the branch columns, so pairs are only
+    formed inside those groups.
+    """
+    classes = len(columns) // 2
+    counts = [[0] * 5 for _ in range(classes)]
+    seen: dict[int, tuple[int, ...] | None] = {}
+
+    def add(syndrome: int, kind: int, times: int = 1) -> None:
+        if syndrome not in seen:
+            seen[syndrome] = branch_coset(columns, syndrome)
+        coset = seen[syndrome]
+        if coset is not None:
+            for m in range(classes):
+                counts[m][kind] += coset[m + 1] * times
+
+    rows = _branch_basis(columns)[0]
+    groups: dict[int, list[int]] = {}  # remainder -> channel indices
+    for a, s in enumerate(channels):
+        groups.setdefault(_reduce(rows, s)[0], []).append(a)
+    zero = channels.count(0)
+    for a, s in enumerate(channels):
+        add(s, 0, 1 if s else r)
+        # t1 < t2, the later fault of zero syndrome
+        add(s, 2, zero * (r - 1 if s else r * (r - 1) // 2))
+        if r >= 2 and s.bit_count() == 1:
+            add(s, 3)
+            add(0, 3)
+    for members in groups.values():
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if a // 3 != b // 3:
+                    add(channels[a] ^ channels[b], 2, r if channels[a] == channels[b] else 1)
+    flips = [1 << i for i in range(n_checks)]
+    if r == 1:
+        flip_groups: dict[int, list[int]] = {}
+        for f in flips:
+            add(f, 1)
+            rest = _reduce(rows, f)[0]
+            for a in groups.get(rest, ()):
+                add(channels[a] ^ f, 3)
+            for g in flip_groups.get(rest, ()):
+                add(f ^ g, 4)
+            flip_groups.setdefault(rest, []).append(f)
+    elif r == 2:
+        for f in flips:
+            add(f, 4)
+    return tuple(FaultSetCounts(*c) for c in counts)
 
 
 def _bits(mask: int):

@@ -18,7 +18,10 @@ Noise is sparse at the rates of interest, so a batch draws only the
 faults that occur: data-qubit hits and readout flips are exact
 Bernoulli samples over flat index spaces, and only the trials they
 touch are evaluated cycle by cycle.  A trial that nothing touches is
-judged from its branch string alone.
+accepted exactly when its branch string lies in A_0, the strings whose
+syndrome is the injected Z's (0 without one), and noise is independent
+of b; so the class counts of all untouched trials of a batch are one
+multinomial draw, and branch strings are drawn for touched trials only.
 
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
@@ -26,14 +29,20 @@ Work is partitioned into fixed-size batches, batch i drawing from a
 counter-based Philox stream keyed by (seed, i), seed in [0, 2^64).
 All reductions are integer counts, so results are bit-identical for a
 given (seed, n_trials, batch_size, stream) regardless of thread count.
-`estimate` records the stream version as `params["stream"]`.  Stream 2
-draws, per batch:
+`estimate` records the stream version as `params["stream"]`; the
+teleportation walk's "stream" (also 3) is a separate key of the `walk`
+payload and versions that sampler alone.  Stream 3 draws, per batch:
 
-  1. the branch uniforms, shape (trials, d);
-  2. for each cycle in turn, the data-hit count, the hit positions over
+  1. for each cycle in turn, the data-hit count, the hit positions over
      the flat (trial, qubit) index, and one X/Y/Z kind per hit;
-  3. for each cycle in turn, the readout-flip count and the flip
-     positions over the flat (trial, check) index.
+  2. for each cycle in turn, the readout-flip count and the flip
+     positions over the flat (trial, check) index;
+  3. the class counts of the u untouched trials, multinomial(u, q) with
+     q_m = P(b in A_0, class m) for m = 0..d//2 and q_reject last;
+  4. the branch uniforms of the touched trials, shape (d, touched).
+
+Stream 2 drew the branch uniforms of every trial, shape (trials, d),
+first and then items 1 and 2.
 
 The noise description, `NoiseModel`, lives in `analytics` and is
 re-exported here.  A scalar one-trial-at-a-time reference engine lives
@@ -53,7 +62,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode, require_rotation
+from .codes import StabilizerCode, _bits, branch_coset, require_rotation
 
 DEFAULT_BATCH_SIZE = 1 << 16
 
@@ -156,8 +165,8 @@ def _stabilizer_plan(code: StabilizerCode) -> list[tuple[np.ndarray, np.ndarray]
     support_pos = {q: i for i, q in enumerate(code.z_support)}
     plan = []
     for p in code.stabilizers:
-        xs = [q for q in p.support if p.x >> q & 1]
-        zs = [n + q for q in p.support if p.z >> q & 1]
+        xs = list(_bits(p.x))
+        zs = [n + q for q in _bits(p.z)]
         bcols = [support_pos[q] for q in xs if q in support_pos]
         plan.append((np.array(xs + zs, dtype=np.intp), np.array(bcols, dtype=np.intp)))
     return plan
@@ -186,9 +195,34 @@ def _data_hits(
     return pos, kind != 2, kind != 0
 
 
+def _untouched_classes(code: StabilizerCode, theta: float, inject_z: int | None) -> np.ndarray:
+    """Class probabilities of a trial that no fault or flip touches:
+    P(accepted in class m) for m = 0..d//2, then P(rejected).
+
+    Such a trial reads the syndrome of Z^b (times the injected Z) in
+    every cycle, so it is accepted exactly when H_b b equals the
+    injected Z's syndrome: b in A_0, the coset that `codes.branch_coset`
+    counts by weight ({0, 1^d} without `inject_z`).
+    """
+    mult = code.error_multiplicities
+    d = code.d
+    # the check mask of Z on qubit q is its third channel (X, Y, Z)
+    injected = 0 if inject_z is None else mult.channels[3 * inject_z + 2]
+    counts = branch_coset(mult.branch_columns, injected)
+    q = np.zeros(d // 2 + 2)
+    if counts is not None:
+        s2 = math.sin(theta / 2.0) ** 2
+        for w, count in enumerate(counts):
+            q[min(w, d - w)] += count * s2**w * (1.0 - s2) ** (d - w)
+    q[-1] = max(0.0, 1.0 - q[:-1].sum())
+    return q
+
+
 def _run_batch(
     code: StabilizerCode,
-    plan: list[tuple[np.ndarray, np.ndarray]],
+    rows: np.ndarray,
+    starts: np.ndarray,
+    untouched: np.ndarray,
     theta: float,
     noise: NoiseModel,
     inject_z: int | None,
@@ -197,32 +231,25 @@ def _run_batch(
 ) -> tuple[int, np.ndarray]:
     """Simulate one batch; returns (accepted count, branch histogram).
 
-    Draw order per batch (stream 2) is part of the determinism contract:
-      1. branch uniforms, shape (size, d);
-      2. for each cycle, data faults over the flat (trial, qubit)
+    `rows` concatenates every generator's frame rows (see
+    `_stabilizer_plan`), generator i's starting at starts[i];
+    `untouched` is `_untouched_classes`.  Draw order per batch
+    (stream 3) is part of the determinism contract:
+      1. for each cycle, data faults over the flat (trial, qubit)
          index: the hit count, the positions, then one X/Y/Z kind per
          hit;
-      3. for each cycle, readout flips over the flat (trial, check)
-         index: the flip count, then the positions.
-    A trial with no fault and no flip sees the syndrome of Z^b (times
-    the injected Z) in every cycle, so it is judged from b alone.  Only
-    the touched trials get a frame, which accumulates their hits cycle
-    by cycle.
+      2. for each cycle, readout flips over the flat (trial, check)
+         index: the flip count, then the positions;
+      3. the class counts of the u trials that nothing touched, as one
+         multinomial(u, untouched);
+      4. the branch uniforms of the touched trials, shape (d, touched):
+         one row per support position, trials in ascending order.
+    Only the touched trials get a frame, which starts as Z^b (times the
+    injected Z) and accumulates their hits cycle by cycle.
     """
-    n, n_chk, d = code.n, len(plan), code.d
-    s2 = math.sin(theta / 2.0) ** 2
-
-    # branch bits as (support qubit, trial) rows
-    b = (rng.random((size, d)) < s2).T.copy()
+    n, n_chk, d = code.n, starts.size, code.d
     hits = [_data_hits(rng, size * n, noise.p_in) for _ in range(noise.r)]
     flips = [_sparse_hits(rng, size * n_chk, noise.readout_flip) for _ in range(noise.r)]
-
-    ok = np.ones(size, dtype=bool)
-    for rows, bcols in plan:
-        injected = inject_z is not None and inject_z in rows
-        if bcols.size or injected:
-            ok &= np.bitwise_xor.reduce(b[bcols], axis=0) == injected
-
     is_touched = np.zeros(size, dtype=bool)
     for (pos, _, _), flip in zip(hits, flips):
         is_touched[pos // n] = True
@@ -230,29 +257,39 @@ def _run_batch(
     touched = np.flatnonzero(is_touched)
     local = np.empty(size, dtype=np.intp)
     local[touched] = np.arange(touched.size)
-    # the frame is (Z rows then X rows, touched trial), so a check's
-    # parity reduces over whole rows; it carries over cycles, so memory
-    # does not grow with r
-    frame = np.zeros((2 * n, touched.size), dtype=bool)
-    frame[list(code.z_support)] = b[:, touched]
+    hist = rng.multinomial(size - touched.size, untouched)[:-1]
+    # branch bits as (support position, touched trial) rows
+    b = rng.random((d, touched.size)) < math.sin(theta / 2.0) ** 2
+
+    # the frame is (Z rows then X rows, touched trial), padded to whole
+    # 64-bit words, so a check's parity is an XOR over the packed words
+    # of its rows; it carries over cycles, so memory does not grow with r
+    width = -(-touched.size // 64) * 64
+    frame = np.zeros((2 * n, width), dtype=bool)
+    frame[list(code.z_support), :touched.size] = b
     if inject_z is not None:
         frame[inject_z] ^= True
-    ok_touched = np.ones(touched.size, dtype=bool)
+    ok = np.full(width // 64, ~np.uint64(0), dtype="<u8")
     for (pos, hx, hz), flip in zip(hits, flips):
         trial, qubit = np.divmod(pos, n)
         frame[qubit, local[trial]] ^= hz
         frame[n + qubit, local[trial]] ^= hx
+        flipped = np.zeros((n_chk, width), dtype=bool)
         trial, check = np.divmod(flip, n_chk)
-        ro = np.zeros((n_chk, touched.size), dtype=bool)
-        ro[check, local[trial]] = True
-        for i, (rows, _) in enumerate(plan):
-            ok_touched &= np.bitwise_xor.reduce(frame[rows], axis=0) == ro[i]
-    ok[touched] = ok_touched
+        flipped[check, local[trial]] = True
+        reading = np.bitwise_xor.reduceat(_words(frame)[rows], starts, axis=0)
+        ok &= ~np.bitwise_or.reduce(reading ^ _words(flipped), axis=0)
+    ok = np.unpackbits(ok.view(np.uint8), count=touched.size, bitorder="little").view(bool)
 
-    w = b.sum(axis=0, dtype=np.int32)
-    m = np.minimum(w, d - w)
-    hist = np.array([np.count_nonzero(ok & (m == c)) for c in range(d // 2 + 1)])
+    w = b[:, ok].sum(axis=0)
+    hist += np.bincount(np.minimum(w, d - w), minlength=d // 2 + 1)
     return int(hist.sum()), hist
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Rows of bools, a multiple of 64 long, as rows of uint64 words:
+    element t at bit t % 64 of word t // 64."""
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def estimate(
@@ -300,9 +337,10 @@ def estimate(
     if inject_z is None and noise.p_in > 0 and infid1 > 0:
         cfg = analytics.RotationConfig(theta=theta, d=d, **vars(noise))
         predicted = analytics.accepted_error_model(cfg, code.error_multiplicities)
+        classes = analytics.accepted_error_classes(cfg, code.error_multiplicities)
         p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
-        # the model is (weight-1 share of accepted trials) * infid(1)
-        expected_events = predicted / infid1 * p_s * n_trials
+        # the class-1 part is (weight-1 share of accepted trials) * infid(1)
+        expected_events = classes[0] / infid1 * p_s * n_trials
         if expected_events < 10.0:
             warnings.warn(
                 RareEventWarning(
@@ -313,11 +351,16 @@ def estimate(
                 stacklevel=2,
             )
 
+    rows = np.concatenate([r for r, _ in plan])
+    starts = np.cumsum([0] + [r.size for r, _ in plan[:-1]])
+    untouched = _untouched_classes(code, theta, inject_z)
     results = _philox_batches(
         seed,
         n_trials,
         batch_size,
-        lambda rng, size: _run_batch(code, plan, theta, noise, inject_z, rng, size),
+        lambda rng, size: _run_batch(
+            code, rows, starts, untouched, theta, noise, inject_z, rng, size
+        ),
         threads,
         progress,
     )
@@ -344,7 +387,7 @@ def estimate(
         "readout_flip": noise.readout_flip,
         "r": noise.r,
         "batch_size": batch_size,
-        "stream": 2,
+        "stream": 3,
         "inject_z": inject_z,
     }
     return McStats(

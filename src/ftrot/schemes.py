@@ -184,25 +184,25 @@ class InfeasibleError(Exception):
 
 
 def _base_state(
-    step_angle: float, d: int, p_s_in: float, rate: float
+    step_angle: float, d: int, p_s_in: float, rates: tuple[float, ...]
 ) -> tuple[float, float, float] | None:
     """Physical angle, success rate and accepted error of the state whose
     logical angle is step_angle, or None when no such state exists.
 
-    p_s_in and rate are `analytics.substrate_success` and
-    `analytics.first_order_rate` of the code and noise; p_s and the
-    error are `success_rate(...).p_s` and `accepted_error_model(...)`,
-    bit for bit, without a RotationConfig per state.
+    p_s_in and rates are `analytics.substrate_success` and
+    `analytics.class_rates` of the code and noise; p_s and the error
+    are `success_rate(...).p_s` and `accepted_error_model(...)`, bit
+    for bit, without a RotationConfig per state.
     """
     if not 0.0 < step_angle < math.pi:
         return None
     # invert the accepted-angle chain: theta_L(base) = step_angle
     theta_base = 2.0 * math.atan(math.tan(step_angle / 2.0) ** (1.0 / d))
-    p_s_coh, pair, infid = analytics._rotation_terms(theta_base, d)
+    p_s_coh, _, _, error = analytics._model_terms(theta_base, d, rates)
     p_s = p_s_in * p_s_coh
     if p_s <= 0.0:
         return None
-    return theta_base, p_s, rate * pair * infid / p_s_coh
+    return theta_base, p_s, error
 
 
 def iter_plans(
@@ -234,13 +234,14 @@ def iter_plans(
         require_rotation(code)
         attempt = attempt_cost(d, noise.r)
         p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
-        rate = analytics.first_order_rate(noise, code.error_multiplicities)
+        rates = analytics.class_rates(noise, code.error_multiplicities)
         states: dict[int, tuple[float, float, float] | None] = {}
         for k in range(1, k_max + 1):
             for m in range(1, m_max + 1):
-                if k * m not in states:
-                    states[k * m] = _base_state(theta_l_target / (k * m), d, p_s_in, rate)
-                state = states[k * m]
+                km = k * m
+                if km not in states:
+                    states[km] = _base_state(theta_l_target / km, d, p_s_in, rates)
+                state = states[km]
                 if state is None:
                     continue
                 theta_base, p_s, eps_base = state
@@ -249,8 +250,9 @@ def iter_plans(
                     attempts = p_s ** -k
                 except OverflowError:
                     continue
-                prep = walk_steps * attempts * k * attempt
-                merge = walk_steps * attempts * k * _GHZ_MERGE_COST_PER_LEG if k >= 2 else 0.0
+                legs = walk_steps * attempts * k
+                prep = legs * attempt
+                merge = legs * _GHZ_MERGE_COST_PER_LEG if k >= 2 else 0.0
                 teleport = walk_steps * _TELEPORT_STEP_COST if m >= 2 else 0.0
                 cost = prep + merge + teleport
                 if math.isfinite(cost):

@@ -362,3 +362,69 @@ def run_prep_trial(
     m = min(w, d - w)
     infid = analytics.branch_infidelity(m, d, theta) if accepted else None
     return TrialOutcome(accepted=accepted, branch_weight=m, infidelity_sample=infid)
+
+
+def branch_syndromes(code: StabilizerCode) -> dict[tuple[int, ...], list[int]]:
+    """Syndrome of Z^b for every branch string b over the support, by
+    brute force over all 2^d strings: syndrome -> weights of its strings."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    support = code.z_support
+    for b in range(1 << len(support)):
+        z = 0
+        for i, q in enumerate(support):
+            if b >> i & 1:
+                z |= 1 << q
+        out.setdefault(syndrome(PauliString(code.n, 0, z), code), []).append(bin(b).count("1"))
+    return out
+
+
+def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
+    """Accepted fault sets of at most two locations over r cycles, walked
+    one set at a time: counts[m - 1][kind] for class m = 1..d//2, kind
+    0..4 = (data), (flip), (data, data), (data, flip), (flip, flip).
+
+    A location is a data fault (qubit, cycle, X/Y/Z) or a readout flip
+    (check, cycle); two data faults on one qubit in one cycle are not a
+    set.  Per cycle the Pauli frame takes that cycle's faults, the
+    syndrome comes from `codes.syndrome`, and the cycle's flips are
+    XORed in.  A set counts when every cycle reads the same syndrome and
+    some branch string has it; it adds its branch pairs per class.
+    """
+    n_chk = len(code.stabilizers)
+    branches = branch_syndromes(code)
+    locations = [("data", q, t, p) for t in range(r) for q in range(code.n) for p in "XYZ"]
+    locations += [("flip", i, t, None) for t in range(r) for i in range(n_chk)]
+    classes = code.d // 2
+    counts = [[0] * 5 for _ in range(classes)]
+
+    def tally(fault_set) -> None:
+        data = [loc for loc in fault_set if loc[0] == "data"]
+        if len({(q, t) for _, q, t, _ in data}) < len(data):
+            return
+        frame = PauliString.identity(code.n)
+        readings = set()
+        for t in range(r):
+            for _, q, tq, p in data:
+                if tq == t:
+                    label = "".join(p if i == q else "I" for i in range(code.n))
+                    frame = frame * PauliString.from_label(label)
+            bits = list(syndrome(frame, code))
+            for kind, i, tf, _ in fault_set:
+                if kind == "flip" and tf == t:
+                    bits[i] ^= 1
+            readings.add(tuple(bits))
+        if len(readings) != 1:
+            return
+        weights = branches.get(readings.pop(), [])
+        n_flip = len(fault_set) - len(data)
+        kind = {(1, 0): 0, (0, 1): 1, (2, 0): 2, (1, 1): 3, (0, 2): 4}[(len(data), n_flip)]
+        for w in weights:
+            m = min(w, code.d - w)
+            if m and w == m:  # one string of each pair {b, bbar}
+                counts[m - 1][kind] += 1
+
+    for a, first in enumerate(locations):
+        tally([first])
+        for second in locations[a + 1:]:
+            tally([first, second])
+    return counts

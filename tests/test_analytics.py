@@ -206,11 +206,15 @@ class TestAcceptedErrorModel:
         [("surface", 3), ("surface", 5), ("surface", 7), ("phase-flip", 5), ("perfect", None)],
     )
     def test_small_angle_limit_is_compact_form(self, family, d):
-        # the model keeps the exact branch-pair factors and divides the
-        # flip path by (1 - p_in); as theta -> 0 only that factor remains
+        # the first-order part keeps the exact branch-pair factors and
+        # divides the flip path by (1 - p_in); as theta -> 0 only that
+        # factor remains.  A hand-built Multiplicities lists no fault
+        # sets, so its model is that part alone (at this angle the
+        # weight-2 class is 5.9e3 times it at surface d = 5)
         code = get_code(family, d)
         cfg = RotationConfig(theta=1e-3, d=code.d, p_in=1e-3, r=2)
-        mult = code.error_multiplicities
+        counts = code.error_multiplicities
+        mult = Multiplicities(counts.flip_projection, counts.secondary_flip, counts.readout_combos)
         ratio = compact_error_first_order(cfg, mult) / analytics.accepted_error_model(cfg, mult)
         assert ratio == pytest.approx(1 - 1e-3, abs=5e-6)
 
@@ -237,14 +241,34 @@ class TestRotationTerms:
         assert analytics.success_rate(cfg, 10, 9).p_s_coh == 1.0
         assert 0.0 < analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2)) < 1e-50
 
+    def test_higher_classes_are_pair_weight_times_infidelity(self):
+        # the closed form (s c)^{2(d-m)} (s^{2m} - (-1)^m c^{2m})^2 / p_s_coh
+        # against the pair weight times branch_infidelity, away from pi
+        # where the arctangent route loses digits; one class at a time
+        for d in (3, 5, 7, 9, 15):
+            for theta in (0.05, 0.3, 0.609, 1.0, 1.5, 2.0):
+                s, c = math.sin(theta / 2), math.cos(theta / 2)
+                for m in range(2, d // 2 + 1):
+                    rates = tuple(1.0 if i == m else 0.0 for i in range(1, m + 1))
+                    p_s_coh, _, _, error = analytics._model_terms(theta, d, rates)
+                    weight = s ** (2 * m) * c ** (2 * (d - m)) + s ** (2 * (d - m)) * c ** (2 * m)
+                    expected = weight * analytics.branch_infidelity(m, d, theta) / p_s_coh
+                    assert error == pytest.approx(expected, rel=1e-9), (d, theta, m)
+
     def test_public_model_is_built_from_them(self):
+        # the first-order part: a hand-built Multiplicities lists no
+        # fault sets, so its model is the weight-1 product alone
         code = get_code("surface", 5)
         noise = NoiseModel(p_in=1e-3, r=2)
         cfg = RotationConfig(theta=0.7, d=5, **vars(noise))
         p_s_coh, pair, infid = rotation_terms_per_power(0.7, 5)
-        rate = analytics.first_order_rate(noise, code.error_multiplicities)
+        counts = code.error_multiplicities
+        order_one = Multiplicities(
+            counts.flip_projection, counts.secondary_flip, counts.readout_combos
+        )
+        rate = analytics.first_order_rate(noise, order_one)
         p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
-        assert analytics.accepted_error_model(cfg, code.error_multiplicities) == (
+        assert analytics.accepted_error_model(cfg, order_one) == (
             rate * pair * infid / p_s_coh
         )
         assert analytics.success_rate(cfg, code.n, len(code.stabilizers)) == (

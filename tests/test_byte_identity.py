@@ -27,39 +27,39 @@ OURS_ALL = ["bench", "--methods", "ours,rs,coh", "--distill-costs", "bundled"]
 
 CASES = {
     "scaffold-1e-4": (sweep(["scaffold"], "1e-4"),
-                      "d82f370f2844d74c2c51e6dd6e4c12a64c12f97dacf3b37e4259137b56181cc1"),
+                      "2aeee222264095e5a6b9f9493810cb6776b1b768de382449fa0efd7bb17469a3"),
     "scaffold-1e-3": (sweep(["scaffold"], "1e-3"),
-                      "f6a0302fcb3b2b3708d2d388e68cc436f795b0b0a3992922ae35b2cd0f3ac5a9"),
+                      "8ef6ea42eff8f7651df2a38edcd8a6e5b0bab681cd3fe20d1188cb1a787c812f"),
     "bench-ours-1e-4": (sweep(["bench", "--methods", "ours"], "1e-4"),
-                        "3a4b9ea97e06892f928cce3ec0e5929b055138781e71423c66c8b33195681529"),
+                        "703d4177a81bfdc4078288942d72868e4f456b9f82381cb5f1df57f96219f1cd"),
     "bench-ours-1e-3": (sweep(["bench", "--methods", "ours"], "1e-3"),
-                        "49ef40bc23e2ee82123996b88d8bba92b6cda02eaceb15528f061d5f5ceb18c7"),
+                        "a2350c1ac5f095f216fab8967bf98702db450bc29f2de03804e3a2db961668fe"),
     "bench-all-1e-4": (sweep(OURS_ALL, "1e-4"),
-                       "779e10f542122948a5788fba076ed4f25e157ab1498d90ce3e83f665d80947ab"),
+                       "3eb855ca0492eee5df58f3d02e176fc8ffee324deb29bd24c518072bc998d291"),
     "bench-all-1e-3": (sweep(OURS_ALL, "1e-3"),
-                       "f3b6e456478207b39bae1fab09ed2907f6d42d58872ae05a8bb29793b566a915"),
+                       "6e5d133bbcbcc759f369ef2b1b55f90af997ff10972e3532e6b5ce559f4f0fa2"),
     "scaffold-r3": ([["scaffold", "--theta-l", "2pi/2^10", "--r", "3"]],
-                    "ffcca8113330ce46efb611a299198667d5351a1b43d5a88aeec0399cd8a27fa8"),
+                    "c8df98840633d18270249d2611c4b14502b6b08b125a1fcfd0c6f58569cb8bd1"),
     "scaffold-perfect": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "perfect"]],
-                         "beda3f4dde7938d61e66e9bfb93d4a97dbfcf2f8ed7669e51b23c05717f87b64"),
+                         "53ec54465195a855c517114f131df90988c7adef0d6b6e8c496c019efa592c6e"),
     "scaffold-phase-flip": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "phase-flip"]],
-                            "8cae3ccf532992ea81f62028ff60f4d97c97df7378f7ecb6b04d61892a34aeba"),
+                            "be61052607c39f228b96ad3b99c165799aad59ddebc47c86d6b14aaf2bdebe58"),
     # exit 3: the payload carries the closest plan
     "scaffold-ceiling": ([["scaffold", "--theta-l", "2pi/2^10", "--error-ceiling", "1e-9"]],
-                         "9bbe653b8417fce7d175c369738e81ea3c058177e81a2ebe96b6d0c845c32545"),
+                         "afb4c83eefa1bfc95793907e0f5643a772ebfd01ca751555e4decaeee0f7e197"),
     # the front on the fixed-distance codes and on a narrowed grid
     "bench-ours-perfect": ([["bench", "--methods", "ours", "--code", "perfect",
                              "--theta-l", "2pi/2^10"]],
-                           "d04b85317fa5fdd34a69ce27e1b6f68998fc11342dbf3fa42959a4a3913f9a4a"),
+                           "4996cb437d350a56ca0a388c499618c1cd27189f97da7053197137875b97498e"),
     "bench-ours-phase-flip": ([["bench", "--methods", "ours", "--code", "phase-flip",
                                 "--d-values", "3,5", "--theta-l", "2pi/2^10"]],
-                              "9e2e0da458c7f93a18608c087165d500e90f553467ab171cd4f691f6a348c1a4"),
+                              "7d76cc2f139f8f35c01bda1a2779dee6a95338e00224cef39057360c8d926a35"),
     "bench-ours-narrow": ([["bench", "--methods", "ours", "--d-values", "3,5", "--k-max", "3",
                             "--m-max", "8", "--theta-l", "2pi/2^10"]],
-                          "fa801b3accd75a7e5d7722f1fc0fc65c42593858c5409dee6642019ec0169544"),
+                          "773827e15f3f7884f63961b74c844e2ed0574dca3cb4fc6cec7d3d5d5b509a67"),
     # theta = 0 included: the zero-base edge of the log-domain powers
     "analyze": ([["analyze", "--theta", "0:1.5:7", "--d", "5"]],
-                "010c87719869312222920f19c37b803ca08b712f895db68a10d0da9b59509ff8"),
+                "16b8afa02372c3ea70bbc60d02a553cc9d5772c9ae4deb5a896ee8dfc94ec6d6"),
 }
 
 

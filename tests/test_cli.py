@@ -239,10 +239,14 @@ class TestAnalyzeCommand:
         cfg = analytics.RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
         # surface d=3 counts 5 first-order channels (Z on the 3 support
         # qubits plus Z on the off-support qubits 3 and 5) and 2 readout
-        # channels, so the column reflects the code, not bare d
-        assert rows[0]["eps"] == pytest.approx(
-            analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2)), rel=1e-12, abs=0
-        )
+        # channels, so the column reflects the code, not bare d; the
+        # second-order sets come on top of that first-order part
+        mult = codes.get_code("surface", 3).error_multiplicities
+        assert mult == Multiplicities(3, 2, 2)
+        eps = rows[0]["eps"]
+        assert eps == pytest.approx(analytics.accepted_error_model(cfg, mult), rel=1e-12, abs=0)
+        order_one = analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2))
+        assert 0.0 < eps - order_one < 0.01 * order_one
         assert rows[0]["theta_L"] == pytest.approx(
             analytics.logical_angle(0.5, 3), rel=1e-12
         )

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from ftrot import codes, mcsim
 from ftrot.pauli import PauliString, commutes
 
-from oracles import first_order_multiplicity, matrices_commute, pauli_matrix
+from oracles import (
+    branch_syndromes,
+    fault_set_counts,
+    first_order_multiplicity,
+    matrices_commute,
+    pauli_matrix,
+)
 
 ALL_INSTANCES = [
     ("phase-flip", 3),
@@ -173,6 +179,54 @@ def test_stored_multiplicity_tuples():
     for (name, d), counts in expected.items():
         got = codes.get_code(name, d).error_multiplicities
         assert got == codes.Multiplicities(*counts), (name, d)
+
+
+def syndrome_mask(bits) -> int:
+    return sum(bit << i for i, bit in enumerate(bits))
+
+
+@pytest.mark.parametrize(
+    "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
+)
+def test_branch_coset_matches_all_branch_strings(name, d):
+    # every syndrome of a branch string, and the syndromes of every one
+    # or two single-qubit faults (on the surface and perfect codes most
+    # of them are no branch string's), against all 2^d strings
+    code = codes.get_code(name, d)
+    columns = code.error_multiplicities.branch_columns
+    branches = {syndrome_mask(s): w for s, w in branch_syndromes(code).items()}
+    singles = {
+        syndrome_mask(codes.syndrome(PauliString.from_label(
+            "".join(p if i == q else "I" for i in range(code.n))), code))
+        for q in range(code.n) for p in "XYZ"
+    }
+    for sigma in set(branches) | singles | {a ^ b for a in singles for b in singles}:
+        got = codes.branch_coset(columns, sigma)
+        if sigma in branches:
+            expected = [0] * (code.d + 1)
+            for w in branches[sigma]:
+                expected[w] += 1
+            assert got == tuple(expected), sigma
+        else:
+            assert got is None, sigma
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name, d", [("surface", 3), ("phase-flip", 3), ("perfect", None)])
+def test_fault_sets_match_the_walk_over_every_set(name, d, r):
+    # r = 1, 2 and >= 3 accept different sets with readout flips in them
+    code = codes.get_code(name, d)
+    got = [list(counts) for counts in code.error_multiplicities.fault_sets(r)]
+    assert got == fault_set_counts(code, r)
+
+
+def test_fault_sets_are_shared_by_code_value():
+    # get_code builds a new object per call; the enumeration runs once
+    a = codes.get_code("surface", 5).error_multiplicities
+    b = codes.get_code("surface", 5).error_multiplicities
+    assert a is not b
+    assert a.fault_sets(2) is b.fault_sets(2)
+    assert codes.Multiplicities(5, 2, 2).fault_sets(2) == ()
 
 
 def test_replace_rederives_from_the_checks():

@@ -194,20 +194,53 @@ class TestRunPrepTrial:
         assert z_mean < 4.0, z_mean
 
 
+class TestUntouchedClasses:
+    """The class probabilities of untouched trials, against all 2^d strings."""
+
+    @staticmethod
+    def brute_force(code, theta, inject_z):
+        s2 = math.sin(theta / 2) ** 2
+        q = np.zeros(code.d // 2 + 2)
+        for b in range(1 << code.d):
+            z = 0
+            for i, qubit in enumerate(code.z_support):
+                z ^= (b >> i & 1) << qubit
+            if inject_z is not None:
+                z ^= 1 << inject_z
+            w = bin(b).count("1")
+            prob = s2**w * (1 - s2) ** (code.d - w)
+            if any(codes.syndrome(oracles.PauliString(code.n, 0, z), code)):
+                q[-1] += prob
+            else:
+                q[min(w, code.d - w)] += prob
+        return q
+
+    @pytest.mark.parametrize(
+        "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
+    )
+    def test_against_every_branch_string(self, name, d):
+        # no injected Z, then each qubit on the support and off it
+        code = codes.get_code(name, d)
+        for inject_z in [None, *range(code.n)]:
+            got = mcsim._untouched_classes(code, 0.7, inject_z)
+            assert got == pytest.approx(self.brute_force(code, 0.7, inject_z), rel=1e-12, abs=1e-15)
+            assert got.sum() == pytest.approx(1.0, rel=1e-15)
+
+
 class TestEstimate:
     NM = NoiseModel(p_in=1e-3, r=2)
 
     def test_golden_run(self, surface3):
-        # 18.6 accepted weight-1 trials expected (19 seen): no warning
+        # 18.7 accepted weight-1 trials expected (20 seen): no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RareEventWarning)
             st = mcsim.estimate(surface3, 0.5, None, self.NM, 200_000, seed=11, threads=4)
-        assert st.accepted == 160833
-        assert st.acceptance_rate == pytest.approx(0.804165, abs=1e-12)
-        assert st.mean_infidelity == pytest.approx(8.202255268382823e-06, rel=1e-12, abs=0)
-        assert st.branch_histogram == (160814, 19)
+        assert st.accepted == 160993
+        assert st.acceptance_rate == pytest.approx(0.804965, abs=1e-12)
+        assert st.mean_infidelity == pytest.approx(8.625372215135959e-06, rel=1e-12, abs=0)
+        assert st.branch_histogram == (160973, 20)
         assert st.seed == 11
-        assert st.params["stream"] == 2
+        assert st.params["stream"] == 3
 
     def test_thread_count_invariance(self, surface3):
         import warnings
@@ -218,7 +251,8 @@ class TestEstimate:
             a = mcsim.estimate(**kw, n_trials=200_000, seed=11, threads=1)
             b = mcsim.estimate(**kw, n_trials=200_000, seed=11, threads=4)
             c = mcsim.estimate(**kw, n_trials=200_000, seed=11, threads=7)
-        assert a.to_dict() == b.to_dict() == c.to_dict()
+            e = mcsim.estimate(**kw, n_trials=200_000, seed=11, threads=2)
+        assert a.to_dict() == b.to_dict() == c.to_dict() == e.to_dict()
 
     def test_seed_changes_result(self, surface3):
         import warnings
@@ -301,10 +335,11 @@ class TestEstimate:
         )
         assert rate == pytest.approx(3.2e-5, rel=0.05)
 
-    # the golden setting expects 9.32e-5 accepted weight-1 trials per
-    # trial, so the warning threshold of 10 sits at N = 107,290
+    # the golden setting expects 9.33e-5 accepted weight-1 trials per
+    # trial (the class-1 part of the model), so the warning threshold of
+    # 10 sits at N = 107,147
     def test_warns_below_ten_weight1_trials(self, surface3):
-        with pytest.warns(RareEventWarning, match="expected about 9.32 accepted weight-1"):
+        with pytest.warns(RareEventWarning, match="expected about 9.33 accepted weight-1"):
             mcsim.estimate(surface3, 0.5, None, self.NM, 100_000, seed=11)
 
     def test_quiet_from_ten_weight1_trials(self, surface3):
@@ -371,6 +406,24 @@ class TestEstimate:
         model = analytics.accepted_error_model(cfg, code.error_multiplicities)
         st = mcsim.estimate(code, 0.8, None, noise, 20_000_000, seed=5, threads=2)
         assert abs(st.mean_infidelity - model) < 4 * st.infidelity_stderr
+
+    def test_second_order_sets_resolved(self):
+        # surface d=5, r=2: two-fault sets into the weight-2 class put the
+        # model 11.5 % above its first-order part here.  4e7 trials resolve
+        # that gap at about 7 sigma; the full model must hold within 3.
+        # The seed was picked once and is frozen.
+        code = codes.get_code("surface", 5)
+        noise = NoiseModel(p_in=1e-2, r=2)
+        cfg = analytics.RotationConfig(theta=0.6, d=5, **vars(noise))
+        full = code.error_multiplicities
+        model = analytics.accepted_error_model(cfg, full)
+        first_order = analytics.accepted_error_model(cfg, codes.Multiplicities(
+            full.flip_projection, full.secondary_flip, full.readout_combos))
+        st = mcsim.estimate(code, 0.6, None, noise, 40_000_000, seed=17, threads=2)
+        z_model = (st.mean_infidelity - model) / st.infidelity_stderr
+        z_first = (st.mean_infidelity - first_order) / st.infidelity_stderr
+        assert abs(z_model) < 3.0, z_model
+        assert z_first > 4.0, z_first
 
     def test_to_dict_schema(self, surface3):
         st = mcsim.estimate(
