@@ -12,7 +12,7 @@ m = min(|b|, d-|b|).  This module collects the resulting closed forms:
 the accepted logical angle, the per-branch angles, the one
 accepted-error model (through second order: every accepted set of at
 most two data faults and readout flips, plus r-fold readout masking),
-success rates and coherent-noise spread.  Every
+success rates over the same fault sets and coherent-noise spread.  Every
 code that `codes.require_rotation` accepts goes through the same forms;
 a code enters only through its support weight and its derived error
 multiplicities.
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .codes import Multiplicities
+from .codes import FaultSetCounts, Multiplicities, code_of_size
 
 __all__ = [
     "NoiseModel",
@@ -42,6 +42,7 @@ __all__ = [
     "accepted_error_model",
     "accepted_error_classes",
     "class_rates",
+    "hidden_rate",
     "first_order_rate",
     "success_rate",
     "substrate_success",
@@ -154,14 +155,15 @@ def _rotation_terms(theta: float, d: int) -> tuple[float, float, float]:
     sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2 (half-angles implied) and
     infid(1) = branch_infidelity(1, d, theta).  See `_model_terms`.
     """
-    p_s_coh, pair, infid, _ = _model_terms(theta, d, (0.0,))
+    p_s_coh, pair, infid, _, _ = _model_terms(theta, d, (0.0,))
     return p_s_coh, pair, infid
 
 
 def _model_terms(
-    theta: float, d: int, rates: tuple[float, ...]
-) -> tuple[float, float, float, float]:
-    """`_rotation_terms`, then the model error given `class_rates`.
+    theta: float, d: int, rates: tuple[float, ...], hidden: float = 0.0
+) -> tuple[float, float, float, float, float]:
+    """`_rotation_terms`, then the model error given `class_rates`, then
+    the accepted share p_s / p_s_in given those and `hidden_rate`.
 
     The weight-1 terms take log cos, log sin and log tan once and every
     power by `_pow_log`, so they have the bits of the per-power
@@ -173,6 +175,10 @@ def _model_terms(
     c^{2m})^2 / p_s_coh (half-angles implied): no tangent, so nothing
     overflows near pi, and no difference of two angles near pi cancels.
     With no fault sets listed the error has the first-order model's bits.
+
+    The accepted share is p_s_coh plus each class's rate times its pair
+    weight, class 0's (`hidden`) being p_s_coh; with every rate 0 it is
+    p_s_coh, bit for bit.
     """
     half = theta / 2.0
     s = math.sin(half)
@@ -187,6 +193,7 @@ def _model_terms(
         phi = _branch_angle(log_t, d, min(1, d - 1))
         infid = math.sin((_branch_angle(log_t, d, 0) - phi) / 2.0) ** 2
     error = rates[0] * pair * infid / p_s_coh
+    accepted = p_s_coh + (hidden * p_s_coh + rates[0] * pair)
     if len(rates) > 1:
         s2, c2, sc2 = s * s, c * c, (s * c) ** 2
         s2m, c2m = s2, c2
@@ -196,7 +203,8 @@ def _model_terms(
             if rates[m - 1]:
                 cross = s2m - c2m if m % 2 == 0 else s2m + c2m
                 error += rates[m - 1] * (sc2 ** (d - m) * cross * cross / p_s_coh) / p_s_coh
-    return p_s_coh, pair, infid, error
+                accepted += rates[m - 1] * (s2m * c2 ** (d - m) + s2 ** (d - m) * c2m)
+    return p_s_coh, pair, infid, error, accepted
 
 
 def logical_angle(theta: float, d: int) -> float:
@@ -258,13 +266,13 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     .fault_sets`) and the r-fold readout masking path, each weighted by
     its rate (`class_rates`), the probability of its branch pairs and
     their class infidelity, and normalizes by p_s_coh.  Sets of three
-    or more locations are left out, and so is the accepted-fault mass in
-    the normalization.  With a hand-built `Multiplicities`, which lists
-    no fault sets, only the first-order paths remain: flip projection,
-    secondary flip and masking into the weight-1 branch.  As theta -> 0
-    that part tends to the compact published form (m1 p_in/3 + combos
-    q^r) sin^{2(d-1)}(theta/2) / cos(theta/2), with the flip term
-    divided by (1-p_in).
+    or more locations are left out, and so is the accepted-fault mass
+    in the normalization (`success_rate` counts it).  With a hand-built
+    `Multiplicities`, which lists no fault sets, only the first-order
+    paths remain: flip projection, secondary flip and masking into the
+    weight-1 branch.  As theta -> 0 that part tends to the compact
+    published form (m1 p_in/3 + combos q^r) sin^{2(d-1)}(theta/2) /
+    cos(theta/2), with the flip term divided by (1-p_in).
     """
     return _model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))[3]
 
@@ -305,31 +313,54 @@ def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
     rate = first_order_rate(noise, mult)
     if not sets:
         return (rate,)
-    a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
-    q = noise.readout_flip
-    order_one = sets[0]._replace(data=sets[0].data - mult.first_order)
+    order_one = sets[1]._replace(data=sets[1].data - mult.first_order)
     if noise.r == 1:
         order_one = order_one._replace(flip=order_one.flip - mult.readout_combos)
     elif noise.r == 2:
         order_one = order_one._replace(flip_flip=order_one.flip_flip - mult.readout_combos)
-    rates = []
-    for counts in (order_one, *sets[1:]):
-        data, flip, data_data, data_flip, flip_flip = counts
-        rates.append(data * a + flip * q + data_data * a * a + data_flip * a * q
-                     + flip_flip * q * q)
+    rates = [_set_rate(noise, counts) for counts in (order_one, *sets[2:])]
     rates[0] = rate + rates[0]
     return tuple(rates)
 
 
-def success_rate(cfg: RotationConfig, n_qubits: int, n_stabilizers: int) -> SuccessRate:
-    """Acceptance probability split into substrate and coherent parts.
+def hidden_rate(noise: NoiseModel, mult: Multiplicities) -> float:
+    """Rate of the accepted fault sets of class 0, at most two locations:
+    accepted with the branch pair {0, 1^d}, so they add to the
+    acceptance but not to the model error (0 for a hand-built
+    `Multiplicities`).  On the phase-flip code every X fault is one."""
+    sets = mult.fault_sets(noise.r)
+    return _set_rate(noise, sets[0]) if sets else 0.0
 
-    p_s_in from `substrate_success`; p_s_coh = cos^{2d} + sin^{2d}: the
-    trivial branch pair's weight.
+
+def _set_rate(noise: NoiseModel, counts: FaultSetCounts) -> float:
+    """The rate `class_rates` gives the fault sets tallied in counts."""
+    a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
+    q = noise.readout_flip
+    data, flip, data_data, data_flip, flip_flip = counts
+    return data * a + flip * q + data_data * a * a + data_flip * a * q + flip_flip * q * q
+
+
+def success_rate(
+    cfg: RotationConfig, n_qubits: int, n_stabilizers: int,
+    mult: Multiplicities | None = None,
+) -> SuccessRate:
+    """Acceptance probability, with its substrate and coherent parts.
+
+    p_s_in from `substrate_success` is the chance of no fault at all;
+    p_s_coh = cos^{2d} + sin^{2d} is the trivial branch pair's weight.
+    p_s = p_s_in (p_s_coh + M), where the accepted-fault mass M sums the
+    fault sets of `accepted_error_model`, class 0 (`hidden_rate`)
+    included, each at its rate times the weight of its branch pairs.
+    mult defaults to the multiplicities of the registered code of this
+    size (`codes.code_of_size`); with no such code M = 0, and a
+    hand-built `Multiplicities` gives M its first-order paths alone.
     """
     p_s_in = substrate_success(cfg, n_qubits, n_stabilizers)
-    p_s_coh = _rotation_terms(cfg.theta, cfg.d)[0]
-    return SuccessRate(p_s=p_s_in * p_s_coh, p_s_in=p_s_in, p_s_coh=p_s_coh)
+    if mult is None:
+        code = code_of_size(n_qubits, n_stabilizers, cfg.d)
+        mult = code.error_multiplicities if code else Multiplicities(0, 0, 0)
+    terms = _model_terms(cfg.theta, cfg.d, class_rates(cfg, mult), hidden_rate(cfg, mult))
+    return SuccessRate(p_s=p_s_in * terms[4], p_s_in=p_s_in, p_s_coh=terms[0])
 
 
 def substrate_success(noise: NoiseModel, n_qubits: int, n_stabilizers: int) -> float:

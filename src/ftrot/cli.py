@@ -156,7 +156,9 @@ def cmd_analyze(args) -> int:
             coh = analytics.coherent_angle_std(code.d, theta_l, args.sigma / theta)
         else:
             coh = 0.0
-        sr = analytics.success_rate(cfg, code.n, len(code.stabilizers))
+        sr = analytics.success_rate(
+            cfg, code.n, len(code.stabilizers), code.error_multiplicities
+        )
         rows.append(
             {
                 "theta": theta,

@@ -29,9 +29,11 @@ branch patterns whose syndrome a single readout flip can mask
 (``readout_combos``).  The model's second order comes from
 ``Multiplicities.fault_sets``: per number of cycles r, every accepted
 set of at most two data faults and readout flips, tallied by the weight
-classes of the branch strings it is accepted with.  It is enumerated
-once per check layout and r, shared by every code object with those
-checks; `branch_coset` solves for those strings over GF(2).  The test
+classes of the branch strings it is accepted with, class 0 included.
+It is enumerated once per check layout and r, shared by every code
+object with those checks; `branch_coset` solves for those strings over
+GF(2).  `code_of_size` finds the registered code of a given size, for
+callers that only hold a code's qubit and check counts.  The test
 suite re-derives the counts by direct enumeration and walks every fault
 set one at a time.
 
@@ -95,8 +97,9 @@ class Multiplicities:
         return self.flip_projection + self.secondary_flip
 
     def fault_sets(self, r: int) -> tuple[FaultSetCounts, ...]:
-        """Per weight class m = 1..d//2, the accepted fault sets of at
-        most two locations over r cycles (see `FaultSetCounts`)."""
+        """Per weight class m = 0..d//2 (index m), the accepted fault
+        sets of at most two locations over r cycles (see
+        `FaultSetCounts`); empty in a hand-built instance."""
         return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r)
 
 
@@ -299,7 +302,9 @@ def _fault_set_counts(
     the same remainder against the branch columns, so pairs are only
     formed inside those groups.
     """
-    classes = len(columns) // 2
+    if not columns:
+        return ()
+    classes = len(columns) // 2 + 1
     counts = [[0] * 5 for _ in range(classes)]
     seen: dict[int, tuple[int, ...] | None] = {}
 
@@ -309,7 +314,7 @@ def _fault_set_counts(
         coset = seen[syndrome]
         if coset is not None:
             for m in range(classes):
-                counts[m][kind] += coset[m + 1] * times
+                counts[m][kind] += coset[m] * times
 
     rows = _branch_basis(columns)[0]
     groups: dict[int, list[int]] = {}  # remainder -> channel indices
@@ -534,6 +539,21 @@ def get_code(name: str, d: int | None = None) -> StabilizerCode:
     if name in _PARAMETRIZED:
         return _PARAMETRIZED[name](d)
     return _FIXED[name]()
+
+
+@functools.lru_cache(maxsize=64)
+def code_of_size(n: int, n_checks: int, d: int) -> StabilizerCode | None:
+    """The registered code with n qubits, n_checks checks and distance
+    d, or None.  No two registered codes share all three, so the sizes
+    that `analytics.success_rate` is given name its code."""
+    for name in CODE_DESCRIPTIONS:
+        try:
+            code = get_code(name, d)
+        except ValueError:
+            continue
+        if code.n == n and len(code.stabilizers) == n_checks:
+            return code
+    return None
 
 
 # the largest distance a parametrized family builds: the surface code's

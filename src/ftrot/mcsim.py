@@ -338,7 +338,9 @@ def estimate(
         cfg = analytics.RotationConfig(theta=theta, d=d, **vars(noise))
         predicted = analytics.accepted_error_model(cfg, code.error_multiplicities)
         classes = analytics.accepted_error_classes(cfg, code.error_multiplicities)
-        p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
+        p_s = analytics.success_rate(
+            cfg, code.n, len(code.stabilizers), code.error_multiplicities
+        ).p_s
         # the class-1 part is (weight-1 share of accepted trials) * infid(1)
         expected_events = classes[0] / infid1 * p_s * n_trials
         if expected_events < 10.0:

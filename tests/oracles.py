@@ -380,7 +380,7 @@ def branch_syndromes(code: StabilizerCode) -> dict[tuple[int, ...], list[int]]:
 
 def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
     """Accepted fault sets of at most two locations over r cycles, walked
-    one set at a time: counts[m - 1][kind] for class m = 1..d//2, kind
+    one set at a time: counts[m][kind] for class m = 0..d//2, kind
     0..4 = (data), (flip), (data, data), (data, flip), (flip, flip).
 
     A location is a data fault (qubit, cycle, X/Y/Z) or a readout flip
@@ -394,8 +394,7 @@ def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
     branches = branch_syndromes(code)
     locations = [("data", q, t, p) for t in range(r) for q in range(code.n) for p in "XYZ"]
     locations += [("flip", i, t, None) for t in range(r) for i in range(n_chk)]
-    classes = code.d // 2
-    counts = [[0] * 5 for _ in range(classes)]
+    counts = [[0] * 5 for _ in range(code.d // 2 + 1)]
 
     def tally(fault_set) -> None:
         data = [loc for loc in fault_set if loc[0] == "data"]
@@ -420,8 +419,8 @@ def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
         kind = {(1, 0): 0, (0, 1): 1, (2, 0): 2, (1, 1): 3, (0, 2): 4}[(len(data), n_flip)]
         for w in weights:
             m = min(w, code.d - w)
-            if m and w == m:  # one string of each pair {b, bbar}
-                counts[m - 1][kind] += 1
+            if w == m:  # one string of each pair {b, bbar}
+                counts[m][kind] += 1
 
     for a, first in enumerate(locations):
         tally([first])

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrot import analytics
+from ftrot import analytics, codes
 from ftrot.analytics import NoiseModel, RotationConfig
 from ftrot.codes import Multiplicities, get_code
 
 from oracles import (
     compact_error_first_order,
+    fault_set_counts,
     filter_coefficients,
     gaussian_logical_angle_std,
     logical_angle_reference,
@@ -24,6 +25,7 @@ from oracles import (
 )
 
 angles = st.floats(min_value=1e-6, max_value=math.pi - 1e-6)
+SURFACE_3 = get_code("surface", 3)
 odd_d = st.sampled_from([1, 3, 5, 7, 9])
 
 
@@ -250,7 +252,7 @@ class TestRotationTerms:
                 s, c = math.sin(theta / 2), math.cos(theta / 2)
                 for m in range(2, d // 2 + 1):
                     rates = tuple(1.0 if i == m else 0.0 for i in range(1, m + 1))
-                    p_s_coh, _, _, error = analytics._model_terms(theta, d, rates)
+                    p_s_coh, _, _, error, _ = analytics._model_terms(theta, d, rates)
                     weight = s ** (2 * m) * c ** (2 * (d - m)) + s ** (2 * (d - m)) * c ** (2 * m)
                     expected = weight * analytics.branch_infidelity(m, d, theta) / p_s_coh
                     assert error == pytest.approx(expected, rel=1e-9), (d, theta, m)
@@ -271,8 +273,9 @@ class TestRotationTerms:
         assert analytics.accepted_error_model(cfg, order_one) == (
             rate * pair * infid / p_s_coh
         )
-        assert analytics.success_rate(cfg, code.n, len(code.stabilizers)) == (
-            p_s_in * p_s_coh, p_s_in, p_s_coh
+        # its accepted-fault mass is those paths alone
+        assert analytics.success_rate(cfg, code.n, len(code.stabilizers), order_one) == (
+            p_s_in * (p_s_coh + rate * pair), p_s_in, p_s_coh
         )
 
 
@@ -292,7 +295,43 @@ class TestSuccessRate:
         sr = analytics.success_rate(cfg, 9, 8)
         assert sr.p_s_in == pytest.approx(0.971728115894225, rel=1e-12)
         assert sr.p_s_coh == pytest.approx(0.8276133647005521, rel=1e-12)
-        assert sr.p_s == pytest.approx(sr.p_s_in * sr.p_s_coh, rel=1e-15)
+        # 9 qubits, 8 checks and d = 3 are the surface code's sizes, so
+        # p_s holds its accepted-fault mass: 1.20e-4 of the product
+        assert sr == analytics.success_rate(
+            cfg, 9, 8, get_code("surface", 3).error_multiplicities
+        )
+        assert sr.p_s == pytest.approx(0.8043113683961227, rel=1e-12)
+
+    def test_unregistered_size_keeps_the_product(self):
+        # no registered code has 10 qubits and 9 checks at d = 3
+        cfg = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
+        assert codes.code_of_size(9, 8, 3).name == "surface"
+        assert codes.code_of_size(10, 9, 3) is None
+        sr = analytics.success_rate(cfg, 10, 9)
+        assert sr.p_s == sr.p_s_in * sr.p_s_coh
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("name, d", [("surface", 3), ("phase-flip", 3), ("perfect", None)])
+    def test_accepted_mass_is_the_walk_over_every_set(self, name, d, r):
+        # p_s / p_s_in - p_s_coh against the sets that the scalar walk
+        # accepts, each at its rate times its class's pair weight, plus
+        # the r-fold readout masking, which has r > 2 locations at r = 3
+        code = get_code(name, d)
+        mult = code.error_multiplicities
+        noise = NoiseModel(p_in=2e-3, r=r)
+        a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
+        q = noise.readout_flip
+        weights = (a, q, a * a, a * q, q * q)
+        for theta in (0.3, 0.8, 2.0):
+            cfg = RotationConfig(theta=theta, d=code.d, **vars(noise))
+            s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
+            pair_1 = s2 * c2 ** (code.d - 1) + s2 ** (code.d - 1) * c2
+            mass = mult.readout_combos * q**r * pair_1 if r > 2 else 0.0
+            for m, counts in enumerate(fault_set_counts(code, r)):
+                pair = s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m
+                mass += pair * sum(c * w for c, w in zip(counts, weights))
+            sr = analytics.success_rate(cfg, code.n, len(code.stabilizers))
+            assert sr.p_s / sr.p_s_in - sr.p_s_coh == pytest.approx(mass, rel=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -305,7 +344,8 @@ class TestSuccessRate:
         sr = analytics.success_rate(cfg, 9, 8)
         for v in sr:
             assert 0.0 <= v <= 1.0
-        assert sr.p_s == pytest.approx(sr.p_s_in * sr.p_s_coh, rel=1e-12)
+        assert sr == analytics.success_rate(cfg, 9, 8, SURFACE_3.error_multiplicities)
+        assert sr.p_s >= sr.p_s_in * sr.p_s_coh
 
 
 class TestCoherent:

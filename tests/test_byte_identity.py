@@ -27,39 +27,39 @@ OURS_ALL = ["bench", "--methods", "ours,rs,coh", "--distill-costs", "bundled"]
 
 CASES = {
     "scaffold-1e-4": (sweep(["scaffold"], "1e-4"),
-                      "2aeee222264095e5a6b9f9493810cb6776b1b768de382449fa0efd7bb17469a3"),
+                      "af6d5f5386f2b866923d9e9b21e5cd6a70b6893a24064b3b1c43e8ba07571a23"),
     "scaffold-1e-3": (sweep(["scaffold"], "1e-3"),
-                      "8ef6ea42eff8f7651df2a38edcd8a6e5b0bab681cd3fe20d1188cb1a787c812f"),
+                      "c5f5061af5dd53fab073f1921b8dd95fcf5f255b210d887d1e86a8354e6c4a54"),
     "bench-ours-1e-4": (sweep(["bench", "--methods", "ours"], "1e-4"),
-                        "703d4177a81bfdc4078288942d72868e4f456b9f82381cb5f1df57f96219f1cd"),
+                        "480cbbece3d180bb82db21f2ebeb2647c5e3d4671c08a4b0ebfd795734c18542"),
     "bench-ours-1e-3": (sweep(["bench", "--methods", "ours"], "1e-3"),
-                        "a2350c1ac5f095f216fab8967bf98702db450bc29f2de03804e3a2db961668fe"),
+                        "49b62752175991303625fecebd577e3256ff69e1f4d227666e36c4751b105908"),
     "bench-all-1e-4": (sweep(OURS_ALL, "1e-4"),
-                       "3eb855ca0492eee5df58f3d02e176fc8ffee324deb29bd24c518072bc998d291"),
+                       "f1c1fb775991a10dba948b9db29652c82158934754c56f3fa340b1ad702b4617"),
     "bench-all-1e-3": (sweep(OURS_ALL, "1e-3"),
-                       "6e5d133bbcbcc759f369ef2b1b55f90af997ff10972e3532e6b5ce559f4f0fa2"),
+                       "d67d908a67502e24716ad707f86dcbc9f3cabc7e21cecd07b75e69eaff2fb494"),
     "scaffold-r3": ([["scaffold", "--theta-l", "2pi/2^10", "--r", "3"]],
-                    "c8df98840633d18270249d2611c4b14502b6b08b125a1fcfd0c6f58569cb8bd1"),
+                    "6e805ff247b893372dd4d4ef83f224b391ec4f33019afc598b4edd57e5d9906a"),
     "scaffold-perfect": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "perfect"]],
-                         "53ec54465195a855c517114f131df90988c7adef0d6b6e8c496c019efa592c6e"),
+                         "5deb60b7aea5f31b71890c5674ddd72587ff06689683183b293b945b84afe06c"),
     "scaffold-phase-flip": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "phase-flip"]],
-                            "be61052607c39f228b96ad3b99c165799aad59ddebc47c86d6b14aaf2bdebe58"),
+                            "130086cf91596290a1bcb7d0d6b16eff34d13c49f1368c9194a62166924f99c6"),
     # exit 3: the payload carries the closest plan
     "scaffold-ceiling": ([["scaffold", "--theta-l", "2pi/2^10", "--error-ceiling", "1e-9"]],
-                         "afb4c83eefa1bfc95793907e0f5643a772ebfd01ca751555e4decaeee0f7e197"),
+                         "8c288ddd8dde06a318e6972e47c98d7ea4aaf3cba676f6b9c69fc885a6195e27"),
     # the front on the fixed-distance codes and on a narrowed grid
     "bench-ours-perfect": ([["bench", "--methods", "ours", "--code", "perfect",
                              "--theta-l", "2pi/2^10"]],
-                           "4996cb437d350a56ca0a388c499618c1cd27189f97da7053197137875b97498e"),
+                           "21fb0e268772129435a8a5b385de8404895e37f5bcac11393b6e9314b5ea2960"),
     "bench-ours-phase-flip": ([["bench", "--methods", "ours", "--code", "phase-flip",
                                 "--d-values", "3,5", "--theta-l", "2pi/2^10"]],
-                              "7d76cc2f139f8f35c01bda1a2779dee6a95338e00224cef39057360c8d926a35"),
+                              "71d84884e3f49d55e004e8e2caf87d983884f793aa481d0be71b97e528b8f6b7"),
     "bench-ours-narrow": ([["bench", "--methods", "ours", "--d-values", "3,5", "--k-max", "3",
                             "--m-max", "8", "--theta-l", "2pi/2^10"]],
-                          "773827e15f3f7884f63961b74c844e2ed0574dca3cb4fc6cec7d3d5d5b509a67"),
+                          "c8f8cce9edac14da87653b5e2c28aeb5fb851d7d90496751c8c983ed809103fc"),
     # theta = 0 included: the zero-base edge of the log-domain powers
     "analyze": ([["analyze", "--theta", "0:1.5:7", "--d", "5"]],
-                "16b8afa02372c3ea70bbc60d02a553cc9d5772c9ae4deb5a896ee8dfc94ec6d6"),
+                "1d883a404daae7eadd50790f5988a4696a25eefd9df5fe03ad858ba353b9a98c"),
 }
 
 

@@ -273,6 +273,22 @@ class TestEstimate:
             st = mcsim.estimate(surface3, 0.5, None, self.NM, 400_000, seed=21, threads=4)
         assert abs(st.acceptance_rate - ps) < 3 * st.acceptance_stderr
 
+    def test_acceptance_counts_the_accepted_faults(self, surface3):
+        # at 1e8 trials the stderr is 4.9e-5 of p_s, and p_s's
+        # accepted-fault mass is 1.20e-4 of p_s_in p_s_coh (2.4 sigma);
+        # the seed was picked once and is frozen
+        import warnings
+
+        cfg = analytics.RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
+        sr = analytics.success_rate(cfg, surface3.n, len(surface3.stabilizers))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RareEventWarning)
+            st = mcsim.estimate(surface3, 0.5, None, self.NM, 100_000_000, seed=7)
+        print(f"z = {(st.acceptance_rate - sr.p_s) / st.acceptance_stderr:+.2f}, "
+              f"{(st.acceptance_rate - sr.p_s_in * sr.p_s_coh) / st.acceptance_stderr:+.2f} "
+              "against p_s_in p_s_coh")
+        assert abs(st.acceptance_rate - sr.p_s) < 3 * st.acceptance_stderr
+
     def test_injected_z_isolates_single_branch(self, surface3):
         mid = surface3.z_support[1]
         st = mcsim.estimate(

@@ -142,7 +142,7 @@ class TestScaffold:
         plan = schemes.scaffold_optimize(self.TARGET, "surface", self.NOISE)
         assert (plan.d, plan.k, plan.m) == (5, 1, 1)
         assert plan.theta_base == pytest.approx(0.6090818542976749, rel=1e-12)
-        assert plan.expected_cost == pytest.approx(2.0446394994823125, rel=1e-12)
+        assert plan.expected_cost == pytest.approx(2.0441541787770956, rel=1e-12)
         assert plan.predicted_error == pytest.approx(
             2.7212422967587487e-07, rel=1e-12, abs=0
         )
@@ -189,16 +189,17 @@ class TestScaffold:
         "family,d", [("surface", 3), ("surface", 7), ("phase-flip", 5), ("perfect", None)]
     )
     def test_base_states_are_the_public_model_bit_for_bit(self, family, d):
-        # the planner shares p_s_in and the class rates across a code's
-        # states; p_s and the error must still be success_rate's and
-        # accepted_error_model's own bits
+        # the planner shares p_s_in and the class rates (class 0's too)
+        # across a code's states; p_s and the error must still be
+        # success_rate's and accepted_error_model's own bits
         code = codes.get_code(family, d)
         for noise in (self.NOISE, NoiseModel(p_in=1e-4, r=3),
                       NoiseModel(p_in=2e-2, r=1, readout_flip=1e-3)):
             p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
             rates = analytics.class_rates(noise, code.error_multiplicities)
+            hidden = analytics.hidden_rate(noise, code.error_multiplicities)
             for step in [math.ldexp(math.tau, -k) for k in range(2, 60)] + [0.3, 2.5, 3.1]:
-                theta_base, p_s, eps = schemes._base_state(step, code.d, p_s_in, rates)
+                theta_base, p_s, eps = schemes._base_state(step, code.d, p_s_in, rates, hidden)
                 cfg = analytics.RotationConfig(theta=theta_base, d=code.d, **vars(noise))
                 assert p_s == analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
                 assert eps == analytics.accepted_error_model(cfg, code.error_multiplicities)
