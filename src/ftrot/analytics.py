@@ -17,6 +17,13 @@ code that `codes.require_rotation` accepts goes through the same forms;
 a code enters only through its support weight and its derived error
 multiplicities.
 
+The model is one rate vector and one function: `class_rates(noise,
+mult)` gives the accepted fault-set rate of each weight class, class 0
+first, once per (code, noise); `model_terms(theta, d, rates)` is the
+one evaluation per angle, of the error and the accepted share alike.
+`accepted_error_model`, `success_rate`, the planner's base states and
+the Monte-Carlo rare-event warning all read it.
+
 Conventions (fixed package-wide): angles in radians; the rotation is
 cos + i*sin*Z per qubit; branch angles are reported in the frame where
 the codespace branch (m = 0) rotates by +logical_angle for theta in
@@ -36,14 +43,13 @@ __all__ = [
     "NoiseModel",
     "RotationConfig",
     "SuccessRate",
+    "ModelTerms",
     "logical_angle",
     "branch_angle",
     "branch_infidelity",
     "accepted_error_model",
-    "accepted_error_classes",
     "class_rates",
-    "hidden_rate",
-    "first_order_rate",
+    "model_terms",
     "success_rate",
     "substrate_success",
     "coherent_angle_std",
@@ -113,6 +119,18 @@ class SuccessRate(NamedTuple):
     p_s_coh: float
 
 
+class ModelTerms(NamedTuple):
+    """`model_terms` at one (theta, d, rates): the trivial pair's weight
+    p_s_coh, the weight-1 pair weight, infid(1), the model error and the
+    accepted share p_s / p_s_in."""
+
+    p_s_coh: float
+    pair: float
+    infid: float
+    error: float
+    accepted: float
+
+
 def _log(x: float) -> float:
     """math.log, with log 0 = -inf (a zero sine or tangent at theta = 0)."""
     return math.log(x) if x else -math.inf
@@ -149,36 +167,26 @@ def _branch_angle(log_t: float, d: int, m: int) -> float:
     return 2.0 * math.atan(sign * t)
 
 
-def _rotation_terms(theta: float, d: int) -> tuple[float, float, float]:
-    """The theta-dependent terms of the model at support weight d:
+def model_terms(theta: float, d: int, rates: tuple[float, ...]) -> ModelTerms:
+    """The one evaluation of the model at angle theta and support
+    weight d, given the class rates of a code and noise (`class_rates`,
+    class 0 first).
+
     p_s_coh = cos^{2d} + sin^{2d}, the weight-1 branch-pair weight
-    sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2 (half-angles implied) and
-    infid(1) = branch_infidelity(1, d, theta).  See `_model_terms`.
-    """
-    p_s_coh, pair, infid, _, _ = _model_terms(theta, d, (0.0,))
-    return p_s_coh, pair, infid
+    pair = sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2 (half-angles
+    implied) and infid = branch_infidelity(1, d, theta) take log cos,
+    log sin and log tan once and every power by `_pow_log`, so they
+    have the bits of the per-power `_stable_pow` route.  The error
+    starts from the class-1 product rates[1] * pair * infid / p_s_coh.
+    A class m >= 2 of nonzero rate adds rate times its pair weight
+    s^{2m} c^{2(d-m)} + s^{2(d-m)} c^{2m} times infid(m), over p_s_coh.
+    That product is (s c)^{2(d-m)} (s^{2m} - (-1)^m c^{2m})^2 / p_s_coh
+    (half-angles implied): no tangent, so nothing overflows near pi,
+    and no difference of two angles near pi cancels.
 
-
-def _model_terms(
-    theta: float, d: int, rates: tuple[float, ...], hidden: float = 0.0
-) -> tuple[float, float, float, float, float]:
-    """`_rotation_terms`, then the model error given `class_rates`, then
-    the accepted share p_s / p_s_in given those and `hidden_rate`.
-
-    The weight-1 terms take log cos, log sin and log tan once and every
-    power by `_pow_log`, so they have the bits of the per-power
-    `_stable_pow` route; the weight-1 part of the error is
-    `first_order_rate`'s product with them, in the first-order model's
-    operation order.  A class m >= 2 of nonzero rate adds rate times
-    its pair weight s^{2m} c^{2(d-m)} + s^{2(d-m)} c^{2m} times infid(m),
-    over p_s_coh.  That product is (s c)^{2(d-m)} (s^{2m} - (-1)^m
-    c^{2m})^2 / p_s_coh (half-angles implied): no tangent, so nothing
-    overflows near pi, and no difference of two angles near pi cancels.
-    With no fault sets listed the error has the first-order model's bits.
-
-    The accepted share is p_s_coh plus each class's rate times its pair
-    weight, class 0's (`hidden`) being p_s_coh; with every rate 0 it is
-    p_s_coh, bit for bit.
+    The accepted share p_s / p_s_in is p_s_coh plus each class's rate
+    times its pair weight, class 0's being p_s_coh; with every rate 0
+    it is p_s_coh, bit for bit.
     """
     half = theta / 2.0
     s = math.sin(half)
@@ -192,19 +200,19 @@ def _model_terms(
         log_t = _log(math.tan(half))
         phi = _branch_angle(log_t, d, min(1, d - 1))
         infid = math.sin((_branch_angle(log_t, d, 0) - phi) / 2.0) ** 2
-    error = rates[0] * pair * infid / p_s_coh
-    accepted = p_s_coh + (hidden * p_s_coh + rates[0] * pair)
-    if len(rates) > 1:
+    error = rates[1] * pair * infid / p_s_coh
+    accepted = p_s_coh + (rates[0] * p_s_coh + rates[1] * pair)
+    if len(rates) > 2:
         s2, c2, sc2 = s * s, c * c, (s * c) ** 2
         s2m, c2m = s2, c2
-        for m in range(2, len(rates) + 1):
+        for m in range(2, len(rates)):
             s2m *= s2
             c2m *= c2
-            if rates[m - 1]:
+            if rates[m]:
                 cross = s2m - c2m if m % 2 == 0 else s2m + c2m
-                error += rates[m - 1] * (sc2 ** (d - m) * cross * cross / p_s_coh) / p_s_coh
-                accepted += rates[m - 1] * (s2m * c2 ** (d - m) + s2 ** (d - m) * c2m)
-    return p_s_coh, pair, infid, error, accepted
+                error += rates[m] * (sc2 ** (d - m) * cross * cross / p_s_coh) / p_s_coh
+                accepted += rates[m] * (s2m * c2 ** (d - m) + s2 ** (d - m) * c2m)
+    return ModelTerms(p_s_coh, pair, infid, error, accepted)
 
 
 def logical_angle(theta: float, d: int) -> float:
@@ -274,62 +282,40 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     published form (m1 p_in/3 + combos q^r) sin^{2(d-1)}(theta/2) /
     cos(theta/2), with the flip term divided by (1-p_in).
     """
-    return _model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))[3]
-
-
-def accepted_error_classes(cfg: RotationConfig, mult: Multiplicities) -> tuple[float, ...]:
-    """The model's part from each weight class m = 1, 2, ...: the class
-    rate times the pair weight s^{2m} c^{2(d-m)} + s^{2(d-m)} c^{2m}
-    (half-angles implied) times infid(m), over p_s_coh.  They add up
-    to `accepted_error_model`."""
-    rates = class_rates(cfg, mult)
-    return tuple(
-        _model_terms(cfg.theta, cfg.d, tuple(r if i == m else 0.0 for i, r in enumerate(rates)))[3]
-        for m in range(len(rates))
-    )
-
-
-def first_order_rate(noise: NoiseModel, mult: Multiplicities) -> float:
-    """Rate of the first-order paths into the weight-1 branch: the flip
-    paths, m1 (p_in/3) / (1-p_in), plus r-fold readout masking,
-    readout_combos * readout_flip^r.  `class_rates` adds the rest."""
-    flip_rate = mult.first_order * (noise.p_in / 3.0) / (1.0 - noise.p_in)
-    return flip_rate + mult.readout_combos * _stable_pow(noise.readout_flip, noise.r)
+    return model_terms(cfg.theta, cfg.d, class_rates(cfg, mult)).error
 
 
 def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
-    """Rate of the accepted fault sets per weight class m = 1, 2, ...
+    """Rate of the accepted fault sets per weight class m = 0..d//2,
+    class 0 first.
 
-    Class 1 starts from `first_order_rate`.  Every other fault set of at
-    most two locations adds a = (p_in/3)/(1-p_in) per data fault and q =
+    Class 0's sets are accepted with the branch pair {0, 1^d}: they add
+    to the acceptance but not to the error (on the phase-flip code every
+    X fault is one).  Class 1 starts from the first-order paths: the
+    flip paths, m1 (p_in/3) / (1-p_in), plus r-fold readout masking,
+    readout_combos * readout_flip^r.  Every other fault set of at most
+    two locations adds a = (p_in/3)/(1-p_in) per data fault and q =
     readout_flip per flip, as the first-order paths do: the rate of a
     data fault on a history that is otherwise clean, and the flip
     probability without its (1-q)^-1 conditioning, a relative O(q)
     change.  The order-2 sets are the parts of `mult.fault_sets(r)` not
-    already in `first_order_rate`: the flip-projection and
+    already in the first-order paths: the flip-projection and
     secondary-flip faults in class 1 and, for r <= 2, the masking flips.
+    A hand-built `Multiplicities` gives (0.0, first-order rate).
     """
+    rate = mult.first_order * (noise.p_in / 3.0) / (1.0 - noise.p_in)
+    rate += mult.readout_combos * _stable_pow(noise.readout_flip, noise.r)
     sets = mult.fault_sets(noise.r)
-    rate = first_order_rate(noise, mult)
     if not sets:
-        return (rate,)
+        return (0.0, rate)
     order_one = sets[1]._replace(data=sets[1].data - mult.first_order)
     if noise.r == 1:
         order_one = order_one._replace(flip=order_one.flip - mult.readout_combos)
     elif noise.r == 2:
         order_one = order_one._replace(flip_flip=order_one.flip_flip - mult.readout_combos)
-    rates = [_set_rate(noise, counts) for counts in (order_one, *sets[2:])]
-    rates[0] = rate + rates[0]
+    rates = [_set_rate(noise, counts) for counts in (sets[0], order_one, *sets[2:])]
+    rates[1] = rate + rates[1]
     return tuple(rates)
-
-
-def hidden_rate(noise: NoiseModel, mult: Multiplicities) -> float:
-    """Rate of the accepted fault sets of class 0, at most two locations:
-    accepted with the branch pair {0, 1^d}, so they add to the
-    acceptance but not to the model error (0 for a hand-built
-    `Multiplicities`).  On the phase-flip code every X fault is one."""
-    sets = mult.fault_sets(noise.r)
-    return _set_rate(noise, sets[0]) if sets else 0.0
 
 
 def _set_rate(noise: NoiseModel, counts: FaultSetCounts) -> float:
@@ -349,8 +335,8 @@ def success_rate(
     p_s_in from `substrate_success` is the chance of no fault at all;
     p_s_coh = cos^{2d} + sin^{2d} is the trivial branch pair's weight.
     p_s = p_s_in (p_s_coh + M), where the accepted-fault mass M sums the
-    fault sets of `accepted_error_model`, class 0 (`hidden_rate`)
-    included, each at its rate times the weight of its branch pairs.
+    fault sets of `accepted_error_model`, class 0 included, each at its
+    rate times the weight of its branch pairs (`model_terms`).
     mult defaults to the multiplicities of the registered code of this
     size (`codes.code_of_size`); with no such code M = 0, and a
     hand-built `Multiplicities` gives M its first-order paths alone.
@@ -359,8 +345,8 @@ def success_rate(
     if mult is None:
         code = code_of_size(n_qubits, n_stabilizers, cfg.d)
         mult = code.error_multiplicities if code else Multiplicities(0, 0, 0)
-    terms = _model_terms(cfg.theta, cfg.d, class_rates(cfg, mult), hidden_rate(cfg, mult))
-    return SuccessRate(p_s=p_s_in * terms[4], p_s_in=p_s_in, p_s_coh=terms[0])
+    terms = model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))
+    return SuccessRate(p_s=p_s_in * terms.accepted, p_s_in=p_s_in, p_s_coh=terms.p_s_coh)
 
 
 def substrate_success(noise: NoiseModel, n_qubits: int, n_stabilizers: int) -> float:

@@ -150,26 +150,22 @@ def _philox_batches(
     return [run(i) for i in range(n_batches)]
 
 
-def _stabilizer_plan(code: StabilizerCode) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per generator: (frame rows, branch columns).
+def _stabilizer_plan(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
+    """Every generator's frame rows, concatenated, and where each
+    generator's rows start.
 
     A frame holds a Pauli's Z part in rows 0..n-1 and its X part in
     rows n..2n-1, so a generator's reading is the XOR over its X
     support followed by n + its Z support: the symplectic product
     (Aaronson & Gottesman, PRA 70, 052328 (2004); Gidney, Quantum 5,
-    497 (2021)).  Its branch columns are the positions of the rotation
-    support inside its X support, where a branch Z anticommutes with it.
+    497 (2021)).
     """
     require_rotation(code)
     n = code.n
-    support_pos = {q: i for i, q in enumerate(code.z_support)}
-    plan = []
-    for p in code.stabilizers:
-        xs = list(_bits(p.x))
-        zs = [n + q for q in _bits(p.z)]
-        bcols = [support_pos[q] for q in xs if q in support_pos]
-        plan.append((np.array(xs + zs, dtype=np.intp), np.array(bcols, dtype=np.intp)))
-    return plan
+    per_check = [[*_bits(p.x), *(n + q for q in _bits(p.z))] for p in code.stabilizers]
+    rows = np.array([row for check in per_check for row in check], dtype=np.intp)
+    starts = np.cumsum([0] + [len(check) for check in per_check[:-1]])
+    return rows, starts
 
 
 def _sparse_hits(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
@@ -231,8 +227,8 @@ def _run_batch(
 ) -> tuple[int, np.ndarray]:
     """Simulate one batch; returns (accepted count, branch histogram).
 
-    `rows` concatenates every generator's frame rows (see
-    `_stabilizer_plan`), generator i's starting at starts[i];
+    `rows` and `starts` are `_stabilizer_plan`: every generator's frame
+    rows, generator i's starting at starts[i];
     `untouched` is `_untouched_classes`.  Draw order per batch
     (stream 3) is part of the determinism contract:
       1. for each cycle, data faults over the flat (trial, qubit)
@@ -312,7 +308,7 @@ def estimate(
     bit-identical across thread counts.  theta_l_target defaults to
     the accepted angle of (theta, d), making the m=0 class exact-zero.
     """
-    plan = _stabilizer_plan(code)
+    rows, starts = _stabilizer_plan(code)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if threads < 1:
@@ -333,28 +329,22 @@ def estimate(
         ]
     )
 
-    infid1 = analytics.branch_infidelity(1, d, theta)
-    if inject_z is None and noise.p_in > 0 and infid1 > 0:
-        cfg = analytics.RotationConfig(theta=theta, d=d, **vars(noise))
-        predicted = analytics.accepted_error_model(cfg, code.error_multiplicities)
-        classes = analytics.accepted_error_classes(cfg, code.error_multiplicities)
-        p_s = analytics.success_rate(
-            cfg, code.n, len(code.stabilizers), code.error_multiplicities
-        ).p_s
-        # the class-1 part is (weight-1 share of accepted trials) * infid(1)
-        expected_events = classes[0] / infid1 * p_s * n_trials
-        if expected_events < 10.0:
+    if inject_z is None:
+        rates = analytics.class_rates(noise, code.error_multiplicities)
+        terms = analytics.model_terms(theta, d, rates)
+        p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
+        # the model's accepted weight-1 trials: class 1's rate times its pair weight
+        expected_events = p_s_in * rates[1] * terms.pair * n_trials
+        if 0.0 < expected_events < 10.0 and terms.infid > 0.0:
             warnings.warn(
                 RareEventWarning(
                     f"expected about {expected_events:.2f} accepted weight-1 trials "
-                    f"at N={n_trials} (analytic rate {predicted:.3g}); "
+                    f"at N={n_trials} (analytic rate {terms.error:.3g}); "
                     "the infidelity estimate will be noise-dominated"
                 ),
                 stacklevel=2,
             )
 
-    rows = np.concatenate([r for r, _ in plan])
-    starts = np.cumsum([0] + [r.size for r, _ in plan[:-1]])
     untouched = _untouched_classes(code, theta, inject_z)
     results = _philox_batches(
         seed,

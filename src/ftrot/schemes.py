@@ -184,22 +184,22 @@ class InfeasibleError(Exception):
 
 
 def _base_state(
-    step_angle: float, d: int, p_s_in: float, rates: tuple[float, ...], hidden: float = 0.0
+    step_angle: float, d: int, p_s_in: float, rates: tuple[float, ...]
 ) -> tuple[float, float, float] | None:
     """Physical angle, success rate and accepted error of the state whose
     logical angle is step_angle, or None when no such state exists.
 
-    p_s_in, rates and hidden are `analytics.substrate_success`,
-    `analytics.class_rates` and `analytics.hidden_rate` of the code and
-    noise; p_s and the error
-    are `success_rate(...).p_s` and `accepted_error_model(...)`, bit
-    for bit, without a RotationConfig per state.
+    p_s_in and rates are `analytics.substrate_success` and
+    `analytics.class_rates` (class 0 first) of the code and noise; one
+    `analytics.model_terms` call gives p_s and the error, the bits of
+    `success_rate(...).p_s` and `accepted_error_model(...)`, without a
+    RotationConfig per state.
     """
     if not 0.0 < step_angle < math.pi:
         return None
     # invert the accepted-angle chain: theta_L(base) = step_angle
     theta_base = 2.0 * math.atan(math.tan(step_angle / 2.0) ** (1.0 / d))
-    _, _, _, error, accepted = analytics._model_terms(theta_base, d, rates, hidden)
+    _, _, _, error, accepted = analytics.model_terms(theta_base, d, rates)
     p_s = p_s_in * accepted
     if p_s <= 0.0:
         return None
@@ -236,13 +236,12 @@ def iter_plans(
         attempt = attempt_cost(d, noise.r)
         p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
         rates = analytics.class_rates(noise, code.error_multiplicities)
-        hidden = analytics.hidden_rate(noise, code.error_multiplicities)
         states: dict[int, tuple[float, float, float] | None] = {}
         for k in range(1, k_max + 1):
             for m in range(1, m_max + 1):
                 km = k * m
                 if km not in states:
-                    states[km] = _base_state(theta_l_target / km, d, p_s_in, rates, hidden)
+                    states[km] = _base_state(theta_l_target / km, d, p_s_in, rates)
                 state = states[km]
                 if state is None:
                     continue

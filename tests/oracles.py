@@ -229,8 +229,9 @@ def logical_angle_reference(theta: float, d: int) -> float:
 def rotation_terms_per_power(theta: float, d: int) -> tuple[float, float, float]:
     """p_s_coh, weight-1 pair weight and infid(1), with each power taken
     on its own as exp(e * log(base)) and the angles through tan(theta/2)
-    again for each: the reference that `analytics._rotation_terms`, which
-    shares one log per base, must match bit for bit."""
+    again for each: the reference for the first three fields of
+    `analytics.model_terms`, the model's one evaluation, which shares
+    one log per base and must match it bit for bit."""
 
     def power(base: float, e: int) -> float:
         if base == 0.0:

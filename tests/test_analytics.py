@@ -231,7 +231,8 @@ class TestRotationTerms:
         thetas += list(rng.uniform(0.0, math.pi, 500))
         for d in range(1, 16):
             for theta in thetas:
-                assert analytics._rotation_terms(theta, d) == rotation_terms_per_power(theta, d)
+                terms = analytics.model_terms(theta, d, (0.0, 0.0))
+                assert terms[:3] == rotation_terms_per_power(theta, d)
 
     def test_powers_past_the_float_range_give_pi(self):
         # tan^27 of half an angle 1e-12 short of pi overflows a float;
@@ -251,8 +252,8 @@ class TestRotationTerms:
             for theta in (0.05, 0.3, 0.609, 1.0, 1.5, 2.0):
                 s, c = math.sin(theta / 2), math.cos(theta / 2)
                 for m in range(2, d // 2 + 1):
-                    rates = tuple(1.0 if i == m else 0.0 for i in range(1, m + 1))
-                    p_s_coh, _, _, error, _ = analytics._model_terms(theta, d, rates)
+                    rates = tuple(1.0 if i == m else 0.0 for i in range(m + 1))
+                    p_s_coh, _, _, error, _ = analytics.model_terms(theta, d, rates)
                     weight = s ** (2 * m) * c ** (2 * (d - m)) + s ** (2 * (d - m)) * c ** (2 * m)
                     expected = weight * analytics.branch_infidelity(m, d, theta) / p_s_coh
                     assert error == pytest.approx(expected, rel=1e-9), (d, theta, m)
@@ -268,7 +269,8 @@ class TestRotationTerms:
         order_one = Multiplicities(
             counts.flip_projection, counts.secondary_flip, counts.readout_combos
         )
-        rate = analytics.first_order_rate(noise, order_one)
+        hidden, rate = analytics.class_rates(noise, order_one)
+        assert hidden == 0.0
         p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
         assert analytics.accepted_error_model(cfg, order_one) == (
             rate * pair * infid / p_s_coh

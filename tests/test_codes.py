@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrot import codes, mcsim
+from ftrot import codes
 from ftrot.pauli import PauliString, commutes
 
 from oracles import (
@@ -105,21 +105,23 @@ def test_logical_algebra(code):
 
 
 def branch_checks(code):
-    """Indices of the generators with branch columns in the MC check plan."""
-    return tuple(i for i, (_, bcols) in enumerate(mcsim._stabilizer_plan(code)) if bcols.size)
+    """Indices of the generators that a branch Z on the rotation support trips."""
+    columns = code.error_multiplicities.branch_columns
+    return tuple(i for i in range(len(code.stabilizers)) if any(c >> i & 1 for c in columns))
 
 
 def test_noncommuting_set_matches_support_touch(code):
-    # a check has branch columns exactly where some Z_q on the rotation
-    # support anticommutes with it, at the support positions of those q
+    # generator i's bit is set in the branch column of a support
+    # position exactly where Z on that qubit anticommutes with it
     if code.name == "four-qubit":
         with pytest.raises(ValueError, match="gives no rotation state"):
-            mcsim._stabilizer_plan(code)
+            codes.require_rotation(code)
         return
     z = [PauliString.single_z(code.n, q) for q in code.z_support]
-    for (_, bcols), g in zip(mcsim._stabilizer_plan(code), code.stabilizers):
+    columns = code.error_multiplicities.branch_columns
+    for i, g in enumerate(code.stabilizers):
         expected = [pos for pos, zq in enumerate(z) if not commutes(zq, g)]
-        assert sorted(bcols.tolist()) == expected
+        assert [pos for pos, c in enumerate(columns) if c >> i & 1] == expected
 
 
 def test_noncommuting_set_sizes():

@@ -370,6 +370,27 @@ class TestEstimate:
             warnings.simplefilter("error", RareEventWarning)
             mcsim.estimate(surface3, 0.0, None, self.NM, 1_000, seed=11)
 
+    def test_readout_only_noise_warns(self, surface3):
+        # readout flips alone feed class 1 through r-fold masking: 2.53
+        # accepted weight-1 trials expected at 20,000 trials
+        noise = NoiseModel(p_in=0.0, r=2, readout_flip=0.05)
+        with pytest.warns(RareEventWarning, match="expected about 2.53 accepted weight-1"):
+            mcsim.estimate(surface3, 0.5, None, noise, 20_000, seed=11)
+        # without noise no fault set reaches class 1: nothing expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RareEventWarning)
+            mcsim.estimate(surface3, 0.5, None, NoiseModel(p_in=0.0), 1_000, seed=11)
+
+    @pytest.mark.parametrize(
+        "theta,target", [(4.0, None), (-0.1, 0.1), (math.nan, None)]
+    )
+    def test_theta_outside_domain_refused_before_warning(self, surface3, theta, target):
+        # 1,000 trials at p_in=1e-3 would warn; the bad angle stops first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RareEventWarning)
+            with pytest.raises(ValueError, match=r"theta must be in \[0, pi\]"):
+                mcsim.estimate(surface3, theta, target, self.NM, 1_000, seed=1)
+
     def test_simulability_is_structural(self, surface3):
         custom = dataclasses.replace(surface3, name="custom")
         with warnings.catch_warnings():

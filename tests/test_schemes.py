@@ -178,10 +178,14 @@ class TestScaffold:
         # slope at d = 5)
         code = codes.get_code("surface", d)
         p_s_in = analytics.substrate_success(self.NOISE, code.n, len(code.stabilizers))
-        rate = analytics.first_order_rate(self.NOISE, code.error_multiplicities)
+        counts = code.error_multiplicities
+        order_one = codes.Multiplicities(
+            counts.flip_projection, counts.secondary_flip, counts.readout_combos
+        )
+        rates = analytics.class_rates(self.NOISE, order_one)
         theta_l = analytics.logical_angle(0.5, d)
         ms = np.unique(np.round(np.logspace(1, 3, 25)).astype(int))
-        eps = [m * schemes._base_state(theta_l / m, d, p_s_in, (rate,))[2] for m in ms]
+        eps = [m * schemes._base_state(theta_l / m, d, p_s_in, rates)[2] for m in ms]
         slope = float(np.polyfit(np.log(ms), np.log(eps), 1)[0])
         assert abs(slope / -(1.0 - 2.0 / d) - 1.0) < 0.05
 
@@ -197,9 +201,8 @@ class TestScaffold:
                       NoiseModel(p_in=2e-2, r=1, readout_flip=1e-3)):
             p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
             rates = analytics.class_rates(noise, code.error_multiplicities)
-            hidden = analytics.hidden_rate(noise, code.error_multiplicities)
             for step in [math.ldexp(math.tau, -k) for k in range(2, 60)] + [0.3, 2.5, 3.1]:
-                theta_base, p_s, eps = schemes._base_state(step, code.d, p_s_in, rates, hidden)
+                theta_base, p_s, eps = schemes._base_state(step, code.d, p_s_in, rates)
                 cfg = analytics.RotationConfig(theta=theta_base, d=code.d, **vars(noise))
                 assert p_s == analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
                 assert eps == analytics.accepted_error_model(cfg, code.error_multiplicities)
