@@ -231,12 +231,15 @@ def branch_coset(columns: tuple[int, ...], syndrome: int) -> tuple[int, ...] | N
     solution b0 plus every sum of kernel vectors (2 strings, b0 and its
     complement, for the registered codes).
     """
-    rows, kernel = _branch_basis(columns)
-    rest, b0 = _reduce(rows, syndrome)
-    if rest:
-        return None
+    rest, b0 = _reduce(_branch_basis(columns)[0], syndrome)
+    return None if rest else _coset_counts(columns, b0)
+
+
+def _coset_counts(columns: tuple[int, ...], b0: int) -> tuple[int, ...]:
+    """The branch strings b0 + (kernel of the columns), counted by
+    weight: the strings with branch string b0's syndrome."""
     coset = [b0]
-    for k in kernel:
+    for k in _branch_basis(columns)[1]:
         coset += [b ^ k for b in coset]
     counts = [0] * (len(columns) + 1)
     for b in coset:

@@ -6,22 +6,26 @@ observed bit is nonzero.  Because the rotation only ever creates
 Z-type branch operators on the support, a trial is fully described by
 
   * the sampled branch string b (each bit 1 w.p. sin^2(theta/2)),
-  * a persistent Pauli error frame accumulating depolarizing noise,
+  * the depolarizing faults on the data qubits, which persist,
   * per-cycle readout flips on each stabilizer outcome.
 
-A trial is accepted when, in every cycle, the syndrome of
-frame * Z^b with readout flips applied is all-zero.  Accepted trials
-land in the branch weight class m = min(|b|, d-|b|), whose infidelity
-against the target angle is a closed form; the estimator averages it.
+Write s_c for what cycle c reads from the faults and flips alone (and
+the injected Z, if any).  The branch string adds H_b b, the syndrome
+of Z^b, to every cycle, so a trial is accepted exactly when
+s_1 = ... = s_r = s and H_b b = s: s lies in the span of the branch
+columns, and b in the coset of strings with that syndrome.  Accepted
+trials land in the branch weight class m = min(|b|, d-|b|), whose
+infidelity against the target angle is a closed form; the estimator
+averages it.
 
 Noise is sparse at the rates of interest, so a batch draws only the
 faults that occur: data-qubit hits and readout flips are exact
 Bernoulli samples over flat index spaces, and only the trials they
-touch are evaluated cycle by cycle.  A trial that nothing touches is
-accepted exactly when its branch string lies in A_0, the strings whose
-syndrome is the injected Z's (0 without one), and noise is independent
-of b; so the class counts of all untouched trials of a batch are one
-multinomial draw, and branch strings are drawn for touched trials only.
+touch are evaluated, as check-mask words.  Noise is independent of b,
+so given the noise the class counts of the n_s trials that read s in
+every cycle are one multinomial draw over s's coset; a trial that
+nothing touches reads the injected Z's syndrome.  No branch string is
+drawn.
 
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
@@ -30,19 +34,22 @@ counter-based Philox stream keyed by (seed, i), seed in [0, 2^64).
 All reductions are integer counts, so results are bit-identical for a
 given (seed, n_trials, batch_size, stream) regardless of thread count.
 `estimate` records the stream version as `params["stream"]`; the
-teleportation walk's "stream" (also 3) is a separate key of the `walk`
-payload and versions that sampler alone.  Stream 3 draws, per batch:
+teleportation walk's "stream" is a separate key of the `walk` payload
+and versions that sampler alone.  Stream 4 draws, per batch:
 
   1. for each cycle in turn, the data-hit count, the hit positions over
      the flat (trial, qubit) index, and one X/Y/Z kind per hit;
   2. for each cycle in turn, the readout-flip count and the flip
      positions over the flat (trial, check) index;
-  3. the class counts of the u untouched trials, multinomial(u, q) with
-     q_m = P(b in A_0, class m) for m = 0..d//2 and q_reject last;
-  4. the branch uniforms of the touched trials, shape (d, touched).
+  3. for each syndrome s that some trial reads in every cycle and that
+     lies in the span of the branch columns, in ascending order of its
+     coset representative b0 (`codes._reduce`), the class counts of
+     those n_s trials as multinomial(n_s, q(s)), with q_m = P(H_b b = s,
+     class m) for m = 0..d//2 and the rejection probability last.
 
-Stream 2 drew the branch uniforms of every trial, shape (trials, d),
-first and then items 1 and 2.
+Stream 3 drew items 1 and 2, one multinomial for the untouched trials
+only, and then a branch string for each touched trial; stream 2 drew
+the branch uniforms of every trial first.
 
 The noise description, `NoiseModel`, lives in `analytics` and is
 re-exported here.  A scalar one-trial-at-a-time reference engine lives
@@ -51,18 +58,20 @@ in the test suite (`tests/oracles.py`).
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode, _bits, branch_coset, require_rotation
+from .codes import StabilizerCode, _branch_basis, _coset_counts, _reduce, require_rotation
 
 DEFAULT_BATCH_SIZE = 1 << 16
 
@@ -125,13 +134,16 @@ def _philox_batches(
     fn: Callable[[np.random.Generator, int], object],
     threads: int = 1,
     progress: Callable[[int, int], None] | None = None,
-) -> list:
-    """fn(rng, size) over the batch partition of n items, in batch order.
+) -> Iterator:
+    """Yield fn(rng, size) over the batch partition of n items, in batch order.
 
     Batch i holds batch_size items (the last one the remainder) and
     draws from Philox key (seed, i); the partition depends only on
     (n, batch_size), so the results do not depend on `threads`.
     `progress(i + 1, n_batches)` is called once per finished batch.
+    At most two batches per worker are in flight, so a caller that
+    folds the results as they come holds memory that does not grow
+    with n.
     """
     _check_seed(seed)
     n_batches = (n + batch_size - 1) // batch_size
@@ -144,28 +156,17 @@ def _philox_batches(
             progress(i + 1, n_batches)
         return out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(n_batches)))
-    return [run(i) for i in range(n_batches)]
-
-
-def _stabilizer_plan(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
-    """Every generator's frame rows, concatenated, and where each
-    generator's rows start.
-
-    A frame holds a Pauli's Z part in rows 0..n-1 and its X part in
-    rows n..2n-1, so a generator's reading is the XOR over its X
-    support followed by n + its Z support: the symplectic product
-    (Aaronson & Gottesman, PRA 70, 052328 (2004); Gidney, Quantum 5,
-    497 (2021)).
-    """
-    require_rotation(code)
-    n = code.n
-    per_check = [[*_bits(p.x), *(n + q for q in _bits(p.z))] for p in code.stabilizers]
-    rows = np.array([row for check in per_check for row in check], dtype=np.intp)
-    starts = np.cumsum([0] + [len(check) for check in per_check[:-1]])
-    return rows, starts
+    if workers == 1:
+        yield from map(run, range(n_batches))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: collections.deque = collections.deque()
+        for i in range(n_batches):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, i))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _sparse_hits(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
@@ -178,114 +179,130 @@ def _sparse_hits(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
     return rng.choice(total, rng.binomial(total, p), replace=False)
 
 
-def _data_hits(
-    rng: np.random.Generator, total: int, p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Depolarizing faults over range(total): (positions, x bits, z bits).
+def _data_hits(rng: np.random.Generator, total: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Depolarizing faults over range(total): (positions, kinds).
 
-    Each hit is X, Y or Z with probability 1/3, from one uniform integer
-    per hit drawn after the positions.
+    Each hit is X, Y or Z (kind 0, 1, 2) with probability 1/3, from one
+    uniform integer per hit drawn after the positions.
     """
     pos = _sparse_hits(rng, total, p)
-    kind = rng.integers(0, 3, size=pos.size)  # 0 X, 1 Y, 2 Z
-    return pos, kind != 2, kind != 0
+    return pos, rng.integers(0, 3, size=pos.size)
 
 
-def _untouched_classes(code: StabilizerCode, theta: float, inject_z: int | None) -> np.ndarray:
-    """Class probabilities of a trial that no fault or flip touches:
-    P(accepted in class m) for m = 0..d//2, then P(rejected).
+def _coset_classes(code: StabilizerCode, theta: float, b0: int) -> np.ndarray:
+    """Class probabilities of a trial that reads branch string b0's
+    syndrome in every cycle: P(accepted in class m) for m = 0..d//2,
+    then P(rejected).
 
-    Such a trial reads the syndrome of Z^b (times the injected Z) in
-    every cycle, so it is accepted exactly when H_b b equals the
-    injected Z's syndrome: b in A_0, the coset that `codes.branch_coset`
-    counts by weight ({0, 1^d} without `inject_z`).
+    Such a trial is accepted exactly when its branch string lies in
+    b0's coset, which `codes._coset_counts` counts by weight ({0, 1^d}
+    for b0 = 0).
     """
-    mult = code.error_multiplicities
     d = code.d
-    # the check mask of Z on qubit q is its third channel (X, Y, Z)
-    injected = 0 if inject_z is None else mult.channels[3 * inject_z + 2]
-    counts = branch_coset(mult.branch_columns, injected)
+    s2 = math.sin(theta / 2.0) ** 2
     q = np.zeros(d // 2 + 2)
-    if counts is not None:
-        s2 = math.sin(theta / 2.0) ** 2
-        for w, count in enumerate(counts):
-            q[min(w, d - w)] += count * s2**w * (1.0 - s2) ** (d - w)
+    for w, count in enumerate(_coset_counts(code.error_multiplicities.branch_columns, b0)):
+        q[min(w, d - w)] += count * s2**w * (1.0 - s2) ** (d - w)
     q[-1] = max(0.0, 1.0 - q[:-1].sum())
     return q
 
 
+def _word_column(mask: int, width: int) -> np.ndarray:
+    """A bit mask as a (width, 1) column of 64-bit words: bit i is bit
+    i % 64 of word i // 64."""
+    return np.array([[mask >> 64 * w & (1 << 64) - 1] for w in range(width)], dtype=np.uint64)
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted array a begins."""
+    starts = np.ones(a.size, dtype=bool)
+    starts[1:] = a[1:] != a[:-1]
+    return starts
+
+
 def _run_batch(
     code: StabilizerCode,
-    rows: np.ndarray,
-    starts: np.ndarray,
-    untouched: np.ndarray,
-    theta: float,
+    table: np.ndarray,
+    injected: int,
+    classes: Callable[[int], np.ndarray],
     noise: NoiseModel,
-    inject_z: int | None,
     rng: np.random.Generator,
     size: int,
-) -> tuple[int, np.ndarray]:
-    """Simulate one batch; returns (accepted count, branch histogram).
+) -> np.ndarray:
+    """Simulate one batch; returns its branch class histogram.
 
-    `rows` and `starts` are `_stabilizer_plan`: every generator's frame
-    rows, generator i's starting at starts[i];
-    `untouched` is `_untouched_classes`.  Draw order per batch
-    (stream 3) is part of the determinism contract:
+    Syndromes are held in echelon form, as words of `rest << d | b0`
+    with (rest, b0) = `codes._reduce` against the branch columns'
+    echelon rows.  The reduction is linear, so the XOR of the forms of
+    a trial's faults and flips is the form of its syndrome s: s lies in
+    the span of the branch columns when rest = 0, and b0 is then a
+    branch string of syndrome s, which names s's coset.  `table` holds
+    every location's form as a (width, locations) column of words: the
+    3n single-qubit channels (qubit-major, X Y Z), then the checks'
+    readout flips.  `injected` is the injected Z's form (0 without
+    one), and `classes(b0)` is `_coset_classes` of b0.  Draw order
+    per batch (stream 4) is part of the determinism contract:
       1. for each cycle, data faults over the flat (trial, qubit)
          index: the hit count, the positions, then one X/Y/Z kind per
          hit;
       2. for each cycle, readout flips over the flat (trial, check)
          index: the flip count, then the positions;
-      3. the class counts of the u trials that nothing touched, as one
-         multinomial(u, untouched);
-      4. the branch uniforms of the touched trials, shape (d, touched):
-         one row per support position, trials in ascending order.
-    Only the touched trials get a frame, which starts as Z^b (times the
-    injected Z) and accumulates their hits cycle by cycle.
+      3. for each b0 that some trial reaches, in ascending order, the
+         class counts of its n_b0 trials, multinomial(n_b0, classes(b0)).
+    The trials that nothing touched read the injected Z's syndrome.
     """
-    n, n_chk, d = code.n, starts.size, code.d
-    hits = [_data_hits(rng, size * n, noise.p_in) for _ in range(noise.r)]
-    flips = [_sparse_hits(rng, size * n_chk, noise.readout_flip) for _ in range(noise.r)]
-    is_touched = np.zeros(size, dtype=bool)
-    for (pos, _, _), flip in zip(hits, flips):
-        is_touched[pos // n] = True
-        is_touched[flip // n_chk] = True
-    touched = np.flatnonzero(is_touched)
-    local = np.empty(size, dtype=np.intp)
-    local[touched] = np.arange(touched.size)
-    hist = rng.multinomial(size - touched.size, untouched)[:-1]
-    # branch bits as (support position, touched trial) rows
-    b = rng.random((d, touched.size)) < math.sin(theta / 2.0) ** 2
+    n, n_chk, r, d = code.n, len(code.stabilizers), noise.r, code.d
+    width = table.shape[0]
+    hits = [_data_hits(rng, size * n, noise.p_in) for _ in range(r)]
+    flips = [_sparse_hits(rng, size * n_chk, noise.readout_flip) for _ in range(r)]
 
-    # the frame is (Z rows then X rows, touched trial), padded to whole
-    # 64-bit words, so a check's parity is an XOR over the packed words
-    # of its rows; it carries over cycles, so memory does not grow with r
-    width = -(-touched.size // 64) * 64
-    frame = np.zeros((2 * n, width), dtype=bool)
-    frame[list(code.z_support), :touched.size] = b
-    if inject_z is not None:
-        frame[inject_z] ^= True
-    ok = np.full(width // 64, ~np.uint64(0), dtype="<u8")
-    for (pos, hx, hz), flip in zip(hits, flips):
-        trial, qubit = np.divmod(pos, n)
-        frame[qubit, local[trial]] ^= hz
-        frame[n + qubit, local[trial]] ^= hx
-        flipped = np.zeros((n_chk, width), dtype=bool)
-        trial, check = np.divmod(flip, n_chk)
-        flipped[check, local[trial]] = True
-        reading = np.bitwise_xor.reduceat(_words(frame)[rows], starts, axis=0)
-        ok &= ~np.bitwise_or.reduce(reading ^ _words(flipped), axis=0)
-    ok = np.unpackbits(ok.view(np.uint8), count=touched.size, bitorder="little").view(bool)
+    # every fault and flip as (row, trial, location): cycle c's data
+    # faults in row c, its flips in row r + c.  Arrays are freed or
+    # updated in place as the batch goes, which keeps its peak memory
+    # small enough for the allocator to reuse the same pages every batch
+    trial, qubit = np.divmod(np.concatenate([pos for pos, _ in hits]), n)
+    flip_trial, check = np.divmod(np.concatenate(flips), n_chk)
+    trial = np.concatenate([trial, flip_trial])
+    loc = np.concatenate([3 * qubit + np.concatenate([kind for _, kind in hits]), 3 * n + check])
+    row = np.repeat(np.arange(2 * r), [pos.size for pos, _ in hits] + [flip.size for flip in flips])
+    del hits, flips, qubit, flip_trial, check
 
-    w = b[:, ok].sum(axis=0)
-    hist += np.bincount(np.minimum(w, d - w), minlength=d // 2 + 1)
-    return int(hist.sum()), hist
+    # number the touched trials: sort the events by trial, each event's
+    # index riding in the low bits of its sort key
+    shift = trial.size.bit_length()
+    trial <<= shift
+    trial |= np.arange(trial.size)
+    trial.sort()
+    ids = np.cumsum(_starts(trial >> shift)) - 1
+    touched = int(ids[-1]) + 1 if ids.size else 0
+    trial &= (1 << shift) - 1
+    local = np.empty_like(ids)
+    local[trial] = ids
+    del trial, ids
 
+    # the touched trials' forms, (row, word, trial): a data fault is
+    # seen from its cycle on and a flip in its cycle only, so a trial
+    # reads the same syndrome in every cycle when each cycle's faults
+    # cancel its own flips and the last cycle's
+    forms = np.zeros(2 * r * width * touched, dtype=np.uint64)
+    slot = np.arange(width)[:, None] + row * width
+    slot *= touched
+    slot += local
+    np.bitwise_xor.at(forms, slot, table.take(loc, axis=1))
+    data, flipped = forms.reshape(2, r, width, touched)
+    same = ~(data[1:] ^ flipped[1:] ^ flipped[:-1]).any(axis=(0, 1))
+    syndrome = np.compress(same, data[0] ^ flipped[0], axis=1) ^ _word_column(injected, width)
+    spanned = (syndrome[0] < np.uint64(1 << d)) & ~syndrome[1:].any(axis=0)
+    b0 = np.sort(syndrome[0, spanned])
+    first = np.flatnonzero(_starts(b0))
+    tally = dict(zip(b0[first].tolist(), np.diff(first, append=b0.size).tolist()))
+    if size > touched and injected < 1 << d:
+        tally[injected] = tally.get(injected, 0) + size - touched
 
-def _words(bits: np.ndarray) -> np.ndarray:
-    """Rows of bools, a multiple of 64 long, as rows of uint64 words:
-    element t at bit t % 64 of word t // 64."""
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    hist = np.zeros(d // 2 + 2, dtype=np.int64)
+    for b in sorted(tally):
+        hist += rng.multinomial(tally[b], classes(b))
+    return hist[:-1]
 
 
 def estimate(
@@ -308,7 +325,7 @@ def estimate(
     bit-identical across thread counts.  theta_l_target defaults to
     the accepted angle of (theta, d), making the m=0 class exact-zero.
     """
-    rows, starts = _stabilizer_plan(code)
+    require_rotation(code)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if threads < 1:
@@ -345,19 +362,37 @@ def estimate(
                 stacklevel=2,
             )
 
-    untouched = _untouched_classes(code, theta, inject_z)
-    results = _philox_batches(
+    mult = code.error_multiplicities
+    n_chk = len(code.stabilizers)
+    rows = _branch_basis(mult.branch_columns)[0]
+
+    def form(mask: int) -> int:
+        rest, b0 = _reduce(rows, mask)
+        return rest << d | b0
+
+    # every location's syndrome in that form: the single-qubit channels,
+    # then the readout flips
+    locations = [*mult.channels, *(1 << i for i in range(n_chk))]
+    width = -(-(n_chk + d) // 64)
+    table = np.hstack([_word_column(form(m), width) for m in locations])
+    # the check mask of Z on qubit q is its third channel (X, Y, Z)
+    injected = form(0 if inject_z is None else mult.channels[3 * inject_z + 2])
+
+    classes = functools.cache(functools.partial(_coset_classes, code, theta))
+
+    hist = np.zeros(d // 2 + 1, dtype=np.int64)
+    for batch in _philox_batches(
         seed,
         n_trials,
         batch_size,
         lambda rng, size: _run_batch(
-            code, rows, starts, untouched, theta, noise, inject_z, rng, size
+            code, table, injected, classes, noise, rng, size
         ),
         threads,
         progress,
-    )
-    accepted = sum(r[0] for r in results)
-    hist = np.sum([r[1] for r in results], axis=0, dtype=np.int64)
+    ):
+        hist += batch
+    accepted = int(hist.sum())
 
     rate = accepted / n_trials
     rate_err = math.sqrt(rate * (1.0 - rate) / n_trials)
@@ -379,7 +414,7 @@ def estimate(
         "readout_flip": noise.readout_flip,
         "r": noise.r,
         "batch_size": batch_size,
-        "stream": 3,
+        "stream": 4,
         "inject_z": inject_z,
     }
     return McStats(

@@ -123,7 +123,9 @@ def simulate_walk(m: int, n_walks: int, seed: int) -> WalkStats:
         plus = np.count_nonzero(rng.random(size) < 0.5)
         return plus, int(steps.sum()), int(steps @ steps)
 
-    plus, s1, s2 = map(sum, zip(*_philox_batches(seed, n_walks, _WALK_BATCH, batch)))
+    plus = s1 = s2 = 0
+    for batch_plus, batch_s1, batch_s2 in _philox_batches(seed, n_walks, _WALK_BATCH, batch):
+        plus, s1, s2 = plus + batch_plus, s1 + batch_s1, s2 + batch_s2
     var = (n_walks * s2 - s1 * s1) / (n_walks * (n_walks - 1)) if n_walks > 1 else 0.0
     return WalkStats(
         m=m,

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import re
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,8 +99,8 @@ class TestSparseHits:
     def test_zero_rate_gives_no_hits(self):
         rng = np.random.Generator(np.random.Philox(key=[30, 0]))
         assert mcsim._sparse_hits(rng, 10**7, 0.0).size == 0
-        pos, x, z = mcsim._data_hits(rng, 10**7, 0.0)
-        assert pos.size == x.size == z.size == 0
+        pos, kind = mcsim._data_hits(rng, 10**7, 0.0)
+        assert pos.size == kind.size == 0
 
     def test_count_is_binomial(self):
         # at p=0.3 a Poisson count would have variance 600, not 420
@@ -124,11 +126,12 @@ class TestSparseHits:
 
     def test_kinds_are_a_third_each(self):
         rng = np.random.Generator(np.random.Philox(key=[33, 0]))
-        _, x, z = mcsim._data_hits(rng, 1 << 20, 0.05)
-        n = x.size
-        assert not (~x & ~z).any()
+        _, kind = mcsim._data_hits(rng, 1 << 20, 0.05)
+        n = kind.size
+        counts = np.bincount(kind, minlength=3)
+        assert counts.size == 3  # 0 X, 1 Y, 2 Z
         sigma = math.sqrt(n / 3 * (2 / 3))
-        for count in ((x & ~z).sum(), (x & z).sum(), (~x & z).sum()):
+        for count in counts:
             assert abs(count - n / 3) < 4 * sigma
 
 
@@ -167,19 +170,26 @@ class TestRunPrepTrial:
         assert z_rate < 4.0, z_rate
         assert z_mean < 4.0, z_mean
 
-    # the sparse engine judges untouched trials from b alone and builds
-    # frames only for touched ones; each setting stresses one side.  The
-    # perfect code's generators mix X and Z on one qubit.
+    # the engine draws the classes of the trials that read one syndrome
+    # in every cycle from that syndrome's coset; each setting stresses
+    # one kind of trial.  Untouched trials: mostly-clean.  Touched trials
+    # that are accepted: readout flips masking a branch syndrome
+    # (readout-only; r = 1 for single flips), the phase-flip code's X
+    # faults, whose syndrome is 0, and an injected Z.  The perfect
+    # code's generators mix X and Z on one qubit.
     @pytest.mark.parametrize(
         "noise, inject",
         [
             pytest.param(NoiseModel(p_in=2e-3, r=2), False, id="mostly-clean"),
             pytest.param(NoiseModel(p_in=0.0, r=2, readout_flip=0.05), False, id="readout-only"),
+            pytest.param(NoiseModel(p_in=0.0, r=1, readout_flip=0.05), False,
+                         id="readout-only-r1"),
             pytest.param(NoiseModel(p_in=1e-2, r=2), True, id="inject-z-with-noise"),
         ],
     )
     @pytest.mark.parametrize(
-        "name, d", [("surface", 3), ("perfect", None)], ids=["surface3", "perfect"]
+        "name, d", [("surface", 3), ("perfect", None), ("phase-flip", 3)],
+        ids=["surface3", "perfect", "phase-flip3"],
     )
     def test_sparse_engine_matches_oracle(self, name, d, noise, inject):
         code = codes.get_code(name, d)
@@ -195,35 +205,50 @@ class TestRunPrepTrial:
 
 
 class TestUntouchedClasses:
-    """The class probabilities of untouched trials, against all 2^d strings."""
+    """The class probabilities of the trials that read one syndrome, against
+    all 2^d strings."""
 
     @staticmethod
-    def brute_force(code, theta, inject_z):
+    def brute_force(code, theta, syndrome):
         s2 = math.sin(theta / 2) ** 2
         q = np.zeros(code.d // 2 + 2)
         for b in range(1 << code.d):
             z = 0
             for i, qubit in enumerate(code.z_support):
                 z ^= (b >> i & 1) << qubit
-            if inject_z is not None:
-                z ^= 1 << inject_z
+            bits = codes.syndrome(oracles.PauliString(code.n, 0, z), code)
             w = bin(b).count("1")
             prob = s2**w * (1 - s2) ** (code.d - w)
-            if any(codes.syndrome(oracles.PauliString(code.n, 0, z), code)):
-                q[-1] += prob
-            else:
+            if sum(bit << i for i, bit in enumerate(bits)) == syndrome:
                 q[min(w, code.d - w)] += prob
+            else:
+                q[-1] += prob
         return q
 
     @pytest.mark.parametrize(
         "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
     )
     def test_against_every_branch_string(self, name, d):
-        # no injected Z, then each qubit on the support and off it
+        # every branch syndrome (0 among them), each single channel's
+        # syndrome (the injected Zs among them) and each readout flip's.
+        # The engine names a syndrome by its reduction (rest, b0) against
+        # the branch columns, and reads its classes from b0 when rest = 0
         code = codes.get_code(name, d)
-        for inject_z in [None, *range(code.n)]:
-            got = mcsim._untouched_classes(code, 0.7, inject_z)
-            assert got == pytest.approx(self.brute_force(code, 0.7, inject_z), rel=1e-12, abs=1e-15)
+        mult = code.error_multiplicities
+        rows = codes._branch_basis(mult.branch_columns)[0]
+        branch = {0}
+        for col in mult.branch_columns:
+            branch |= {s ^ col for s in branch}
+        flips = [1 << i for i in range(len(code.stabilizers))]
+        for syndrome in sorted(branch | set(mult.channels) | set(flips)):
+            want = self.brute_force(code, 0.7, syndrome)
+            rest, b0 = codes._reduce(rows, syndrome)
+            assert (rest == 0) == (syndrome in branch), syndrome
+            if rest:
+                assert not want[:-1].any()
+                continue
+            got = mcsim._coset_classes(code, 0.7, b0)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), syndrome
             assert got.sum() == pytest.approx(1.0, rel=1e-15)
 
 
@@ -231,16 +256,16 @@ class TestEstimate:
     NM = NoiseModel(p_in=1e-3, r=2)
 
     def test_golden_run(self, surface3):
-        # 18.7 accepted weight-1 trials expected (20 seen): no warning
+        # 18.7 accepted weight-1 trials expected (19 seen): no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RareEventWarning)
             st = mcsim.estimate(surface3, 0.5, None, self.NM, 200_000, seed=11, threads=4)
-        assert st.accepted == 160993
-        assert st.acceptance_rate == pytest.approx(0.804965, abs=1e-12)
-        assert st.mean_infidelity == pytest.approx(8.625372215135959e-06, rel=1e-12, abs=0)
-        assert st.branch_histogram == (160973, 20)
+        assert st.accepted == 160992
+        assert st.acceptance_rate == pytest.approx(0.80496, abs=1e-12)
+        assert st.mean_infidelity == pytest.approx(8.194154501961678e-06, rel=1e-12, abs=0)
+        assert st.branch_histogram == (160973, 19)
         assert st.seed == 11
-        assert st.params["stream"] == 3
+        assert st.params["stream"] == 4
 
     def test_thread_count_invariance(self, surface3):
         import warnings
@@ -462,6 +487,18 @@ class TestEstimate:
         assert abs(z_model) < 3.0, z_model
         assert z_first > 4.0, z_first
 
+    def test_two_word_syndromes(self):
+        # surface d=9 has 80 checks, so a syndrome spans two 64-bit words;
+        # flips on checks 64-79 must reject as the others do.  The seed was
+        # picked once and is frozen.
+        code = codes.get_code("surface", 9)
+        noise = NoiseModel(p_in=1e-3, r=2, readout_flip=1e-3)
+        cfg = analytics.RotationConfig(theta=0.8, d=9, **vars(noise))
+        p_s = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s
+        st = mcsim.estimate(code, 0.8, None, noise, 1_000_000, seed=29)
+        z = (st.acceptance_rate - p_s) / st.acceptance_stderr
+        assert abs(z) < 4.0, z
+
     def test_to_dict_schema(self, surface3):
         st = mcsim.estimate(
             surface3, 0.5, None, NoiseModel(p_in=0.0), 1_000, seed=5
@@ -494,6 +531,58 @@ class TestEstimate:
             progress=lambda i, n: seen.append((i, n)),
         )
         assert sorted(seen) == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestPhiloxBatches:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_does_not_grow_with_batches(self, threads):
+        # each batch returns 1 KiB; a caller that folds the results as
+        # they come must hold the same peak for 2,000 batches as for
+        # 8,000 (a list of every result would add about 6 MiB)
+        def peak(n_batches):
+            tracemalloc.start()
+            try:
+                total = 0
+                for out in mcsim._philox_batches(
+                    1, n_batches, 1, lambda rng, size: np.zeros(128), threads
+                ):
+                    total += out.size
+                assert total == 128 * n_batches
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(8_000)
+        assert large < small + 256 * 1024, (small, large)
+
+    def test_partition(self):
+        out = list(mcsim._philox_batches(5, 50, 3, lambda rng, size: size, threads=2))
+        assert out == [3] * 16 + [2]
+
+    def test_results_in_batch_order(self):
+        # earlier batches sleep longer, so with two workers later batches
+        # finish first.  Results still come in batch order and match one
+        # thread's, and no batch starts more than 2 x workers batches
+        # ahead of the one being handed back
+        n = 16
+        workers = mcsim._worker_count(2, n)
+        started, finished = [], []
+
+        def fn(rng, size):
+            i = int(rng.bit_generator.state["state"]["key"][1])
+            started.append(i)
+            time.sleep((n - i) * 2e-3)
+            finished.append(i)
+            return i, int(rng.integers(1 << 62))
+
+        out = []
+        for result in mcsim._philox_batches(5, n, 1, fn, threads=2):
+            assert max(started) < len(out) + 2 * workers, (started, len(out))
+            out.append(result)
+        assert [i for i, _ in out] == list(range(n))
+        if workers > 1:
+            assert finished != sorted(finished)
+        assert out == list(mcsim._philox_batches(5, n, 1, fn, threads=1))
 
 
 class TestWorkerCount:
