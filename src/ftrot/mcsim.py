@@ -18,14 +18,14 @@ trials land in the branch weight class m = min(|b|, d-|b|), whose
 infidelity against the target angle is a closed form; the estimator
 averages it.
 
-Noise is sparse at the rates of interest, so a batch draws only the
-faults that occur: data-qubit hits and readout flips are exact
-Bernoulli samples over flat index spaces, and only the trials they
-touch are evaluated, as check-mask words.  Noise is independent of b,
-so given the noise the class counts of the n_s trials that read s in
-every cycle are one multinomial draw over s's coset; a trial that
-nothing touches reads the injected Z's syndrome.  No branch string is
-drawn.
+Noise is sparse at the rates of interest, so most trials hold no fault
+or exactly one.  A batch splits its trials by fault count with their
+true weights and evaluates, as check-mask words, only the few that
+hold two or more; the single-fault trials take their outcome from a
+table built once per (code, noise).  Noise is independent of b, so
+given the noise the class counts of the n_s trials that read s in
+every cycle are one multinomial draw over s's coset; a trial with no
+fault reads the injected Z's syndrome.  No branch string is drawn.
 
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
@@ -35,21 +35,36 @@ All reductions are integer counts, so results are bit-identical for a
 given (seed, n_trials, batch_size, stream) regardless of thread count.
 `estimate` records the stream version as `params["stream"]`; the
 teleportation walk's "stream" is a separate key of the `walk` payload
-and versions that sampler alone.  Stream 4 draws, per batch:
+and versions that sampler alone.  A batch's Bernoulli slots, in a
+fixed order, are the data slots (cycle, qubit) at p_in, then the flip
+slots (cycle, check) at readout_flip.  Stream 5 draws, per batch:
 
-  1. for each cycle in turn, the data-hit count, the hit positions over
-     the flat (trial, qubit) index, and one X/Y/Z kind per hit;
-  2. for each cycle in turn, the readout-flip count and the flip
-     positions over the flat (trial, check) index;
-  3. for each syndrome s that some trial reads in every cycle and that
-     lies in the span of the branch columns, in ascending order of its
-     coset representative b0 (`codes._reduce`), the class counts of
-     those n_s trials as multinomial(n_s, q(s)), with q_m = P(H_b b = s,
-     class m) for m = 0..d//2 and the rejection probability last.
+  1. the trials with no fault, exactly one and two or more, as one
+     multinomial(size, (P0, P1, P2+));
+  2. the outcomes of the n1 single-fault trials, as one
+     multinomial(n1, g) over the single-fault groups: rejected first,
+     then each coset representative b0 (`codes._reduce`) ascending;
+  3. for the n2 multi-fault trials: one uniform each for the first
+     fault's slot J, then one each for the second's, K > J; then the
+     X/Y/Z kinds of both, J's first; then the data faults over the flat
+     (trial, data slot) index (the gaps between hits, then one kind per
+     hit), and the flips over the flat (trial, flip slot) index (the
+     gaps), of which only those after the trial's K are kept;
+  4. for each b0 that some trial reaches, in ascending order, the class
+     counts of its n_b0 trials as multinomial(n_b0, q(b0)), with q_m =
+     P(b in b0's coset, class m) for m = 0..d//2 and the rejection
+     probability last.
 
-Stream 3 drew items 1 and 2, one multinomial for the untouched trials
-only, and then a branch string for each touched trial; stream 2 drew
-the branch uniforms of every trial first.
+With w_j = p_j prod_{i<j}(1 - p_i) the probability that the first
+fault is at slot j and h_j = 1 - prod_{i>j}(1 - p_i) that another
+follows, P0 = prod(1 - p_i), P1 = sum w_j (1 - h_j) and P2+ =
+sum w_j h_j.  J is drawn with weights w_j h_j, and K given J with
+weights w_k over k > J.  The slots after K are independent of where
+the first two faults are, so they are plain Bernoulli, and the flat
+draw restricted to them is exact.  Stream 4 drew every trial's faults
+and flips over the flat (trial, qubit) and (trial, check) indices and
+evaluated every touched trial; stream 3 also drew a branch string for
+each touched trial, and stream 2 the branch uniforms of every trial.
 
 The noise description, `NoiseModel`, lives in `analytics` and is
 re-exported here.  A scalar one-trial-at-a-time reference engine lives
@@ -65,7 +80,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -73,7 +88,7 @@ from . import analytics
 from .analytics import NoiseModel
 from .codes import StabilizerCode, _branch_basis, _coset_counts, _reduce, require_rotation
 
-DEFAULT_BATCH_SIZE = 1 << 16
+DEFAULT_BATCH_SIZE = 1 << 18
 
 __all__ = [
     "NoiseModel",
@@ -170,13 +185,27 @@ def _philox_batches(
 
 
 def _sparse_hits(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
-    """Hit positions of an i.i.d. Bernoulli(p) mask over range(total).
+    """Hit positions, ascending, of an i.i.d. Bernoulli(p) mask over
+    range(total).
 
-    Exact: the hit count is Binomial(total, p), and given the count the
-    hits are a uniform subset of that size.  Draws the count, then the
-    positions; at low p the cost scales with the hits, not with total.
+    Exact: the first hit and each gap to the next are i.i.d.
+    Geometric(p) on {1, 2, ...}.  The gaps are drawn in blocks of the
+    expected number of hits left plus six standard deviations, until
+    they pass the end, so time and memory scale with the hits, not with
+    total.
     """
-    return rng.choice(total, rng.binomial(total, p), replace=False)
+    blocks, last = [], -1
+    while p > 0.0 and last < total - 1:
+        mean = (total - 1 - last) * p
+        gaps = rng.geometric(p, int(mean + 6.0 * math.sqrt(mean) + 16.0))
+        # a gap capped at total + 1 still passes the end, and the cap
+        # keeps the sums inside int64
+        np.cumsum(np.minimum(gaps, total + 1, out=gaps), out=gaps)
+        gaps += last
+        blocks.append(gaps)
+        last = int(gaps[-1])
+    hits = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return hits[: np.searchsorted(hits, total)]
 
 
 def _data_hits(rng: np.random.Generator, total: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,95 +242,205 @@ def _word_column(mask: int, width: int) -> np.ndarray:
     return np.array([[mask >> 64 * w & (1 << 64) - 1] for w in range(width)], dtype=np.uint64)
 
 
-def _starts(a: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in the sorted array a begins."""
-    starts = np.ones(a.size, dtype=bool)
-    starts[1:] = a[1:] != a[:-1]
-    return starts
+class _Plan(NamedTuple):
+    """What every batch of one (code, noise, injected Z) reads; see `_plan`.
+
+    A slot is one of a trial's Bernoulli locations: the data slots
+    (cycle, qubit) at p_in, then the flip slots (cycle, check) at
+    readout_flip.  A tail array holds, for each slot k and for one past
+    the last, the summed weight of slot k and every later slot.
+    """
+
+    table: np.ndarray  # (width, 3n + checks): every location's form, see `_readings`
+    injected: int  # the injected Z's form, 0 without one
+    row: np.ndarray  # (slots,): the slot's cycle, plus r for a flip slot
+    loc: np.ndarray  # (slots, 3): the slot's location for kind X, Y, Z
+    n_data: int  # data slots, r n
+    noise: NoiseModel
+    d: int
+    strata: np.ndarray  # (P0, P1, P2+)
+    single_b0: np.ndarray  # the single-fault groups: -1 (rejected), then b0 ascending
+    single_p: np.ndarray  # each group's probability given exactly one fault
+    first: np.ndarray  # (slots + 1,): tails of w_j h_j, the first of two or more faults
+    second: np.ndarray  # (slots + 1,): tails of w_k, the fault after it
 
 
-def _run_batch(
-    code: StabilizerCode,
-    table: np.ndarray,
-    injected: int,
-    classes: Callable[[int], np.ndarray],
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    size: int,
+def _readings(
+    plan: _Plan, trial: np.ndarray, slot: np.ndarray, kind: np.ndarray, n_trials: int
 ) -> np.ndarray:
-    """Simulate one batch; returns its branch class histogram.
+    """The coset representative b0 that each of n_trials trials reads in
+    every cycle, or -1 where the trial is rejected.  Event i is a fault
+    of trial `trial[i]` at `slot[i]`, of X/Y/Z kind `kind[i]` (any kind
+    for a flip slot); the events are all of the trials' faults.
 
     Syndromes are held in echelon form, as words of `rest << d | b0`
     with (rest, b0) = `codes._reduce` against the branch columns'
     echelon rows.  The reduction is linear, so the XOR of the forms of
     a trial's faults and flips is the form of its syndrome s: s lies in
     the span of the branch columns when rest = 0, and b0 is then a
-    branch string of syndrome s, which names s's coset.  `table` holds
-    every location's form as a (width, locations) column of words: the
-    3n single-qubit channels (qubit-major, X Y Z), then the checks'
-    readout flips.  `injected` is the injected Z's form (0 without
-    one), and `classes(b0)` is `_coset_classes` of b0.  Draw order
-    per batch (stream 4) is part of the determinism contract:
-      1. for each cycle, data faults over the flat (trial, qubit)
-         index: the hit count, the positions, then one X/Y/Z kind per
-         hit;
-      2. for each cycle, readout flips over the flat (trial, check)
-         index: the flip count, then the positions;
-      3. for each b0 that some trial reaches, in ascending order, the
-         class counts of its n_b0 trials, multinomial(n_b0, classes(b0)).
-    The trials that nothing touched read the injected Z's syndrome.
+    branch string of syndrome s, which names s's coset.  `plan.table`
+    holds every location's form as a (width, locations) column of
+    words: the 3n single-qubit channels (qubit-major, X Y Z), then the
+    checks' readout flips.
     """
-    n, n_chk, r, d = code.n, len(code.stabilizers), noise.r, code.d
-    width = table.shape[0]
-    hits = [_data_hits(rng, size * n, noise.p_in) for _ in range(r)]
-    flips = [_sparse_hits(rng, size * n_chk, noise.readout_flip) for _ in range(r)]
+    r = plan.noise.r
+    index = plan.row[slot]
+    index *= n_trials
+    index += trial
+    loc = plan.loc[slot, kind]
+    kept = np.ones(n_trials, dtype=bool)
+    # one word at a time, so that memory grows with the events and the
+    # trials, not with their product with the width.  A trial's forms
+    # are (row, trial): a data fault is seen from its cycle on and a
+    # flip in its cycle only, so a trial reads the same syndrome in
+    # every cycle when each cycle's faults cancel its own flips and the
+    # last cycle's
+    injected = _word_column(plan.injected, plan.table.shape[0])[:, 0]
+    for word, (table, inj) in enumerate(zip(plan.table, injected)):
+        forms = np.zeros(2 * r * n_trials, dtype=np.uint64)
+        np.bitwise_xor.at(forms, index, table.take(loc))
+        data, flipped = forms.reshape(2, r, n_trials)
+        kept &= ~(data[1:] ^ flipped[1:] ^ flipped[:-1]).any(axis=0)
+        syndrome = data[0] ^ flipped[0] ^ inj
+        if word:
+            kept &= syndrome == 0
+        else:
+            b0 = syndrome
+    kept &= b0 < np.uint64(1 << plan.d)
+    return np.where(kept, b0.astype(np.int64), -1)
 
-    # every fault and flip as (row, trial, location): cycle c's data
-    # faults in row c, its flips in row r + c.  Arrays are freed or
-    # updated in place as the batch goes, which keeps its peak memory
-    # small enough for the allocator to reuse the same pages every batch
-    trial, qubit = np.divmod(np.concatenate([pos for pos, _ in hits]), n)
-    flip_trial, check = np.divmod(np.concatenate(flips), n_chk)
-    trial = np.concatenate([trial, flip_trial])
-    loc = np.concatenate([3 * qubit + np.concatenate([kind for _, kind in hits]), 3 * n + check])
-    row = np.repeat(np.arange(2 * r), [pos.size for pos, _ in hits] + [flip.size for flip in flips])
-    del hits, flips, qubit, flip_trial, check
 
-    # number the touched trials: sort the events by trial, each event's
-    # index riding in the low bits of its sort key
-    shift = trial.size.bit_length()
-    trial <<= shift
-    trial |= np.arange(trial.size)
-    trial.sort()
-    ids = np.cumsum(_starts(trial >> shift)) - 1
-    touched = int(ids[-1]) + 1 if ids.size else 0
-    trial &= (1 << shift) - 1
-    local = np.empty_like(ids)
-    local[trial] = ids
-    del trial, ids
+def _inverse_cdf(tail: np.ndarray, start: int | np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The slot k >= start that each uniform u in [0, 1) picks, with
+    probability weight_k / tail[start], where tail[k] is the weight of
+    slot k and every later slot and tail[-1] = 0.
 
-    # the touched trials' forms, (row, word, trial): a data fault is
-    # seen from its cycle on and a flip in its cycle only, so a trial
-    # reads the same syndrome in every cycle when each cycle's faults
-    # cancel its own flips and the last cycle's
-    forms = np.zeros(2 * r * width * touched, dtype=np.uint64)
-    slot = np.arange(width)[:, None] + row * width
-    slot *= touched
-    slot += local
-    np.bitwise_xor.at(forms, slot, table.take(loc, axis=1))
-    data, flipped = forms.reshape(2, r, width, touched)
-    same = ~(data[1:] ^ flipped[1:] ^ flipped[:-1]).any(axis=(0, 1))
-    syndrome = np.compress(same, data[0] ^ flipped[0], axis=1) ^ _word_column(injected, width)
-    spanned = (syndrome[0] < np.uint64(1 << d)) & ~syndrome[1:].any(axis=0)
-    b0 = np.sort(syndrome[0, spanned])
-    first = np.flatnonzero(_starts(b0))
-    tally = dict(zip(b0[first].tolist(), np.diff(first, append=b0.size).tolist()))
-    if size > touched and injected < 1 << d:
-        tally[injected] = tally.get(injected, 0) + size - touched
+    k is the last slot with tail[k] >= (1 - u) tail[start].  However it
+    rounds, 1 - u lies in (0, 1], so that bound lies in (0, tail[start]]
+    and tail[k + 1] is below it: k has positive weight, is not below
+    start and lies before the end.
+    """
+    return np.searchsorted(-tail, -(1.0 - u) * tail[start], side="right") - 1
 
-    hist = np.zeros(d // 2 + 2, dtype=np.int64)
+
+@functools.lru_cache(maxsize=16)
+def _plan(
+    channels: tuple[int, ...],
+    columns: tuple[int, ...],
+    n_checks: int,
+    noise: NoiseModel,
+    inject_z: int | None,
+) -> _Plan:
+    """The `_Plan` of the code whose channels and branch columns have
+    these check masks (`codes.Multiplicities`), under `noise`, with a Z
+    injected on qubit `inject_z` in the first cycle.  Cached by value,
+    as `codes._branch_basis` is; its arrays are read-only, because
+    every caller shares them."""
+    n, d, r = len(channels) // 3, len(columns), noise.r
+    rows = _branch_basis(columns)[0]
+
+    def form(mask: int) -> int:
+        rest, b0 = _reduce(rows, mask)
+        return rest << d | b0
+
+    width = -(-(n_checks + d) // 64)
+    locations = [*channels, *(1 << i for i in range(n_checks))]
+    table = np.hstack([_word_column(form(m), width) for m in locations])
+    # the check mask of Z on qubit q is its third channel (X, Y, Z)
+    injected = form(0 if inject_z is None else channels[3 * inject_z + 2])
+
+    n_data, n_flip = r * n, r * n_checks
+    qubit, check = np.arange(n_data) % n, np.arange(n_flip) % n_checks
+    row = np.concatenate([np.arange(n_data) // n, r + np.arange(n_flip) // n_checks])
+    loc = np.vstack([3 * qubit[:, None] + np.arange(3), np.repeat(3 * n + check[:, None], 3, 1)])
+
+    # w_j = p_j prod_{i<j}(1 - p_i), the first fault at j; times
+    # prod_{i>j}(1 - p_i) = 1 - h_j it is the only one
+    p = np.repeat([noise.p_in, noise.readout_flip], [n_data, n_flip])
+    keep = np.log1p(-p)
+    before = np.cumsum(keep)
+    after = np.append(np.cumsum(keep[:0:-1])[::-1], 0.0)
+    w = p * np.exp(before - keep)
+    single = w * np.exp(after)
+    multi = w * -np.expm1(after)
+    strata = np.array([math.exp(before[-1]), single.sum(), multi.sum()])
+
+    def tails(weight: np.ndarray) -> np.ndarray:
+        return np.append(np.cumsum(weight[::-1])[::-1], 0.0)
+
+    plan = _Plan(table, injected, row, loc, n_data, noise, d, strata,
+                 None, None, tails(multi), tails(w))
+    # every single fault as its own one-event trial, a data slot once per kind
+    slot = np.repeat(np.arange(n_data + n_flip), np.repeat([3, 1], [n_data, n_flip]))
+    kind = np.concatenate([np.tile(np.arange(3), n_data), np.zeros(n_flip, dtype=int)])
+    b0, group = np.unique(
+        _readings(plan, np.arange(slot.size), slot, kind, slot.size), return_inverse=True
+    )
+    prob = np.bincount(group, weights=single[slot] / np.where(slot < n_data, 3, 1))
+    plan = plan._replace(single_b0=b0, single_p=prob / prob.sum() if prob.any() else prob)
+    for array in plan:
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return plan
+
+
+def _run_batch(
+    plan: _Plan,
+    classes: Callable[[int], np.ndarray],
+    rng: np.random.Generator,
+    size: int,
+) -> np.ndarray:
+    """Simulate one batch; returns its branch class histogram.
+
+    `classes(b0)` is `_coset_classes` of b0.  Draw order per batch
+    (stream 5) is part of the determinism contract:
+      1. the counts of trials with no fault, one fault and two or more,
+         (n0, n1, n2) = multinomial(size, plan.strata);
+      2. the single-fault trials' groups, multinomial(n1, plan.single_p);
+      3. if n2 > 0: a (2, n2) block of uniforms, whose rows pick each
+         trial's first fault J and then its second K by `_inverse_cdf`;
+         a (2, n2) block of X/Y/Z kinds, J's row first; the data faults
+         over the flat (trial, data slot) index: the gaps between hits
+         (`_sparse_hits`), then one kind per hit; the flips over the flat
+         (trial, flip slot) index: the gaps.  Of the last two, the
+         faults after the trial's K are kept;
+      4. for each b0 that some trial reaches, in ascending order, the
+         class counts of its n_b0 trials, multinomial(n_b0, classes(b0)).
+    The n0 trials with no fault read the injected Z's syndrome.
+    """
+    n0, n1, n2 = rng.multinomial(size, plan.strata).tolist()
+    tally = collections.Counter(
+        dict(zip(plan.single_b0.tolist(), rng.multinomial(n1, plan.single_p).tolist()))
+    )
+    tally[plan.injected if plan.injected < 1 << plan.d else -1] += n0
+
+    if n2:
+        u = rng.random((2, n2))
+        first = _inverse_cdf(plan.first, 0, u[0])
+        second = _inverse_cdf(plan.second, first + 1, u[1])
+        kinds = rng.integers(0, 3, size=(2, n2))
+        n_data, n_flip = plan.n_data, plan.row.size - plan.n_data
+        pos, kind = _data_hits(rng, n2 * n_data, plan.noise.p_in)
+        flips = _sparse_hits(rng, n2 * n_flip, plan.noise.readout_flip)
+        trial = np.concatenate([np.tile(np.arange(n2), 2), pos // n_data, flips // n_flip])
+        slot = np.concatenate([first, second, pos % n_data, n_data + flips % n_flip])
+        kind = np.concatenate([kinds.ravel(), kind, np.zeros_like(flips)])
+        del pos, flips
+        # the slots after a trial's second fault are plain Bernoulli, so
+        # the flat draw's faults there are that trial's remaining faults.
+        # One array at a time, to keep the batch's peak memory low
+        keep = slot > second[trial]
+        keep[: 2 * n2] = True
+        trial = trial[keep]
+        slot = slot[keep]
+        kind = kind[keep]
+        b0, count = np.unique(_readings(plan, trial, slot, kind, n2), return_counts=True)
+        tally.update(dict(zip(b0.tolist(), count.tolist())))
+
+    hist = np.zeros(plan.d // 2 + 2, dtype=np.int64)
     for b in sorted(tally):
-        hist += rng.multinomial(tally[b], classes(b))
+        if b >= 0 and tally[b]:
+            hist += rng.multinomial(tally[b], classes(b))
     return hist[:-1]
 
 
@@ -363,21 +502,7 @@ def estimate(
             )
 
     mult = code.error_multiplicities
-    n_chk = len(code.stabilizers)
-    rows = _branch_basis(mult.branch_columns)[0]
-
-    def form(mask: int) -> int:
-        rest, b0 = _reduce(rows, mask)
-        return rest << d | b0
-
-    # every location's syndrome in that form: the single-qubit channels,
-    # then the readout flips
-    locations = [*mult.channels, *(1 << i for i in range(n_chk))]
-    width = -(-(n_chk + d) // 64)
-    table = np.hstack([_word_column(form(m), width) for m in locations])
-    # the check mask of Z on qubit q is its third channel (X, Y, Z)
-    injected = form(0 if inject_z is None else mult.channels[3 * inject_z + 2])
-
+    plan = _plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
     classes = functools.cache(functools.partial(_coset_classes, code, theta))
 
     hist = np.zeros(d // 2 + 1, dtype=np.int64)
@@ -385,9 +510,7 @@ def estimate(
         seed,
         n_trials,
         batch_size,
-        lambda rng, size: _run_batch(
-            code, table, injected, classes, noise, rng, size
-        ),
+        functools.partial(_run_batch, plan, classes),
         threads,
         progress,
     ):
@@ -414,7 +537,7 @@ def estimate(
         "readout_flip": noise.readout_flip,
         "r": noise.r,
         "batch_size": batch_size,
-        "stream": 4,
+        "stream": 5,
         "inject_z": inject_z,
     }
     return McStats(

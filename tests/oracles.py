@@ -428,3 +428,50 @@ def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
         for second in locations[a + 1:]:
             tally([first, second])
     return counts
+
+
+def exact_class_probabilities(
+    code: StabilizerCode, theta: float, noise: NoiseModel, inject_z: int | None = None
+) -> np.ndarray:
+    """P(accepted in class m) of one trial, m = 0..d//2, for r <= 2, with
+    no sampling: the exact distribution of (s_1, s_1 ^ s_2), the first
+    cycle's reading and its change in the second, built one fault
+    location at a time.
+
+    A data fault in cycle 1 (or the injected Z) enters s_1 and persists,
+    so only a cycle-2 fault changes the reading; a flip enters its own
+    cycle's reading alone.  A trial is accepted when the change is 0 and
+    s_1 is some branch string's syndrome; it then lands in each class
+    with that syndrome's branch weight.  The state has 2^(r x checks)
+    entries, so this suits codes with few checks.
+    """
+    if noise.r > 2:
+        raise ValueError("exact_class_probabilities walks r <= 2 cycles")
+    n_chk = len(code.stabilizers)
+
+    def mask(pauli: PauliString) -> int:
+        return sum(bit << i for i, bit in enumerate(syndrome(pauli, code)))
+
+    def single(q: int, p: str) -> PauliString:
+        return PauliString.from_label("".join(p if i == q else "I" for i in range(code.n)))
+
+    dist = np.zeros(1 << noise.r * n_chk)
+    dist[0 if inject_z is None else mask(PauliString.single_z(code.n, inject_z))] = 1.0
+    index = np.arange(dist.size)
+    p, f = noise.p_in, noise.readout_flip
+    for cycle in range(noise.r):
+        for q in range(code.n):
+            moved = sum(dist[index ^ mask(single(q, label)) << cycle * n_chk] for label in "XYZ")
+            dist = (1.0 - p) * dist + p / 3.0 * moved
+        for i in range(n_chk):
+            # the reading of this cycle and, from the first, the change
+            flip = 1 << i + cycle * n_chk | (1 << i + n_chk if noise.r == 2 else 0)
+            dist = (1.0 - f) * dist + f * dist[index ^ flip]
+
+    s2 = math.sin(theta / 2.0) ** 2
+    out = np.zeros(code.d // 2 + 1)
+    for bits, weights in branch_syndromes(code).items():
+        reading = sum(bit << i for i, bit in enumerate(bits))
+        for w in weights:
+            out[min(w, code.d - w)] += dist[reading] * s2**w * (1.0 - s2) ** (code.d - w)
+    return out
