@@ -37,13 +37,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .codes import FaultSetCounts, Multiplicities, code_of_size
+from .codes import Multiplicities, code_of_size
 
 __all__ = [
     "NoiseModel",
     "RotationConfig",
     "SuccessRate",
-    "ModelTerms",
     "logical_angle",
     "branch_angle",
     "branch_infidelity",
@@ -119,18 +118,6 @@ class SuccessRate(NamedTuple):
     p_s_coh: float
 
 
-class ModelTerms(NamedTuple):
-    """`model_terms` at one (theta, d, rates): the trivial pair's weight
-    p_s_coh, the weight-1 pair weight, infid(1), the model error and the
-    accepted share p_s / p_s_in."""
-
-    p_s_coh: float
-    pair: float
-    infid: float
-    error: float
-    accepted: float
-
-
 def _log(x: float) -> float:
     """math.log, with log 0 = -inf (a zero sine or tangent at theta = 0)."""
     return math.log(x) if x else -math.inf
@@ -167,10 +154,11 @@ def _branch_angle(log_t: float, d: int, m: int) -> float:
     return 2.0 * math.atan(sign * t)
 
 
-def model_terms(theta: float, d: int, rates: tuple[float, ...]) -> ModelTerms:
+def model_terms(theta: float, d: int, rates: tuple[float, ...]) -> tuple[float, ...]:
     """The one evaluation of the model at angle theta and support
     weight d, given the class rates of a code and noise (`class_rates`,
-    class 0 first).
+    class 0 first): the plain tuple (p_s_coh, pair, infid, error,
+    accepted).
 
     p_s_coh = cos^{2d} + sin^{2d}, the weight-1 branch-pair weight
     pair = sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2 (half-angles
@@ -212,7 +200,7 @@ def model_terms(theta: float, d: int, rates: tuple[float, ...]) -> ModelTerms:
                 cross = s2m - c2m if m % 2 == 0 else s2m + c2m
                 error += rates[m] * (sc2 ** (d - m) * cross * cross / p_s_coh) / p_s_coh
                 accepted += rates[m] * (s2m * c2 ** (d - m) + s2 ** (d - m) * c2m)
-    return ModelTerms(p_s_coh, pair, infid, error, accepted)
+    return p_s_coh, pair, infid, error, accepted
 
 
 def logical_angle(theta: float, d: int) -> float:
@@ -269,8 +257,9 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     A fault set (data faults and readout flips over r cycles) that
     leaves the same syndrome in every cycle, equal to the syndrome of
     some branch strings, is accepted with those strings; the accepted
-    state is then off by branch_angle(m) of their class m.  The model
-    sums every such set of at most two locations (`codes.Multiplicities
+    state is then off by branch_angle(m) of their class m: the set's
+    signatures (`codes.slot_events`) XOR to nothing.  The model sums
+    every such set of at most two locations (`codes.Multiplicities
     .fault_sets`) and the r-fold readout masking path, each weighted by
     its rate (`class_rates`), the probability of its branch pairs and
     their class infidelity, and normalizes by p_s_coh.  Sets of three
@@ -282,7 +271,7 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     published form (m1 p_in/3 + combos q^r) sin^{2(d-1)}(theta/2) /
     cos(theta/2), with the flip term divided by (1-p_in).
     """
-    return model_terms(cfg.theta, cfg.d, class_rates(cfg, mult)).error
+    return model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))[3]
 
 
 def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
@@ -298,32 +287,31 @@ def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
     readout_flip per flip, as the first-order paths do: the rate of a
     data fault on a history that is otherwise clean, and the flip
     probability without its (1-q)^-1 conditioning, a relative O(q)
-    change.  The order-2 sets are the parts of `mult.fault_sets(r)` not
-    already in the first-order paths: the flip-projection and
-    secondary-flip faults in class 1 and, for r <= 2, the masking flips.
-    A hand-built `Multiplicities` gives (0.0, first-order rate).
+    change.  The order-2 sets are the parts of `mult.fault_sets(r)`, the
+    sets whose signatures cancel, not already in the first-order paths:
+    the flip-projection and secondary-flip faults in class 1 and, for
+    r <= 2, the masking flips (one at r = 1, a pair at r = 2).  A
+    hand-built `Multiplicities` gives (0.0, first-order rate).
     """
     rate = mult.first_order * (noise.p_in / 3.0) / (1.0 - noise.p_in)
     rate += mult.readout_combos * _stable_pow(noise.readout_flip, noise.r)
     sets = mult.fault_sets(noise.r)
     if not sets:
         return (0.0, rate)
-    order_one = sets[1]._replace(data=sets[1].data - mult.first_order)
+    order_one = list(sets[1])
+    order_one[0] -= mult.first_order
     if noise.r == 1:
-        order_one = order_one._replace(flip=order_one.flip - mult.readout_combos)
+        order_one[1] -= mult.readout_combos  # a masking flip
     elif noise.r == 2:
-        order_one = order_one._replace(flip_flip=order_one.flip_flip - mult.readout_combos)
-    rates = [_set_rate(noise, counts) for counts in (sets[0], order_one, *sets[2:])]
-    rates[1] = rate + rates[1]
-    return tuple(rates)
-
-
-def _set_rate(noise: NoiseModel, counts: FaultSetCounts) -> float:
-    """The rate `class_rates` gives the fault sets tallied in counts."""
+        order_one[4] -= mult.readout_combos  # a masking pair of flips
     a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
     q = noise.readout_flip
-    data, flip, data_data, data_flip, flip_flip = counts
-    return data * a + flip * q + data_data * a * a + data_flip * a * q + flip_flip * q * q
+    rates = [
+        data * a + flip * q + data_data * a * a + data_flip * a * q + flip_flip * q * q
+        for data, flip, data_data, data_flip, flip_flip in (sets[0], order_one, *sets[2:])
+    ]
+    rates[1] = rate + rates[1]
+    return tuple(rates)
 
 
 def success_rate(
@@ -345,8 +333,8 @@ def success_rate(
     if mult is None:
         code = code_of_size(n_qubits, n_stabilizers, cfg.d)
         mult = code.error_multiplicities if code else Multiplicities(0, 0, 0)
-    terms = model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))
-    return SuccessRate(p_s=p_s_in * terms.accepted, p_s_in=p_s_in, p_s_coh=terms.p_s_coh)
+    p_s_coh, _, _, _, accepted = model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))
+    return SuccessRate(p_s=p_s_in * accepted, p_s_in=p_s_in, p_s_coh=p_s_coh)
 
 
 def substrate_success(noise: NoiseModel, n_qubits: int, n_stabilizers: int) -> float:

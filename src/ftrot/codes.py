@@ -26,16 +26,18 @@ Those count the single-qubit errors on the rotated support that a
 weight-one branch pattern hides (``flip_projection``), the off-support
 errors hidden the same way (``secondary_flip``), and the weight-one
 branch patterns whose syndrome a single readout flip can mask
-(``readout_combos``).  The model's second order comes from
-``Multiplicities.fault_sets``: per number of cycles r, every accepted
-set of at most two data faults and readout flips, tallied by the weight
-classes of the branch strings it is accepted with, class 0 included.
-It is enumerated once per check layout and r, shared by every code
-object with those checks; `branch_coset` solves for those strings over
-GF(2).  `code_of_size` finds the registered code of a given size, for
-callers that only hold a code's qubit and check counts.  The test
-suite re-derives the counts by direct enumeration and walks every fault
-set one at a time.
+(``readout_combos``).  One rule says which fault sets are accepted:
+`slot_events` gives each data fault and readout flip over r cycles a
+signature and a branch string b0, over GF(2), and a set is accepted when
+its signatures XOR to nothing, reading the XOR of its b0s.  The model's
+second order, ``Multiplicities.fault_sets``, groups them by signature:
+per r, every accepted set of at most two faults and flips, tallied by
+the weight classes of the branch strings it is accepted with, class 0
+included, once per check layout and r.  The Monte Carlo engine's
+single-fault table reads the same signatures.  `code_of_size` finds the
+registered code of a given size, for callers that only hold a code's
+qubit and check counts.  The test suite walks every fault set one at a
+time with a Pauli frame per cycle.
 
 `require_rotation` is the one rule for which codes the protocol
 covers; the Monte Carlo engine, the planner and ``analyze`` call it.
@@ -43,17 +45,19 @@ covers; the Monte Carlo engine, the planner and ``analyze`` call it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import PauliString, commutes
 
 Syndrome = tuple[int, ...]
+# the nonzero (row, value) parts of a slot event, see `slot_events`
+Signature = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -96,29 +100,15 @@ class Multiplicities:
         """Total multiplicity of the first-order substrate error path."""
         return self.flip_projection + self.secondary_flip
 
-    def fault_sets(self, r: int) -> tuple[FaultSetCounts, ...]:
+    def fault_sets(self, r: int) -> tuple[tuple[int, ...], ...]:
         """Per weight class m = 0..d//2 (index m), the accepted fault
-        sets of at most two locations over r cycles (see
-        `FaultSetCounts`); empty in a hand-built instance."""
+        sets of at most two locations over r cycles, as five counts: one
+        data fault, one flip, two data faults, a data fault and a flip,
+        two flips.  A location is a data fault (qubit, cycle, X/Y/Z) or
+        a readout flip (check, cycle); each count sums, over its sets,
+        the branch pairs {b, bbar} of class m that the set is accepted
+        with.  Empty in a hand-built instance."""
         return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r)
-
-
-class FaultSetCounts(NamedTuple):
-    """Accepted fault sets of one weight class, by their locations.
-
-    A location is one data fault (qubit, cycle, X/Y/Z) or one readout
-    flip (check, cycle).  A set is accepted with branch strings b when
-    the observed syndrome is the same in every cycle and equals H_b b;
-    those b form a coset (`branch_coset`).  Each field sums, over the
-    sets with that many data faults and flips, the coset's branch pairs
-    {b, bbar} of the class.
-    """
-
-    data: int
-    flip: int
-    data_data: int
-    data_flip: int
-    flip_flip: int
 
 
 @dataclass(frozen=True)
@@ -221,20 +211,6 @@ def require_rotation(code: StabilizerCode) -> None:
         )
 
 
-def branch_coset(columns: tuple[int, ...], syndrome: int) -> tuple[int, ...] | None:
-    """The branch strings b with H_b b = syndrome, counted by weight.
-
-    columns[j] is the check bit mask that Z on support position j
-    trips, so H_b b is the XOR of the columns that b selects.  Returns
-    counts[w], the number of such b of weight w = 0..d, or None when no
-    branch string has this syndrome.  Over GF(2) the strings are one
-    solution b0 plus every sum of kernel vectors (2 strings, b0 and its
-    complement, for the registered codes).
-    """
-    rest, b0 = _reduce(_branch_basis(columns)[0], syndrome)
-    return None if rest else _coset_counts(columns, b0)
-
-
 def _coset_counts(columns: tuple[int, ...], b0: int) -> tuple[int, ...]:
     """The branch strings b0 + (kernel of the columns), counted by
     weight: the strings with branch string b0's syndrome."""
@@ -282,75 +258,84 @@ def _reduce(rows: tuple[tuple[int, int, int], ...], syndrome: int) -> tuple[int,
     return syndrome, pos
 
 
+@functools.lru_cache(maxsize=8)
+def slot_events(
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
+) -> tuple[tuple[Signature, ...], tuple[int, ...]]:
+    """The acceptance signature and branch string b0 of every event over
+    r cycles, in the Monte Carlo engine's slot order: the data slots
+    (cycle, qubit), each as X, Y and Z, then the flip slots (cycle, check).
+
+    With s_t the syndrome cycle t = 0..r-1 reads, row 0 of a signature
+    is the remainder (`_reduce`) of the event's part of s_0, and row
+    t >= 1 its part of s_t ^ s_{t-1}: a data fault enters the row of its
+    cycle, a flip the rows of its cycle and the next.  A signature lists
+    its nonzero (row, value) parts; b0 is `_reduce`'s branch string of
+    the event's part of s_0.  It is all linear, so a set is accepted
+    (every cycle reads s_0, a branch syndrome) exactly when its
+    signatures XOR to nothing, and then reads the XOR of its b0s.
+    Cached by value; an entry holds about 150 bytes per event.
+    """
+    rows = _branch_basis(columns)[0]
+    flips = [1 << i for i in range(n_checks)]
+    data, flip = [_reduce(rows, s) for s in channels], [_reduce(rows, f) for f in flips]
+    sigs = [((0, rest),) if rest else () for rest, _ in data]
+    sigs += [((t, s),) if s else () for t in range(1, r) for s in channels]
+    for t in range(r):
+        for f, (rest, _) in zip(flips, flip):
+            head = ((t, f),) if t else ((0, rest),) if rest else ()
+            sigs.append(head + ((t + 1, f),) if t + 1 < r else head)
+    later = [0] * (r - 1)
+    b0s = [b0 for _, b0 in data] + later * len(channels)
+    b0s += [b0 for _, b0 in flip] + later * n_checks
+    return tuple(sigs), tuple(b0s)
+
+
 @functools.lru_cache(maxsize=64)
 def _fault_set_counts(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
-) -> tuple[FaultSetCounts, ...]:
+) -> tuple[tuple[int, ...], ...]:
     """`Multiplicities.fault_sets`, cached by value, so every code object
     built with the same checks shares one enumeration per r.
 
-    With s_t the observed syndrome of cycle t (data faults persist from
-    their cycle on, a flip acts in its cycle only), a set is accepted
-    when s_1 = ... = s_r.  That leaves:
-      * one data fault: in cycle 1, or with a zero syndrome in any cycle;
-      * one flip: only when r = 1;
-      * two data faults in one cycle: cycle 1, or syndromes that cancel;
-        in cycles t1 < t2: the later one has a zero syndrome and the
-        earlier is in cycle 1 or has a zero syndrome too;
-      * a data fault and a flip: r = 1; or, for r >= 2, a fault of
-        syndrome e_i in cycle 2 with the flip of check i in cycle 1
-        (seen as e_i throughout), or both in cycle r (seen as 0);
-      * two flips: r = 1; r = 2 on one check in both cycles.
-    Two faults can only be accepted together when their syndromes have
-    the same remainder against the branch columns, so pairs are only
-    formed inside those groups.
+    One event of `slot_events` is accepted when its signature is empty,
+    two when their signatures are equal, except two data faults in one
+    slot.  The sets are tallied by (b0, shape), and each b0 adds its
+    coset's branch strings per class (`_coset_counts`).  Past r = 5 the
+    counts are a quadratic in r through r = 3, 4 and 5, exactly: an
+    accepted set of at most two events lies in at most two adjacent
+    cycles, or holds only events of empty signature (cycle-0 events, and
+    later data faults of zero syndrome, which read b0 = 0).  From r = 3
+    on, the first kind grows linearly in r, the second as the pairs of a
+    set that grows linearly.
     """
     if not columns:
         return ()
-    classes = len(columns) // 2 + 1
-    counts = [[0] * 5 for _ in range(classes)]
-    seen: dict[int, tuple[int, ...] | None] = {}
-
-    def add(syndrome: int, kind: int, times: int = 1) -> None:
-        if syndrome not in seen:
-            seen[syndrome] = branch_coset(columns, syndrome)
-        coset = seen[syndrome]
-        if coset is not None:
-            for m in range(classes):
-                counts[m][kind] += coset[m] * times
-
-    rows = _branch_basis(columns)[0]
-    groups: dict[int, list[int]] = {}  # remainder -> channel indices
-    for a, s in enumerate(channels):
-        groups.setdefault(_reduce(rows, s)[0], []).append(a)
-    zero = channels.count(0)
-    for a, s in enumerate(channels):
-        add(s, 0, 1 if s else r)
-        # t1 < t2, the later fault of zero syndrome
-        add(s, 2, zero * (r - 1 if s else r * (r - 1) // 2))
-        if r >= 2 and s.bit_count() == 1:
-            add(s, 3)
-            add(0, 3)
-    for members in groups.values():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if a // 3 != b // 3:
-                    add(channels[a] ^ channels[b], 2, r if channels[a] == channels[b] else 1)
-    flips = [1 << i for i in range(n_checks)]
-    if r == 1:
-        flip_groups: dict[int, list[int]] = {}
-        for f in flips:
-            add(f, 1)
-            rest = _reduce(rows, f)[0]
-            for a in groups.get(rest, ()):
-                add(channels[a] ^ f, 3)
-            for g in flip_groups.get(rest, ()):
-                add(f ^ g, 4)
-            flip_groups.setdefault(rest, []).append(f)
-    elif r == 2:
-        for f in flips:
-            add(f, 4)
-    return tuple(FaultSetCounts(*c) for c in counts)
+    if r > 5:
+        k, by_r = r - 3, [_fault_set_counts(channels, columns, n_checks, t) for t in (3, 4, 5)]
+        return tuple(
+            tuple(a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a) for a, b, c in zip(*cls))
+            for cls in zip(*by_r)
+        )
+    sigs, b0s = slot_events(channels, columns, n_checks, r)
+    n_data = len(channels) * r
+    groups: dict[Signature, list[int]] = {}
+    for e, sig in enumerate(sigs):
+        groups.setdefault(sig, []).append(e)
+    # (b0, shape) -> sets, shape 0..4: data, flip, data-data, data-flip, flip-flip
+    tally: collections.Counter = collections.Counter()
+    for sig, members in groups.items():
+        for i, e in enumerate(members):
+            if not sig:
+                tally[b0s[e], int(e >= n_data)] += 1
+            for f in members[i + 1:]:
+                if f >= n_data or f // 3 != e // 3:  # two data faults in one slot are no set
+                    tally[b0s[e] ^ b0s[f], 2 + (e >= n_data) + (f >= n_data)] += 1
+    counts = [[0] * 5 for _ in range(len(columns) // 2 + 1)]
+    for (b0, shape), count in tally.items():
+        for m, strings in zip(range(len(counts)), _coset_counts(columns, b0)):
+            counts[m][shape] += strings * count
+    return tuple(map(tuple, counts))
 
 
 def _bits(mask: int):

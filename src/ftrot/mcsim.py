@@ -21,11 +21,13 @@ averages it.
 Noise is sparse at the rates of interest, so most trials hold no fault
 or exactly one.  A batch splits its trials by fault count with their
 true weights and evaluates, as check-mask words, only the few that
-hold two or more; the single-fault trials take their outcome from a
-table built once per (code, noise).  Noise is independent of b, so
-given the noise the class counts of the n_s trials that read s in
-every cycle are one multinomial draw over s's coset; a trial with no
-fault reads the injected Z's syndrome.  No branch string is drawn.
+hold two or more, 2^20 (cycle, trial) words at a time.  The
+single-fault trials take their outcome from a table built once per
+(code, noise) from `codes.slot_events`, the rule the model counts
+with.  Noise is independent of b, so given the noise the class counts
+of the n_s trials that read s in every cycle are one multinomial draw
+over s's coset; a trial with no fault reads the injected Z's syndrome.
+No branch string is drawn.
 
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
@@ -87,8 +89,11 @@ import numpy as np
 from . import analytics
 from .analytics import NoiseModel
 from .codes import StabilizerCode, _branch_basis, _coset_counts, _reduce, require_rotation
+from .codes import slot_events
 
 DEFAULT_BATCH_SIZE = 1 << 18
+_READ_CELLS = 1 << 20  # the most (row, trial) words one `_readings` call holds
+MAX_SLOTS = 1 << 18  # the most fault slots, r (n + checks), that `estimate` plans
 
 __all__ = [
     "NoiseModel",
@@ -363,21 +368,27 @@ def _plan(
     w = p * np.exp(before - keep)
     single = w * np.exp(after)
     multi = w * -np.expm1(after)
-    strata = np.array([math.exp(before[-1]), single.sum(), multi.sum()])
+    # P2+ may round past 1, which the multinomial refuses; it reads it as the rest
+    strata = np.array([math.exp(before[-1]), single.sum(), min(multi.sum(), 1.0)])
 
     def tails(weight: np.ndarray) -> np.ndarray:
         return np.append(np.cumsum(weight[::-1])[::-1], 0.0)
 
-    plan = _Plan(table, injected, row, loc, n_data, noise, d, strata,
-                 None, None, tails(multi), tails(w))
-    # every single fault as its own one-event trial, a data slot once per kind
-    slot = np.repeat(np.arange(n_data + n_flip), np.repeat([3, 1], [n_data, n_flip]))
-    kind = np.concatenate([np.tile(np.arange(3), n_data), np.zeros(n_flip, dtype=int)])
-    b0, group = np.unique(
-        _readings(plan, np.arange(slot.size), slot, kind, slot.size), return_inverse=True
+    # a single fault is accepted when its signature is the injected Z's,
+    # the Z event on its qubit in cycle 0, and then reads its b0 XOR the
+    # Z's (`codes.slot_events`); the events are the data slots once per
+    # kind, then the flip slots
+    sigs, b0s = slot_events(channels, columns, n_checks, r)
+    inj_sig, inj_b0 = (), 0
+    if inject_z is not None:
+        inj_sig, inj_b0 = sigs[3 * inject_z + 2], b0s[3 * inject_z + 2]
+    single_b0, group = np.unique(
+        [b0 ^ inj_b0 if sig == inj_sig else -1 for sig, b0 in zip(sigs, b0s)], return_inverse=True
     )
+    slot = np.repeat(np.arange(n_data + n_flip), np.repeat([3, 1], [n_data, n_flip]))
     prob = np.bincount(group, weights=single[slot] / np.where(slot < n_data, 3, 1))
-    plan = plan._replace(single_b0=b0, single_p=prob / prob.sum() if prob.any() else prob)
+    plan = _Plan(table, injected, row, loc, n_data, noise, d, strata, single_b0,
+                 prob / prob.sum() if prob.any() else prob, tails(multi), tails(w))
     for array in plan:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
@@ -434,7 +445,18 @@ def _run_batch(
         trial = trial[keep]
         slot = slot[keep]
         kind = kind[keep]
-        b0, count = np.unique(_readings(plan, trial, slot, kind, n2), return_counts=True)
+        # `_readings` holds 2 r words per trial: read the independent
+        # trials in chunks of at most _READ_CELLS words, sorted if two or more
+        per_chunk = max(1, _READ_CELLS // (2 * plan.noise.r))
+        order = np.argsort(trial, kind="stable") if n2 > per_chunk else None
+        starts = range(0, n2, per_chunk)
+        cuts = [*np.searchsorted(trial, starts[1:], sorter=order).tolist(), trial.size]
+        readings = []
+        for lo, a, b in zip(starts, [0, *cuts], cuts):
+            e = slice(a, b) if order is None else order[a:b]
+            n = min(per_chunk, n2 - lo)
+            readings.append(_readings(plan, trial[e] - lo, slot[e], kind[e], n))
+        b0, count = np.unique(np.concatenate(readings), return_counts=True)
         tally.update(dict(zip(b0.tolist(), count.tolist())))
 
     hist = np.zeros(plan.d // 2 + 2, dtype=np.int64)
@@ -474,6 +496,9 @@ def estimate(
         raise ValueError("batch_size must be >= 1")
     if inject_z is not None and not 0 <= inject_z < code.n:
         raise ValueError("inject_z out of range")
+    slots = noise.r * (code.n + len(code.stabilizers))
+    if slots > MAX_SLOTS:
+        raise ValueError(f"r = {noise.r} gives {slots} fault slots, above {MAX_SLOTS}")
 
     d = code.d
     if theta_l_target is None:
@@ -487,15 +512,15 @@ def estimate(
 
     if inject_z is None:
         rates = analytics.class_rates(noise, code.error_multiplicities)
-        terms = analytics.model_terms(theta, d, rates)
+        _, pair, infid, error, _ = analytics.model_terms(theta, d, rates)
         p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
         # the model's accepted weight-1 trials: class 1's rate times its pair weight
-        expected_events = p_s_in * rates[1] * terms.pair * n_trials
-        if 0.0 < expected_events < 10.0 and terms.infid > 0.0:
+        expected_events = p_s_in * rates[1] * pair * n_trials
+        if 0.0 < expected_events < 10.0 and infid > 0.0:
             warnings.warn(
                 RareEventWarning(
                     f"expected about {expected_events:.2f} accepted weight-1 trials "
-                    f"at N={n_trials} (analytic rate {terms.error:.3g}); "
+                    f"at N={n_trials} (analytic rate {error:.3g}); "
                     "the infidelity estimate will be noise-dominated"
                 ),
                 stacklevel=2,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ftrot import analytics, bench, cli, codes, schemes
+from ftrot import analytics, bench, cli, codes, mcsim, schemes
 from ftrot.codes import Multiplicities
 from ftrot.mcsim import NoiseModel
 
@@ -385,6 +385,19 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "threads must be >= 1" in proc.stderr
         assert "RareEventWarning" not in proc.stderr
+
+    def test_unbounded_r_refused_before_planning(self, capsys, monkeypatch):
+        # r = 10^7 would plan 1.7e8 fault slots, many GB of arrays
+        def plan(*args):
+            raise AssertionError("the run was planned")
+
+        monkeypatch.setattr(mcsim, "_plan", plan)
+        rc, out, err = run_main(
+            ["simulate", "--theta", "0.5", "--trials", "1", "--seed", "1", "--r", "10000000"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: r = 10000000 gives") and err.count("\n") == 1
 
     def test_fresh_seed_recorded(self, capsys):
         rc, out, _ = run_main(

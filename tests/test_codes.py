@@ -193,9 +193,12 @@ def syndrome_mask(bits) -> int:
 def test_branch_coset_matches_all_branch_strings(name, d):
     # every syndrome of a branch string, and the syndromes of every one
     # or two single-qubit faults (on the surface and perfect codes most
-    # of them are no branch string's), against all 2^d strings
+    # of them are no branch string's), against all 2^d strings: a
+    # syndrome reduces to remainder 0 exactly when some branch string
+    # has it, and its b0's coset holds those strings
     code = codes.get_code(name, d)
     columns = code.error_multiplicities.branch_columns
+    rows = codes._branch_basis(columns)[0]
     branches = {syndrome_mask(s): w for s, w in branch_syndromes(code).items()}
     singles = {
         syndrome_mask(codes.syndrome(PauliString.from_label(
@@ -203,20 +206,22 @@ def test_branch_coset_matches_all_branch_strings(name, d):
         for q in range(code.n) for p in "XYZ"
     }
     for sigma in set(branches) | singles | {a ^ b for a in singles for b in singles}:
-        got = codes.branch_coset(columns, sigma)
+        rest, b0 = codes._reduce(rows, sigma)
         if sigma in branches:
             expected = [0] * (code.d + 1)
             for w in branches[sigma]:
                 expected[w] += 1
-            assert got == tuple(expected), sigma
+            assert rest == 0, sigma
+            assert codes._coset_counts(columns, b0) == tuple(expected), sigma
         else:
-            assert got is None, sigma
+            assert rest, sigma
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 6])
 @pytest.mark.parametrize("name, d", [("surface", 3), ("phase-flip", 3), ("perfect", None)])
 def test_fault_sets_match_the_walk_over_every_set(name, d, r):
-    # r = 1, 2 and >= 3 accept different sets with readout flips in them
+    # r = 1, 2 and >= 3 accept different sets with readout flips in them;
+    # r = 6 is the first r whose counts are extrapolated from r = 3, 4, 5
     code = codes.get_code(name, d)
     got = [list(counts) for counts in code.error_multiplicities.fault_sets(r)]
     assert got == fault_set_counts(code, r)

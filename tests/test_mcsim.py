@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -242,20 +243,26 @@ class TestExactLaw:
     `oracles.exact_class_probabilities`, at noise where most trials with
     faults hold two or more.  The seed was picked once and is frozen."""
 
+    # Z on the support (its second qubit) reads a branch syndrome; Z on
+    # the surface code's qubit 1, off the support, reads none, so a trial
+    # is accepted only where a fault's signature cancels the Z's
     @pytest.mark.parametrize(
-        "noise, inject",
+        "name, d, noise, inject",
         [
-            pytest.param(NoiseModel(p_in=5e-2, r=2), False, id="heavy"),
-            pytest.param(NoiseModel(p_in=5e-2, r=2), True, id="heavy-inject-z"),
-            pytest.param(NoiseModel(p_in=0.0, r=1, readout_flip=0.3), False, id="heavy-readout-r1"),
-        ],
-    )
-    @pytest.mark.parametrize(
-        "name, d", [("surface", 3), ("perfect", None)], ids=["surface3", "perfect"]
+            pytest.param(name, d, noise, inject, id=f"{code_id}-{noise_id}")
+            for name, d, code_id in [("surface", 3, "surface3"), ("perfect", None, "perfect")]
+            for noise, inject, noise_id in [
+                (NoiseModel(p_in=5e-2, r=2), None, "heavy"),
+                (NoiseModel(p_in=5e-2, r=2), "support", "heavy-inject-z"),
+                (NoiseModel(p_in=0.0, r=1, readout_flip=0.3), None, "heavy-readout-r1"),
+            ]
+        ]
+        + [pytest.param("surface", 3, NoiseModel(p_in=5e-2, r=2), 1,
+                        id="surface3-heavy-inject-z-off-support")],
     )
     def test_engine_matches_exact_law(self, name, d, noise, inject):
         code = codes.get_code(name, d)
-        inject_z = code.z_support[1] if inject else None
+        inject_z = code.z_support[1] if inject == "support" else inject
         want = oracles.exact_class_probabilities(code, 0.8, noise, inject_z)
         n = 4_000_000
         st = mcsim.estimate(code, 0.8, None, noise, n, seed=3, inject_z=inject_z)
@@ -577,6 +584,33 @@ class TestEstimate:
             with pytest.raises(ValueError, match="threads must be >= 1"):
                 mcsim.estimate(surface3, 0.5, None, self.NM, 1_000, seed=1, threads=0)
 
+    def test_slot_count_bounded_before_planning(self, surface3, monkeypatch):
+        # r cycles give r (n + checks) fault slots; up to MAX_SLOTS the
+        # run is planned, past it refused before any plan is built
+        class Planned(Exception):
+            pass
+
+        def plan(*args):
+            raise Planned
+
+        monkeypatch.setattr(mcsim, "_plan", plan)
+        r_max = mcsim.MAX_SLOTS // (surface3.n + len(surface3.stabilizers))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RareEventWarning)
+            with pytest.raises(Planned):
+                mcsim.estimate(surface3, 0.5, None, NoiseModel(p_in=1e-3, r=r_max), 1, seed=1)
+            for r in (r_max + 1, 10_000_000):
+                with pytest.raises(ValueError, match="fault slots"):
+                    mcsim.estimate(surface3, 0.5, None, NoiseModel(p_in=1e-3, r=r), 1, seed=1)
+
+    def test_trials_certain_to_hold_two_faults(self, surface3):
+        # at r = 3,000 a trial holds about 43 faults, and P2+ sums to
+        # 1 + 6e-15, which the strata multinomial must still take
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RareEventWarning)
+            st = mcsim.estimate(surface3, 0.5, None, NoiseModel(p_in=1e-3, r=3_000), 64, seed=1)
+        assert (st.trials, st.accepted) == (64, 0)
+
     def test_phase_flip_matches_error_model(self):
         # Y on a support qubit has Z's X-check signature, so the model
         # must count 2d first-order channels (with d it is 8 sigma low)
@@ -658,6 +692,55 @@ class TestEstimate:
             progress=lambda i, n: seen.append((i, n)),
         )
         assert sorted(seen) == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestMultiFaultChunks:
+    """`_run_batch` reads its multi-fault trials in chunks of at most
+    `_READ_CELLS` (row, trial) words."""
+
+    @staticmethod
+    def run_batch(code, noise, size):
+        mult = code.error_multiplicities
+        plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
+        classes = functools.partial(mcsim._coset_classes, code, 0.8)
+        rng = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
+        return lambda: mcsim._run_batch(plan, classes, rng, size)
+
+    def test_chunks_read_what_one_call_reads(self, surface3, monkeypatch):
+        # about 3,200 of 4,096 trials hold two or more faults; chunks of 7
+        # trials read the same b0s, and the batch draws the same classes
+        noise = NoiseModel(p_in=2e-2, r=10)
+        readings = mcsim._readings
+        seen = []
+
+        def spy(*args):
+            seen.append(readings(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(mcsim, "_readings", spy)
+        out = []
+        for cells in (1 << 40, 2 * noise.r * 7):
+            monkeypatch.setattr(mcsim, "_READ_CELLS", cells)
+            seen.clear()
+            out.append((self.run_batch(surface3, noise, 4096)().tolist(), len(seen),
+                        np.sort(np.concatenate(seen)).tolist()))
+        (hist, calls, b0s), (chunked_hist, chunks, chunked_b0s) = out
+        assert calls == 1 and chunks > 400
+        assert chunked_b0s == b0s and len(b0s) > 3_000
+        assert chunked_hist == hist
+
+    def test_batch_memory_does_not_grow_with_r(self):
+        # one 2^18-trial batch at surface d = 5, p_in = 1e-3, r = 100:
+        # about 92 % of its trials hold two or more faults, and reading
+        # them in one call held 2 r words per trial, about 600 MiB
+        run = self.run_batch(codes.get_code("surface", 5), NoiseModel(p_in=1e-3, r=100), 1 << 18)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 << 20, peak / 2**20
 
 
 class TestPhiloxBatches:
