@@ -29,12 +29,14 @@ branch patterns whose syndrome a single readout flip can mask
 (``readout_combos``).  One rule says which fault sets are accepted:
 `slot_events` gives each data fault and readout flip over r cycles a
 signature and a branch string b0, over GF(2), and a set is accepted when
-its signatures XOR to nothing, reading the XOR of its b0s.  The model's
-second order, ``Multiplicities.fault_sets``, groups them by signature:
-per r, every accepted set of at most two faults and flips, tallied by
-the weight classes of the branch strings it is accepted with, class 0
-included, once per check layout and r.  The Monte Carlo engine's
-single-fault table reads the same signatures.  `code_of_size` finds the
+its signatures XOR to nothing, reading the XOR of its b0s.
+`fault_set_tally` groups them by signature: per r, every accepted set
+of at most two faults and flips, tallied by (b0, shape), once per check
+layout and r.  The model's second order, ``Multiplicities.fault_sets``,
+counts those sets by the weight classes of the branch strings they are
+accepted with, class 0 included.  The Monte Carlo engine's one- and
+two-fault tables read the same tally, with an injected Z's signature
+as the target the set must XOR to.  `code_of_size` finds the
 registered code of a given size, for callers that only hold a code's
 qubit and check counts.  The test suite walks every fault set one at a
 time with a Pauli frame per cycle.
@@ -58,6 +60,8 @@ from .pauli import PauliString, commutes
 Syndrome = tuple[int, ...]
 # the nonzero (row, value) parts of a slot event, see `slot_events`
 Signature = tuple[tuple[int, int], ...]
+# ((b0, shape), count) of the accepted fault sets, see `fault_set_tally`
+Tally = tuple[tuple[tuple[int, int], int], ...]
 
 
 @dataclass(frozen=True)
@@ -291,48 +295,91 @@ def slot_events(
     return tuple(sigs), tuple(b0s)
 
 
-@functools.lru_cache(maxsize=64)
-def _fault_set_counts(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
-) -> tuple[tuple[int, ...], ...]:
-    """`Multiplicities.fault_sets`, cached by value, so every code object
-    built with the same checks shares one enumeration per r.
+def _count_sets(
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
+) -> Tally:
+    """`fault_set_tally` counted event by event, at any r.
 
-    One event of `slot_events` is accepted when its signature is empty,
-    two when their signatures are equal, except two data faults in one
-    slot.  The sets are tallied by (b0, shape), and each b0 adds its
-    coset's branch strings per class (`_coset_counts`).  Past r = 5 the
-    counts are a quadratic in r through r = 3, 4 and 5, exactly: an
-    accepted set of at most two events lies in at most two adjacent
-    cycles, or holds only events of empty signature (cycle-0 events, and
-    later data faults of zero syndrome, which read b0 = 0).  From r = 3
-    on, the first kind grows linearly in r, the second as the pairs of a
-    set that grows linearly.
+    The events of `slot_events` are grouped by signature; a set of two
+    takes one event from a group and one from the group whose signature
+    differs from it by the target's.
     """
-    if not columns:
-        return ()
-    if r > 5:
-        k, by_r = r - 3, [_fault_set_counts(channels, columns, n_checks, t) for t in (3, 4, 5)]
-        return tuple(
-            tuple(a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a) for a, b, c in zip(*cls))
-            for cls in zip(*by_r)
-        )
     sigs, b0s = slot_events(channels, columns, n_checks, r)
     n_data = len(channels) * r
     groups: dict[Signature, list[int]] = {}
     for e, sig in enumerate(sigs):
         groups.setdefault(sig, []).append(e)
-    # (b0, shape) -> sets, shape 0..4: data, flip, data-data, data-flip, flip-flip
+
+    def partner(sig: Signature) -> Signature:
+        # sig XOR the target's signature, which sits in row 0 alone
+        head, rest = (sig[0][1], sig[1:]) if sig and sig[0][0] == 0 else (0, sig)
+        return ((0, head ^ target),) + rest if head ^ target else rest
+
     tally: collections.Counter = collections.Counter()
+    for e in groups.get(partner(()), ()):
+        tally[b0s[e], int(e >= n_data)] += 1
     for sig, members in groups.items():
-        for i, e in enumerate(members):
-            if not sig:
-                tally[b0s[e], int(e >= n_data)] += 1
-            for f in members[i + 1:]:
-                if f >= n_data or f // 3 != e // 3:  # two data faults in one slot are no set
-                    tally[b0s[e] ^ b0s[f], 2 + (e >= n_data) + (f >= n_data)] += 1
+        other = partner(sig) if target else sig
+        if other == sig:
+            pairs = itertools.combinations(members, 2)
+        elif sig < other and other in groups:  # each pair of groups once
+            pairs = itertools.product(members, groups[other])
+        else:
+            continue
+        for e, f in pairs:
+            # two data faults in one slot are no set
+            if e >= n_data or f >= n_data or e // 3 != f // 3:
+                tally[b0s[e] ^ b0s[f], 2 + (e >= n_data) + (f >= n_data)] += 1
+    return tuple(sorted(tally.items()))
+
+
+@functools.lru_cache(maxsize=64)
+def fault_set_tally(
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
+) -> Tally:
+    """The accepted sets of one or two events of `slot_events` over r
+    cycles, as ((b0, shape), count) ascending, shape 0..4: data, flip,
+    data-data, data-flip, flip-flip.  A data event is one X/Y/Z kind;
+    two data faults in one slot are no set.
+
+    A set is accepted when its signatures XOR to the signature of a
+    cycle-0 event whose row 0 is `target`: nothing for target 0, or the
+    injected Z's, whose remainder (`_reduce`) is the target.  b0 is the
+    XOR of the set's b0s.  Cached by value; the model's fault sets
+    (target 0) and the Monte Carlo engine's one- and two-fault tables
+    both read it.
+
+    Past r = 5 each count is the quadratic in r through r = 3, 4 and 5,
+    exactly: an accepted set lies in at most two adjacent cycles, or
+    holds an event of the target's signature (a cycle-0 event) and the
+    rest of events of empty signature (cycle-0 events, and later data
+    faults of zero syndrome, which read b0 = 0).  From r = 3 on, the
+    first kind grows linearly in r, the second at most as the pairs of a
+    set that grows linearly.
+    """
+    if r <= 5:
+        return _count_sets(channels, columns, n_checks, r, target)
+    k = r - 3
+    by_r = [dict(fault_set_tally(channels, columns, n_checks, t, target)) for t in (3, 4, 5)]
+    tally = {}
+    for key in sorted(set().union(*by_r)):
+        a, b, c = (counts.get(key, 0) for counts in by_r)
+        tally[key] = a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a)
+    return tuple((key, count) for key, count in tally.items() if count)
+
+
+@functools.lru_cache(maxsize=64)
+def _fault_set_counts(
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
+) -> tuple[tuple[int, ...], ...]:
+    """`Multiplicities.fault_sets`, cached by value, so every code object
+    built with the same checks shares one enumeration per r: each
+    (b0, shape) of `fault_set_tally` adds its coset's branch strings per
+    class (`_coset_counts`)."""
+    if not columns:
+        return ()
     counts = [[0] * 5 for _ in range(len(columns) // 2 + 1)]
-    for (b0, shape), count in tally.items():
+    for (b0, shape), count in fault_set_tally(channels, columns, n_checks, r, 0):
         for m, strings in zip(range(len(counts)), _coset_counts(columns, b0)):
             counts[m][shape] += strings * count
     return tuple(map(tuple, counts))
@@ -517,11 +564,14 @@ def is_parametrized(name: str) -> bool:
     return name in _PARAMETRIZED
 
 
+@functools.lru_cache(maxsize=32)
 def get_code(name: str, d: int | None = None) -> StabilizerCode:
     """Instantiate a registered code.
 
     ``d`` is required for the parametrized families (phase-flip,
-    surface) and must be omitted or match for the fixed ones.
+    surface) and must be omitted or match for the fixed ones.  Cached
+    by its arguments, so repeated calls share one object; a code is
+    frozen, so sharing it and the values derived from it is safe.
     """
     check_distance(name, d)
     if name in _PARAMETRIZED:

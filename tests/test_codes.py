@@ -55,6 +55,17 @@ def test_get_code_distance_handling():
         codes.get_code("no-such-code")
 
 
+def test_get_code_shares_built_codes():
+    # codes are frozen, so one build per (name, d) serves every caller;
+    # a refused pair is refused again, not cached
+    assert codes.get_code("surface", 5) is codes.get_code("surface", 5)
+    assert codes.get_code("surface", 5) is not codes.get_code("surface", 7)
+    assert codes.get_code("surface", 5) == codes.rotated_surface_code(5)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            codes.get_code("surface", 4)
+
+
 def test_check_distance_agrees_with_get_code():
     pairs = [(name, d) for name in codes.list_codes() for d in (None, 1, 2, 3, 4, 5, 51, 53)]
     pairs.append(("no-such-code", 3))
@@ -227,10 +238,32 @@ def test_fault_sets_match_the_walk_over_every_set(name, d, r):
     assert got == fault_set_counts(code, r)
 
 
+@pytest.mark.parametrize(
+    "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 3), ("perfect", None)]
+)
+def test_fault_set_tally_extrapolates_per_key(name, d):
+    # past r = 5 each (b0, shape) count is extrapolated from r = 3, 4, 5;
+    # against the event-by-event count at r = 6..12, with no target and
+    # with the target of Z injected on qubits 0, 1 and n - 1 (off the
+    # support on the surface and perfect codes, so the target is nonzero)
+    code = codes.get_code(name, d)
+    mult = code.error_multiplicities
+    key = (mult.channels, mult.branch_columns, mult.n_checks)
+    rows = codes._branch_basis(mult.branch_columns)[0]
+    targets = sorted({0} | {codes._reduce(rows, mult.channels[3 * q + 2])[0]
+                            for q in (0, 1, code.n - 1)})
+    assert len(targets) == (1 if name == "phase-flip" else 2)
+    for target in targets:
+        for r in range(6, 13):
+            direct = codes._count_sets(*key, r, target)
+            assert codes.fault_set_tally(*key, r, target) == direct, (target, r)
+            assert direct and all(count > 0 for _, count in direct)
+
+
 def test_fault_sets_are_shared_by_code_value():
-    # get_code builds a new object per call; the enumeration runs once
-    a = codes.get_code("surface", 5).error_multiplicities
-    b = codes.get_code("surface", 5).error_multiplicities
+    # two objects built from the same checks; the enumeration runs once
+    a = codes.rotated_surface_code(5).error_multiplicities
+    b = codes.rotated_surface_code(5).error_multiplicities
     assert a is not b
     assert a.fault_sets(2) is b.fault_sets(2)
     assert codes.Multiplicities(5, 2, 2).fault_sets(2) == ()

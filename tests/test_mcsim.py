@@ -314,6 +314,47 @@ class TestPlan:
         assert want[1] > 0
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
+    )
+    def test_two_fault_stratum(self, name, d, r):
+        # P2 and P3+ against sums over the sets of exactly two and of three
+        # or more slots, and P(exactly two faults, accepted in class m) from
+        # the table against the walk over every two-location set, each
+        # weighted P0 o o, with o = (p/3)/(1-p) for a data fault's kind
+        code = codes.get_code(name, d)
+        noise = NoiseModel(p_in=2e-3, r=r)
+        p, f = noise.p_in, noise.readout_flip
+        data, flips = r * code.n, r * len(code.stabilizers)
+        plan = self.plan(code, noise)
+        p0 = (1 - p) ** data * (1 - f) ** flips
+        o, g = p / (1 - p), f / (1 - f)
+
+        def exactly(k):  # P0 e_k over the slot odds
+            return p0 * sum(math.comb(data, i) * o**i * math.comb(flips, k - i) * g ** (k - i)
+                            for i in range(max(0, k - flips), min(k, data) + 1))
+
+        assert plan.strata[2] == pytest.approx(exactly(2), rel=1e-12)
+        assert plan.strata[3] == pytest.approx(
+            math.fsum(exactly(k) for k in range(3, data + flips + 1)), rel=1e-12)
+
+        theta = 0.8
+        got = sum(
+            prob * mcsim._coset_classes(code, theta, b0)[:-1]
+            for b0, prob in zip(plan.double_b0.tolist(), plan.double_p)
+            if b0 >= 0
+        ) * plan.strata[2]
+        s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
+        a = p / 3 / (1 - p)
+        want = np.array([
+            (counts[2] * a * a + counts[3] * a * g + counts[4] * g * g) * p0
+            * (s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m)
+            for m, counts in enumerate(oracles.fault_set_counts(code, r))
+        ])
+        assert want[0] > 0
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize(
         "noise",
         [NoiseModel(p_in=1e-3, r=2, readout_flip=0.0), NoiseModel(p_in=0.0, r=2, readout_flip=1e-3)],
@@ -334,6 +375,16 @@ class TestPlan:
             second = mcsim._inverse_cdf(plan.second, np.full(2, j + 1), u)
             assert second.tolist() == [j + 1, positive[-1]]
         assert (plan.first[first] > plan.first[first + 1]).all()
+        # the three draws of a trial with three or more faults: L > K > J
+        lead = mcsim._inverse_cdf(plan.lead, 0, u)
+        assert lead.tolist() == [positive[0], positive[-3]]
+        assert (plan.lead[lead] > plan.lead[lead + 1]).all()
+        for j in lead.tolist():
+            first = mcsim._inverse_cdf(plan.first, np.full(2, j + 1), u)
+            assert first.tolist() == [j + 1, positive[-2]]
+            for k in first.tolist():
+                last = mcsim._inverse_cdf(plan.second, np.full(2, k + 1), u)
+                assert last.tolist() == [k + 1, positive[-1]]
 
 
 class TestUntouchedClasses:
@@ -384,20 +435,29 @@ class TestUntouchedClasses:
             assert got.sum() == pytest.approx(1.0, rel=1e-15)
 
 
+    def test_shared_across_calls(self):
+        # kept by (branch columns, theta, b0), so a second code object with
+        # the same checks reads the same array, which no caller may write
+        a = mcsim._coset_classes(codes.rotated_surface_code(5), 0.8, 3)
+        b = mcsim._coset_classes(codes.rotated_surface_code(5), 0.8, 3)
+        assert a is b and not a.flags.writeable
+        assert mcsim._coset_classes(codes.rotated_surface_code(5), 0.7, 3) is not a
+
+
 class TestEstimate:
     NM = NoiseModel(p_in=1e-3, r=2)
 
     def test_golden_run(self, surface3):
-        # 18.7 accepted weight-1 trials expected (17 seen): no warning
+        # 18.7 accepted weight-1 trials expected (25 seen): no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RareEventWarning)
             st = mcsim.estimate(surface3, 0.5, None, self.NM, 200_000, seed=11, threads=4)
-        assert st.accepted == 160676
-        assert st.acceptance_rate == pytest.approx(0.80338, abs=1e-12)
-        assert st.mean_infidelity == pytest.approx(7.346030936024522e-06, rel=1e-12, abs=0)
-        assert st.branch_histogram == (160659, 17)
+        assert st.accepted == 160912
+        assert st.acceptance_rate == pytest.approx(0.80456, abs=1e-12)
+        assert st.mean_infidelity == pytest.approx(1.0787142576620945e-05, rel=1e-12, abs=0)
+        assert st.branch_histogram == (160887, 25)
         assert st.seed == 11
-        assert st.params["stream"] == 5
+        assert st.params["stream"] == 6
 
     def test_thread_count_invariance(self, surface3):
         import warnings
@@ -707,9 +767,9 @@ class TestMultiFaultChunks:
         return lambda: mcsim._run_batch(plan, classes, rng, size)
 
     def test_chunks_read_what_one_call_reads(self, surface3, monkeypatch):
-        # about 3,200 of 4,096 trials hold two or more faults; chunks of 7
-        # trials read the same b0s, and the batch draws the same classes
-        noise = NoiseModel(p_in=2e-2, r=10)
+        # about 3,300 of 4,096 trials hold three or more faults; chunks of
+        # 7 trials read the same b0s, and the batch draws the same classes
+        noise = NoiseModel(p_in=3e-2, r=10)
         readings = mcsim._readings
         seen = []
 
