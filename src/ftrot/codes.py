@@ -34,9 +34,9 @@ its signatures XOR to nothing, reading the XOR of its b0s.
 of at most two faults and flips, tallied by (b0, shape), once per check
 layout and r.  The model's second order, ``Multiplicities.fault_sets``,
 counts those sets by the weight classes of the branch strings they are
-accepted with, class 0 included.  The Monte Carlo engine's one- and
-two-fault tables read the same tally, with an injected Z's signature
-as the target the set must XOR to.  `code_of_size` finds the
+accepted with, class 0 included.  The Monte Carlo engine's table of
+trials with at most two faults reads the same tally, with an injected
+Z's signature as the target the set must XOR to.  `code_of_size` finds the
 registered code of a given size, for callers that only hold a code's
 qubit and check counts.  The test suite walks every fault set one at a
 time with a Pauli frame per cycle.
@@ -346,8 +346,8 @@ def fault_set_tally(
     cycle-0 event whose row 0 is `target`: nothing for target 0, or the
     injected Z's, whose remainder (`_reduce`) is the target.  b0 is the
     XOR of the set's b0s.  Cached by value; the model's fault sets
-    (target 0) and the Monte Carlo engine's one- and two-fault tables
-    both read it.
+    (target 0) and the Monte Carlo engine's table of trials with at most
+    two faults both read it.
 
     Past r = 5 each count is the quadratic in r through r = 3, 4 and 5,
     exactly: an accepted set lies in at most two adjacent cycles, or

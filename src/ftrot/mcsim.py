@@ -19,15 +19,15 @@ infidelity against the target angle is a closed form; the estimator
 averages it.
 
 Noise is sparse at the rates of interest, so most trials hold no fault,
-one or two.  A batch splits its trials by fault count with their true
-weights.  The one- and two-fault trials take their outcomes from
-tables built once per (code, noise, injected Z) from
-`codes.fault_set_tally`, the tally the model counts with, and only the
-few that hold three or more are evaluated, as check-mask words, 2^20
-(cycle, trial) words at a time.  Noise is independent of b, so given
-the noise the class counts of the n_s trials that read s in every cycle
-are one multinomial draw over s's coset; a trial with no fault reads
-the injected Z's syndrome.  No branch string is drawn.
+one or two.  Their outcomes are exact: `codes.fault_set_tally`, the
+tally the model counts with, gives once per (code, noise, injected Z)
+the probability that a trial holds at most two faults and reads b0,
+and a batch draws the classes of all such trials at once.  Only the
+few that hold three or more are evaluated, as check-mask words, a
+chunk of at most 2^20 (cycle, trial) words at a time.  Noise is
+independent of b, so given the noise the class counts of the n_s
+trials that read s in every cycle are one multinomial draw over s's
+coset.  No branch string is drawn.
 
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
@@ -39,46 +39,44 @@ given (seed, n_trials, batch_size, stream) regardless of thread count.
 teleportation walk's "stream" is a separate key of the `walk` payload
 and versions that sampler alone.  A batch's Bernoulli slots, in a
 fixed order, are the data slots (cycle, qubit) at p_in, then the flip
-slots (cycle, check) at readout_flip.  Stream 6 draws, per batch:
+slots (cycle, check) at readout_flip.  Stream 7 draws, per batch:
 
-  1. the trials with no fault, exactly one, exactly two, and three or
-     more, as one multinomial(size, (P0, P1, P2, P3+));
-  2. the outcomes of the n1 one-fault trials, as one multinomial(n1,
-     g1) over the one-fault outcomes: rejected first, then each coset
-     representative b0 (`codes._reduce`) ascending; then those of the
-     n2 two-fault trials, as one multinomial(n2, g2), ordered alike;
-  3. for the n3 trials with three or more faults: one uniform each for
-     the first fault's slot J, then one each for the second's, K > J,
-     then one each for the third's, L > K; then the X/Y/Z kinds of the
-     three, J's first; then the data faults over the flat (trial, data
-     slot) index (the gaps between hits, then one kind per hit), and
-     the flips over the flat (trial, flip slot) index (the gaps), of
-     which only those after the trial's L are kept;
-  4. for each b0 that some trial reaches, in ascending order, the class
-     counts of its n_b0 trials as multinomial(n_b0, q(b0)), with q_m =
-     P(b in b0's coset, class m) for m = 0..d//2 and the rejection
-     probability last.
+  1. the class counts of the trials with at most two faults, and the
+     count n3 of those with three or more, as one multinomial(size,
+     (Q_0, ..., Q_{d//2}, P3+, rest)), where Q_m is the sum over b0 of
+     P(at most two faults, reads b0) q_m(b0) and the rest is rejected;
+  2. the n3 trials, one chunk of at most 2^20 / (2 r) trials at a time,
+     each chunk drawing in turn: one uniform per trial for the first
+     fault's slot J, then one each for the second's, K > J, then one
+     each for the third's, L > K; then the X/Y/Z kinds of the three,
+     J's first; then the data faults over the flat (trial, data slot)
+     index (the gaps between hits, then one kind per hit), and the
+     flips over the flat (trial, flip slot) index (the gaps), of which
+     only those after the trial's L are kept;
+  3. for each b0 that some of the n3 trials reach, in ascending order,
+     the class counts of its n_b0 trials as multinomial(n_b0, q(b0)),
+     with q_m(b0) = P(b in b0's coset, class m) for m = 0..d//2 and the
+     rejection probability last.
 
-With w_j = p_j prod_{i<j}(1 - p_i) the probability that the first
-fault is at slot j, h_j = 1 - prod_{i>j}(1 - p_i) that another
-follows, and o_j = p_j / (1 - p_j), let S and F be the tails of
-w_j (1 - h_j) and w_j h_j: S[k] is P(no fault before k, exactly one
-from k on), F[k] P(no fault before k, two or more from k on).  Then
-P0 = prod(1 - p_i), P1 = S[0], P2 = sum o_j S[j+1] and P3+ =
-sum o_j F[j+1], all sums of positive terms: o_j F[j+1] = P(first
-fault at j, two or more after it).  J is drawn with weights
-o_j F[j+1], K given J with weights w_k h_k over k > J, and L given K
-with weights w_l over l > K.  The slots after L are independent of
-where the first three faults are, so they are plain Bernoulli, and the
-flat draw restricted to them is exact.  An event e is a data fault
-of one kind, with odds o_e = (p_in/3)/(1 - p_in), or a readout flip,
-o_e = f/(1 - f) at readout_flip f.  A set of events on distinct slots
-weighs P0 prod o_e, which weights `codes.fault_set_tally` into g1 and
-g2.  Stream 5 simulated every trial with two or more faults; stream 4
-drew every trial's faults and flips over the flat (trial, qubit) and
-(trial, check) indices and evaluated every touched trial; stream 3
-also drew a branch string for each touched trial, and stream 2 the
-branch uniforms of every trial.
+Step 1 is exact: a trial with at most two faults reads b0 with a known
+probability and then lands in class m with probability q_m(b0),
+independently of every other trial, so the class counts of all such
+trials are one multinomial over the mixture.  An event e is a data
+fault of one kind, with odds o_e = (p_in/3)/(1 - p_in), or a readout
+flip, o_e = f/(1 - f) at readout_flip f.  A set of events on distinct
+slots weighs P0 prod o_e, with P0 = prod(1 - p_i), which weights
+`codes.fault_set_tally` into P(at most two faults, reads b0).  With
+w_j = p_j prod_{i<j}(1 - p_i) the probability that the first fault is
+at slot j, h_j = 1 - prod_{i>j}(1 - p_i) that another follows, and
+o_j = p_j / (1 - p_j), let F be the tails of w_j h_j: F[k] is P(no
+fault before k, two or more from k on).  Then P3+ = sum o_j F[j+1], a
+sum of positive terms, since o_j F[j+1] = P(first fault at j, two or
+more after it).  J is drawn with weights o_j F[j+1], K given J with
+weights w_k h_k over k > J, and L given K with weights w_l over l > K.
+The slots after L are independent of where the first three faults
+are, so they are plain Bernoulli, and the flat draw restricted to them
+is exact.  The trials are independent, so a chunk's draws hold only
+its own trials.
 
 The noise description, `NoiseModel`, lives in `analytics` and is
 re-exported here.  A scalar one-trial-at-a-time reference engine lives
@@ -282,12 +280,9 @@ class _Plan(NamedTuple):
     n_data: int  # data slots, r n
     noise: NoiseModel
     d: int
-    strata: np.ndarray  # (P0, P1, P2, P3+)
-    single_b0: np.ndarray  # the one-fault outcomes: -1 (rejected), then b0 ascending
-    single_p: np.ndarray  # each outcome's probability given exactly one fault
-    double_b0: np.ndarray  # the two-fault outcomes, ordered as single_b0
-    double_p: np.ndarray  # each outcome's probability given exactly two faults
-    lead: np.ndarray  # (slots + 1,): tails of o_j F[j + 1], the first of three or more faults
+    few_b0: np.ndarray  # the b0s that trials with at most two faults read, ascending
+    few_p: np.ndarray  # P(at most two faults, reads b0) for each of them
+    lead: np.ndarray  # (slots + 1,): tails of o_j F[j + 1], the first of 3+ faults; P3+ = lead[0]
     first: np.ndarray  # (slots + 1,): tails of w_k h_k, a fault with another after it
     second: np.ndarray  # (slots + 1,): tails of w_l, a fault
 
@@ -383,8 +378,8 @@ def _plan(
 
     # w_j = p_j prod_{i<j}(1 - p_i), the first fault at j; times
     # prod_{i>j}(1 - p_i) = 1 - h_j it is the only one.  With the odds
-    # o_j = p_j / (1 - p_j), o_j S[j + 1] is the first fault at j with
-    # exactly one after it, and o_j F[j + 1] with two or more
+    # o_j = p_j / (1 - p_j), o_j F[j + 1] is the first fault at j with
+    # two or more after it
     p = np.repeat([noise.p_in, noise.readout_flip], [n_data, n_flip])
     keep = np.log1p(-p)
     before = np.cumsum(keep)
@@ -395,111 +390,105 @@ def _plan(
     def tails(weight: np.ndarray) -> np.ndarray:
         return np.append(np.cumsum(weight[::-1])[::-1], 0.0)
 
-    single, first = tails(w * np.exp(after)), tails(w * -np.expm1(after))
+    first = tails(w * -np.expm1(after))
     lead = tails(odds * first[1:])
-    # P3+ may round past 1, which the multinomial refuses; it reads it as the rest
-    strata = np.minimum([math.exp(before[-1]), single[0], odds @ single[1:], lead[0]], 1.0)
 
-    # a set of one or two events e weighs P0 prod o_e, with o_e =
+    # a set of no, one or two events e weighs P0 prod o_e, with o_e =
     # (p_in / 3) / (1 - p_in) for one kind of data fault; it is accepted
     # when its signatures XOR to the injected Z's, and then reads its b0
-    # XOR the Z's (`codes.fault_set_tally`)
+    # XOR the Z's (`codes.fault_set_tally`).  The empty set reads the Z's
+    # own syndrome, accepted when that lies in the branch span
     a, q = noise.p_in / 3.0 / (1.0 - noise.p_in), noise.readout_flip / (1.0 - noise.readout_flip)
     set_odds = (a, q, a * a, a * q, q * q)
     inj_b0 = injected & (1 << d) - 1
-    mass = collections.Counter(), collections.Counter()  # one fault, two
+    mass = collections.Counter({inj_b0: 1.0} if injected < 1 << d else {})
     for (b0, shape), count in fault_set_tally(channels, columns, n_checks, r, injected >> d):
-        mass[shape > 1][b0 ^ inj_b0] += count * set_odds[shape]
-
-    def outcomes(mass: collections.Counter, total: float) -> tuple[np.ndarray, np.ndarray]:
-        # given the stratum (total = its probability / P0): rejected, then b0 ascending
-        b0s = sorted(b for b in mass if mass[b] > 0.0)
-        prob = [mass[b] / total for b in b0s]
-        return np.array([-1, *b0s]), np.array([max(0.0, 1.0 - sum(prob)), *prob])
-
-    # the odds of every slot, and of every pair of slots
-    total = odds.sum()
-    plan = _Plan(table, injected, row, loc, n_data, noise, d, strata,
-                 *outcomes(mass[0], total), *outcomes(mass[1], (total * total - odds @ odds) / 2),
-                 lead, first, tails(w))
+        mass[b0 ^ inj_b0] += count * set_odds[shape]
+    few_b0 = sorted(b for b in mass if mass[b] > 0.0)
+    few_p = math.exp(before[-1]) * np.array([mass[b] for b in few_b0], dtype=float)
+    plan = _Plan(table, injected, row, loc, n_data, noise, d,
+                 np.array(few_b0, dtype=np.int64), few_p, lead, first, tails(w))
     for array in plan:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
     return plan
 
 
+def _batch_law(plan: _Plan, classes: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The probabilities of a batch's first draw: q_m = P(at most two
+    faults, accepted in class m) for m = 0..d//2, then P3+, then a
+    last entry that the multinomial reads as the rest, the rejected
+    trials with at most two faults.
+
+    q_m = sum over b0 of P(at most two faults, reads b0) classes(b0)[m]:
+    such a trial reads b0 with that probability and then lands in class
+    m with probability classes(b0)[m], independently of every other
+    trial.
+    """
+    few = sum(
+        (p * classes(b0) for b0, p in zip(plan.few_b0.tolist(), plan.few_p.tolist())),
+        np.zeros(plan.d // 2 + 2),
+    )
+    # P3+ may round past 1, which the multinomial refuses
+    return np.append(few[:-1], [min(plan.lead[0], 1.0), 0.0])
+
+
 def _run_batch(
     plan: _Plan,
     classes: Callable[[int], np.ndarray],
+    law: np.ndarray,
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
     """Simulate one batch; returns its branch class histogram.
 
-    `classes(b0)` is `_coset_classes` of b0.  Draw order per batch
-    (stream 6) is part of the determinism contract:
-      1. the counts of trials with no fault, one, two, and three or
-         more, (n0, n1, n2, n3) = multinomial(size, plan.strata);
-      2. the one-fault trials' outcomes, multinomial(n1, plan.single_p),
-         then the two-fault trials', multinomial(n2, plan.double_p);
-      3. if n3 > 0: a (3, n3) block of uniforms, whose rows pick each
-         trial's first fault J, its second K and its third L by
-         `_inverse_cdf`; a (3, n3) block of X/Y/Z kinds, J's row first;
-         the data faults over the flat (trial, data slot) index: the
-         gaps between hits (`_sparse_hits`), then one kind per hit; the
-         flips over the flat (trial, flip slot) index: the gaps.  Of the
-         last two, the faults after the trial's L are kept;
-      4. for each b0 that some trial reaches, in ascending order, the
-         class counts of its n_b0 trials, multinomial(n_b0, classes(b0)).
-    The n0 trials with no fault read the injected Z's syndrome.
+    `classes(b0)` is `_coset_classes` of b0 and `law` is
+    `_batch_law(plan, classes)`.  Draw order per batch (stream 7) is
+    part of the determinism contract:
+      1. the class counts of the trials with at most two faults, and the
+         count n3 of those with three or more, as multinomial(size, law);
+      2. the n3 trials, in chunks of at most _READ_CELLS // (2 r) trials,
+         each chunk drawing in turn: a (3, n) block of uniforms, whose
+         rows pick each trial's first fault J, its second K and its
+         third L by `_inverse_cdf`; a (3, n) block of X/Y/Z kinds, J's
+         row first; the data faults over the flat (trial, data slot)
+         index: the gaps between hits (`_sparse_hits`), then one kind
+         per hit; the flips over the flat (trial, flip slot) index: the
+         gaps.  Of the last two, the faults after the trial's L are kept;
+      3. for each b0 that some of the n3 trials read, in ascending
+         order, the class counts of its n_b0 trials, multinomial(n_b0,
+         classes(b0)).
     """
-    n0, n1, n2, n3 = rng.multinomial(size, plan.strata).tolist()
-    tally = collections.Counter(
-        dict(zip(plan.single_b0.tolist(), rng.multinomial(n1, plan.single_p).tolist()))
-    )
-    tally.update(dict(zip(plan.double_b0.tolist(), rng.multinomial(n2, plan.double_p).tolist())))
-    tally[plan.injected if plan.injected < 1 << plan.d else -1] += n0
-
-    if n3:
-        u = rng.random((3, n3))
+    counts = rng.multinomial(size, law)
+    hist, n3 = counts[:-2], int(counts[-2])
+    # `_readings` holds 2 r words per trial; the trials are independent,
+    # so each chunk draws and reads its own
+    per_chunk = max(1, _READ_CELLS // (2 * plan.noise.r))
+    n_data, n_flip = plan.n_data, plan.row.size - plan.n_data
+    readings = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, n3, per_chunk):
+        n = min(per_chunk, n3 - lo)
+        u = rng.random((3, n))
         lead = _inverse_cdf(plan.lead, 0, u[0])
         first = _inverse_cdf(plan.first, lead + 1, u[1])
         last = _inverse_cdf(plan.second, first + 1, u[2])
-        kinds = rng.integers(0, 3, size=(3, n3))
-        n_data, n_flip = plan.n_data, plan.row.size - plan.n_data
-        pos, kind = _data_hits(rng, n3 * n_data, plan.noise.p_in)
-        flips = _sparse_hits(rng, n3 * n_flip, plan.noise.readout_flip)
-        trial = np.concatenate([np.tile(np.arange(n3), 3), pos // n_data, flips // n_flip])
+        kinds = rng.integers(0, 3, size=(3, n))
+        pos, kind = _data_hits(rng, n * n_data, plan.noise.p_in)
+        flips = _sparse_hits(rng, n * n_flip, plan.noise.readout_flip)
+        trial = np.concatenate([np.tile(np.arange(n), 3), pos // n_data, flips // n_flip])
         slot = np.concatenate([lead, first, last, pos % n_data, n_data + flips % n_flip])
         kind = np.concatenate([kinds.ravel(), kind, np.zeros_like(flips)])
-        del pos, flips
         # the slots after a trial's third fault are plain Bernoulli, so
-        # the flat draw's faults there are that trial's remaining faults.
-        # One array at a time, to keep the batch's peak memory low
+        # the flat draw's faults there are that trial's remaining faults
         keep = slot > last[trial]
-        keep[: 3 * n3] = True
-        trial = trial[keep]
-        slot = slot[keep]
-        kind = kind[keep]
-        # `_readings` holds 2 r words per trial: read the independent
-        # trials in chunks of at most _READ_CELLS words, sorted if two or more
-        per_chunk = max(1, _READ_CELLS // (2 * plan.noise.r))
-        order = np.argsort(trial, kind="stable") if n3 > per_chunk else None
-        starts = range(0, n3, per_chunk)
-        cuts = [*np.searchsorted(trial, starts[1:], sorter=order).tolist(), trial.size]
-        readings = []
-        for lo, a, b in zip(starts, [0, *cuts], cuts):
-            e = slice(a, b) if order is None else order[a:b]
-            n = min(per_chunk, n3 - lo)
-            readings.append(_readings(plan, trial[e] - lo, slot[e], kind[e], n))
-        b0, count = np.unique(np.concatenate(readings), return_counts=True)
-        tally.update(dict(zip(b0.tolist(), count.tolist())))
+        keep[: 3 * n] = True
+        readings.append(_readings(plan, trial[keep], slot[keep], kind[keep], n))
 
-    hist = np.zeros(plan.d // 2 + 2, dtype=np.int64)
-    for b in sorted(tally):
-        if b >= 0 and tally[b]:
-            hist += rng.multinomial(tally[b], classes(b))
-    return hist[:-1]
+    b0s, count = np.unique(np.concatenate(readings), return_counts=True)
+    for b0, n_b0 in zip(b0s.tolist(), count.tolist()):
+        if b0 >= 0:
+            hist += rng.multinomial(n_b0, classes(b0))[:-1]
+    return hist
 
 
 def estimate(
@@ -565,13 +554,14 @@ def estimate(
     mult = code.error_multiplicities
     plan = _plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
     classes = functools.partial(_coset_classes, code, theta)
+    law = _batch_law(plan, classes)
 
     hist = np.zeros(d // 2 + 1, dtype=np.int64)
     for batch in _philox_batches(
         seed,
         n_trials,
         batch_size,
-        functools.partial(_run_batch, plan, classes),
+        functools.partial(_run_batch, plan, classes, law),
         threads,
         progress,
     ):
@@ -598,7 +588,7 @@ def estimate(
         "readout_flip": noise.readout_flip,
         "r": noise.r,
         "batch_size": batch_size,
-        "stream": 6,
+        "stream": 7,
         "inject_z": inject_z,
     }
     return McStats(

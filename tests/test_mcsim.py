@@ -166,8 +166,10 @@ class TestSparseHits:
 # trials with faults: readout flips masking a branch syndrome
 # (readout-only; r = 1 for single flips), the phase-flip code's X
 # faults, whose syndrome is 0, and an injected Z.  high-noise puts
-# about a quarter of the trials with faults on the multi-fault path.
-# The perfect code's generators mix X and Z on one qubit.
+# about 4 % (surface) and 1 % (perfect) of the trials with faults among
+# those with three or more, the only ones simulated; every trial with
+# at most two faults draws its class from the plan's table.  The
+# perfect code's generators mix X and Z on one qubit.
 ORACLE_NOISES = [
     (NoiseModel(p_in=2e-3, r=2), False, "mostly-clean"),
     (NoiseModel(p_in=0.0, r=2, readout_flip=0.05), False, "readout-only"),
@@ -270,90 +272,85 @@ class TestExactLaw:
         for q, p in [*zip(got, want), (got.sum(), want.sum())]:
             assert abs(q - p) < 4 * math.sqrt(p * (1 - p) / n), (got, want)
 
+    def test_chunked_engine_matches_exact_law(self, monkeypatch):
+        # the trials with three or more faults, about 17 % here, drawn and
+        # read 7 at a time: the chunk boundaries are part of the draw
+        # order, and the law must not depend on them
+        code = codes.get_code("surface", 3)
+        noise = NoiseModel(p_in=5e-2, r=2)
+        monkeypatch.setattr(mcsim, "_READ_CELLS", 2 * noise.r * 7)
+        want = oracles.exact_class_probabilities(code, 0.8, noise, None)
+        n = 400_000
+        st = mcsim.estimate(code, 0.8, None, noise, n, seed=3)
+        got = np.array(st.branch_histogram) / n
+        for q, p in [*zip(got, want), (got.sum(), want.sum())]:
+            assert abs(q - p) < 4 * math.sqrt(p * (1 - p) / n), (got, want)
+
 
 class TestPlan:
-    """The fault-count strata and the single-fault table against closed
-    forms and the scalar walk over single faults, and the slot draws at
-    the ends of their ranges."""
+    """The plan against closed forms and the scalar walk: P3+ against the
+    slot odds, the table of the trials with at most two faults against
+    the walk over every set of one and two fault locations, walked once
+    per (code, r), and the slot draws at the ends of their ranges."""
 
     @staticmethod
     def plan(code, noise):
         mult = code.error_multiplicities
         return mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
 
+    @staticmethod
+    def slot_odds(code, noise):
+        """(P0, o, g, data slots, flip slots): o = p/(1-p) and g = f/(1-f)."""
+        r, p, f = noise.r, noise.p_in, noise.readout_flip
+        data, flips = r * code.n, r * len(code.stabilizers)
+        return (1 - p) ** data * (1 - f) ** flips, p / (1 - p), f / (1 - f), data, flips
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize(
         "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
     )
     def test_strata_and_single_faults(self, name, d, r):
+        # P3+ against 1 - P0 - P1 - P2 and against the sum over the sets
+        # of three or more slots, each weighted P0 times their odds
         code = codes.get_code(name, d)
         noise = NoiseModel(p_in=2e-3, r=r)
-        p, f = noise.p_in, noise.readout_flip
-        data, flips = r * code.n, r * len(code.stabilizers)
-        plan = self.plan(code, noise)
-        p0 = (1 - p) ** data * (1 - f) ** flips
-        p1 = data * p / (1 - p) * p0 + flips * f / (1 - f) * p0
-        assert plan.strata[0] == pytest.approx(p0, rel=1e-12)
-        assert plan.strata[1] == pytest.approx(p1, rel=1e-12)
-        assert plan.strata.sum() == pytest.approx(1.0, rel=1e-12)
+        p0, o, g, data, flips = self.slot_odds(code, noise)
 
-        # P(exactly one fault, accepted in class m), from the table and
-        # from the walk over every single fault location
-        theta = 0.8
-        got = sum(
-            prob * mcsim._coset_classes(code, theta, b0)[:-1]
-            for b0, prob in zip(plan.single_b0.tolist(), plan.single_p)
-            if b0 >= 0
-        ) * plan.strata[1]
-        s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
-        want = np.array([
-            (counts[0] * p / 3 / (1 - p) + counts[1] * f / (1 - f)) * p0
-            * (s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m)
-            for m, counts in enumerate(oracles.fault_set_counts(code, r))
-        ])
-        assert want[1] > 0
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        def exactly(k):  # P0 e_k over the slot odds
+            return p0 * sum(math.comb(data, i) * o**i * math.comb(flips, k - i) * g ** (k - i)
+                            for i in range(max(0, k - flips), min(k, data) + 1))
+
+        p3 = self.plan(code, noise).lead[0]
+        assert p3 == pytest.approx(1 - exactly(0) - exactly(1) - exactly(2), rel=1e-12)
+        assert p3 == pytest.approx(math.fsum(exactly(k) for k in range(3, data + flips + 1)),
+                                   rel=1e-12)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize(
         "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
     )
     def test_two_fault_stratum(self, name, d, r):
-        # P2 and P3+ against sums over the sets of exactly two and of three
-        # or more slots, and P(exactly two faults, accepted in class m) from
-        # the table against the walk over every two-location set, each
-        # weighted P0 o o, with o = (p/3)/(1-p) for a data fault's kind
+        # P(at most two faults, accepted in class m) from the table against
+        # P0 on the no-fault trials' branch syndrome 0, plus the walk's
+        # one-fault sets weighted P0 o and its two-fault sets P0 o o, with
+        # o = (p/3)/(1-p) for a data fault's kind
         code = codes.get_code(name, d)
         noise = NoiseModel(p_in=2e-3, r=r)
-        p, f = noise.p_in, noise.readout_flip
-        data, flips = r * code.n, r * len(code.stabilizers)
+        p0, _, g, _, _ = self.slot_odds(code, noise)
+        a = noise.p_in / 3 / (1 - noise.p_in)
         plan = self.plan(code, noise)
-        p0 = (1 - p) ** data * (1 - f) ** flips
-        o, g = p / (1 - p), f / (1 - f)
-
-        def exactly(k):  # P0 e_k over the slot odds
-            return p0 * sum(math.comb(data, i) * o**i * math.comb(flips, k - i) * g ** (k - i)
-                            for i in range(max(0, k - flips), min(k, data) + 1))
-
-        assert plan.strata[2] == pytest.approx(exactly(2), rel=1e-12)
-        assert plan.strata[3] == pytest.approx(
-            math.fsum(exactly(k) for k in range(3, data + flips + 1)), rel=1e-12)
-
         theta = 0.8
-        got = sum(
-            prob * mcsim._coset_classes(code, theta, b0)[:-1]
-            for b0, prob in zip(plan.double_b0.tolist(), plan.double_p)
-            if b0 >= 0
-        ) * plan.strata[2]
+        got = mcsim._batch_law(plan, functools.partial(mcsim._coset_classes, code, theta))
+        assert got[-2] == plan.lead[0] and got[-1] == 0.0
         s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
-        a = p / 3 / (1 - p)
         want = np.array([
-            (counts[2] * a * a + counts[3] * a * g + counts[4] * g * g) * p0
+            (int(m == 0) + counts[0] * a + counts[1] * g
+             + counts[2] * a * a + counts[3] * a * g + counts[4] * g * g) * p0
             * (s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m)
-            for m, counts in enumerate(oracles.fault_set_counts(code, r))
+            for m, counts in enumerate(oracles.fault_set_counts(code, noise.r))
         ])
-        assert want[0] > 0
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert want[1] > 0
+        assert got[:-2] == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "noise",
@@ -448,16 +445,16 @@ class TestEstimate:
     NM = NoiseModel(p_in=1e-3, r=2)
 
     def test_golden_run(self, surface3):
-        # 18.7 accepted weight-1 trials expected (25 seen): no warning
+        # 18.7 accepted weight-1 trials expected (20 seen): no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RareEventWarning)
             st = mcsim.estimate(surface3, 0.5, None, self.NM, 200_000, seed=11, threads=4)
-        assert st.accepted == 160912
-        assert st.acceptance_rate == pytest.approx(0.80456, abs=1e-12)
-        assert st.mean_infidelity == pytest.approx(1.0787142576620945e-05, rel=1e-12, abs=0)
-        assert st.branch_histogram == (160887, 25)
+        assert st.accepted == 161063
+        assert st.acceptance_rate == pytest.approx(0.805315, abs=1e-12)
+        assert st.mean_infidelity == pytest.approx(8.621623520183926e-06, rel=1e-12, abs=0)
+        assert st.branch_histogram == (161043, 20)
         assert st.seed == 11
-        assert st.params["stream"] == 6
+        assert st.params["stream"] == 7
 
     def test_thread_count_invariance(self, surface3):
         import warnings
@@ -755,52 +752,68 @@ class TestEstimate:
 
 
 class TestMultiFaultChunks:
-    """`_run_batch` reads its multi-fault trials in chunks of at most
-    `_READ_CELLS` (row, trial) words."""
+    """`_run_batch` draws and reads its trials with three or more faults
+    in chunks of at most `_READ_CELLS` (row, trial) words."""
 
     @staticmethod
     def run_batch(code, noise, size):
+        """The batch, and the count n3 of its trials with three or more
+        faults, which its first draw gives."""
         mult = code.error_multiplicities
         plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
         classes = functools.partial(mcsim._coset_classes, code, 0.8)
-        rng = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
-        return lambda: mcsim._run_batch(plan, classes, rng, size)
+        law = mcsim._batch_law(plan, classes)
+
+        def rng():
+            return np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
+
+        n3 = int(rng().multinomial(size, law)[-2])
+        return lambda: mcsim._run_batch(plan, classes, law, rng(), size), n3
 
     def test_chunks_read_what_one_call_reads(self, surface3, monkeypatch):
-        # about 3,300 of 4,096 trials hold three or more faults; chunks of
-        # 7 trials read the same b0s, and the batch draws the same classes
+        # about 3,300 of 4,096 trials hold three or more faults; with
+        # chunks of 7 trials every `_readings` call reads at most 7, and
+        # the calls together read each of the n3 trials once
         noise = NoiseModel(p_in=3e-2, r=10)
         readings = mcsim._readings
         seen = []
 
-        def spy(*args):
-            seen.append(readings(*args))
+        def spy(plan, trial, slot, kind, n_trials):
+            assert trial.size == 0 or 0 <= trial.min() and trial.max() < n_trials
+            seen.append(readings(plan, trial, slot, kind, n_trials))
             return seen[-1]
 
         monkeypatch.setattr(mcsim, "_readings", spy)
-        out = []
-        for cells in (1 << 40, 2 * noise.r * 7):
-            monkeypatch.setattr(mcsim, "_READ_CELLS", cells)
-            seen.clear()
-            out.append((self.run_batch(surface3, noise, 4096)().tolist(), len(seen),
-                        np.sort(np.concatenate(seen)).tolist()))
-        (hist, calls, b0s), (chunked_hist, chunks, chunked_b0s) = out
-        assert calls == 1 and chunks > 400
-        assert chunked_b0s == b0s and len(b0s) > 3_000
-        assert chunked_hist == hist
+        monkeypatch.setattr(mcsim, "_READ_CELLS", 2 * noise.r * 7)
+        run, n3 = self.run_batch(surface3, noise, 4096)
+        hist = run()
+        assert n3 > 3_000 and max(b0.size for b0 in seen) == 7
+        assert sum(b0.size for b0 in seen) == n3 and len(seen) == -(-n3 // 7)
+        assert 0 < hist.sum() < 4096
+
+    @staticmethod
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_batch_memory_does_not_grow_with_r(self):
         # one 2^18-trial batch at surface d = 5, p_in = 1e-3, r = 100:
         # about 92 % of its trials hold two or more faults, and reading
         # them in one call held 2 r words per trial, about 600 MiB
-        run = self.run_batch(codes.get_code("surface", 5), NoiseModel(p_in=1e-3, r=100), 1 << 18)
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        run, _ = self.run_batch(codes.get_code("surface", 5), NoiseModel(p_in=1e-3, r=100), 1 << 18)
+        peak = self.peak(run)
         assert peak <= 128 << 20, peak / 2**20
+
+    def test_batch_memory_does_not_grow_with_faults(self, surface3):
+        # one 2^16-trial batch at r = 4,000, about 57 faults per trial:
+        # drawing every trial's faults before reading any held about 150 MiB
+        run, n3 = self.run_batch(surface3, NoiseModel(p_in=1e-3, r=4_000), 1 << 16)
+        peak = self.peak(run)
+        assert n3 == 1 << 16 and peak <= 32 << 20, peak / 2**20
 
 
 class TestPhiloxBatches:
