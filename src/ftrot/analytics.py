@@ -258,7 +258,7 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     leaves the same syndrome in every cycle, equal to the syndrome of
     some branch strings, is accepted with those strings; the accepted
     state is then off by branch_angle(m) of their class m: the set's
-    signatures (`codes.slot_events`) XOR to nothing.  The model sums
+    signatures (`codes.slot_events`) XOR to 0.  The model sums
     every such set of at most two locations (`codes.Multiplicities
     .fault_sets`) and the r-fold readout masking path, each weighted by
     its rate (`class_rates`), the probability of its branch pairs and

@@ -366,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed in [0, 2^64) (generated and recorded if omitted)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads; does not affect results")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1: a batch holds the interpreter lock, "
+                        "so a second thread runs slower); does not affect results")
     p.add_argument("--theta-l-target", type=parse_angle, default=None,
                    help="reference angle for infidelity (default: the accepted logical angle)")
     p.add_argument("--readout-flip", type=finite_float, default=None,

@@ -29,14 +29,14 @@ branch patterns whose syndrome a single readout flip can mask
 (``readout_combos``).  One rule says which fault sets are accepted:
 `slot_events` gives each data fault and readout flip over r cycles a
 signature and a branch string b0, over GF(2), and a set is accepted when
-its signatures XOR to nothing, reading the XOR of its b0s.
+its signatures XOR to 0, reading the XOR of its b0s.
 `fault_set_tally` groups them by signature: per r, every accepted set
 of at most two faults and flips, tallied by (b0, shape), once per check
-layout and r.  The model's second order, ``Multiplicities.fault_sets``,
-counts those sets by the weight classes of the branch strings they are
-accepted with, class 0 included.  The Monte Carlo engine's table of
-trials with at most two faults reads the same tally, with an injected
-Z's signature as the target the set must XOR to.  `code_of_size` finds the
+layout and r.  `_fault_set_counts` counts them by the weight classes
+of the branch strings they are accepted with, class 0 included: the
+model's second order, ``Multiplicities.fault_sets``, and, with an
+injected Z's signature as the target, the Monte Carlo engine's table of
+trials with at most two faults.  `code_of_size` finds the
 registered code of a given size, for callers that only hold a code's
 qubit and check counts.  The test suite walks every fault set one at a
 time with a Pauli frame per cycle.
@@ -58,8 +58,6 @@ import numpy as np
 from .pauli import PauliString, commutes
 
 Syndrome = tuple[int, ...]
-# the nonzero (row, value) parts of a slot event, see `slot_events`
-Signature = tuple[tuple[int, int], ...]
 # ((b0, shape), count) of the accepted fault sets, see `fault_set_tally`
 Tally = tuple[tuple[tuple[int, int], int], ...]
 
@@ -112,7 +110,7 @@ class Multiplicities:
         a readout flip (check, cycle); each count sums, over its sets,
         the branch pairs {b, bbar} of class m that the set is accepted
         with.  Empty in a hand-built instance."""
-        return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r)
+        return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r, 0)
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def _reduce(rows: tuple[tuple[int, int, int], ...], syndrome: int) -> tuple[int,
 @functools.lru_cache(maxsize=8)
 def slot_events(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
-) -> tuple[tuple[Signature, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The acceptance signature and branch string b0 of every event over
     r cycles, in the Monte Carlo engine's slot order: the data slots
     (cycle, qubit), each as X, Y and Z, then the flip slots (cycle, check).
@@ -273,22 +271,23 @@ def slot_events(
     With s_t the syndrome cycle t = 0..r-1 reads, row 0 of a signature
     is the remainder (`_reduce`) of the event's part of s_0, and row
     t >= 1 its part of s_t ^ s_{t-1}: a data fault enters the row of its
-    cycle, a flip the rows of its cycle and the next.  A signature lists
-    its nonzero (row, value) parts; b0 is `_reduce`'s branch string of
-    the event's part of s_0.  It is all linear, so a set is accepted
-    (every cycle reads s_0, a branch syndrome) exactly when its
-    signatures XOR to nothing, and then reads the XOR of its b0s.
-    Cached by value; an entry holds about 150 bytes per event.
+    cycle, a flip the rows of its cycle and the next.  A signature is an
+    integer whose bits [t n_checks, (t + 1) n_checks) hold row t; b0 is
+    `_reduce`'s branch string of the event's part of s_0.  It is all
+    linear, so a set is accepted (every cycle reads s_0, a branch
+    syndrome) exactly when its signatures XOR to 0, and then reads the
+    XOR of its b0s.  Cached by value; an entry holds about 67 bytes per
+    event (surface d = 7, r = 5).
     """
     rows = _branch_basis(columns)[0]
-    flips = [1 << i for i in range(n_checks)]
-    data, flip = [_reduce(rows, s) for s in channels], [_reduce(rows, f) for f in flips]
-    sigs = [((0, rest),) if rest else () for rest, _ in data]
-    sigs += [((t, s),) if s else () for t in range(1, r) for s in channels]
+    data = [_reduce(rows, s) for s in channels]
+    flip = [_reduce(rows, 1 << i) for i in range(n_checks)]
+    sigs = [rest for rest, _ in data]
+    sigs += [s << t * n_checks for t in range(1, r) for s in channels]
     for t in range(r):
-        for f, (rest, _) in zip(flips, flip):
-            head = ((t, f),) if t else ((0, rest),) if rest else ()
-            sigs.append(head + ((t + 1, f),) if t + 1 < r else head)
+        for i, (rest, _) in enumerate(flip):
+            bit = 1 << t * n_checks + i
+            sigs.append((bit if t else rest) | (bit << n_checks if t + 1 < r else 0))
     later = [0] * (r - 1)
     b0s = [b0 for _, b0 in data] + later * len(channels)
     b0s += [b0 for _, b0 in flip] + later * n_checks
@@ -302,24 +301,19 @@ def _count_sets(
 
     The events of `slot_events` are grouped by signature; a set of two
     takes one event from a group and one from the group whose signature
-    differs from it by the target's.
+    is its XOR with the target.
     """
     sigs, b0s = slot_events(channels, columns, n_checks, r)
     n_data = len(channels) * r
-    groups: dict[Signature, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for e, sig in enumerate(sigs):
         groups.setdefault(sig, []).append(e)
 
-    def partner(sig: Signature) -> Signature:
-        # sig XOR the target's signature, which sits in row 0 alone
-        head, rest = (sig[0][1], sig[1:]) if sig and sig[0][0] == 0 else (0, sig)
-        return ((0, head ^ target),) + rest if head ^ target else rest
-
     tally: collections.Counter = collections.Counter()
-    for e in groups.get(partner(()), ()):
+    for e in groups.get(target, ()):
         tally[b0s[e], int(e >= n_data)] += 1
     for sig, members in groups.items():
-        other = partner(sig) if target else sig
+        other = sig ^ target
         if other == sig:
             pairs = itertools.combinations(members, 2)
         elif sig < other and other in groups:  # each pair of groups once
@@ -342,17 +336,14 @@ def fault_set_tally(
     data-data, data-flip, flip-flip.  A data event is one X/Y/Z kind;
     two data faults in one slot are no set.
 
-    A set is accepted when its signatures XOR to the signature of a
-    cycle-0 event whose row 0 is `target`: nothing for target 0, or the
-    injected Z's, whose remainder (`_reduce`) is the target.  b0 is the
-    XOR of the set's b0s.  Cached by value; the model's fault sets
-    (target 0) and the Monte Carlo engine's table of trials with at most
-    two faults both read it.
+    A set is accepted when its signatures XOR to `target`: 0, or an
+    injected Z's signature, its remainder (`_reduce`) in row 0 alone.
+    b0 is the XOR of the set's b0s.  Cached by value.
 
     Past r = 5 each count is the quadratic in r through r = 3, 4 and 5,
     exactly: an accepted set lies in at most two adjacent cycles, or
     holds an event of the target's signature (a cycle-0 event) and the
-    rest of events of empty signature (cycle-0 events, and later data
+    rest of events of signature 0 (cycle-0 events, and later data
     faults of zero syndrome, which read b0 = 0).  From r = 3 on, the
     first kind grows linearly in r, the second at most as the pairs of a
     set that grows linearly.
@@ -370,18 +361,22 @@ def fault_set_tally(
 
 @functools.lru_cache(maxsize=64)
 def _fault_set_counts(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
 ) -> tuple[tuple[int, ...], ...]:
-    """`Multiplicities.fault_sets`, cached by value, so every code object
-    built with the same checks shares one enumeration per r: each
-    (b0, shape) of `fault_set_tally` adds its coset's branch strings per
-    class (`_coset_counts`)."""
+    """`Multiplicities.fault_sets` with a Z injected in the first cycle
+    whose form (`_reduce`'s `rest << d | b0`) is `target`, 0 without one:
+    each (b0, shape) of `fault_set_tally` at target `rest` adds the
+    branch strings of b0 XOR the Z's per class (`_coset_counts`).
+    Cached by value, so every code object built with the same checks,
+    and the Monte Carlo engine without a Z, share one table per r."""
     if not columns:
         return ()
-    counts = [[0] * 5 for _ in range(len(columns) // 2 + 1)]
-    for (b0, shape), count in fault_set_tally(channels, columns, n_checks, r, 0):
-        for m, strings in zip(range(len(counts)), _coset_counts(columns, b0)):
-            counts[m][shape] += strings * count
+    d = len(columns)
+    counts = [[0] * 5 for _ in range(d // 2 + 1)]
+    for (b0, shape), count in fault_set_tally(channels, columns, n_checks, r, target >> d):
+        strings = _coset_counts(columns, b0 ^ (target & (1 << d) - 1))
+        for m, row in enumerate(counts):
+            row[shape] += strings[m] * count
     return tuple(map(tuple, counts))
 
 

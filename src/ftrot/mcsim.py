@@ -19,10 +19,11 @@ infidelity against the target angle is a closed form; the estimator
 averages it.
 
 Noise is sparse at the rates of interest, so most trials hold no fault,
-one or two.  Their outcomes are exact: `codes.fault_set_tally`, the
-tally the model counts with, gives once per (code, noise, injected Z)
-the probability that a trial holds at most two faults and reads b0,
-and a batch draws the classes of all such trials at once.  Only the
+one or two.  Their outcomes are exact: `codes._fault_set_counts`, the
+per-class table the model counts with, gives once per (code, noise,
+injected Z) the probability that a trial holds at most two faults and
+is accepted in class m, as per-class counts times pair weights, and a
+batch draws the classes of all such trials at once.  Only the
 few that hold three or more are evaluated, as check-mask words, a
 chunk of at most 2^20 (cycle, trial) words at a time.  Noise is
 independent of b, so given the noise the class counts of the n_s
@@ -39,12 +40,12 @@ given (seed, n_trials, batch_size, stream) regardless of thread count.
 teleportation walk's "stream" is a separate key of the `walk` payload
 and versions that sampler alone.  A batch's Bernoulli slots, in a
 fixed order, are the data slots (cycle, qubit) at p_in, then the flip
-slots (cycle, check) at readout_flip.  Stream 7 draws, per batch:
+slots (cycle, check) at readout_flip.  Stream 8 draws, per batch:
 
   1. the class counts of the trials with at most two faults, and the
      count n3 of those with three or more, as one multinomial(size,
-     (Q_0, ..., Q_{d//2}, P3+, rest)), where Q_m is the sum over b0 of
-     P(at most two faults, reads b0) q_m(b0) and the rest is rejected;
+     (Q_0, ..., Q_{d//2}, P3+, rest)), where Q_m = P(at most two
+     faults, accepted in class m) and the rest is rejected;
   2. the n3 trials, one chunk of at most 2^20 / (2 r) trials at a time,
      each chunk drawing in turn: one uniform per trial for the first
      fault's slot J, then one each for the second's, K > J, then one
@@ -64,8 +65,11 @@ independently of every other trial, so the class counts of all such
 trials are one multinomial over the mixture.  An event e is a data
 fault of one kind, with odds o_e = (p_in/3)/(1 - p_in), or a readout
 flip, o_e = f/(1 - f) at readout_flip f.  A set of events on distinct
-slots weighs P0 prod o_e, with P0 = prod(1 - p_i), which weights
-`codes.fault_set_tally` into P(at most two faults, reads b0).  With
+slots weighs P0 prod o_e, with P0 = prod(1 - p_i).  So Q_m is the
+per-class count, P0 times the class-m branch pairs of the accepted sets
+of at most two events, each weighted by its odds
+(`codes._fault_set_counts`, and the empty set), times the pair weight
+s^m (1 - s)^(d - m) + s^(d - m) (1 - s)^m with s = sin^2(theta/2).  With
 w_j = p_j prod_{i<j}(1 - p_i) the probability that the first fault is
 at slot j, h_j = 1 - prod_{i>j}(1 - p_i) that another follows, and
 o_j = p_j / (1 - p_j), let F be the tails of w_j h_j: F[k] is P(no
@@ -98,7 +102,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode, _branch_basis, _coset_counts, _reduce, fault_set_tally
+from .codes import StabilizerCode, _branch_basis, _coset_counts, _fault_set_counts, _reduce
 from .codes import require_rotation
 
 DEFAULT_BATCH_SIZE = 1 << 18
@@ -233,6 +237,15 @@ def _data_hits(rng: np.random.Generator, total: int, p: float) -> tuple[np.ndarr
     return pos, rng.integers(0, 3, size=pos.size)
 
 
+def _pair_weights(theta: float, d: int) -> np.ndarray:
+    """P(b) + P(complement of b) for a branch string b of weight m =
+    0..d//2, each bit 1 with probability s = sin^2(theta/2):
+    s^m (1 - s)^(d - m) + s^(d - m) (1 - s)^m."""
+    s = math.sin(theta / 2.0) ** 2
+    m = np.arange(d // 2 + 1)
+    return s**m * (1.0 - s) ** (d - m) + s ** (d - m) * (1.0 - s) ** m
+
+
 def _coset_classes(code: StabilizerCode, theta: float, b0: int) -> np.ndarray:
     """Class probabilities of a trial that reads branch string b0's
     syndrome in every cycle: P(accepted in class m) for m = 0..d//2,
@@ -240,8 +253,11 @@ def _coset_classes(code: StabilizerCode, theta: float, b0: int) -> np.ndarray:
 
     Such a trial is accepted exactly when its branch string lies in
     b0's coset, which `codes._coset_counts` counts by weight ({0, 1^d}
-    for b0 = 0).  Cached by (branch columns, theta, b0) across calls;
-    the array is read-only, because every caller shares it.
+    for b0 = 0).  The coset is closed under complement, as 1^d lies in
+    the kernel for every code that `codes.require_rotation` accepts, so
+    class m is the count of weight m times the pair weight.  Cached by
+    (branch columns, theta, b0) across calls; the array is read-only,
+    because every caller shares it.
     """
     return _branch_classes(code.error_multiplicities.branch_columns, theta, b0)
 
@@ -249,11 +265,8 @@ def _coset_classes(code: StabilizerCode, theta: float, b0: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1024)
 def _branch_classes(columns: tuple[int, ...], theta: float, b0: int) -> np.ndarray:
     d = len(columns)
-    s2 = math.sin(theta / 2.0) ** 2
-    q = np.zeros(d // 2 + 2)
-    for w, count in enumerate(_coset_counts(columns, b0)):
-        q[min(w, d - w)] += count * s2**w * (1.0 - s2) ** (d - w)
-    q[-1] = max(0.0, 1.0 - q[:-1].sum())
+    q = np.multiply(_coset_counts(columns, b0)[: d // 2 + 1], _pair_weights(theta, d))
+    q = np.append(q, max(0.0, 1.0 - q.sum()))
     q.setflags(write=False)
     return q
 
@@ -280,8 +293,7 @@ class _Plan(NamedTuple):
     n_data: int  # data slots, r n
     noise: NoiseModel
     d: int
-    few_b0: np.ndarray  # the b0s that trials with at most two faults read, ascending
-    few_p: np.ndarray  # P(at most two faults, reads b0) for each of them
+    few: np.ndarray  # (d//2 + 1,): P(at most two faults, accepted in class m) / the pair weight
     lead: np.ndarray  # (slots + 1,): tails of o_j F[j + 1], the first of 3+ faults; P3+ = lead[0]
     first: np.ndarray  # (slots + 1,): tails of w_k h_k, a fault with another after it
     second: np.ndarray  # (slots + 1,): tails of w_l, a fault
@@ -394,43 +406,33 @@ def _plan(
     lead = tails(odds * first[1:])
 
     # a set of no, one or two events e weighs P0 prod o_e, with o_e =
-    # (p_in / 3) / (1 - p_in) for one kind of data fault; it is accepted
-    # when its signatures XOR to the injected Z's, and then reads its b0
-    # XOR the Z's (`codes.fault_set_tally`).  The empty set reads the Z's
-    # own syndrome, accepted when that lies in the branch span
-    a, q = noise.p_in / 3.0 / (1.0 - noise.p_in), noise.readout_flip / (1.0 - noise.readout_flip)
-    set_odds = (a, q, a * a, a * q, q * q)
-    inj_b0 = injected & (1 << d) - 1
-    mass = collections.Counter({inj_b0: 1.0} if injected < 1 << d else {})
-    for (b0, shape), count in fault_set_tally(channels, columns, n_checks, r, injected >> d):
-        mass[b0 ^ inj_b0] += count * set_odds[shape]
-    few_b0 = sorted(b for b in mass if mass[b] > 0.0)
-    few_p = math.exp(before[-1]) * np.array([mass[b] for b in few_b0], dtype=float)
-    plan = _Plan(table, injected, row, loc, n_data, noise, d,
-                 np.array(few_b0, dtype=np.int64), few_p, lead, first, tails(w))
+    # (p_in / 3) / (1 - p_in) for one kind of data fault and f / (1 - f)
+    # for a flip; `codes._fault_set_counts` counts the accepted sets'
+    # branch pairs per class and shape.  The empty set reads the Z's own
+    # syndrome, accepted when that lies in the branch span
+    a, g = noise.p_in / 3.0 / (1.0 - noise.p_in), noise.readout_flip / (1.0 - noise.readout_flip)
+    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, injected), dtype=float)
+    empty = _coset_counts(columns, injected)[: d // 2 + 1] if injected < 1 << d else 0.0
+    few = math.exp(before[-1]) * (empty + counts @ (a, g, a * a, a * g, g * g))
+    plan = _Plan(table, injected, row, loc, n_data, noise, d, few, lead, first, tails(w))
     for array in plan:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
     return plan
 
 
-def _batch_law(plan: _Plan, classes: Callable[[int], np.ndarray]) -> np.ndarray:
+def _batch_law(plan: _Plan, theta: float) -> np.ndarray:
     """The probabilities of a batch's first draw: q_m = P(at most two
     faults, accepted in class m) for m = 0..d//2, then P3+, then a
     last entry that the multinomial reads as the rest, the rejected
     trials with at most two faults.
 
-    q_m = sum over b0 of P(at most two faults, reads b0) classes(b0)[m]:
-    such a trial reads b0 with that probability and then lands in class
-    m with probability classes(b0)[m], independently of every other
-    trial.
+    q_m = `plan.few`[m] times the pair weight of class m: every accepted
+    set's coset is closed under complement (`_coset_classes`), so it
+    holds its strings of class m as pairs {b, complement of b}.
     """
-    few = sum(
-        (p * classes(b0) for b0, p in zip(plan.few_b0.tolist(), plan.few_p.tolist())),
-        np.zeros(plan.d // 2 + 2),
-    )
     # P3+ may round past 1, which the multinomial refuses
-    return np.append(few[:-1], [min(plan.lead[0], 1.0), 0.0])
+    return np.append(plan.few * _pair_weights(theta, plan.d), [min(plan.lead[0], 1.0), 0.0])
 
 
 def _run_batch(
@@ -443,10 +445,11 @@ def _run_batch(
     """Simulate one batch; returns its branch class histogram.
 
     `classes(b0)` is `_coset_classes` of b0 and `law` is
-    `_batch_law(plan, classes)`.  Draw order per batch (stream 7) is
+    `_batch_law(plan, theta)`.  Draw order per batch (stream 8) is
     part of the determinism contract:
       1. the class counts of the trials with at most two faults, and the
-         count n3 of those with three or more, as multinomial(size, law);
+         count n3 of those with three or more, as multinomial(size, law),
+         its classes the plan's per-class counts times the pair weights;
       2. the n3 trials, in chunks of at most _READ_CELLS // (2 r) trials,
          each chunk drawing in turn: a (3, n) block of uniforms, whose
          rows pick each trial's first fault J, its second K and its
@@ -554,7 +557,7 @@ def estimate(
     mult = code.error_multiplicities
     plan = _plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
     classes = functools.partial(_coset_classes, code, theta)
-    law = _batch_law(plan, classes)
+    law = _batch_law(plan, theta)
 
     hist = np.zeros(d // 2 + 1, dtype=np.int64)
     for batch in _philox_batches(
@@ -588,7 +591,7 @@ def estimate(
         "readout_flip": noise.readout_flip,
         "r": noise.r,
         "batch_size": batch_size,
-        "stream": 7,
+        "stream": 8,
         "inject_z": inject_z,
     }
     return McStats(

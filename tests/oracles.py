@@ -379,7 +379,9 @@ def branch_syndromes(code: StabilizerCode) -> dict[tuple[int, ...], list[int]]:
     return out
 
 
-def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
+def fault_set_counts(
+    code: StabilizerCode, r: int, inject_z: int | None = None
+) -> list[list[int]]:
     """Accepted fault sets of at most two locations over r cycles, walked
     one set at a time: counts[m][kind] for class m = 0..d//2, kind
     0..4 = (data), (flip), (data, data), (data, flip), (flip, flip).
@@ -390,18 +392,22 @@ def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
     syndrome comes from `codes.syndrome`, and the cycle's flips are
     XORed in.  A set counts when every cycle reads the same syndrome and
     some branch string has it; it adds its branch pairs per class.
+    With `inject_z` the frame starts with Z on that qubit, and the empty
+    set is walked too, as kind 5.
     """
     n_chk = len(code.stabilizers)
     branches = branch_syndromes(code)
     locations = [("data", q, t, p) for t in range(r) for q in range(code.n) for p in "XYZ"]
     locations += [("flip", i, t, None) for t in range(r) for i in range(n_chk)]
-    counts = [[0] * 5 for _ in range(code.d // 2 + 1)]
+    counts = [[0] * (5 if inject_z is None else 6) for _ in range(code.d // 2 + 1)]
 
     def tally(fault_set) -> None:
         data = [loc for loc in fault_set if loc[0] == "data"]
         if len({(q, t) for _, q, t, _ in data}) < len(data):
             return
         frame = PauliString.identity(code.n)
+        if inject_z is not None:
+            frame = PauliString.single_z(code.n, inject_z)
         readings = set()
         for t in range(r):
             for _, q, tq, p in data:
@@ -417,12 +423,15 @@ def fault_set_counts(code: StabilizerCode, r: int) -> list[list[int]]:
             return
         weights = branches.get(readings.pop(), [])
         n_flip = len(fault_set) - len(data)
-        kind = {(1, 0): 0, (0, 1): 1, (2, 0): 2, (1, 1): 3, (0, 2): 4}[(len(data), n_flip)]
+        kind = {(1, 0): 0, (0, 1): 1, (2, 0): 2, (1, 1): 3, (0, 2): 4, (0, 0): 5}[
+            (len(data), n_flip)]
         for w in weights:
             m = min(w, code.d - w)
             if w == m:  # one string of each pair {b, bbar}
                 counts[m][kind] += 1
 
+    if inject_z is not None:
+        tally([])
     for a, first in enumerate(locations):
         tally([first])
         for second in locations[a + 1:]:

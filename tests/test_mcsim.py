@@ -325,29 +325,48 @@ class TestPlan:
         assert p3 == pytest.approx(math.fsum(exactly(k) for k in range(3, data + flips + 1)),
                                    rel=1e-12)
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize(
-        "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
+        "name, d, r, inject",
+        [
+            pytest.param(name, d, r, None, id=f"{name}-{d}-{r}")
+            for name, d in [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
+            for r in (1, 2, 3)
+        ]
+        + [
+            pytest.param(name, d, r, inject, id=f"{name}-{d}-{r}-z-{inject}")
+            for name, d in [("surface", 3), ("perfect", None)]
+            for r in (1, 2)
+            for inject in ("support", "off-support")
+        ],
     )
-    def test_two_fault_stratum(self, name, d, r):
+    def test_two_fault_stratum(self, name, d, r, inject):
         # P(at most two faults, accepted in class m) from the table against
         # P0 on the no-fault trials' branch syndrome 0, plus the walk's
         # one-fault sets weighted P0 o and its two-fault sets P0 o o, with
-        # o = (p/3)/(1-p) for a data fault's kind
+        # o = (p/3)/(1-p) for a data fault's kind.  With a Z injected on a
+        # support qubit (a branch syndrome) or off the support (none), the
+        # walk's frame starts with the Z, and its empty set is counted too
         code = codes.get_code(name, d)
+        inject_z = None
+        if inject is not None:
+            off_support = [q for q in range(code.n) if q not in code.z_support]
+            inject_z = code.z_support[1] if inject == "support" else off_support[0]
         noise = NoiseModel(p_in=2e-3, r=r)
         p0, _, g, _, _ = self.slot_odds(code, noise)
         a = noise.p_in / 3 / (1 - noise.p_in)
-        plan = self.plan(code, noise)
+        mult = code.error_multiplicities
+        plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
         theta = 0.8
-        got = mcsim._batch_law(plan, functools.partial(mcsim._coset_classes, code, theta))
+        got = mcsim._batch_law(plan, theta)
         assert got[-2] == plan.lead[0] and got[-1] == 0.0
         s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
+        walk = oracles.fault_set_counts(code, noise.r, inject_z)
+        empty = [int(m == 0) if inject_z is None else counts[5] for m, counts in enumerate(walk)]
         want = np.array([
-            (int(m == 0) + counts[0] * a + counts[1] * g
+            (empty[m] + counts[0] * a + counts[1] * g
              + counts[2] * a * a + counts[3] * a * g + counts[4] * g * g) * p0
             * (s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m)
-            for m, counts in enumerate(oracles.fault_set_counts(code, noise.r))
+            for m, counts in enumerate(walk)
         ])
         assert want[1] > 0
         assert got[:-2] == pytest.approx(want, rel=1e-12, abs=0)
@@ -454,7 +473,7 @@ class TestEstimate:
         assert st.mean_infidelity == pytest.approx(8.621623520183926e-06, rel=1e-12, abs=0)
         assert st.branch_histogram == (161043, 20)
         assert st.seed == 11
-        assert st.params["stream"] == 7
+        assert st.params["stream"] == 8
 
     def test_thread_count_invariance(self, surface3):
         import warnings
@@ -762,7 +781,7 @@ class TestMultiFaultChunks:
         mult = code.error_multiplicities
         plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
         classes = functools.partial(mcsim._coset_classes, code, 0.8)
-        law = mcsim._batch_law(plan, classes)
+        law = mcsim._batch_law(plan, 0.8)
 
         def rng():
             return np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
@@ -790,6 +809,29 @@ class TestMultiFaultChunks:
         assert n3 > 3_000 and max(b0.size for b0 in seen) == 7
         assert sum(b0.size for b0 in seen) == n3 and len(seen) == -(-n3 // 7)
         assert 0 < hist.sum() < 4096
+
+    def test_flat_draws_kept_only_after_the_third_fault(self, surface3, monkeypatch):
+        # data faults only, so L is a data slot, and the flat draw hits a
+        # trial's L slot in about 5 % of the trials with three or more
+        # faults.  Every call holds each trial's J < K < L first, then only
+        # flat-draw faults on slots past that trial's L
+        noise = NoiseModel(p_in=5e-2, r=4, readout_flip=0.0)
+        readings = mcsim._readings
+        later = []
+
+        def spy(plan, trial, slot, kind, n_trials):
+            assert (trial[: 3 * n_trials] == np.tile(np.arange(n_trials), 3)).all()
+            j, k, l = slot[: 3 * n_trials].reshape(3, n_trials)
+            assert (j < k).all() and (k < l).all()
+            assert (slot[3 * n_trials:] > l[trial[3 * n_trials:]]).all()
+            later.append(trial.size - 3 * n_trials)
+            return readings(plan, trial, slot, kind, n_trials)
+
+        monkeypatch.setattr(mcsim, "_readings", spy)
+        monkeypatch.setattr(mcsim, "_READ_CELLS", 2 * noise.r * 256)
+        run, n3 = self.run_batch(surface3, noise, 4096)
+        run()
+        assert n3 > 768 and len(later) == -(-n3 // 256) and sum(later) > 0
 
     @staticmethod
     def peak(run):
