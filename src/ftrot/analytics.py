@@ -21,8 +21,8 @@ The model is one rate vector and one function: `class_rates(noise,
 mult)` gives the accepted fault-set rate of each weight class, class 0
 first, once per (code, noise); `model_terms(theta, d, rates)` is the
 one evaluation per angle, of the error and the accepted share alike.
-`accepted_error_model`, `success_rate`, the planner's base states and
-the Monte-Carlo rare-event warning all read it.
+`accepted_error_model`, `success_rate`, ``analyze``, the planner's base
+states and the Monte-Carlo rare-event warning all read it.
 
 Conventions (fixed package-wide): angles in radians; the rotation is
 cos + i*sin*Z per qubit; branch angles are reported in the frame where
@@ -260,9 +260,10 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     state is then off by branch_angle(m) of their class m: the set's
     signatures (`codes.slot_events`) XOR to 0.  The model sums
     every such set of at most two locations (`codes.Multiplicities
-    .fault_sets`) and the r-fold readout masking path, each weighted by
-    its rate (`class_rates`), the probability of its branch pairs and
-    their class infidelity, and normalizes by p_s_coh.  Sets of three
+    .fault_sets`, the one cached fault-set table `codes
+    ._fault_set_counts`) and the r-fold readout masking path, each
+    weighted by its rate (`class_rates`), the probability of its branch
+    pairs and their class infidelity, and normalizes by p_s_coh.  Sets of three
     or more locations are left out, and so is the accepted-fault mass
     in the normalization (`success_rate` counts it).  With a hand-built
     `Multiplicities`, which lists no fault sets, only the first-order

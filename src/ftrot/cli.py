@@ -148,25 +148,25 @@ def cmd_analyze(args) -> int:
         raise ValueError("--sigma must be non-negative")
     code = _code(args)
     codes.require_rotation(code)
+    noise = analytics.NoiseModel(p_in=args.p_in, r=args.r)
+    p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
+    rates = analytics.class_rates(noise, code.error_multiplicities)
     rows = []
     for theta in args.theta:
-        cfg = analytics.RotationConfig(theta=theta, d=code.d, p_in=args.p_in, r=args.r)
         theta_l = analytics.logical_angle(theta, code.d)
         if theta > 0.0 and args.sigma > 0.0:
             coh = analytics.coherent_angle_std(code.d, theta_l, args.sigma / theta)
         else:
             coh = 0.0
-        sr = analytics.success_rate(
-            cfg, code.n, len(code.stabilizers), code.error_multiplicities
-        )
+        p_s_coh, _, _, eps, accepted = analytics.model_terms(theta, code.d, rates)
         rows.append(
             {
                 "theta": theta,
                 "theta_L": theta_l,
-                "eps": analytics.accepted_error_model(cfg, code.error_multiplicities),
-                "p_s": sr.p_s,
-                "p_s_in": sr.p_s_in,
-                "p_s_coh": sr.p_s_coh,
+                "eps": eps,
+                "p_s": p_s_in * accepted,
+                "p_s_in": p_s_in,
+                "p_s_coh": p_s_coh,
                 "coherent_std": coh,
             }
         )

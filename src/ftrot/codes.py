@@ -30,12 +30,13 @@ branch patterns whose syndrome a single readout flip can mask
 `slot_events` gives each data fault and readout flip over r cycles a
 signature and a branch string b0, over GF(2), and a set is accepted when
 its signatures XOR to 0, reading the XOR of its b0s.
-`fault_set_tally` groups them by signature: per r, every accepted set
-of at most two faults and flips, tallied by (b0, shape), once per check
-layout and r.  `_fault_set_counts` counts them by the weight classes
-of the branch strings they are accepted with, class 0 included: the
-model's second order, ``Multiplicities.fault_sets``, and, with an
-injected Z's signature as the target, the Monte Carlo engine's table of
+`_fault_set_counts` is the one cached fault-set table: every accepted
+set of at most two faults and flips over r cycles, grouped by signature
+and counted by the weight classes of the branch strings it is accepted
+with, class 0 included, once per check layout, r and target; past
+r = 5 its counts are extrapolated exactly from r = 3, 4 and 5.  It is
+the model's second order, ``Multiplicities.fault_sets``, and, with an
+injected Z's form as the target, the Monte Carlo engine's table of
 trials with at most two faults.  `code_of_size` finds the
 registered code of a given size, for callers that only hold a code's
 qubit and check counts.  The test suite walks every fault set one at a
@@ -58,8 +59,6 @@ import numpy as np
 from .pauli import PauliString, commutes
 
 Syndrome = tuple[int, ...]
-# ((b0, shape), count) of the accepted fault sets, see `fault_set_tally`
-Tally = tuple[tuple[tuple[int, int], int], ...]
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,6 @@ def _reduce(rows: tuple[tuple[int, int, int], ...], syndrome: int) -> tuple[int,
     return syndrome, pos
 
 
-@functools.lru_cache(maxsize=8)
 def slot_events(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -276,8 +274,8 @@ def slot_events(
     `_reduce`'s branch string of the event's part of s_0.  It is all
     linear, so a set is accepted (every cycle reads s_0, a branch
     syndrome) exactly when its signatures XOR to 0, and then reads the
-    XOR of its b0s.  Cached by value; an entry holds about 67 bytes per
-    event (surface d = 7, r = 5).
+    XOR of its b0s.  Not cached: its one caller, `_count_sets`, runs
+    under `_fault_set_counts`' cache.
     """
     rows = _branch_basis(columns)[0]
     data = [_reduce(rows, s) for s in channels]
@@ -296,12 +294,17 @@ def slot_events(
 
 def _count_sets(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
-) -> Tally:
-    """`fault_set_tally` counted event by event, at any r.
+) -> collections.Counter:
+    """The accepted sets of one or two events of `slot_events` over r
+    cycles, counted event by event, as {(b0, shape): count}, shape 0..4:
+    data, flip, data-data, data-flip, flip-flip.  A data event is one
+    X/Y/Z kind; two data faults in one slot are no set.
 
-    The events of `slot_events` are grouped by signature; a set of two
-    takes one event from a group and one from the group whose signature
-    is its XOR with the target.
+    A set is accepted when its signatures XOR to `target`: 0, or an
+    injected Z's signature, its remainder (`_reduce`) in row 0 alone.
+    b0 is the XOR of the set's b0s.  The events are grouped by
+    signature; a set of two takes one event from a group and one from
+    the group whose signature is its XOR with the target.
     """
     sigs, b0s = slot_events(channels, columns, n_checks, r)
     n_data = len(channels) * r
@@ -324,39 +327,7 @@ def _count_sets(
             # two data faults in one slot are no set
             if e >= n_data or f >= n_data or e // 3 != f // 3:
                 tally[b0s[e] ^ b0s[f], 2 + (e >= n_data) + (f >= n_data)] += 1
-    return tuple(sorted(tally.items()))
-
-
-@functools.lru_cache(maxsize=64)
-def fault_set_tally(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
-) -> Tally:
-    """The accepted sets of one or two events of `slot_events` over r
-    cycles, as ((b0, shape), count) ascending, shape 0..4: data, flip,
-    data-data, data-flip, flip-flip.  A data event is one X/Y/Z kind;
-    two data faults in one slot are no set.
-
-    A set is accepted when its signatures XOR to `target`: 0, or an
-    injected Z's signature, its remainder (`_reduce`) in row 0 alone.
-    b0 is the XOR of the set's b0s.  Cached by value.
-
-    Past r = 5 each count is the quadratic in r through r = 3, 4 and 5,
-    exactly: an accepted set lies in at most two adjacent cycles, or
-    holds an event of the target's signature (a cycle-0 event) and the
-    rest of events of signature 0 (cycle-0 events, and later data
-    faults of zero syndrome, which read b0 = 0).  From r = 3 on, the
-    first kind grows linearly in r, the second at most as the pairs of a
-    set that grows linearly.
-    """
-    if r <= 5:
-        return _count_sets(channels, columns, n_checks, r, target)
-    k = r - 3
-    by_r = [dict(fault_set_tally(channels, columns, n_checks, t, target)) for t in (3, 4, 5)]
-    tally = {}
-    for key in sorted(set().union(*by_r)):
-        a, b, c = (counts.get(key, 0) for counts in by_r)
-        tally[key] = a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a)
-    return tuple((key, count) for key, count in tally.items() if count)
+    return tally
 
 
 @functools.lru_cache(maxsize=64)
@@ -365,15 +336,32 @@ def _fault_set_counts(
 ) -> tuple[tuple[int, ...], ...]:
     """`Multiplicities.fault_sets` with a Z injected in the first cycle
     whose form (`_reduce`'s `rest << d | b0`) is `target`, 0 without one:
-    each (b0, shape) of `fault_set_tally` at target `rest` adds the
-    branch strings of b0 XOR the Z's per class (`_coset_counts`).
-    Cached by value, so every code object built with the same checks,
-    and the Monte Carlo engine without a Z, share one table per r."""
+    each (b0, shape) of `_count_sets` at target `rest` adds the branch
+    strings of b0 XOR the Z's per class (`_coset_counts`).  Cached by
+    value, so every code object built with the same checks, and the
+    Monte Carlo engine without a Z, share one table per r.
+
+    Past r = 5 each count is the quadratic in r through r = 3, 4 and 5,
+    exactly: an accepted set lies in at most two adjacent cycles, or
+    holds an event of the target's signature (a cycle-0 event) and the
+    rest of events of signature 0 (cycle-0 events, and later data
+    faults of zero syndrome, which read b0 = 0).  From r = 3 on, each
+    (b0, shape) count of the first kind grows linearly in r, of the
+    second at most as the pairs of a set that grows linearly; a class
+    count is a fixed integer sum of them.
+    """
     if not columns:
         return ()
+    if r > 5:
+        k = r - 3
+        by_r = [_fault_set_counts(channels, columns, n_checks, t, target) for t in (3, 4, 5)]
+        return tuple(
+            tuple(a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a) for a, b, c in zip(*rows))
+            for rows in zip(*by_r)
+        )
     d = len(columns)
     counts = [[0] * 5 for _ in range(d // 2 + 1)]
-    for (b0, shape), count in fault_set_tally(channels, columns, n_checks, r, target >> d):
+    for (b0, shape), count in _count_sets(channels, columns, n_checks, r, target >> d).items():
         strings = _coset_counts(columns, b0 ^ (target & (1 << d) - 1))
         for m, row in enumerate(counts):
             row[shape] += strings[m] * count

@@ -287,7 +287,7 @@ class _Plan(NamedTuple):
     """
 
     table: np.ndarray  # (width, 3n + checks): every location's form, see `_readings`
-    injected: int  # the injected Z's form, 0 without one
+    injected: np.ndarray  # (width,): the injected Z's form as words, 0 without one
     row: np.ndarray  # (slots,): the slot's cycle, plus r for a flip slot
     loc: np.ndarray  # (slots, 3): the slot's location for kind X, Y, Z
     n_data: int  # data slots, r n
@@ -329,8 +329,7 @@ def _readings(
     # flip in its cycle only, so a trial reads the same syndrome in
     # every cycle when each cycle's faults cancel its own flips and the
     # last cycle's
-    injected = _word_column(plan.injected, plan.table.shape[0])[:, 0]
-    for word, (table, inj) in enumerate(zip(plan.table, injected)):
+    for word, (table, inj) in enumerate(zip(plan.table, plan.injected)):
         forms = np.zeros(2 * r * n_trials, dtype=np.uint64)
         np.bitwise_xor.at(forms, index, table.take(loc))
         data, flipped = forms.reshape(2, r, n_trials)
@@ -414,7 +413,8 @@ def _plan(
     counts = np.array(_fault_set_counts(channels, columns, n_checks, r, injected), dtype=float)
     empty = _coset_counts(columns, injected)[: d // 2 + 1] if injected < 1 << d else 0.0
     few = math.exp(before[-1]) * (empty + counts @ (a, g, a * a, a * g, g * g))
-    plan = _Plan(table, injected, row, loc, n_data, noise, d, few, lead, first, tails(w))
+    words = _word_column(injected, width)[:, 0]
+    plan = _Plan(table, words, row, loc, n_data, noise, d, few, lead, first, tails(w))
     for array in plan:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)

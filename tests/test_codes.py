@@ -241,23 +241,42 @@ def test_fault_sets_match_the_walk_over_every_set(name, d, r):
 @pytest.mark.parametrize(
     "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 3), ("perfect", None)]
 )
-def test_fault_set_tally_extrapolates_per_key(name, d):
-    # past r = 5 each (b0, shape) count is extrapolated from r = 3, 4, 5;
-    # against the event-by-event count at r = 6..12, with no target and
-    # with the target of Z injected on qubits 0, 1 and n - 1 (off the
-    # support on the surface and perfect codes, so the target is nonzero)
+def test_fault_set_counts_extrapolate_per_class(name, d):
+    # past r = 5 each class count is extrapolated from r = 3, 4, 5;
+    # against the event-by-event count at r = 6..12, expanded here over
+    # every branch string of the set's syndrome, with no target and with
+    # Z injected on qubits 0, 1 and n - 1 (off the support on the
+    # surface and perfect codes, so the target's remainder is nonzero)
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
     key = (mult.channels, mult.branch_columns, mult.n_checks)
+    width = len(mult.branch_columns)
+
+    def branch_syndrome(b):
+        syn = 0
+        for i, column in enumerate(mult.branch_columns):
+            if b >> i & 1:
+                syn ^= column
+        return syn
+
+    weights: dict[int, list[int]] = {}  # branch syndrome -> its strings' weights
+    for b in range(1 << width):
+        weights.setdefault(branch_syndrome(b), []).append(b.bit_count())
     rows = codes._branch_basis(mult.branch_columns)[0]
-    targets = sorted({0} | {codes._reduce(rows, mult.channels[3 * q + 2])[0]
-                            for q in (0, 1, code.n - 1)})
-    assert len(targets) == (1 if name == "phase-flip" else 2)
-    for target in targets:
+    targets = sorted({(0, 0)} | {codes._reduce(rows, mult.channels[3 * q + 2])
+                                 for q in (0, 1, code.n - 1)})
+    assert len({rest for rest, _ in targets}) == (1 if name == "phase-flip" else 2)
+    for rest, b0 in targets:
         for r in range(6, 13):
-            direct = codes._count_sets(*key, r, target)
-            assert codes.fault_set_tally(*key, r, target) == direct, (target, r)
-            assert direct and all(count > 0 for _, count in direct)
+            direct = codes._count_sets(*key, r, rest)
+            assert direct and all(count > 0 for count in direct.values())
+            want = [[0] * 5 for _ in range(width // 2 + 1)]
+            for (b, shape), count in direct.items():
+                strings = weights[branch_syndrome(b ^ b0)]
+                for m, row in enumerate(want):
+                    row[shape] += count * strings.count(m)
+            got = codes._fault_set_counts(*key, r, rest << width | b0)
+            assert [list(row) for row in got] == want, (rest, b0, r)
 
 
 def test_fault_sets_are_shared_by_code_value():
