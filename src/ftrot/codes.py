@@ -31,13 +31,14 @@ branch patterns whose syndrome a single readout flip can mask
 signature and a branch string b0, over GF(2), and a set is accepted when
 its signatures XOR to 0, reading the XOR of its b0s.
 `_fault_set_counts` is the one cached fault-set table: every accepted
-set of at most two faults and flips over r cycles, grouped by signature
-and counted by the weight classes of the branch strings it is accepted
-with, class 0 included, once per check layout, r and target; past
-r = 5 its counts are extrapolated exactly from r = 3, 4 and 5.  It is
-the model's second order, ``Multiplicities.fault_sets``, and, with an
-injected Z's form as the target, the Monte Carlo engine's table of
-trials with at most two faults.  `code_of_size` finds the
+set of at most two (or three) faults and flips over r cycles, grouped
+by signature and counted by the weight classes of the branch strings it
+is accepted with, class 0 included, once per check layout, r, target
+and order; past r = 5 (or 7) its counts are extrapolated exactly from
+r = 3..5 (or 4..7).  At order 2 it is the model's second order,
+``Multiplicities.fault_sets``; at order 3, with an injected Z's form as
+the target, it is the Monte Carlo engine's table of trials with at
+most three faults.  `code_of_size` finds the
 registered code of a given size, for callers that only hold a code's
 qubit and check counts.  The test suite walks every fault set one at a
 time with a Pauli frame per cycle.
@@ -51,6 +52,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,7 +111,7 @@ class Multiplicities:
         a readout flip (check, cycle); each count sums, over its sets,
         the branch pairs {b, bbar} of class m that the set is accepted
         with.  Empty in a hand-built instance."""
-        return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r, 0)
+        return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -274,8 +276,7 @@ def slot_events(
     `_reduce`'s branch string of the event's part of s_0.  It is all
     linear, so a set is accepted (every cycle reads s_0, a branch
     syndrome) exactly when its signatures XOR to 0, and then reads the
-    XOR of its b0s.  Not cached: its one caller, `_count_sets`, runs
-    under `_fault_set_counts`' cache.
+    XOR of its b0s.  Not cached: its one caller, `_count_sets`, is.
     """
     rows = _branch_basis(columns)[0]
     data = [_reduce(rows, s) for s in channels]
@@ -292,22 +293,35 @@ def slot_events(
     return tuple(sigs), tuple(b0s)
 
 
+@functools.lru_cache(maxsize=64)
 def _count_sets(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
+    order: int,
 ) -> collections.Counter:
-    """The accepted sets of one or two events of `slot_events` over r
-    cycles, counted event by event, as {(b0, shape): count}, shape 0..4:
-    data, flip, data-data, data-flip, flip-flip.  A data event is one
-    X/Y/Z kind; two data faults in one slot are no set.
+    """The accepted sets of one to `order` (2 or 3) events of
+    `slot_events` over r cycles, counted event by event, as {(b0,
+    shape): count}, shape 0..4: data, flip, data-data, data-flip,
+    flip-flip, then 5..8 for three events: data-data-data, data-data-
+    flip, data-flip-flip, flip-flip-flip.  A data event is one X/Y/Z
+    kind; two data faults in one slot are no set.
 
     A set is accepted when its signatures XOR to `target`: 0, or an
     injected Z's signature, its remainder (`_reduce`) in row 0 alone.
     b0 is the XOR of the set's b0s.  The events are grouped by
     signature; a set of two takes one event from a group and one from
-    the group whose signature is its XOR with the target.
+    the group whose signature is its XOR with the target, and a set of
+    three {e, f, g} takes g from the group of target ^ sig(e) ^ sig(f),
+    a meet in the middle.  Only pairs that can lead to one are tried:
+    two events that share a signature bit, or two whose signatures are
+    disjoint and within the target's bits, as a set of three with no two
+    events sharing a bit XORs to the union of its signatures.  Cached by
+    target remainder, so the injected Zs that share one share the tally;
+    the Counter is shared and must not be written.
     """
     sigs, b0s = slot_events(channels, columns, n_checks, r)
     n_data = len(channels) * r
+    # a data event's slot is its (cycle, qubit); a flip is its own slot
+    slots = [e // 3 if e < n_data else e for e in range(len(sigs))]
     groups: dict[int, list[int]] = {}
     for e, sig in enumerate(sigs):
         groups.setdefault(sig, []).append(e)
@@ -324,44 +338,98 @@ def _count_sets(
         else:
             continue
         for e, f in pairs:
-            # two data faults in one slot are no set
-            if e >= n_data or f >= n_data or e // 3 != f // 3:
+            if slots[e] != slots[f]:
                 tally[b0s[e] ^ b0s[f], 2 + (e >= n_data) + (f >= n_data)] += 1
+    if order < 3:
+        return tally
+
+    def add(e: int, f: int, g: int) -> None:
+        if slots[g] != slots[e] and slots[g] != slots[f]:
+            flips = (e >= n_data) + (f >= n_data) + (g >= n_data)
+            tally[b0s[e] ^ b0s[f] ^ b0s[g], 5 + flips] += 1
+
+    # a set of three with two events that share a signature bit, from the
+    # first such pair in index order; each pair once, at its lowest
+    # shared bit
+    by_bit: dict[int, list[int]] = {}
+    for e, sig in enumerate(sigs):
+        for bit in _bits(sig):
+            by_bit.setdefault(bit, []).append(e)
+    for bit, members in by_bit.items():
+        for e, f in itertools.combinations(members, 2):
+            shared = sigs[e] & sigs[f]
+            if slots[e] == slots[f] or shared & -shared != 1 << bit:
+                continue
+            for g in groups.get(target ^ sigs[e] ^ sigs[f], ()):
+                earlier = (g < f and sigs[e] & sigs[g]) or (g < e and sigs[f] & sigs[g])
+                if g != e and g != f and not earlier:
+                    add(e, f, g)
+    # the rest have pairwise disjoint signatures whose union is the
+    # target, so each lies within the target's bits
+    inside = [e for e, sig in enumerate(sigs) if not sig & ~target]
+    for e, f in itertools.combinations(inside, 2):
+        if slots[e] != slots[f] and not sigs[e] & sigs[f]:
+            for g in groups.get(target ^ sigs[e] ^ sigs[f], ()):
+                if g > f:
+                    add(e, f, g)
     return tally
 
 
 @functools.lru_cache(maxsize=64)
 def _fault_set_counts(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
+    order: int,
 ) -> tuple[tuple[int, ...], ...]:
     """`Multiplicities.fault_sets` with a Z injected in the first cycle
-    whose form (`_reduce`'s `rest << d | b0`) is `target`, 0 without one:
-    each (b0, shape) of `_count_sets` at target `rest` adds the branch
-    strings of b0 XOR the Z's per class (`_coset_counts`).  Cached by
-    value, so every code object built with the same checks, and the
-    Monte Carlo engine without a Z, share one table per r.
+    whose form (`_reduce`'s `rest << d | b0`) is `target`, 0 without one,
+    over the sets of at most `order` events: 5 shapes per class at
+    order 2, 9 at order 3 (`_count_sets`).  Each (b0, shape) of
+    `_count_sets` at target `rest` adds the branch strings of b0 XOR the
+    Z's per class (`_coset_counts`).  Cached by value, so every code
+    object built with the same checks, and the Monte Carlo engine
+    without a Z, share one table per (r, order); only the engine asks
+    for order 3.
 
-    Past r = 5 each count is the quadratic in r through r = 3, 4 and 5,
-    exactly: an accepted set lies in at most two adjacent cycles, or
-    holds an event of the target's signature (a cycle-0 event) and the
-    rest of events of signature 0 (cycle-0 events, and later data
-    faults of zero syndrome, which read b0 = 0).  From r = 3 on, each
-    (b0, shape) count of the first kind grows linearly in r, of the
-    second at most as the pairs of a set that grows linearly; a class
-    count is a fixed integer sum of them.
+    Past r = 2 order + 1 each count is the polynomial of degree `order`
+    in r through r = order + 1, ..., 2 order + 1, exactly.  Call the
+    cycles that hold a set's events occupied, and a run of consecutive
+    occupied cycles a group.  A data fault's signature lies in its own
+    cycle's row and a flip's in its cycle's and the next, so groups with
+    an empty cycle between them touch disjoint rows, and the set is
+    accepted exactly when each group is: the group at cycle 0 with the
+    target, the others with 0.  Only cycle-0 events carry a b0, so that
+    group also fixes the set's b0.  A group that touches neither cycle 0
+    nor cycle r - 1 is accepted or not wherever it sits; one that
+    touches only one end depends only on its offset from that end.  A
+    group spans at most as many cycles as it holds events, so from
+    r = order + 1 on no group touches both ends, and the sets of one
+    kind, with g middle groups spanning S cycles in all, are placed in
+    C(E - 1, g) ways, E = r - S >= 1: a polynomial in r of degree
+    g <= order.  A class count is a fixed integer sum of them.  At
+    r = order a group of `order` events can touch both ends, as the r
+    flips of one check do, so the polynomial does not reach down to it.
     """
     if not columns:
         return ()
-    if r > 5:
-        k = r - 3
-        by_r = [_fault_set_counts(channels, columns, n_checks, t, target) for t in (3, 4, 5)]
+    first = order + 1
+    if r > 2 * order + 1:
+        by_r = [_fault_set_counts(channels, columns, n_checks, t, target, order)
+                for t in range(first, first + order + 1)]
+        # the polynomial through r = first + i, i = 0..order, at r: the
+        # sum over j of C(k, j) times the j-th forward difference at first
+        k = r - first
+        weights = [
+            sum(math.comb(k, j) * math.comb(j, i) * (-1) ** (j - i) for j in range(i, order + 1))
+            for i in range(order + 1)
+        ]
         return tuple(
-            tuple(a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a) for a, b, c in zip(*rows))
+            tuple(sum(w * v for w, v in zip(weights, values)) for values in zip(*rows))
             for rows in zip(*by_r)
         )
     d = len(columns)
-    counts = [[0] * 5 for _ in range(d // 2 + 1)]
-    for (b0, shape), count in _count_sets(channels, columns, n_checks, r, target >> d).items():
+    counts = [[0] * (5 if order < 3 else 9) for _ in range(d // 2 + 1)]
+    tally = _count_sets(channels, columns, n_checks, r, target >> d, order)
+    for (b0, shape), count in tally.items():
         strings = _coset_counts(columns, b0 ^ (target & (1 << d) - 1))
         for m, row in enumerate(counts):
             row[shape] += strings[m] * count

@@ -19,16 +19,16 @@ infidelity against the target angle is a closed form; the estimator
 averages it.
 
 Noise is sparse at the rates of interest, so most trials hold no fault,
-one or two.  Their outcomes are exact: `codes._fault_set_counts`, the
-per-class table the model counts with, gives once per (code, noise,
-injected Z) the probability that a trial holds at most two faults and
-is accepted in class m, as per-class counts times pair weights, and a
-batch draws the classes of all such trials at once.  Only the
-few that hold three or more are evaluated, as check-mask words, a
-chunk of at most 2^20 (cycle, trial) words at a time.  Noise is
-independent of b, so given the noise the class counts of the n_s
-trials that read s in every cycle are one multinomial draw over s's
-coset.  No branch string is drawn.
+one, two or three.  Their outcomes are exact: `codes._fault_set_counts`,
+the per-class table the model counts with, here over the sets of at
+most three events, gives once per (code, noise, injected Z) the
+probability that a trial holds at most three faults and is accepted in
+class m, as per-class counts times pair weights, and a batch draws the
+classes of all such trials at once.  Only the few that hold four or
+more are evaluated, as check-mask words, a chunk of at most 2^20
+(cycle, trial) words at a time.  Noise is independent of b, so given
+the noise the class counts of the n_s trials that read s in every cycle
+are one multinomial draw over s's coset.  No branch string is drawn.
 
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
@@ -40,47 +40,48 @@ given (seed, n_trials, batch_size, stream) regardless of thread count.
 teleportation walk's "stream" is a separate key of the `walk` payload
 and versions that sampler alone.  A batch's Bernoulli slots, in a
 fixed order, are the data slots (cycle, qubit) at p_in, then the flip
-slots (cycle, check) at readout_flip.  Stream 8 draws, per batch:
+slots (cycle, check) at readout_flip.  Stream 9 draws, per batch:
 
-  1. the class counts of the trials with at most two faults, and the
-     count n3 of those with three or more, as one multinomial(size,
-     (Q_0, ..., Q_{d//2}, P3+, rest)), where Q_m = P(at most two
+  1. the class counts of the trials with at most three faults, and the
+     count n4 of those with four or more, as one multinomial(size,
+     (Q_0, ..., Q_{d//2}, P4+, rest)), where Q_m = P(at most three
      faults, accepted in class m) and the rest is rejected;
-  2. the n3 trials, one chunk of at most 2^20 / (2 r) trials at a time,
+  2. the n4 trials, one chunk of at most 2^20 / (2 r) trials at a time,
      each chunk drawing in turn: one uniform per trial for the first
-     fault's slot J, then one each for the second's, K > J, then one
-     each for the third's, L > K; then the X/Y/Z kinds of the three,
-     J's first; then the data faults over the flat (trial, data slot)
-     index (the gaps between hits, then one kind per hit), and the
-     flips over the flat (trial, flip slot) index (the gaps), of which
-     only those after the trial's L are kept;
-  3. for each b0 that some of the n3 trials reach, in ascending order,
+     fault's slot J, then one each for the second's, K > J, the
+     third's, L > K, and the fourth's, M > L; then the X/Y/Z kinds of
+     the four, J's first; then the data faults over the flat (trial,
+     data slot) index (the gaps between hits, then one kind per hit),
+     and the flips over the flat (trial, flip slot) index (the gaps),
+     of which only those after the trial's M are kept;
+  3. for each b0 that some of the n4 trials reach, in ascending order,
      the class counts of its n_b0 trials as multinomial(n_b0, q(b0)),
      with q_m(b0) = P(b in b0's coset, class m) for m = 0..d//2 and the
      rejection probability last.
 
-Step 1 is exact: a trial with at most two faults reads b0 with a known
-probability and then lands in class m with probability q_m(b0),
+Step 1 is exact: a trial with at most three faults reads b0 with a
+known probability and then lands in class m with probability q_m(b0),
 independently of every other trial, so the class counts of all such
 trials are one multinomial over the mixture.  An event e is a data
 fault of one kind, with odds o_e = (p_in/3)/(1 - p_in), or a readout
 flip, o_e = f/(1 - f) at readout_flip f.  A set of events on distinct
 slots weighs P0 prod o_e, with P0 = prod(1 - p_i).  So Q_m is the
 per-class count, P0 times the class-m branch pairs of the accepted sets
-of at most two events, each weighted by its odds
+of at most three events, each weighted by its odds
 (`codes._fault_set_counts`, and the empty set), times the pair weight
 s^m (1 - s)^(d - m) + s^(d - m) (1 - s)^m with s = sin^2(theta/2).  With
 w_j = p_j prod_{i<j}(1 - p_i) the probability that the first fault is
-at slot j, h_j = 1 - prod_{i>j}(1 - p_i) that another follows, and
-o_j = p_j / (1 - p_j), let F be the tails of w_j h_j: F[k] is P(no
-fault before k, two or more from k on).  Then P3+ = sum o_j F[j+1], a
-sum of positive terms, since o_j F[j+1] = P(first fault at j, two or
-more after it).  J is drawn with weights o_j F[j+1], K given J with
-weights w_k h_k over k > J, and L given K with weights w_l over l > K.
-The slots after L are independent of where the first three faults
-are, so they are plain Bernoulli, and the flat draw restricted to them
-is exact.  The trials are independent, so a chunk's draws hold only
-its own trials.
+at slot j and o_j = p_j / (1 - p_j), the tails chain is T_1 = the tails
+of w and T_{t+1} = the tails of o_j T_t[j+1]: T_t[k] is P(no fault
+before k, t or more from k on), since o_j T_t[j+1] turns the (1 - p_j)
+in T_t[j+1] into p_j and so is P(first fault at j, t or more after it).
+P4+ = T_4[0], a sum of positive terms.  J is drawn with weights
+o_j T_3[j+1], K given J with o_k T_2[k+1] over k > J, L given K with
+o_l T_1[l+1] over l > K, and M given L with w_m over m > L.  The slots
+after M are independent of where the first four faults are, so they
+are plain Bernoulli, and the flat draw restricted to them is exact.
+The trials are independent, so a chunk's draws hold only its own
+trials.
 
 The noise description, `NoiseModel`, lives in `analytics` and is
 re-exported here.  A scalar one-trial-at-a-time reference engine lives
@@ -93,6 +94,7 @@ import collections
 import functools
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -108,6 +110,8 @@ from .codes import require_rotation
 DEFAULT_BATCH_SIZE = 1 << 18
 _READ_CELLS = 1 << 20  # the most (row, trial) words one `_readings` call holds
 MAX_SLOTS = 1 << 18  # the most fault slots, r (n + checks), that `estimate` plans
+RARE_SHARE = 0.01  # a class's share of the exact mean from which its rarity warns
+_BINCOUNT_D = 16  # up to this d a batch counts its b0s in a 2^d array, past it by sorting
 
 __all__ = [
     "NoiseModel",
@@ -120,8 +124,9 @@ __all__ = [
 
 
 class RareEventWarning(UserWarning):
-    """Fewer than 10 accepted weight-1 trials are expected at the requested N,
-    too few to resolve the predicted error rate."""
+    """A weight class that holds at least `RARE_SHARE` of the exact mean
+    infidelity expects fewer than 10 accepted trials at the requested N,
+    too few to resolve its part of the mean."""
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,33 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
+_thread = threading.local()
+_ZERO = np.zeros(4, dtype=np.uint64)
+
+
+def _batch_rng(seed: int, i: int) -> np.random.Generator:
+    """A generator whose draws are those of `Philox(key=[seed, i])`.
+
+    That constructor builds a seed sequence from os.urandom that a keyed
+    stream never reads, which costs more than a sparse batch's draws.
+    Instead each thread keeps one Philox and sets its key to (seed, i),
+    its counter to 0 and its buffers empty, as the constructor does; so
+    the generator is the thread's own, valid until its next call.
+    """
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO, "key": np.array([seed, i], dtype=np.uint64)},
+        "buffer": _ZERO,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def _philox_batches(
     seed: int,
     n: int,
@@ -177,15 +209,14 @@ def _philox_batches(
     `progress(i + 1, n_batches)` is called once per finished batch.
     At most two batches per worker are in flight, so a caller that
     folds the results as they come holds memory that does not grow
-    with n.
+    with n.  fn must not keep rng past its return (`_batch_rng`).
     """
     _check_seed(seed)
     n_batches = (n + batch_size - 1) // batch_size
     workers = _worker_count(threads, n_batches)
 
     def run(i: int):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        out = fn(rng, min(batch_size, n - i * batch_size))
+        out = fn(_batch_rng(seed, i), min(batch_size, n - i * batch_size))
         if progress is not None:
             progress(i + 1, n_batches)
         return out
@@ -293,10 +324,11 @@ class _Plan(NamedTuple):
     n_data: int  # data slots, r n
     noise: NoiseModel
     d: int
-    few: np.ndarray  # (d//2 + 1,): P(at most two faults, accepted in class m) / the pair weight
-    lead: np.ndarray  # (slots + 1,): tails of o_j F[j + 1], the first of 3+ faults; P3+ = lead[0]
-    first: np.ndarray  # (slots + 1,): tails of w_k h_k, a fault with another after it
-    second: np.ndarray  # (slots + 1,): tails of w_l, a fault
+    few: np.ndarray  # (d//2 + 1,): P(at most three faults, accepted in class m) / the pair weight
+    # (4, slots + 1): T_4, T_3, T_2, T_1, where T_t[k] = P(no fault before
+    # slot k, t or more from k on); P4+ = tails[0, 0], and row i draws
+    # the (i + 1)-th fault of a trial with four or more
+    tails: np.ndarray
 
 
 def _readings(
@@ -387,34 +419,34 @@ def _plan(
     row = np.concatenate([np.arange(n_data) // n, r + np.arange(n_flip) // n_checks])
     loc = np.vstack([3 * qubit[:, None] + np.arange(3), np.repeat(3 * n + check[:, None], 3, 1)])
 
-    # w_j = p_j prod_{i<j}(1 - p_i), the first fault at j; times
-    # prod_{i>j}(1 - p_i) = 1 - h_j it is the only one.  With the odds
-    # o_j = p_j / (1 - p_j), o_j F[j + 1] is the first fault at j with
-    # two or more after it
+    # w_j = p_j prod_{i<j}(1 - p_i), the first fault at j, and the odds
+    # o_j = p_j / (1 - p_j): o_j T_t[j + 1] is the first fault at j with
+    # t or more after it, since o_j turns the (1 - p_j) in T_t[j + 1]
+    # into p_j
     p = np.repeat([noise.p_in, noise.readout_flip], [n_data, n_flip])
     keep = np.log1p(-p)
     before = np.cumsum(keep)
-    after = np.append(np.cumsum(keep[:0:-1])[::-1], 0.0)
-    w = p * np.exp(before - keep)
     odds = p / (1.0 - p)
 
     def tails(weight: np.ndarray) -> np.ndarray:
         return np.append(np.cumsum(weight[::-1])[::-1], 0.0)
 
-    first = tails(w * -np.expm1(after))
-    lead = tails(odds * first[1:])
+    chain = [tails(p * np.exp(before - keep))]
+    for _ in range(3):
+        chain.append(tails(odds * chain[-1][1:]))
 
-    # a set of no, one or two events e weighs P0 prod o_e, with o_e =
+    # a set of up to three events e weighs P0 prod o_e, with o_e =
     # (p_in / 3) / (1 - p_in) for one kind of data fault and f / (1 - f)
     # for a flip; `codes._fault_set_counts` counts the accepted sets'
     # branch pairs per class and shape.  The empty set reads the Z's own
     # syndrome, accepted when that lies in the branch span
     a, g = noise.p_in / 3.0 / (1.0 - noise.p_in), noise.readout_flip / (1.0 - noise.readout_flip)
-    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, injected), dtype=float)
+    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, injected, 3), dtype=float)
     empty = _coset_counts(columns, injected)[: d // 2 + 1] if injected < 1 << d else 0.0
-    few = math.exp(before[-1]) * (empty + counts @ (a, g, a * a, a * g, g * g))
+    odds3 = (a, g, a * a, a * g, g * g, a**3, a * a * g, a * g * g, g**3)
+    few = math.exp(before[-1]) * (empty + counts @ odds3)
     words = _word_column(injected, width)[:, 0]
-    plan = _Plan(table, words, row, loc, n_data, noise, d, few, lead, first, tails(w))
+    plan = _Plan(table, words, row, loc, n_data, noise, d, few, np.array(chain[::-1]))
     for array in plan:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
@@ -422,17 +454,17 @@ def _plan(
 
 
 def _batch_law(plan: _Plan, theta: float) -> np.ndarray:
-    """The probabilities of a batch's first draw: q_m = P(at most two
-    faults, accepted in class m) for m = 0..d//2, then P3+, then a
+    """The probabilities of a batch's first draw: q_m = P(at most three
+    faults, accepted in class m) for m = 0..d//2, then P4+, then a
     last entry that the multinomial reads as the rest, the rejected
-    trials with at most two faults.
+    trials with at most three faults.
 
     q_m = `plan.few`[m] times the pair weight of class m: every accepted
     set's coset is closed under complement (`_coset_classes`), so it
     holds its strings of class m as pairs {b, complement of b}.
     """
-    # P3+ may round past 1, which the multinomial refuses
-    return np.append(plan.few * _pair_weights(theta, plan.d), [min(plan.lead[0], 1.0), 0.0])
+    # P4+ may round past 1, which the multinomial refuses
+    return np.append(plan.few * _pair_weights(theta, plan.d), [min(plan.tails[0, 0], 1.0), 0.0])
 
 
 def _run_batch(
@@ -445,52 +477,64 @@ def _run_batch(
     """Simulate one batch; returns its branch class histogram.
 
     `classes(b0)` is `_coset_classes` of b0 and `law` is
-    `_batch_law(plan, theta)`.  Draw order per batch (stream 8) is
+    `_batch_law(plan, theta)`.  Draw order per batch (stream 9) is
     part of the determinism contract:
-      1. the class counts of the trials with at most two faults, and the
-         count n3 of those with three or more, as multinomial(size, law),
-         its classes the plan's per-class counts times the pair weights;
-      2. the n3 trials, in chunks of at most _READ_CELLS // (2 r) trials,
-         each chunk drawing in turn: a (3, n) block of uniforms, whose
-         rows pick each trial's first fault J, its second K and its
-         third L by `_inverse_cdf`; a (3, n) block of X/Y/Z kinds, J's
-         row first; the data faults over the flat (trial, data slot)
-         index: the gaps between hits (`_sparse_hits`), then one kind
-         per hit; the flips over the flat (trial, flip slot) index: the
-         gaps.  Of the last two, the faults after the trial's L are kept;
-      3. for each b0 that some of the n3 trials read, in ascending
+      1. the class counts of the trials with at most three faults, and
+         the count n4 of those with four or more, as multinomial(size,
+         law), its classes the plan's per-class counts times the pair
+         weights;
+      2. the n4 trials, in chunks of at most _READ_CELLS // (2 r) trials,
+         each chunk drawing in turn: a (4, n) block of uniforms, whose
+         rows pick each trial's first fault J, its second K, its third L
+         and its fourth M by `_inverse_cdf`, each from the slot after the
+         last; a (4, n) block of X/Y/Z kinds, J's row first; the data
+         faults over the flat (trial, data slot) index: the gaps between
+         hits (`_sparse_hits`), then one kind per hit; the flips over the
+         flat (trial, flip slot) index: the gaps.  Of the last two, the
+         faults after the trial's M are kept;
+      3. for each b0 that some of the n4 trials read, in ascending
          order, the class counts of its n_b0 trials, multinomial(n_b0,
          classes(b0)).
     """
     counts = rng.multinomial(size, law)
-    hist, n3 = counts[:-2], int(counts[-2])
+    hist, n4 = counts[:-2], int(counts[-2])
+    if not n4:
+        return hist
     # `_readings` holds 2 r words per trial; the trials are independent,
     # so each chunk draws and reads its own
     per_chunk = max(1, _READ_CELLS // (2 * plan.noise.r))
     n_data, n_flip = plan.n_data, plan.row.size - plan.n_data
-    readings = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, n3, per_chunk):
-        n = min(per_chunk, n3 - lo)
-        u = rng.random((3, n))
-        lead = _inverse_cdf(plan.lead, 0, u[0])
-        first = _inverse_cdf(plan.first, lead + 1, u[1])
-        last = _inverse_cdf(plan.second, first + 1, u[2])
-        kinds = rng.integers(0, 3, size=(3, n))
+    levels = len(plan.tails)
+    readings = []
+    for lo in range(0, n4, per_chunk):
+        n = min(per_chunk, n4 - lo)
+        u = rng.random((levels, n))
+        first = np.empty((levels, n), dtype=np.int64)
+        start = 0
+        for level, tail in enumerate(plan.tails):
+            first[level] = _inverse_cdf(tail, start, u[level])
+            start = first[level] + 1
+        kinds = rng.integers(0, 3, size=(levels, n))
         pos, kind = _data_hits(rng, n * n_data, plan.noise.p_in)
         flips = _sparse_hits(rng, n * n_flip, plan.noise.readout_flip)
-        trial = np.concatenate([np.tile(np.arange(n), 3), pos // n_data, flips // n_flip])
-        slot = np.concatenate([lead, first, last, pos % n_data, n_data + flips % n_flip])
+        trial = np.concatenate([np.tile(np.arange(n), levels), pos // n_data, flips // n_flip])
+        slot = np.concatenate([first.ravel(), pos % n_data, n_data + flips % n_flip])
         kind = np.concatenate([kinds.ravel(), kind, np.zeros_like(flips)])
-        # the slots after a trial's third fault are plain Bernoulli, so
+        # the slots after a trial's fourth fault are plain Bernoulli, so
         # the flat draw's faults there are that trial's remaining faults
-        keep = slot > last[trial]
-        keep[: 3 * n] = True
+        keep = slot > first[-1][trial]
+        keep[: levels * n] = True
         readings.append(_readings(plan, trial[keep], slot[keep], kind[keep], n))
 
-    b0s, count = np.unique(np.concatenate(readings), return_counts=True)
-    for b0, n_b0 in zip(b0s.tolist(), count.tolist()):
-        if b0 >= 0:
-            hist += rng.multinomial(n_b0, classes(b0))[:-1]
+    reached = np.concatenate(readings)
+    if plan.d > _BINCOUNT_D:
+        b0s, n_b0s = np.unique(reached[reached >= 0], return_counts=True)
+    else:  # one count per b0 + 1, the rejected at 0: at most 2^d + 1 of them
+        n_b0s = np.bincount(reached + 1)[1:]
+        b0s = np.flatnonzero(n_b0s)
+        n_b0s = n_b0s[b0s]
+    for b0, n_b0 in zip(b0s.tolist(), n_b0s.tolist()):
+        hist += rng.multinomial(n_b0, classes(b0))[:-1]
     return hist
 
 
@@ -538,26 +582,25 @@ def estimate(
         ]
     )
 
-    if inject_z is None:
-        rates = analytics.class_rates(noise, code.error_multiplicities)
-        _, pair, infid, error, _ = analytics.model_terms(theta, d, rates)
-        p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
-        # the model's accepted weight-1 trials: class 1's rate times its pair weight
-        expected_events = p_s_in * rates[1] * pair * n_trials
-        if 0.0 < expected_events < 10.0 and infid > 0.0:
-            warnings.warn(
-                RareEventWarning(
-                    f"expected about {expected_events:.2f} accepted weight-1 trials "
-                    f"at N={n_trials} (analytic rate {error:.3g}); "
-                    "the infidelity estimate will be noise-dominated"
-                ),
-                stacklevel=2,
-            )
-
     mult = code.error_multiplicities
     plan = _plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
     classes = functools.partial(_coset_classes, code, theta)
     law = _batch_law(plan, theta)
+    # each class's part of the exact mean, that of the trials with at
+    # most three faults, and its expected accepted trials
+    part = law[:-2] * values
+    expected = law[:-2] * n_trials
+    rare = np.flatnonzero((part >= RARE_SHARE * part.sum()) & (part > 0.0) & (expected < 10.0))
+    if rare.size:
+        m = int(rare[np.argmax(part[rare])])
+        warnings.warn(
+            RareEventWarning(
+                f"expected about {expected[m]:.3g} accepted weight-{m} trials at N={n_trials}, "
+                f"{part[m] / part.sum():.0%} of the exact mean {part.sum() / law[:-2].sum():.3g}; "
+                "the infidelity estimate will be noise-dominated"
+            ),
+            stacklevel=2,
+        )
 
     hist = np.zeros(d // 2 + 1, dtype=np.int64)
     for batch in _philox_batches(
@@ -591,7 +634,7 @@ def estimate(
         "readout_flip": noise.readout_flip,
         "r": noise.r,
         "batch_size": batch_size,
-        "stream": 8,
+        "stream": 9,
         "inject_z": inject_z,
     }
     return McStats(

@@ -10,6 +10,7 @@ slow and obvious.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -380,11 +381,13 @@ def branch_syndromes(code: StabilizerCode) -> dict[tuple[int, ...], list[int]]:
 
 
 def fault_set_counts(
-    code: StabilizerCode, r: int, inject_z: int | None = None
+    code: StabilizerCode, r: int, inject_z: int | None = None, order: int = 2
 ) -> list[list[int]]:
-    """Accepted fault sets of at most two locations over r cycles, walked
-    one set at a time: counts[m][kind] for class m = 0..d//2, kind
-    0..4 = (data), (flip), (data, data), (data, flip), (flip, flip).
+    """Accepted fault sets of at most `order` (2 or 3) locations over r
+    cycles, walked one set at a time: counts[m][kind] for class m =
+    0..d//2, kind 0..4 = (data), (flip), (data, data), (data, flip),
+    (flip, flip), and at order 3 kind 5..8 = three data, two data and a
+    flip, a data and two flips, three flips.
 
     A location is a data fault (qubit, cycle, X/Y/Z) or a readout flip
     (check, cycle); two data faults on one qubit in one cycle are not a
@@ -393,13 +396,17 @@ def fault_set_counts(
     XORed in.  A set counts when every cycle reads the same syndrome and
     some branch string has it; it adds its branch pairs per class.
     With `inject_z` the frame starts with Z on that qubit, and the empty
-    set is walked too, as kind 5.
+    set is walked too, as the last kind (5, or 9 at order 3).
     """
     n_chk = len(code.stabilizers)
     branches = branch_syndromes(code)
     locations = [("data", q, t, p) for t in range(r) for q in range(code.n) for p in "XYZ"]
     locations += [("flip", i, t, None) for t in range(r) for i in range(n_chk)]
-    counts = [[0] * (5 if inject_z is None else 6) for _ in range(code.d // 2 + 1)]
+    kinds = {(1, 0): 0, (0, 1): 1, (2, 0): 2, (1, 1): 3, (0, 2): 4,
+             (3, 0): 5, (2, 1): 6, (1, 2): 7, (0, 3): 8}
+    n_kinds = 5 if order == 2 else 9
+    kinds[0, 0] = n_kinds
+    counts = [[0] * (n_kinds + (inject_z is not None)) for _ in range(code.d // 2 + 1)]
 
     def tally(fault_set) -> None:
         data = [loc for loc in fault_set if loc[0] == "data"]
@@ -423,8 +430,7 @@ def fault_set_counts(
             return
         weights = branches.get(readings.pop(), [])
         n_flip = len(fault_set) - len(data)
-        kind = {(1, 0): 0, (0, 1): 1, (2, 0): 2, (1, 1): 3, (0, 2): 4, (0, 0): 5}[
-            (len(data), n_flip)]
+        kind = kinds[len(data), n_flip]
         for w in weights:
             m = min(w, code.d - w)
             if w == m:  # one string of each pair {b, bbar}
@@ -432,10 +438,9 @@ def fault_set_counts(
 
     if inject_z is not None:
         tally([])
-    for a, first in enumerate(locations):
-        tally([first])
-        for second in locations[a + 1:]:
-            tally([first, second])
+    for size in range(1, order + 1):
+        for fault_set in itertools.combinations(locations, size):
+            tally(list(fault_set))
     return counts
 
 

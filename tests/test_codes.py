@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import pytest
@@ -242,11 +243,13 @@ def test_fault_sets_match_the_walk_over_every_set(name, d, r):
     "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 3), ("perfect", None)]
 )
 def test_fault_set_counts_extrapolate_per_class(name, d):
-    # past r = 5 each class count is extrapolated from r = 3, 4, 5;
-    # against the event-by-event count at r = 6..12, expanded here over
-    # every branch string of the set's syndrome, with no target and with
-    # Z injected on qubits 0, 1 and n - 1 (off the support on the
-    # surface and perfect codes, so the target's remainder is nonzero)
+    # past r = 5 each class count of the sets of at most two events is
+    # the quadratic through r = 3, 4, 5, and past r = 7 each count of the
+    # sets of at most three the cubic through r = 4..7; against the
+    # event-by-event count at r = 6..12, expanded here over every branch
+    # string of the set's syndrome, with no target and with Z injected
+    # on qubits 0, 1 and n - 1 (off the support on the surface and
+    # perfect codes, so the target's remainder is nonzero)
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
     key = (mult.channels, mult.branch_columns, mult.n_checks)
@@ -266,17 +269,45 @@ def test_fault_set_counts_extrapolate_per_class(name, d):
     targets = sorted({(0, 0)} | {codes._reduce(rows, mult.channels[3 * q + 2])
                                  for q in (0, 1, code.n - 1)})
     assert len({rest for rest, _ in targets}) == (1 if name == "phase-flip" else 2)
-    for rest, b0 in targets:
-        for r in range(6, 13):
-            direct = codes._count_sets(*key, r, rest)
-            assert direct and all(count > 0 for count in direct.values())
-            want = [[0] * 5 for _ in range(width // 2 + 1)]
-            for (b, shape), count in direct.items():
-                strings = weights[branch_syndrome(b ^ b0)]
-                for m, row in enumerate(want):
-                    row[shape] += count * strings.count(m)
-            got = codes._fault_set_counts(*key, r, rest << width | b0)
-            assert [list(row) for row in got] == want, (rest, b0, r)
+    for (rest, b0), order, r in itertools.product(targets, (2, 3), range(6, 13)):
+        direct = codes._count_sets(*key, r, rest, order)
+        assert direct and all(count > 0 for count in direct.values())
+        assert {shape for _, shape in direct} <= set(range(5 if order == 2 else 9))
+        want = [[0] * (5 if order == 2 else 9) for _ in range(width // 2 + 1)]
+        for (b, shape), count in direct.items():
+            strings = weights[branch_syndrome(b ^ b0)]
+            for m, row in enumerate(want):
+                row[shape] += count * strings.count(m)
+        got = codes._fault_set_counts(*key, r, rest << width | b0, order)
+        assert [list(row) for row in got] == want, (rest, b0, order, r)
+
+
+@pytest.mark.parametrize("inject", [None, "support", "off-support"])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name, d", [("surface", 3), ("perfect", None)])
+def test_fault_sets_of_three_match_the_walk(name, d, r, inject):
+    # the table of sets of at most three events, which only the Monte
+    # Carlo engine reads, against the walk over every set of one, two
+    # and three locations (about 5e4 sets at surface d = 3, r = 2), with
+    # no Z and with Z injected on a support qubit (a branch syndrome)
+    # or off the support (none); the walk's last kind is the empty set
+    code = codes.get_code(name, d)
+    mult = code.error_multiplicities
+    inject_z = None
+    target = 0
+    if inject is not None:
+        off_support = [q for q in range(code.n) if q not in code.z_support]
+        inject_z = code.z_support[1] if inject == "support" else off_support[0]
+        rest, b0 = codes._reduce(codes._branch_basis(mult.branch_columns)[0],
+                                 mult.channels[3 * inject_z + 2])
+        target = rest << code.d | b0
+    got = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, target, 3)
+    walk = fault_set_counts(code, r, inject_z, order=3)
+    assert [list(row) for row in got] == [row[:9] for row in walk]
+    assert all(any(row[5:9]) for row in walk)  # every class takes some sets of three
+    # the order-2 table is the first five shapes
+    assert [row[:5] for row in got] == list(
+        codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, target, 2))
 
 
 def test_fault_sets_are_shared_by_code_value():

@@ -166,9 +166,9 @@ class TestSparseHits:
 # trials with faults: readout flips masking a branch syndrome
 # (readout-only; r = 1 for single flips), the phase-flip code's X
 # faults, whose syndrome is 0, and an injected Z.  high-noise puts
-# about 4 % (surface) and 1 % (perfect) of the trials with faults among
-# those with three or more, the only ones simulated; every trial with
-# at most two faults draws its class from the plan's table.  The
+# about 0.6 % (surface) and 0.08 % (perfect) of the trials with faults
+# among those with four or more, the only ones simulated; every trial
+# with at most three faults draws its class from the plan's table.  The
 # perfect code's generators mix X and Z on one qubit.
 ORACLE_NOISES = [
     (NoiseModel(p_in=2e-3, r=2), False, "mostly-clean"),
@@ -273,7 +273,7 @@ class TestExactLaw:
             assert abs(q - p) < 4 * math.sqrt(p * (1 - p) / n), (got, want)
 
     def test_chunked_engine_matches_exact_law(self, monkeypatch):
-        # the trials with three or more faults, about 17 % here, drawn and
+        # the trials with four or more faults, about 5 % here, drawn and
         # read 7 at a time: the chunk boundaries are part of the draw
         # order, and the law must not depend on them
         code = codes.get_code("surface", 3)
@@ -288,10 +288,12 @@ class TestExactLaw:
 
 
 class TestPlan:
-    """The plan against closed forms and the scalar walk: P3+ against the
-    slot odds, the table of the trials with at most two faults against
-    the walk over every set of one and two fault locations, walked once
-    per (code, r), and the slot draws at the ends of their ranges."""
+    """The plan against closed forms and the scalar walk: its chain of
+    tails, P4+ among them, against the slot odds, the table of the
+    trials with at most two faults against the walk over every set of
+    one and two fault locations, walked once per (code, r), and the slot
+    draws at the ends of their ranges.  The sets of three events are
+    checked against the walk in `test_codes.py`."""
 
     @staticmethod
     def plan(code, noise):
@@ -310,8 +312,9 @@ class TestPlan:
         "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 5), ("perfect", None)]
     )
     def test_strata_and_single_faults(self, name, d, r):
-        # P3+ against 1 - P0 - P1 - P2 and against the sum over the sets
-        # of three or more slots, each weighted P0 times their odds
+        # P4+ against 1 - P0 - P1 - P2 - P3 and against the sum over the
+        # sets of four or more slots, each weighted P0 times their odds;
+        # the chain's other heads, P3+, P2+ and P1+, the same way
         code = codes.get_code(name, d)
         noise = NoiseModel(p_in=2e-3, r=r)
         p0, o, g, data, flips = self.slot_odds(code, noise)
@@ -320,10 +323,13 @@ class TestPlan:
             return p0 * sum(math.comb(data, i) * o**i * math.comb(flips, k - i) * g ** (k - i)
                             for i in range(max(0, k - flips), min(k, data) + 1))
 
-        p3 = self.plan(code, noise).lead[0]
-        assert p3 == pytest.approx(1 - exactly(0) - exactly(1) - exactly(2), rel=1e-12)
-        assert p3 == pytest.approx(math.fsum(exactly(k) for k in range(3, data + flips + 1)),
-                                   rel=1e-12)
+        tails = self.plan(code, noise).tails
+        assert tails.shape == (4, data + flips + 1) and (tails[:, -1] == 0).all()
+        for level, at_least in enumerate((4, 3, 2, 1)):
+            head = tails[level, 0]
+            assert head == pytest.approx(1 - math.fsum(map(exactly, range(at_least))), rel=1e-12)
+            assert head == pytest.approx(
+                math.fsum(exactly(k) for k in range(at_least, data + flips + 1)), rel=1e-12)
 
     @pytest.mark.parametrize(
         "name, d, r, inject",
@@ -340,10 +346,11 @@ class TestPlan:
         ],
     )
     def test_two_fault_stratum(self, name, d, r, inject):
-        # P(at most two faults, accepted in class m) from the table against
-        # P0 on the no-fault trials' branch syndrome 0, plus the walk's
-        # one-fault sets weighted P0 o and its two-fault sets P0 o o, with
-        # o = (p/3)/(1-p) for a data fault's kind.  With a Z injected on a
+        # P(at most three faults, accepted in class m) from the table, less
+        # the table's sets of three weighted P0 o o o, against P0 on the
+        # no-fault trials' branch syndrome 0, plus the walk's one-fault
+        # sets weighted P0 o and its two-fault sets P0 o o, with o =
+        # (p/3)/(1-p) for a data fault's kind.  With a Z injected on a
         # support qubit (a branch syndrome) or off the support (none), the
         # walk's frame starts with the Z, and its empty set is counted too
         code = codes.get_code(name, d)
@@ -358,17 +365,25 @@ class TestPlan:
         plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
         theta = 0.8
         got = mcsim._batch_law(plan, theta)
-        assert got[-2] == plan.lead[0] and got[-1] == 0.0
+        assert got[-2] == plan.tails[0, 0] and got[-1] == 0.0
         s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
         walk = oracles.fault_set_counts(code, noise.r, inject_z)
         empty = [int(m == 0) if inject_z is None else counts[5] for m, counts in enumerate(walk)]
+        target = 0
+        if inject_z is not None:  # the Z's form, `_reduce`'s rest << d | b0
+            rows = codes._branch_basis(mult.branch_columns)[0]
+            rest, b0 = codes._reduce(rows, mult.channels[3 * inject_z + 2])
+            target = rest << code.d | b0
+        triples = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks,
+                                          noise.r, target, 3)
         want = np.array([
             (empty[m] + counts[0] * a + counts[1] * g
-             + counts[2] * a * a + counts[3] * a * g + counts[4] * g * g) * p0
+             + counts[2] * a * a + counts[3] * a * g + counts[4] * g * g
+             + np.dot(triples[m][5:], (a**3, a * a * g, a * g * g, g**3))) * p0
             * (s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m)
             for m, counts in enumerate(walk)
         ])
-        assert want[1] > 0
+        assert want[1] > 0 and all(any(row[5:]) for row in triples)
         assert got[:-2] == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
@@ -378,29 +393,28 @@ class TestPlan:
     )
     def test_inverse_cdf_edges(self, surface3, noise):
         # a run of zero-weight slots at either end; uniforms 0 and the
-        # largest double below 1 pick the first and the last slot of
-        # positive weight, and the second fault lies after the first
+        # largest double below 1 pick, at each of the four draws of a trial
+        # with four or more faults, the first slot of positive weight from
+        # the slot after the last draw, and the last one that leaves room
+        # for the faults still to come: J < K < L < M
         plan = self.plan(surface3, noise)
         slots = plan.row.size
         positive = np.flatnonzero(np.repeat([noise.p_in, noise.readout_flip],
                                             [plan.n_data, slots - plan.n_data]))
         u = np.array([0.0, np.nextafter(1.0, 0.0)])
-        first = mcsim._inverse_cdf(plan.first, 0, u)
-        assert first.tolist() == [positive[0], positive[-2]]
-        for j in first.tolist():
-            second = mcsim._inverse_cdf(plan.second, np.full(2, j + 1), u)
-            assert second.tolist() == [j + 1, positive[-1]]
-        assert (plan.first[first] > plan.first[first + 1]).all()
-        # the three draws of a trial with three or more faults: L > K > J
-        lead = mcsim._inverse_cdf(plan.lead, 0, u)
-        assert lead.tolist() == [positive[0], positive[-3]]
-        assert (plan.lead[lead] > plan.lead[lead + 1]).all()
-        for j in lead.tolist():
-            first = mcsim._inverse_cdf(plan.first, np.full(2, j + 1), u)
-            assert first.tolist() == [j + 1, positive[-2]]
-            for k in first.tolist():
-                last = mcsim._inverse_cdf(plan.second, np.full(2, k + 1), u)
-                assert last.tolist() == [k + 1, positive[-1]]
+        levels = len(plan.tails)
+
+        def draw(level, start):
+            tail = plan.tails[level]
+            picked = mcsim._inverse_cdf(tail, np.full(2, start), u)
+            assert picked.tolist() == [start if level else positive[0],
+                                       positive[level - levels]], (level, start)
+            assert (tail[picked] > tail[picked + 1]).all()
+            if level + 1 < levels:
+                for j in picked.tolist():
+                    draw(level + 1, j + 1)
+
+        draw(0, 0)
 
 
 class TestUntouchedClasses:
@@ -473,7 +487,7 @@ class TestEstimate:
         assert st.mean_infidelity == pytest.approx(8.621623520183926e-06, rel=1e-12, abs=0)
         assert st.branch_histogram == (161043, 20)
         assert st.seed == 11
-        assert st.params["stream"] == 8
+        assert st.params["stream"] == 9
 
     def test_thread_count_invariance(self, surface3):
         import warnings
@@ -576,19 +590,21 @@ class TestEstimate:
         cfg = analytics.RotationConfig(theta=0.5, d=3, **vars(noise))
         assert cfg.readout_flip == 0.05
         ps = analytics.success_rate(cfg, surface3.n, len(surface3.stabilizers)).p_s
-        # 3.3 accepted weight-1 trials expected, so it warns
-        with pytest.warns(RareEventWarning) as record:
+        # 3.62 accepted weight-1 trials expected, so it warns
+        warns = pytest.warns(RareEventWarning, match="expected about 3.62 accepted weight-1")
+        with warns as record:
             st = mcsim.estimate(surface3, 0.5, None, noise, 20_000, seed=11)
         assert abs(st.acceptance_rate - ps) < 4 * st.acceptance_stderr
-        rate = float(re.search(r"analytic rate (\S+)\)", str(record[0].message)).group(1))
-        assert rate == pytest.approx(
-            analytics.accepted_error_model(cfg, surface3.error_multiplicities), rel=1e-2
-        )
-        assert rate == pytest.approx(3.2e-5, rel=0.05)
+        # the warning's exact mean weights a flip by f/(1-f), the model by
+        # f, so at f = 0.05 the model reads about 9 % lower
+        rate = float(re.search(r"exact mean (\S+);", str(record[0].message)).group(1))
+        model = analytics.accepted_error_model(cfg, surface3.error_multiplicities)
+        assert 0.85 < model / rate < 0.95, model / rate
+        assert rate == pytest.approx(3.51e-5, rel=1e-3)
 
     # the golden setting expects 9.33e-5 accepted weight-1 trials per
-    # trial (the class-1 part of the model), so the warning threshold of
-    # 10 sits at N = 107,147
+    # trial (class 1 of the engine's exact law, all of its mean), so the
+    # warning threshold of 10 sits at N = 107,146
     def test_warns_below_ten_weight1_trials(self, surface3):
         with pytest.warns(RareEventWarning, match="expected about 9.33 accepted weight-1"):
             mcsim.estimate(surface3, 0.5, None, self.NM, 100_000, seed=11)
@@ -605,11 +621,28 @@ class TestEstimate:
             warnings.simplefilter("error", RareEventWarning)
             mcsim.estimate(surface3, 0.0, None, self.NM, 1_000, seed=11)
 
+    def test_warns_on_a_rare_class_that_holds_the_mean(self, monkeypatch):
+        # surface d = 7, theta 0.357: class 3 holds 20 % of the exact mean
+        # and expects 0.087 accepted trials in 4e9; class 2 holds 3.7 % and
+        # expects 15.  The run itself is skipped: the warning comes first
+        monkeypatch.setattr(mcsim, "_philox_batches", lambda *args: iter(()))
+        code = codes.get_code("surface", 7)
+        text = r"expected about 0\.087 accepted weight-3 trials at N=4000000000, 20%"
+        with pytest.warns(RareEventWarning, match=text):
+            mcsim.estimate(code, 0.357, None, self.NM, 4_000_000_000, seed=77)
+
+    def test_quiet_at_the_benchmark_setting(self):
+        # surface d = 5, theta 0.8, 2^19 trials: class 1 expects 89
+        # accepted trials, and class 2 holds 0.56 % of the exact mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RareEventWarning)
+            mcsim.estimate(codes.get_code("surface", 5), 0.8, None, self.NM, 1 << 19, seed=1)
+
     def test_readout_only_noise_warns(self, surface3):
-        # readout flips alone feed class 1 through r-fold masking: 2.53
+        # readout flips alone feed class 1 through r-fold masking: 2.80
         # accepted weight-1 trials expected at 20,000 trials
         noise = NoiseModel(p_in=0.0, r=2, readout_flip=0.05)
-        with pytest.warns(RareEventWarning, match="expected about 2.53 accepted weight-1"):
+        with pytest.warns(RareEventWarning, match="expected about 2.8 accepted weight-1"):
             mcsim.estimate(surface3, 0.5, None, noise, 20_000, seed=11)
         # without noise no fault set reaches class 1: nothing expected
         with warnings.catch_warnings():
@@ -771,12 +804,12 @@ class TestEstimate:
 
 
 class TestMultiFaultChunks:
-    """`_run_batch` draws and reads its trials with three or more faults
+    """`_run_batch` draws and reads its trials with four or more faults
     in chunks of at most `_READ_CELLS` (row, trial) words."""
 
     @staticmethod
     def run_batch(code, noise, size):
-        """The batch, and the count n3 of its trials with three or more
+        """The batch, and the count n4 of its trials with four or more
         faults, which its first draw gives."""
         mult = code.error_multiplicities
         plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
@@ -786,13 +819,13 @@ class TestMultiFaultChunks:
         def rng():
             return np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
 
-        n3 = int(rng().multinomial(size, law)[-2])
-        return lambda: mcsim._run_batch(plan, classes, law, rng(), size), n3
+        n4 = int(rng().multinomial(size, law)[-2])
+        return lambda: mcsim._run_batch(plan, classes, law, rng(), size), n4
 
     def test_chunks_read_what_one_call_reads(self, surface3, monkeypatch):
-        # about 3,300 of 4,096 trials hold three or more faults; with
+        # about 2,560 of 4,096 trials hold four or more faults; with
         # chunks of 7 trials every `_readings` call reads at most 7, and
-        # the calls together read each of the n3 trials once
+        # the calls together read each of the n4 trials once
         noise = NoiseModel(p_in=3e-2, r=10)
         readings = mcsim._readings
         seen = []
@@ -804,34 +837,55 @@ class TestMultiFaultChunks:
 
         monkeypatch.setattr(mcsim, "_readings", spy)
         monkeypatch.setattr(mcsim, "_READ_CELLS", 2 * noise.r * 7)
-        run, n3 = self.run_batch(surface3, noise, 4096)
+        run, n4 = self.run_batch(surface3, noise, 4096)
         hist = run()
-        assert n3 > 3_000 and max(b0.size for b0 in seen) == 7
-        assert sum(b0.size for b0 in seen) == n3 and len(seen) == -(-n3 // 7)
+        assert n4 > 2_000 and max(b0.size for b0 in seen) == 7
+        assert sum(b0.size for b0 in seen) == n4 and len(seen) == -(-n4 // 7)
         assert 0 < hist.sum() < 4096
 
-    def test_flat_draws_kept_only_after_the_third_fault(self, surface3, monkeypatch):
-        # data faults only, so L is a data slot, and the flat draw hits a
-        # trial's L slot in about 5 % of the trials with three or more
-        # faults.  Every call holds each trial's J < K < L first, then only
-        # flat-draw faults on slots past that trial's L
-        noise = NoiseModel(p_in=5e-2, r=4, readout_flip=0.0)
+    def test_flat_draws_kept_only_after_the_fourth_fault(self, surface3, monkeypatch):
+        # data faults only, so M is a data slot, and the flat draw hits a
+        # trial's M slot in about 10 % of the trials with four or more
+        # faults.  Every call holds each trial's J < K < L < M first, then
+        # only flat-draw faults on slots past that trial's M
+        noise = NoiseModel(p_in=1e-1, r=4, readout_flip=0.0)
         readings = mcsim._readings
         later = []
 
         def spy(plan, trial, slot, kind, n_trials):
-            assert (trial[: 3 * n_trials] == np.tile(np.arange(n_trials), 3)).all()
-            j, k, l = slot[: 3 * n_trials].reshape(3, n_trials)
-            assert (j < k).all() and (k < l).all()
-            assert (slot[3 * n_trials:] > l[trial[3 * n_trials:]]).all()
-            later.append(trial.size - 3 * n_trials)
+            assert (trial[: 4 * n_trials] == np.tile(np.arange(n_trials), 4)).all()
+            j, k, l, m = slot[: 4 * n_trials].reshape(4, n_trials)
+            assert (j < k).all() and (k < l).all() and (l < m).all()
+            assert (slot[4 * n_trials:] > m[trial[4 * n_trials:]]).all()
+            later.append(trial.size - 4 * n_trials)
             return readings(plan, trial, slot, kind, n_trials)
 
         monkeypatch.setattr(mcsim, "_readings", spy)
         monkeypatch.setattr(mcsim, "_READ_CELLS", 2 * noise.r * 256)
-        run, n3 = self.run_batch(surface3, noise, 4096)
+        run, n4 = self.run_batch(surface3, noise, 4096)
         run()
-        assert n3 > 768 and len(later) == -(-n3 // 256) and sum(later) > 0
+        assert n4 > 1_500 and len(later) == -(-n4 // 256) and sum(later) > 0
+
+    def test_sorted_and_counted_b0s_draw_alike(self, surface3, monkeypatch):
+        # up to d = 16 a batch counts the b0s its trials reach in a 2^d
+        # array, past it by sorting; both hand the class draws the same
+        # b0s in ascending order, so the histograms are equal.  At p_in =
+        # 0.1, r = 1 the trials with four or more faults reach several b0s
+        coset_classes = mcsim._coset_classes
+        drawn = []
+
+        def spy(code, theta, b0):
+            drawn.append(b0)
+            return coset_classes(code, theta, b0)
+
+        monkeypatch.setattr(mcsim, "_coset_classes", spy)
+        run, n4 = self.run_batch(surface3, NoiseModel(p_in=1e-1, r=1), 1 << 14)
+        counted = run()
+        order = drawn[:]
+        assert n4 > 500 and len(order) > 1 and order == sorted(set(order))
+        drawn.clear()
+        monkeypatch.setattr(mcsim, "_BINCOUNT_D", 0)
+        assert (run() == counted).all() and drawn == order
 
     @staticmethod
     def peak(run):
@@ -859,6 +913,21 @@ class TestMultiFaultChunks:
 
 
 class TestPhiloxBatches:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draws_are_the_keyed_philox_streams(self, threads):
+        # each thread re-keys one generator per batch; batch i must draw
+        # what Philox(key=[seed, i]) draws, however the batches fall on
+        # the threads, through the 32-bit and the 64-bit paths
+        def fn(rng, size):
+            return rng.random(size), rng.integers(0, 3, size=size, dtype=np.int32)
+
+        for seed in (0, 1, (1 << 64) - 1):
+            for i, (u, k) in enumerate(mcsim._philox_batches(seed, 40, 5, fn, threads)):
+                key = np.array([seed, i], dtype=np.uint64)
+                want = np.random.Generator(np.random.Philox(key=key))
+                assert (u == want.random(5)).all(), (seed, i)
+                assert (k == want.integers(0, 3, size=5, dtype=np.int32)).all(), (seed, i)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_does_not_grow_with_batches(self, threads):
         # each batch returns 1 KiB; a caller that folds the results as
