@@ -314,7 +314,10 @@ def _count_sets(
     a meet in the middle.  Only pairs that can lead to one are tried:
     two events that share a signature bit, or two whose signatures are
     disjoint and within the target's bits, as a set of three with no two
-    events sharing a bit XORs to the union of its signatures.  Cached by
+    events sharing a bit XORs to the union of its signatures.  The sets
+    with two or three zero signatures are counted per slot in closed
+    form, not set by set, as a code can hold hundreds of zero-signature
+    events (every X fault on the phase-flip code).  Cached by
     target remainder, so the injected Zs that share one share the tally;
     the Counter is shared and must not be written.
     """
@@ -365,14 +368,71 @@ def _count_sets(
                 if g != e and g != f and not earlier:
                     add(e, f, g)
     # the rest have pairwise disjoint signatures whose union is the
-    # target, so each lies within the target's bits
-    inside = [e for e, sig in enumerate(sigs) if not sig & ~target]
-    for e, f in itertools.combinations(inside, 2):
+    # target, so each lies within the target's bits.  Those with at most
+    # one zero signature go by their two lowest events, never both zero
+    zeros = groups.get(0, [])
+    inside = [e for e, sig in enumerate(sigs) if sig and not sig & ~target]
+    pairs = itertools.chain(
+        itertools.combinations(inside, 2), ((min(z, e), max(z, e)) for z in zeros for e in inside)
+    )
+    for e, f in pairs:
         if slots[e] != slots[f] and not sigs[e] & sigs[f]:
             for g in groups.get(target ^ sigs[e] ^ sigs[f], ()):
-                if g > f:
+                if g > f and (sigs[g] or (sigs[e] and sigs[f])):
                     add(e, f, g)
+    if not zeros:
+        return tally
+    # those with two or three zero signatures are counted by slot.  In
+    # the algebra of (b0, flips) labels, which combine by XOR and sum,
+    # let A_s be the sum of slot s's zero events and p_k the sum of A_s^k:
+    # the sets of two on distinct slots are e_2 = (p_1^2 - p_2) / 2 and of
+    # three e_3 = (p_1^3 - 3 p_1 p_2 + 2 p_3) / 6 (Newton's identities)
+    by_slot: dict[int, dict] = {}
+    for e in zeros:
+        labels = by_slot.setdefault(slots[e], collections.defaultdict(int))
+        labels[b0s[e], int(e >= n_data)] += 1
+    p1 = _label_sum((1, labels) for labels in by_slot.values())
+    p2 = _label_sum((1, _label_product(labels, labels)) for labels in by_slot.values())
+    if not target:  # three zeros, whose union 0 is the target
+        p3 = _label_sum(
+            (1, _label_product(_label_product(labels, labels), labels)) for labels in by_slot.values()
+        )
+        triples = _label_sum([(1, _label_product(_label_product(p1, p1), p1)),
+                              (-3, _label_product(p1, p2)), (2, p3)])
+        for (b0, flips), count in triples.items():
+            if count:
+                tally[b0, 5 + flips] += count // 6
+        return tally
+    # two zeros and one event g whose signature is the target, the two
+    # on distinct slots other than g's: e_2 - A_g (p_1 - A_g), doubled
+    twice_pairs = _label_sum([(1, _label_product(p1, p1)), (-1, p2)])
+    for g in groups.get(target, ()):
+        labels = by_slot.get(slots[g], {})
+        pairs = _label_sum([(1, twice_pairs), (-2, _label_product(labels, p1)),
+                            (2, _label_product(labels, labels))])
+        for (b0, flips), count in pairs.items():
+            if count:
+                tally[b0 ^ b0s[g], 5 + flips + (g >= n_data)] += count // 2
     return tally
+
+
+def _label_product(a: dict, b: dict) -> dict:
+    """The product of two sums of (b0, flips) labels, which combine by
+    XOR of the b0s and sum of the flips."""
+    out: dict = collections.defaultdict(int)
+    for (b0, n), x in a.items():
+        for (c0, m), y in b.items():
+            out[b0 ^ c0, n + m] += x * y
+    return out
+
+
+def _label_sum(terms) -> dict:
+    """sum(c x) over the (c, x) of `terms`, x a sum of labels."""
+    out: dict = collections.defaultdict(int)
+    for c, labels in terms:
+        for label, x in labels.items():
+            out[label] += c * x
+    return out
 
 
 @functools.lru_cache(maxsize=64)

@@ -94,7 +94,6 @@ import collections
 import functools
 import math
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -111,7 +110,6 @@ DEFAULT_BATCH_SIZE = 1 << 18
 _READ_CELLS = 1 << 20  # the most (row, trial) words one `_readings` call holds
 MAX_SLOTS = 1 << 18  # the most fault slots, r (n + checks), that `estimate` plans
 RARE_SHARE = 0.01  # a class's share of the exact mean from which its rarity warns
-_BINCOUNT_D = 16  # up to this d a batch counts its b0s in a 2^d array, past it by sorting
 
 __all__ = [
     "NoiseModel",
@@ -166,33 +164,6 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
-_thread = threading.local()
-_ZERO = np.zeros(4, dtype=np.uint64)
-
-
-def _batch_rng(seed: int, i: int) -> np.random.Generator:
-    """A generator whose draws are those of `Philox(key=[seed, i])`.
-
-    That constructor builds a seed sequence from os.urandom that a keyed
-    stream never reads, which costs more than a sparse batch's draws.
-    Instead each thread keeps one Philox and sets its key to (seed, i),
-    its counter to 0 and its buffers empty, as the constructor does; so
-    the generator is the thread's own, valid until its next call.
-    """
-    rng = getattr(_thread, "rng", None)
-    if rng is None:
-        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO, "key": np.array([seed, i], dtype=np.uint64)},
-        "buffer": _ZERO,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
-
-
 def _philox_batches(
     seed: int,
     n: int,
@@ -209,14 +180,15 @@ def _philox_batches(
     `progress(i + 1, n_batches)` is called once per finished batch.
     At most two batches per worker are in flight, so a caller that
     folds the results as they come holds memory that does not grow
-    with n.  fn must not keep rng past its return (`_batch_rng`).
+    with n.
     """
     _check_seed(seed)
     n_batches = (n + batch_size - 1) // batch_size
     workers = _worker_count(threads, n_batches)
 
     def run(i: int):
-        out = fn(_batch_rng(seed, i), min(batch_size, n - i * batch_size))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        out = fn(rng, min(batch_size, n - i * batch_size))
         if progress is not None:
             progress(i + 1, n_batches)
         return out
@@ -526,15 +498,10 @@ def _run_batch(
         keep[: levels * n] = True
         readings.append(_readings(plan, trial[keep], slot[keep], kind[keep], n))
 
-    reached = np.concatenate(readings)
-    if plan.d > _BINCOUNT_D:
-        b0s, n_b0s = np.unique(reached[reached >= 0], return_counts=True)
-    else:  # one count per b0 + 1, the rejected at 0: at most 2^d + 1 of them
-        n_b0s = np.bincount(reached + 1)[1:]
-        b0s = np.flatnonzero(n_b0s)
-        n_b0s = n_b0s[b0s]
-    for b0, n_b0 in zip(b0s.tolist(), n_b0s.tolist()):
-        hist += rng.multinomial(n_b0, classes(b0))[:-1]
+    b0s, count = np.unique(np.concatenate(readings), return_counts=True)
+    for b0, n_b0 in zip(b0s.tolist(), count.tolist()):
+        if b0 >= 0:
+            hist += rng.multinomial(n_b0, classes(b0))[:-1]
     return hist
 
 

@@ -282,15 +282,28 @@ def test_fault_set_counts_extrapolate_per_class(name, d):
         assert [list(row) for row in got] == want, (rest, b0, order, r)
 
 
-@pytest.mark.parametrize("inject", [None, "support", "off-support"])
-@pytest.mark.parametrize("r", [1, 2])
-@pytest.mark.parametrize("name, d", [("surface", 3), ("perfect", None)])
+@pytest.mark.parametrize(
+    "name, d, r, inject",
+    [
+        (name, d, r, inject)
+        for codes_, rs, injects in [
+            ([("surface", 3), ("perfect", None)], [1, 2], [None, "support", "off-support"]),
+            ([("phase-flip", 3)], [1, 2, 3], [None, "support"]),
+            ([("surface", 3)], [3], [None, "off-support"]),
+        ]
+        for (name, d), r, inject in itertools.product(codes_, rs, injects)
+    ],
+)
 def test_fault_sets_of_three_match_the_walk(name, d, r, inject):
     # the table of sets of at most three events, which only the Monte
     # Carlo engine reads, against the walk over every set of one, two
-    # and three locations (about 5e4 sets at surface d = 3, r = 2), with
-    # no Z and with Z injected on a support qubit (a branch syndrome)
-    # or off the support (none); the walk's last kind is the empty set
+    # and three locations (about 1.9e5 sets at surface d = 3, r = 3),
+    # with no Z and with Z injected on a support qubit (a branch
+    # syndrome) or off the support (none); the walk's last kind is the
+    # empty set.  Every phase-flip X fault has a zero signature, so its
+    # sets of three zero signatures are counted by slot, not one by one;
+    # on the surface code, Z off the support pairs two zero signatures
+    # with one event of the target's
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
     inject_z = None

@@ -866,11 +866,10 @@ class TestMultiFaultChunks:
         run()
         assert n4 > 1_500 and len(later) == -(-n4 // 256) and sum(later) > 0
 
-    def test_sorted_and_counted_b0s_draw_alike(self, surface3, monkeypatch):
-        # up to d = 16 a batch counts the b0s its trials reach in a 2^d
-        # array, past it by sorting; both hand the class draws the same
-        # b0s in ascending order, so the histograms are equal.  At p_in =
-        # 0.1, r = 1 the trials with four or more faults reach several b0s
+    def test_reached_b0s_draw_in_ascending_order(self, surface3, monkeypatch):
+        # the class draws of the b0s that the simulated trials reach come
+        # in ascending b0 order, each once; at p_in = 0.1, r = 1 they
+        # reach several
         coset_classes = mcsim._coset_classes
         drawn = []
 
@@ -880,12 +879,8 @@ class TestMultiFaultChunks:
 
         monkeypatch.setattr(mcsim, "_coset_classes", spy)
         run, n4 = self.run_batch(surface3, NoiseModel(p_in=1e-1, r=1), 1 << 14)
-        counted = run()
-        order = drawn[:]
-        assert n4 > 500 and len(order) > 1 and order == sorted(set(order))
-        drawn.clear()
-        monkeypatch.setattr(mcsim, "_BINCOUNT_D", 0)
-        assert (run() == counted).all() and drawn == order
+        run()
+        assert n4 > 500 and len(drawn) > 1 and drawn == sorted(set(drawn))
 
     @staticmethod
     def peak(run):
@@ -915,9 +910,9 @@ class TestMultiFaultChunks:
 class TestPhiloxBatches:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_draws_are_the_keyed_philox_streams(self, threads):
-        # each thread re-keys one generator per batch; batch i must draw
-        # what Philox(key=[seed, i]) draws, however the batches fall on
-        # the threads, through the 32-bit and the 64-bit paths
+        # batch i must draw what Philox(key=[seed, i]) draws, however the
+        # batches fall on the threads, through the 32-bit and the 64-bit
+        # paths, up to the largest seed
         def fn(rng, size):
             return rng.random(size), rng.integers(0, 3, size=size, dtype=np.int32)
 
