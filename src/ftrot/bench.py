@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .analytics import NoiseModel
@@ -257,18 +258,30 @@ def coh_curve(theta_l: float, distill: DistillCostTable, *, p_in: float) -> list
     return points
 
 
-def pareto_front(points: Iterable[CostPoint]) -> list[CostPoint]:
+def pareto_front(points: Iterable) -> list:
     """Non-dominated subset, sorted by decreasing error (cost then
-    nondecreasing)."""
-    ordered = sorted(points, key=lambda p: (p.logical_error, p.cost_d3))
-    front: list[CostPoint] = []
+    nondecreasing).
+
+    The points are all `CostPoint`s, or all tuples that open with
+    (error, cost), as the cells of `schemes.iter_plans` do; the front
+    holds the points themselves.  The sort is stable and on (error,
+    cost) alone, so of points with equal coordinates the first one
+    given enters.
+    """
+    ordered = list(points)
+    if ordered and isinstance(ordered[0], tuple):
+        coords = itemgetter(0, 1)
+    else:
+        coords = attrgetter("logical_error", "cost_d3")
+    ordered.sort(key=coords)
+    front = []
     best_cost = math.inf
     # scan from lowest error up; a point enters if it is cheaper than
     # everything with equal-or-lower error
-    for p in ordered:
-        if p.cost_d3 < best_cost:
-            front.append(p)
-            best_cost = p.cost_d3
+    for point, (_, cost) in zip(ordered, map(coords, ordered)):
+        if cost < best_cost:
+            front.append(point)
+            best_cost = cost
     front.reverse()
     return front
 
@@ -280,30 +293,31 @@ def our_method_curve(
     (d_values, k_max, m_max) goes to `iter_plans` unchanged.  A grid
     with no plan is an error, not an empty curve, and so is a plan whose
     predicted error is 0 (p_in = 0, or an error that underflows): no
-    cost-vs-error front holds it.  `pareto_front` scans the plan records
-    themselves; only the plans on the front become cost points."""
-    plans = []
-    for plan in iter_plans(theta_l, code_family, noise, **grid):
-        if plan.predicted_error == 0.0:
-            raise ValueError(
-                f"p_in = {noise.p_in}: the predicted error of plan (d, k, m) = "
-                f"({plan.d}, {plan.k}, {plan.m}) is 0, which no cost-vs-error front holds"
-            )
-        plans.append(plan)
-    if not plans:
+    cost-vs-error front holds it.  `pareto_front` takes the front of
+    `iter_plans`' cells, in walk order; only the cells on the front
+    become cost points."""
+    cells = list(iter_plans(theta_l, code_family, noise, **grid))
+    if not cells:
         raise ValueError("empty grid: no representable plan")
+    errors = list(map(itemgetter(0), cells))
+    if 0.0 in errors:
+        d, k, m = cells[errors.index(0.0)][2:5]
+        raise ValueError(
+            f"p_in = {noise.p_in}: the predicted error of plan (d, k, m) = "
+            f"({d}, {k}, {m}) is 0, which no cost-vs-error front holds"
+        )
     return [
         CostPoint(
             method="ours",
-            logical_error=plan.predicted_error,
-            cost_d3=plan.expected_cost,
-            d=plan.d,
-            theta=plan.theta_base,
-            k=plan.k,
-            m=plan.m,
+            logical_error=error,
+            cost_d3=cost,
+            d=d,
+            theta=theta_base,
+            k=k,
+            m=m,
             error_kind="incoherent",
         )
-        for plan in pareto_front(plans)
+        for error, cost, d, k, m, theta_base, *_ in pareto_front(cells)
     ]
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -144,14 +145,10 @@ def attempt_cost(d: int, r: int) -> float:
 
 
 class ScaffoldPlan(NamedTuple):
-    """One (d, k, m) cell of the plan grid; an immutable record.
-
-    A named tuple rather than a frozen dataclass: `iter_plans` builds
-    one per grid cell, and a dataclass __init__ costs several times
-    as much.  `logical_error` and `cost_d3` name the two coordinates
-    the way `bench.CostPoint` does, so `bench.pareto_front` reads plan
-    records directly and `bench` builds a `CostPoint` only for the
-    plans on the front.
+    """The record of one (d, k, m) plan, built only for a plan that
+    `scaffold_optimize` returns or that `InfeasibleError` carries; the
+    grid walk itself yields plain tuples (see `iter_plans`).  A named
+    tuple keeps it immutable and gives `to_dict` its field order.
     """
 
     d: int
@@ -164,14 +161,6 @@ class ScaffoldPlan(NamedTuple):
     breakdown: dict
     walk_steps_expected: int
     ghz_attempts_expected: float
-
-    @property
-    def logical_error(self) -> float:
-        return self.predicted_error
-
-    @property
-    def cost_d3(self) -> float:
-        return self.expected_cost
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "breakdown": dict(self.breakdown)}
@@ -216,8 +205,14 @@ def iter_plans(
     d_values: tuple[int, ...] = D_VALUES,
     k_max: int = K_MAX,
     m_max: int = M_MAX,
-) -> Iterator[ScaffoldPlan]:
-    """All candidate plans on the (d, k, m) grid.
+) -> Iterator[tuple]:
+    """All candidate cells of the (d, k, m) grid, in (d, k, m) order.
+
+    Each cell is one plain tuple (predicted_error, expected_cost, d, k,
+    m, theta_base, attempts, prep, merge, teleport): attempts is the
+    GHZ attempt count, and prep, merge and teleport are the three parts
+    of the cost.  Callers select on these tuples, and a `ScaffoldPlan`
+    is built only for a plan that is returned (`_record`).
 
     Errors compose linearly across the walk_steps * k consumed states
     (rates are far below 1 in every regime the grid reaches).  Cells
@@ -259,11 +254,24 @@ def iter_plans(
                 teleport = walk_steps * _TELEPORT_STEP_COST if m >= 2 else 0.0
                 cost = prep + merge + teleport
                 if math.isfinite(cost):
-                    yield ScaffoldPlan(
-                        d, k, m, theta_base, theta_l_target, cost, walk_steps * k * eps_base,
-                        {"prep_attempts": prep, "ghz_merges": merge, "walk_teleports": teleport},
-                        walk_steps, attempts,
-                    )
+                    yield (walk_steps * k * eps_base, cost, d, k, m, theta_base,
+                           attempts, prep, merge, teleport)
+
+
+def _record(cell: tuple, theta_l_target: float) -> ScaffoldPlan:
+    """The `ScaffoldPlan` of one `iter_plans` cell."""
+    error, cost, d, k, m, theta_base, attempts, prep, merge, teleport = cell
+    return ScaffoldPlan(
+        d, k, m, theta_base, theta_l_target, cost, error,
+        {"prep_attempts": prep, "ghz_merges": merge, "walk_teleports": teleport},
+        m * m, attempts,
+    )
+
+
+# selection keys over iter_plans' cells: (cost, error, d, m, k) and
+# (error, cost, d, m, k), each a total order on the grid
+_CHEAPEST = itemgetter(1, 0, 2, 4, 3)
+_MOST_ACCURATE = itemgetter(0, 1, 2, 4, 3)
 
 
 def scaffold_optimize(
@@ -279,18 +287,18 @@ def scaffold_optimize(
     then smaller m, then smaller k (a total order, so the result does
     not depend on enumeration order).  `grid` (d_values, k_max, m_max)
     goes to `iter_plans` unchanged."""
-    plans = list(iter_plans(theta_l_target, code_family, noise, **grid))
-    if not plans:
+    cells = list(iter_plans(theta_l_target, code_family, noise, **grid))
+    if not cells:
         raise ValueError("empty grid: no representable plan")
 
     if error_ceiling is not None:
-        feasible = [p for p in plans if p.predicted_error <= error_ceiling]
+        feasible = [cell for cell in cells if cell[0] <= error_ceiling]
         if not feasible:
-            best = min(plans, key=lambda p: (p.predicted_error, p.expected_cost, p.d, p.m, p.k))
+            best = _record(min(cells, key=_MOST_ACCURATE), theta_l_target)
             raise InfeasibleError(
                 f"no plan reaches error ceiling {error_ceiling:.3g}; best achieves "
                 f"{best.predicted_error:.3g} at cost {best.expected_cost:.3g}",
                 best_plan=best,
             )
-        plans = feasible
-    return min(plans, key=lambda p: (p.expected_cost, p.predicted_error, p.d, p.m, p.k))
+        cells = feasible
+    return _record(min(cells, key=_CHEAPEST), theta_l_target)

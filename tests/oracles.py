@@ -18,7 +18,9 @@ import numpy as np
 
 from ftrot import analytics
 from ftrot.analytics import NoiseModel, RotationConfig, _stable_pow
+from ftrot.bench import CostPoint
 from ftrot.codes import StabilizerCode, syndrome
+from ftrot.schemes import InfeasibleError, ScaffoldPlan, iter_plans
 from ftrot.pauli import PauliString
 
 
@@ -489,3 +491,72 @@ def exact_class_probabilities(
         for w in weights:
             out[min(w, code.d - w)] += dist[reading] * s2**w * (1.0 - s2) ** (code.d - w)
     return out
+
+
+def plan_records(theta_l_target: float, code_family: str, noise: NoiseModel,
+                 **grid) -> list[ScaffoldPlan]:
+    """One `ScaffoldPlan` per `iter_plans` cell, in walk order."""
+    records = []
+    for cell in iter_plans(theta_l_target, code_family, noise, **grid):
+        error, cost, d, k, m, theta_base, attempts, prep, merge, teleport = cell
+        breakdown = {"prep_attempts": prep, "ghz_merges": merge, "walk_teleports": teleport}
+        records.append(ScaffoldPlan(d, k, m, theta_base, theta_l_target, cost, error,
+                                    breakdown, m * m, attempts))
+    return records
+
+
+def scaffold_by_records(theta_l_target: float, code_family: str, noise: NoiseModel, *,
+                        error_ceiling: float | None = None, **grid) -> ScaffoldPlan:
+    """`schemes.scaffold_optimize` over a record per cell, selected with
+    Python keys: (cost, error, d, m, k), or (error, cost, d, m, k) for
+    the closest plan when no plan meets the ceiling."""
+    plans = plan_records(theta_l_target, code_family, noise, **grid)
+    if not plans:
+        raise ValueError("empty grid: no representable plan")
+    if error_ceiling is not None:
+        feasible = [p for p in plans if p.predicted_error <= error_ceiling]
+        if not feasible:
+            best = min(plans, key=lambda p: (p.predicted_error, p.expected_cost, p.d, p.m, p.k))
+            raise InfeasibleError(
+                f"no plan reaches error ceiling {error_ceiling:.3g}; best achieves "
+                f"{best.predicted_error:.3g} at cost {best.expected_cost:.3g}",
+                best_plan=best,
+            )
+        plans = feasible
+    return min(plans, key=lambda p: (p.expected_cost, p.predicted_error, p.d, p.m, p.k))
+
+
+def front_of_records(plans: list[ScaffoldPlan]) -> list[ScaffoldPlan]:
+    """Non-dominated records by decreasing error: a stable sort on
+    (error, cost), then a scan from the lowest error up that keeps each
+    record cheaper than every one before it."""
+    ordered = sorted(plans, key=lambda p: (p.predicted_error, p.expected_cost))
+    front = []
+    best_cost = math.inf
+    for plan in ordered:
+        if plan.expected_cost < best_cost:
+            front.append(plan)
+            best_cost = plan.expected_cost
+    front.reverse()
+    return front
+
+
+def our_curve_by_records(theta_l: float, code_family: str, noise: NoiseModel,
+                         **grid) -> list[CostPoint]:
+    """`bench.our_method_curve` over a record per cell: the front of the
+    records, each made a cost point.  The first record in walk order
+    whose error is 0 is refused, as is an empty grid."""
+    plans = plan_records(theta_l, code_family, noise, **grid)
+    for plan in plans:
+        if plan.predicted_error == 0.0:
+            raise ValueError(
+                f"p_in = {noise.p_in}: the predicted error of plan (d, k, m) = "
+                f"({plan.d}, {plan.k}, {plan.m}) is 0, which no cost-vs-error front holds"
+            )
+    if not plans:
+        raise ValueError("empty grid: no representable plan")
+    return [
+        CostPoint(method="ours", logical_error=p.predicted_error, cost_d3=p.expected_cost,
+                  d=p.d, theta=p.theta_base, k=p.k, m=p.m, error_kind="incoherent")
+        for p in front_of_records(plans)
+    ]

@@ -358,6 +358,16 @@ class TestParetoFront:
             (1e-5, 50.0),
         ]
 
+    def test_tuples_and_ties_keep_the_order_given(self):
+        # tuples that open with (error, cost) take the front cost points
+        # take; of equal coordinates the first one given enters
+        coords = [(1e-3, 10.0), (1e-4, 5.0), (1e-5, 50.0), (1e-5, 60.0), (1e-4, 5.0)]
+        tags = range(len(coords), 0, -1)
+        cells = [(e, c, tag) for (e, c), tag in zip(coords, tags)]
+        assert pareto_front(cells) == [(1e-4, 5.0, 4), (1e-5, 50.0, 3)]
+        pts = [CostPoint(str(tag), e, c) for (e, c), tag in zip(coords, tags)]
+        assert pareto_front(pts) == [pts[1], pts[2]]
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(

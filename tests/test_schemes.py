@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ftrot import analytics, codes, schemes
+from ftrot import analytics, bench, codes, schemes
 from ftrot.mcsim import NoiseModel
 from ftrot.schemes import InfeasibleError
 
-from oracles import walk_expected_steps_float, walk_hit_pmf_by_paths, walk_survival_spectral
+from oracles import (
+    our_curve_by_records,
+    plan_records,
+    scaffold_by_records,
+    walk_expected_steps_float,
+    walk_hit_pmf_by_paths,
+    walk_survival_spectral,
+)
 
 
 class TestWalkExpectedSteps:
@@ -128,7 +135,7 @@ class TestCostModel:
         code = codes.get_code("surface", d=3)
         theta_l = analytics.logical_angle(0.5, 3)
         noise = NoiseModel(p_in=0.0, r=2)
-        (plan,) = schemes.iter_plans(theta_l, "surface", noise, d_values=(3,), k_max=1, m_max=1)
+        (plan,) = plan_records(theta_l, "surface", noise, d_values=(3,), k_max=1, m_max=1)
         cfg = analytics.RotationConfig(theta=plan.theta_base, d=3, p_in=0.0, r=2)
         p_coh = analytics.success_rate(cfg, code.n, len(code.stabilizers)).p_s_coh
         assert plan.expected_cost == pytest.approx(schemes.attempt_cost(3, 2) / p_coh)
@@ -154,10 +161,8 @@ class TestScaffold:
             eps = analytics.accepted_error_model(cfg, code.error_multiplicities)
             return plan.walk_steps_expected * plan.k * eps
 
-        plans = list(
-            schemes.iter_plans(
-                self.TARGET, "surface", self.NOISE, d_values=(3, 5), k_max=4, m_max=6
-            )
+        plans = plan_records(
+            self.TARGET, "surface", self.NOISE, d_values=(3, 5), k_max=4, m_max=6
         )
         assert len(plans) == 2 * 4 * 6
         for plan in plans:
@@ -208,7 +213,7 @@ class TestScaffold:
                 assert eps == analytics.accepted_error_model(cfg, code.error_multiplicities)
 
     def test_breakdown_sums_to_total(self):
-        for plan in schemes.iter_plans(
+        for plan in plan_records(
             self.TARGET, "surface", self.NOISE, d_values=(3, 5), k_max=3, m_max=5
         ):
             assert plan.expected_cost == pytest.approx(
@@ -221,7 +226,7 @@ class TestScaffold:
 
     def test_step_angle_inversion(self):
         # accepted angle of theta_base recovers target/(m k)
-        for plan in schemes.iter_plans(
+        for plan in plan_records(
             self.TARGET, "surface", self.NOISE, d_values=(3,), k_max=2, m_max=3
         ):
             assert analytics.logical_angle(plan.theta_base, plan.d) == pytest.approx(
@@ -255,7 +260,7 @@ class TestScaffold:
             )
         best = exc.value.best_plan
         assert isinstance(best, schemes.ScaffoldPlan)
-        all_plans = list(schemes.iter_plans(self.TARGET, "surface", self.NOISE))
+        all_plans = plan_records(self.TARGET, "surface", self.NOISE)
         assert best.predicted_error == min(p.predicted_error for p in all_plans)
 
     def test_to_dict_round_trip(self):
@@ -287,11 +292,78 @@ class TestScaffold:
     def test_large_target_shrinks_grid(self):
         # step angle must stay below pi, so k=m=1 with target > pi is
         # unrepresentable but larger splits still work
-        plans = list(
-            schemes.iter_plans(
-                3.5, "surface", self.NOISE, d_values=(3,), k_max=2, m_max=2
-            )
-        )
+        plans = plan_records(3.5, "surface", self.NOISE, d_values=(3,), k_max=2, m_max=2)
         assert plans
         assert all(p.theta_l_target / (p.m * p.k) < math.pi for p in plans)
         assert not any(p.m == 1 and p.k == 1 for p in plans)
+
+    def test_scaffold_builds_one_record(self, monkeypatch):
+        built = []
+        plan_class = schemes.ScaffoldPlan
+
+        def counting_plan(*args, **kwargs):
+            built.append(1)
+            return plan_class(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, "ScaffoldPlan", counting_plan)
+        schemes.scaffold_optimize(self.TARGET, "surface", self.NOISE)
+        assert len(built) == 1
+        schemes.scaffold_optimize(self.TARGET, "surface", self.NOISE, error_ceiling=1e-7)
+        assert len(built) == 2
+        with pytest.raises(InfeasibleError):
+            schemes.scaffold_optimize(self.TARGET, "surface", self.NOISE, error_ceiling=1e-30)
+        assert len(built) == 3
+
+
+# (code family, noise, grid): the default surface grid holds d = 3, 5, 7
+SELECTION_CASES = [
+    ("surface", NoiseModel(p_in=1e-3, r=2), {}),
+    ("perfect", NoiseModel(p_in=1e-3, r=2), {"d_values": (3,)}),
+    ("phase-flip", NoiseModel(p_in=1e-3, r=2), {"d_values": (3, 5)}),
+    ("surface", NoiseModel(p_in=1e-3, r=1), {}),
+    ("surface", NoiseModel(p_in=1e-3, r=3), {}),
+    ("surface", NoiseModel(p_in=1e-4, r=2), {"d_values": (3, 5), "k_max": 3, "m_max": 8}),
+    ("surface", NoiseModel(p_in=1e-3, r=2), {"d_values": (7, 5, 3)}),
+]
+
+
+@pytest.mark.parametrize(
+    "family,noise,grid", SELECTION_CASES,
+    ids=["surface", "perfect", "phase-flip-3-5", "r1", "r3", "narrow", "d-7-5-3"],
+)
+def test_selection_matches_a_record_per_cell(family, noise, grid):
+    # the planner selects on plain tuples with C-level keys; a record per
+    # cell selected with Python keys must give the same plans and fronts
+    for level in range(4, 15):
+        target = math.tau / 2**level
+        free = scaffold_by_records(target, family, noise, **grid)
+        assert schemes.scaffold_optimize(target, family, noise, **grid) == free
+        lowest = min(p.predicted_error for p in plan_records(target, family, noise, **grid))
+        assert lowest < free.predicted_error
+        binding = math.sqrt(lowest * free.predicted_error)
+        tight = scaffold_by_records(target, family, noise, error_ceiling=binding, **grid)
+        assert tight != free
+        assert schemes.scaffold_optimize(
+            target, family, noise, error_ceiling=binding, **grid
+        ) == tight
+        with pytest.raises(InfeasibleError) as want:
+            scaffold_by_records(target, family, noise, error_ceiling=lowest / 2, **grid)
+        with pytest.raises(InfeasibleError) as got:
+            schemes.scaffold_optimize(target, family, noise, error_ceiling=lowest / 2, **grid)
+        assert got.value.best_plan == want.value.best_plan
+        assert str(got.value) == str(want.value)
+        assert bench.our_method_curve(target, family, noise, **grid) == our_curve_by_records(
+            target, family, noise, **grid
+        )
+
+
+@pytest.mark.parametrize("d_values", [(3, 5, 7), (7, 5, 3)])
+def test_zero_error_refusal_names_the_first_cell(d_values):
+    # at p_in = 0 every cell has error 0; the first one in walk order is named
+    noise = NoiseModel(p_in=0.0, r=2)
+    with pytest.raises(ValueError) as want:
+        our_curve_by_records(math.tau / 2**10, "surface", noise, d_values=d_values)
+    with pytest.raises(ValueError) as got:
+        bench.our_method_curve(math.tau / 2**10, "surface", noise, d_values=d_values)
+    assert str(got.value) == str(want.value)
+    assert f"({d_values[0]}, 1, 1)" in str(got.value)
