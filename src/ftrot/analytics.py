@@ -11,18 +11,20 @@ logical Z rotation whose angle depends only on the weight class
 m = min(|b|, d-|b|).  This module collects the resulting closed forms:
 the accepted logical angle, the per-branch angles, the one
 accepted-error model (through second order: every accepted set of at
-most two data faults and readout flips, plus r-fold readout masking),
-success rates over the same fault sets and coherent-noise spread.  Every
-code that `codes.require_rotation` accepts goes through the same forms;
-a code enters only through its support weight and its derived error
-multiplicities.
+most two data faults and readout flips, plus r-fold readout masking,
+over the accepted share), success rates over the same fault sets and
+coherent-noise spread.  Every code that `codes.require_rotation`
+accepts goes through the same forms; a code enters only through its
+support weight and its derived error multiplicities.
 
 The model is one rate vector and one function: `class_rates(noise,
 mult)` gives the accepted fault-set rate of each weight class, class 0
-first, once per (code, noise); `model_terms(theta, d, rates)` is the
-one evaluation per angle, of the error and the accepted share alike.
-`accepted_error_model`, `success_rate`, ``analyze``, the planner's base
-states and the Monte-Carlo rare-event warning all read it.
+first, once per (code, noise), weighted as the Monte Carlo engine
+weights its table (`codes.fault_set_rates`); `model_terms(theta, d,
+rates)` is the one evaluation per angle, of the error and the accepted
+share alike.  Together they are the engine's exact law of the trials
+with at most two faults.  `accepted_error_model`, `success_rate`,
+``analyze`` and the planner's base states read it.
 
 Conventions (fixed package-wide): angles in radians; the rotation is
 cos + i*sin*Z per qubit; branch angles are reported in the frame where
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .codes import Multiplicities, code_of_size
+from .codes import Multiplicities, code_of_size, event_odds, fault_set_rates
 
 __all__ = [
     "NoiseModel",
@@ -164,17 +166,18 @@ def model_terms(theta: float, d: int, rates: tuple[float, ...]) -> tuple[float, 
     pair = sin^2 cos^{2(d-1)} + sin^{2(d-1)} cos^2 (half-angles
     implied) and infid = branch_infidelity(1, d, theta) take log cos,
     log sin and log tan once and every power by `_pow_log`, so they
-    have the bits of the per-power `_stable_pow` route.  The error
-    starts from the class-1 product rates[1] * pair * infid / p_s_coh.
-    A class m >= 2 of nonzero rate adds rate times its pair weight
-    s^{2m} c^{2(d-m)} + s^{2(d-m)} c^{2m} times infid(m), over p_s_coh.
-    That product is (s c)^{2(d-m)} (s^{2m} - (-1)^m c^{2m})^2 / p_s_coh
-    (half-angles implied): no tangent, so nothing overflows near pi,
-    and no difference of two angles near pi cancels.
+    have the bits of the per-power `_stable_pow` route.  The error sums
+    the class-1 product rates[1] * pair * infid and, for each class
+    m >= 2 of nonzero rate, rate times its pair weight s^{2m} c^{2(d-m)}
+    + s^{2(d-m)} c^{2m} times infid(m).  That product is (s c)^{2(d-m)}
+    (s^{2m} - (-1)^m c^{2m})^2 / p_s_coh (half-angles implied): no
+    tangent, so nothing overflows near pi, and no difference of two
+    angles near pi cancels.
 
-    The accepted share p_s / p_s_in is p_s_coh plus each class's rate
-    times its pair weight, class 0's being p_s_coh; with every rate 0
-    it is p_s_coh, bit for bit.
+    The sum is divided once by the accepted share p_s / p_s_in, the
+    weight of every accepted trial, faulty ones included: p_s_coh plus
+    each class's rate times its pair weight, class 0's being p_s_coh;
+    with every rate 0 it is p_s_coh, bit for bit.
     """
     half = theta / 2.0
     s = math.sin(half)
@@ -188,7 +191,7 @@ def model_terms(theta: float, d: int, rates: tuple[float, ...]) -> tuple[float, 
         log_t = _log(math.tan(half))
         phi = _branch_angle(log_t, d, min(1, d - 1))
         infid = math.sin((_branch_angle(log_t, d, 0) - phi) / 2.0) ** 2
-    error = rates[1] * pair * infid / p_s_coh
+    error = rates[1] * pair * infid
     accepted = p_s_coh + (rates[0] * p_s_coh + rates[1] * pair)
     if len(rates) > 2:
         s2, c2, sc2 = s * s, c * c, (s * c) ** 2
@@ -198,9 +201,9 @@ def model_terms(theta: float, d: int, rates: tuple[float, ...]) -> tuple[float, 
             c2m *= c2
             if rates[m]:
                 cross = s2m - c2m if m % 2 == 0 else s2m + c2m
-                error += rates[m] * (sc2 ** (d - m) * cross * cross / p_s_coh) / p_s_coh
+                error += rates[m] * (sc2 ** (d - m) * cross * cross / p_s_coh)
                 accepted += rates[m] * (s2m * c2 ** (d - m) + s2 ** (d - m) * c2m)
-    return p_s_coh, pair, infid, error, accepted
+    return p_s_coh, pair, infid, error / accepted, accepted
 
 
 def logical_angle(theta: float, d: int) -> float:
@@ -258,60 +261,47 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     leaves the same syndrome in every cycle, equal to the syndrome of
     some branch strings, is accepted with those strings; the accepted
     state is then off by branch_angle(m) of their class m: the set's
-    signatures (`codes.slot_events`) XOR to 0.  The model sums
-    every such set of at most two locations (`codes.Multiplicities
-    .fault_sets`, the one cached fault-set table `codes
-    ._fault_set_counts`) and the r-fold readout masking path, each
-    weighted by its rate (`class_rates`), the probability of its branch
-    pairs and their class infidelity, and normalizes by p_s_coh.  Sets of three
-    or more locations are left out, and so is the accepted-fault mass
-    in the normalization (`success_rate` counts it).  With a hand-built
+    signatures (`codes.slot_events`) XOR to 0.  The model sums every
+    such set of at most two locations and the r-fold readout masking
+    path, each weighted by its rate (`class_rates`), the probability of
+    its branch pairs and their class infidelity, and divides by the
+    accepted share, in which `success_rate` counts the same sets.  Sets
+    of three or more locations are left out.  With a hand-built
     `Multiplicities`, which lists no fault sets, only the first-order
     paths remain: flip projection, secondary flip and masking into the
     weight-1 branch.  As theta -> 0 that part tends to the compact
     published form (m1 p_in/3 + combos q^r) sin^{2(d-1)}(theta/2) /
-    cos(theta/2), with the flip term divided by (1-p_in).
+    cos(theta/2), with p_in/3 divided by (1-p_in) and q by (1-q).
     """
     return model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))[3]
 
 
 def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
     """Rate of the accepted fault sets per weight class m = 0..d//2,
-    class 0 first.
+    class 0 first: P(a set's events and no other, accepted in class m)
+    over P0 (no event at all) and the class-m pair weight, summed over
+    the sets.
 
     Class 0's sets are accepted with the branch pair {0, 1^d}: they add
     to the acceptance but not to the error (on the phase-flip code every
-    X fault is one).  Class 1 starts from the first-order paths: the
-    flip paths, m1 (p_in/3) / (1-p_in), plus r-fold readout masking,
-    readout_combos * readout_flip^r.  Every other fault set of at most
-    two locations adds a = (p_in/3)/(1-p_in) per data fault and q =
-    readout_flip per flip, as the first-order paths do: the rate of a
-    data fault on a history that is otherwise clean, and the flip
-    probability without its (1-q)^-1 conditioning, a relative O(q)
-    change.  The order-2 sets are the parts of `mult.fault_sets(r)`, the
-    sets whose signatures cancel, not already in the first-order paths:
-    the flip-projection and secondary-flip faults in class 1 and, for
-    r <= 2, the masking flips (one at r = 1, a pair at r = 2).  A
-    hand-built `Multiplicities` gives (0.0, first-order rate).
+    X fault is one).  The sets of one or two events are
+    `codes.fault_set_rates` at order 2, the Monte Carlo engine's
+    weighting: a = (p_in/3)/(1-p_in) per data fault and g = f/(1-f) per
+    flip at readout_flip f.  They hold the first-order paths (the flip
+    paths in class 1 and, for r <= 2, the masking flips: one at r = 1,
+    a pair at r = 2).  For r >= 3 the r-fold masking set,
+    readout_combos g^r in class 1, has more than two events and is
+    added alone.  A hand-built `Multiplicities` gives (0.0, m1 a +
+    readout_combos g^r).
     """
-    rate = mult.first_order * (noise.p_in / 3.0) / (1.0 - noise.p_in)
-    rate += mult.readout_combos * _stable_pow(noise.readout_flip, noise.r)
-    sets = mult.fault_sets(noise.r)
-    if not sets:
-        return (0.0, rate)
-    order_one = list(sets[1])
-    order_one[0] -= mult.first_order
-    if noise.r == 1:
-        order_one[1] -= mult.readout_combos  # a masking flip
-    elif noise.r == 2:
-        order_one[4] -= mult.readout_combos  # a masking pair of flips
-    a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
-    q = noise.readout_flip
-    rates = [
-        data * a + flip * q + data_data * a * a + data_flip * a * q + flip_flip * q * q
-        for data, flip, data_data, data_flip, flip_flip in (sets[0], order_one, *sets[2:])
-    ]
-    rates[1] = rate + rates[1]
+    a, g = event_odds(noise.p_in, noise.readout_flip)
+    masking = mult.readout_combos * _stable_pow(g, noise.r)
+    if not mult.channels:
+        return (0.0, mult.first_order * a + masking)
+    rates = fault_set_rates(mult.channels, mult.branch_columns, mult.n_checks, noise.r, 0, 2,
+                            noise.p_in, noise.readout_flip).tolist()
+    if noise.r >= 3:
+        rates[1] += masking
     return tuple(rates)
 
 

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .analytics import NoiseModel
@@ -258,30 +258,21 @@ def coh_curve(theta_l: float, distill: DistillCostTable, *, p_in: float) -> list
     return points
 
 
-def pareto_front(points: Iterable) -> list:
-    """Non-dominated subset, sorted by decreasing error (cost then
-    nondecreasing).
-
-    The points are all `CostPoint`s, or all tuples that open with
-    (error, cost), as the cells of `schemes.iter_plans` do; the front
-    holds the points themselves.  The sort is stable and on (error,
-    cost) alone, so of points with equal coordinates the first one
-    given enters.
+def pareto_front(points: Iterable[tuple]) -> list[tuple]:
+    """Non-dominated subset of tuples that open with (error, cost), as
+    the cells of `schemes.iter_plans` do, sorted by decreasing error
+    (cost then nondecreasing); the front holds the tuples themselves.
+    The sort is stable and on (error, cost) alone, so of points with
+    equal coordinates the first one given enters.
     """
-    ordered = list(points)
-    if ordered and isinstance(ordered[0], tuple):
-        coords = itemgetter(0, 1)
-    else:
-        coords = attrgetter("logical_error", "cost_d3")
-    ordered.sort(key=coords)
     front = []
     best_cost = math.inf
     # scan from lowest error up; a point enters if it is cheaper than
     # everything with equal-or-lower error
-    for point, (_, cost) in zip(ordered, map(coords, ordered)):
-        if cost < best_cost:
+    for point in sorted(points, key=itemgetter(0, 1)):
+        if point[1] < best_cost:
             front.append(point)
-            best_cost = cost
+            best_cost = point[1]
     front.reverse()
     return front
 

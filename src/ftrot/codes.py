@@ -35,10 +35,11 @@ set of at most two (or three) faults and flips over r cycles, grouped
 by signature and counted by the weight classes of the branch strings it
 is accepted with, class 0 included, once per check layout, r, target
 and order; past r = 5 (or 7) its counts are extrapolated exactly from
-r = 3..5 (or 4..7).  At order 2 it is the model's second order,
-``Multiplicities.fault_sets``; at order 3, with an injected Z's form as
-the target, it is the Monte Carlo engine's table of trials with at
-most three faults.  `code_of_size` finds the
+r = 3..5 (or 4..7).  `fault_set_rates` is its one weighting, each set
+at the product of its events' odds (`event_odds`): at order 2 it is the
+model's second order, and at order 3, with an injected Z's form as the
+target, the Monte Carlo engine's law of the trials with at most three
+faults.  `code_of_size` finds the
 registered code of a given size, for callers that only hold a code's
 qubit and check counts.  The test suite walks every fault set one at a
 time with a Pauli frame per cycle.
@@ -71,7 +72,8 @@ class Multiplicities:
     exactly the checks that Z_s trips, so a single-qubit fault is first
     order when its syndrome equals that of Z on some support qubit.
     Derived from the checks by the code (see
-    ``StabilizerCode.error_multiplicities``).
+    ``StabilizerCode.error_multiplicities``), with the check masks that
+    `fault_set_rates` reads.
 
     Attributes
     ----------
@@ -92,8 +94,7 @@ class Multiplicities:
 
     # what the fault-set enumeration reads: the check bit mask of each
     # single-qubit channel (qubit-major, X Y Z), of Z on each support
-    # position and the check count; empty in a hand-built instance,
-    # whose model is then order 1 alone
+    # position and the check count; empty in a hand-built instance
     channels: tuple[int, ...] = field(default=(), repr=False, compare=False)
     branch_columns: tuple[int, ...] = field(default=(), repr=False, compare=False)
     n_checks: int = field(default=0, repr=False, compare=False)
@@ -102,16 +103,6 @@ class Multiplicities:
     def first_order(self) -> int:
         """Total multiplicity of the first-order substrate error path."""
         return self.flip_projection + self.secondary_flip
-
-    def fault_sets(self, r: int) -> tuple[tuple[int, ...], ...]:
-        """Per weight class m = 0..d//2 (index m), the accepted fault
-        sets of at most two locations over r cycles, as five counts: one
-        data fault, one flip, two data faults, a data fault and a flip,
-        two flips.  A location is a data fault (qubit, cycle, X/Y/Z) or
-        a readout flip (check, cycle); each count sums, over its sets,
-        the branch pairs {b, bbar} of class m that the set is accepted
-        with.  Empty in a hand-built instance."""
-        return _fault_set_counts(self.channels, self.branch_columns, self.n_checks, r, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -440,15 +431,15 @@ def _fault_set_counts(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
     order: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """`Multiplicities.fault_sets` with a Z injected in the first cycle
-    whose form (`_reduce`'s `rest << d | b0`) is `target`, 0 without one,
-    over the sets of at most `order` events: 5 shapes per class at
-    order 2, 9 at order 3 (`_count_sets`).  Each (b0, shape) of
-    `_count_sets` at target `rest` adds the branch strings of b0 XOR the
-    Z's per class (`_coset_counts`).  Cached by value, so every code
-    object built with the same checks, and the Monte Carlo engine
-    without a Z, share one table per (r, order); only the engine asks
-    for order 3.
+    """Per weight class m = 0..d//2, the accepted sets of one to `order`
+    events over r cycles per shape, 5 at order 2 (a data fault, a flip,
+    two data faults, one of each, two flips) and 9 at order 3
+    (`_count_sets`): each count sums the class-m branch pairs {b, bbar}
+    that its sets are accepted with.  `target` is the form (`_reduce`'s
+    `rest << d | b0`) of a Z injected in the first cycle, 0 without one:
+    each (b0, shape) of `_count_sets` at target `rest` adds the branch
+    strings of b0 XOR the Z's per class (`_coset_counts`).  Cached by
+    value, so code objects with the same checks share one table.
 
     Past r = 2 order + 1 each count is the polynomial of degree `order`
     in r through r = order + 1, ..., 2 order + 1, exactly.  Call the
@@ -494,6 +485,28 @@ def _fault_set_counts(
         for m, row in enumerate(counts):
             row[shape] += strings[m] * count
     return tuple(map(tuple, counts))
+
+
+def event_odds(p_in: float, readout_flip: float) -> tuple[float, float]:
+    """The odds (a, g) of one event against a clean slot: a = (p_in/3) /
+    (1 - p_in) for a data fault of one kind, g = f / (1 - f) for a flip
+    at readout_flip f.  A set of events and no other weighs P0 (no event
+    at all) times the product of its odds."""
+    return p_in / 3.0 / (1.0 - p_in), readout_flip / (1.0 - readout_flip)
+
+
+def fault_set_rates(
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
+    order: int, p_in: float, readout_flip: float,
+) -> np.ndarray:
+    """`_fault_set_counts` (same arguments) with each set weighted by its
+    events' odds (`event_odds`): per class m, P(exactly those events,
+    accepted in class m) over P0 and the class-m pair weight, summed over
+    the sets.  The empty set is left to the caller."""
+    a, g = event_odds(p_in, readout_flip)
+    odds = (a, g, a * a, a * g, g * g, a**3, a * a * g, a * g * g, g**3)
+    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, target, order), dtype=float)
+    return counts @ odds[: counts.shape[1]]
 
 
 def _bits(mask: int):

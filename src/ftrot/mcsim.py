@@ -19,12 +19,12 @@ infidelity against the target angle is a closed form; the estimator
 averages it.
 
 Noise is sparse at the rates of interest, so most trials hold no fault,
-one, two or three.  Their outcomes are exact: `codes._fault_set_counts`,
-the per-class table the model counts with, here over the sets of at
-most three events, gives once per (code, noise, injected Z) the
-probability that a trial holds at most three faults and is accepted in
-class m, as per-class counts times pair weights, and a batch draws the
-classes of all such trials at once.  Only the few that hold four or
+one, two or three.  Their outcomes are exact: `codes.fault_set_rates`,
+the weighted per-class table that the model reads over the sets of at
+most two events, here over those of at most three, gives once per
+(code, noise, injected Z) the probability that a trial holds at most
+three faults and is accepted in class m, as per-class counts times pair
+weights, and a batch draws the classes of all such trials at once.  Only the few that hold four or
 more are evaluated, as check-mask words, a chunk of at most 2^20
 (cycle, trial) words at a time.  Noise is independent of b, so given
 the noise the class counts of the n_s trials that read s in every cycle
@@ -68,7 +68,7 @@ flip, o_e = f/(1 - f) at readout_flip f.  A set of events on distinct
 slots weighs P0 prod o_e, with P0 = prod(1 - p_i).  So Q_m is the
 per-class count, P0 times the class-m branch pairs of the accepted sets
 of at most three events, each weighted by its odds
-(`codes._fault_set_counts`, and the empty set), times the pair weight
+(`codes.fault_set_rates`, and the empty set), times the pair weight
 s^m (1 - s)^(d - m) + s^(d - m) (1 - s)^m with s = sin^2(theta/2).  With
 w_j = p_j prod_{i<j}(1 - p_i) the probability that the first fault is
 at slot j and o_j = p_j / (1 - p_j), the tails chain is T_1 = the tails
@@ -103,7 +103,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode, _branch_basis, _coset_counts, _fault_set_counts, _reduce
+from .codes import StabilizerCode, _branch_basis, _coset_counts, _reduce, fault_set_rates
 from .codes import require_rotation
 
 DEFAULT_BATCH_SIZE = 1 << 18
@@ -407,16 +407,14 @@ def _plan(
     for _ in range(3):
         chain.append(tails(odds * chain[-1][1:]))
 
-    # a set of up to three events e weighs P0 prod o_e, with o_e =
-    # (p_in / 3) / (1 - p_in) for one kind of data fault and f / (1 - f)
-    # for a flip; `codes._fault_set_counts` counts the accepted sets'
-    # branch pairs per class and shape.  The empty set reads the Z's own
-    # syndrome, accepted when that lies in the branch span
-    a, g = noise.p_in / 3.0 / (1.0 - noise.p_in), noise.readout_flip / (1.0 - noise.readout_flip)
-    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, injected, 3), dtype=float)
+    # a set of up to three events weighs P0 times its events' odds
+    # (`codes.fault_set_rates`, per class over the accepted sets).  The
+    # empty set reads the Z's own syndrome, accepted when that lies in
+    # the branch span
+    sets = fault_set_rates(channels, columns, n_checks, r, injected, 3,
+                           noise.p_in, noise.readout_flip)
     empty = _coset_counts(columns, injected)[: d // 2 + 1] if injected < 1 << d else 0.0
-    odds3 = (a, g, a * a, a * g, g * g, a**3, a * a * g, a * g * g, g**3)
-    few = math.exp(before[-1]) * (empty + counts @ odds3)
+    few = math.exp(before[-1]) * (empty + sets)
     words = _word_column(injected, width)[:, 0]
     plan = _Plan(table, words, row, loc, n_data, noise, d, few, np.array(chain[::-1]))
     for array in plan:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrot import analytics, codes
+from ftrot import analytics, codes, mcsim
 from ftrot.analytics import NoiseModel, RotationConfig
 from ftrot.codes import Multiplicities, get_code
 
@@ -144,14 +144,13 @@ class TestIncoherentError:
 
     def test_derived_value(self):
         # m1 (p/3)/(1-p) * pair probability * weight-1 branch infidelity
-        # / p_s_coh, with the branch angles from the state-vector oracle
+        # over the accepted share p_s_coh + rate * pair, with the branch
+        # angles from the state-vector oracle
         s2, c2 = math.sin(0.25) ** 2, math.cos(0.25) ** 2
         phi = statevector_branch_angles(3, 0.5)
         infid = math.sin((phi[0] - phi[1]) / 2) ** 2
-        expected = (
-            3 * (1e-3 / 3) / (1 - 1e-3) * (s2 * c2**2 + s2**2 * c2) * infid
-            / (c2**3 + s2**3)
-        )
+        rate, pair = 3 * (1e-3 / 3) / (1 - 1e-3), s2 * c2**2 + s2**2 * c2
+        expected = rate * pair * infid / (c2**3 + s2**3 + rate * pair)
         got = analytics.accepted_error_model(self.CFG, Multiplicities(3, 0, 0))
         assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -159,7 +158,7 @@ class TestIncoherentError:
         # far below the scale of every input the model stays positive
         cfg = RotationConfig(theta=1e-3, d=9, p_in=1e-3)
         val = analytics.accepted_error_model(cfg, Multiplicities(9, 0, 0))
-        assert val == pytest.approx(4.582227338430586e-56, rel=1e-12, abs=0)
+        assert val == pytest.approx(4.582227334990474e-56, rel=1e-12, abs=0)
 
 
 class TestReadout:
@@ -173,14 +172,23 @@ class TestReadout:
         cfg = RotationConfig(theta=0.5, d=3, p_in=0.0, r=r, readout_flip=q)
         return analytics.accepted_error_model(cfg, self.MULT)
 
+    def masking(self, r: int, q: float = Q) -> tuple[float, float]:
+        """The masking rate readout_combos g^r, g = q / (1 - q), and the
+        accepted share p_s_coh + rate * pair that the error divides by."""
+        p_s_coh, pair, _ = rotation_terms_per_power(0.5, 3)
+        rate = 2 * (q / (1 - q)) ** r
+        return rate, p_s_coh + rate * pair
+
     def test_r_ratio(self):
+        (rate_1, accepted_1), (rate_2, accepted_2) = self.masking(1), self.masking(2)
         assert self.readout_only(2) / self.readout_only(1) == pytest.approx(
-            self.Q, rel=1e-12
+            rate_2 / rate_1 * accepted_1 / accepted_2, rel=1e-12
         )
 
     def test_uses_readout_flip_override(self):
         ratio = self.readout_only(2, q=0.05) / self.readout_only(2)
-        assert ratio == pytest.approx((0.05 / self.Q) ** 2, rel=1e-12)
+        (rate, accepted), (rate_q, accepted_q) = self.masking(2, 0.05), self.masking(2)
+        assert ratio == pytest.approx(rate / rate_q * accepted_q / accepted, rel=1e-12)
 
     def test_monotone_decay(self):
         vals = [self.readout_only(r) for r in range(1, 8)]
@@ -197,7 +205,7 @@ class TestAcceptedErrorModel:
     def test_frozen_surface_point(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
         got = analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2))
-        assert got == pytest.approx(8.046819839692327e-06, rel=1e-12, abs=0)
+        assert got == pytest.approx(8.045893069220633e-06, rel=1e-12, abs=0)
 
     def test_zero_noise_zero(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=0.0, r=2)
@@ -247,7 +255,8 @@ class TestRotationTerms:
     def test_higher_classes_are_pair_weight_times_infidelity(self):
         # the closed form (s c)^{2(d-m)} (s^{2m} - (-1)^m c^{2m})^2 / p_s_coh
         # against the pair weight times branch_infidelity, away from pi
-        # where the arctangent route loses digits; one class at a time
+        # where the arctangent route loses digits; one class at a time,
+        # over the accepted share p_s_coh + its pair weight
         for d in (3, 5, 7, 9, 15):
             for theta in (0.05, 0.3, 0.609, 1.0, 1.5, 2.0):
                 s, c = math.sin(theta / 2), math.cos(theta / 2)
@@ -255,7 +264,8 @@ class TestRotationTerms:
                     rates = tuple(1.0 if i == m else 0.0 for i in range(m + 1))
                     p_s_coh, _, _, error, _ = analytics.model_terms(theta, d, rates)
                     weight = s ** (2 * m) * c ** (2 * (d - m)) + s ** (2 * (d - m)) * c ** (2 * m)
-                    expected = weight * analytics.branch_infidelity(m, d, theta) / p_s_coh
+                    expected = (weight * analytics.branch_infidelity(m, d, theta)
+                                / (p_s_coh + weight))
                     assert error == pytest.approx(expected, rel=1e-9), (d, theta, m)
 
     def test_public_model_is_built_from_them(self):
@@ -273,12 +283,42 @@ class TestRotationTerms:
         assert hidden == 0.0
         p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
         assert analytics.accepted_error_model(cfg, order_one) == (
-            rate * pair * infid / p_s_coh
+            rate * pair * infid / (p_s_coh + rate * pair)
         )
         # its accepted-fault mass is those paths alone
         assert analytics.success_rate(cfg, code.n, len(code.stabilizers), order_one) == (
             p_s_in * (p_s_coh + rate * pair), p_s_in, p_s_coh
         )
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name, d", [("surface", 3), ("surface", 5), ("surface", 7),
+                                     ("phase-flip", 3), ("phase-flip", 5), ("perfect", None)])
+def test_model_is_the_exact_law_of_two_faults(name, d, r):
+    # the Monte Carlo engine's exact law of the trials with at most two
+    # faults, built here from the integer table: a set of events weighs
+    # P0 times its odds, a = (p_in/3)/(1 - p_in) per data fault and
+    # g = f/(1 - f) per flip, and the empty set is the coset of branch
+    # syndrome 0; class m then takes its pair weight.  The model's error
+    # is that law's mean infidelity, and its acceptance the law over P0.
+    # Nearer pi than 3.0 the reference's arctangent route loses digits
+    code = get_code(name, d)
+    mult = code.error_multiplicities
+    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0, 2)
+    empty = codes._coset_counts(mult.branch_columns, 0)[: code.d // 2 + 1]
+    for noise in (NoiseModel(p_in=1e-3, r=r), NoiseModel(p_in=1e-2, r=r),
+                  NoiseModel(p_in=1e-3, r=r, readout_flip=0.05)):
+        a = noise.p_in / 3 / (1 - noise.p_in)
+        g = noise.readout_flip / (1 - noise.readout_flip)
+        rates = np.add(empty, np.array(table, dtype=float) @ [a, g, a * a, a * g, g * g])
+        for theta in (0.01, 0.1, 0.357, 0.8, 2.0, 3.0):
+            law = rates * mcsim._pair_weights(theta, code.d)
+            infid = [analytics.branch_infidelity(m, code.d, theta) for m in range(code.d // 2 + 1)]
+            cfg = RotationConfig(theta=theta, d=code.d, **vars(noise))
+            error = analytics.accepted_error_model(cfg, mult)
+            assert error == pytest.approx(law @ infid / law.sum(), rel=1e-12, abs=0), theta
+            sr = analytics.success_rate(cfg, code.n, len(code.stabilizers), mult)
+            assert sr.p_s / sr.p_s_in == pytest.approx(law.sum(), rel=1e-12, abs=0), theta
 
 
 class TestSuccessRate:
@@ -302,7 +342,7 @@ class TestSuccessRate:
         assert sr == analytics.success_rate(
             cfg, 9, 8, get_code("surface", 3).error_multiplicities
         )
-        assert sr.p_s == pytest.approx(0.8043113683961227, rel=1e-12)
+        assert sr.p_s == pytest.approx(0.8043113699276129, rel=1e-12)
 
     def test_unregistered_size_keeps_the_product(self):
         # no registered code has 10 qubits and 9 checks at d = 3
@@ -317,18 +357,20 @@ class TestSuccessRate:
     def test_accepted_mass_is_the_walk_over_every_set(self, name, d, r):
         # p_s / p_s_in - p_s_coh against the sets that the scalar walk
         # accepts, each at its rate times its class's pair weight, plus
-        # the r-fold readout masking, which has r > 2 locations at r = 3
+        # the r-fold readout masking, which has r > 2 locations at r = 3;
+        # a set weighs the product of its odds, a per data fault and
+        # g = q / (1 - q) per flip
         code = get_code(name, d)
         mult = code.error_multiplicities
         noise = NoiseModel(p_in=2e-3, r=r)
         a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
-        q = noise.readout_flip
-        weights = (a, q, a * a, a * q, q * q)
+        g = noise.readout_flip / (1.0 - noise.readout_flip)
+        weights = (a, g, a * a, a * g, g * g)
         for theta in (0.3, 0.8, 2.0):
             cfg = RotationConfig(theta=theta, d=code.d, **vars(noise))
             s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
             pair_1 = s2 * c2 ** (code.d - 1) + s2 ** (code.d - 1) * c2
-            mass = mult.readout_combos * q**r * pair_1 if r > 2 else 0.0
+            mass = mult.readout_combos * g**r * pair_1 if r > 2 else 0.0
             for m, counts in enumerate(fault_set_counts(code, r)):
                 pair = s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m
                 mass += pair * sum(c * w for c, w in zip(counts, weights))

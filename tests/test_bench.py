@@ -347,25 +347,25 @@ class TestGoldenBaselineRows:
 class TestParetoFront:
     def test_known_front(self):
         pts = [
-            CostPoint("x", 1e-3, 10.0),
-            CostPoint("x", 1e-4, 5.0),  # dominates the first
-            CostPoint("x", 1e-5, 50.0),
-            CostPoint("x", 1e-5, 60.0),  # duplicate error, pricier
+            (1e-3, 10.0, "x"),
+            (1e-4, 5.0, "x"),  # dominates the first
+            (1e-5, 50.0, "x"),
+            (1e-5, 60.0, "x"),  # duplicate error, pricier
         ]
         front = pareto_front(pts)
-        assert [(p.logical_error, p.cost_d3) for p in front] == [
+        assert [(p[0], p[1]) for p in front] == [
             (1e-4, 5.0),
             (1e-5, 50.0),
         ]
 
     def test_tuples_and_ties_keep_the_order_given(self):
-        # tuples that open with (error, cost) take the front cost points
-        # take; of equal coordinates the first one given enters
+        # the tuples themselves enter, whatever follows (error, cost); of
+        # equal coordinates the first one given enters
         coords = [(1e-3, 10.0), (1e-4, 5.0), (1e-5, 50.0), (1e-5, 60.0), (1e-4, 5.0)]
         tags = range(len(coords), 0, -1)
         cells = [(e, c, tag) for (e, c), tag in zip(coords, tags)]
         assert pareto_front(cells) == [(1e-4, 5.0, 4), (1e-5, 50.0, 3)]
-        pts = [CostPoint(str(tag), e, c) for (e, c), tag in zip(coords, tags)]
+        pts = [(e, c, CostPoint(str(tag), e, c)) for (e, c), tag in zip(coords, tags)]
         assert pareto_front(pts) == [pts[1], pts[2]]
 
     @settings(max_examples=100, deadline=None)
@@ -380,17 +380,16 @@ class TestParetoFront:
         )
     )
     def test_no_domination_and_shape(self, coords):
-        pts = [CostPoint("x", e, c) for e, c in coords]
+        pts = [(e, c, "x") for e, c in coords]
         front = pareto_front(pts)
         assert front
         for f in front:
             assert not any(
-                (p.logical_error <= f.logical_error and p.cost_d3 < f.cost_d3)
-                or (p.logical_error < f.logical_error and p.cost_d3 <= f.cost_d3)
+                (p[0] <= f[0] and p[1] < f[1]) or (p[0] < f[0] and p[1] <= f[1])
                 for p in pts
             )
-        errs = [f.logical_error for f in front]
-        costs = [f.cost_d3 for f in front]
+        errs = [f[0] for f in front]
+        costs = [f[1] for f in front]
         assert errs == sorted(errs, reverse=True)
         assert costs == sorted(costs)
 
@@ -404,7 +403,8 @@ class TestOurCurveAndReport:
             self.TARGET, "surface", self.NOISE, d_values=(3, 5), k_max=3, m_max=8
         )
         assert pts
-        assert pts == pareto_front(pts)
+        coords = [(p.logical_error, p.cost_d3, p) for p in pts]
+        assert coords == pareto_front(coords)
         assert all(p.method == "ours" and p.error_kind == "incoherent" for p in pts)
 
     def test_our_curve_builds_cost_points_for_the_front_only(self, monkeypatch):

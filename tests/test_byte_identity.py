@@ -27,39 +27,39 @@ OURS_ALL = ["bench", "--methods", "ours,rs,coh", "--distill-costs", "bundled"]
 
 CASES = {
     "scaffold-1e-4": (sweep(["scaffold"], "1e-4"),
-                      "af6d5f5386f2b866923d9e9b21e5cd6a70b6893a24064b3b1c43e8ba07571a23"),
+                      "7bb204478c81a0f1d094e1083f5e8471556613d19dd51334709adde43609c140"),
     "scaffold-1e-3": (sweep(["scaffold"], "1e-3"),
-                      "c5f5061af5dd53fab073f1921b8dd95fcf5f255b210d887d1e86a8354e6c4a54"),
+                      "9bc097cee0663f75f9177b9bafd35f65e2a037cd2b02a3782df1a5ff7391cbbb"),
     "bench-ours-1e-4": (sweep(["bench", "--methods", "ours"], "1e-4"),
-                        "480cbbece3d180bb82db21f2ebeb2647c5e3d4671c08a4b0ebfd795734c18542"),
+                        "326643731336630dcc6f07cbab59ba9597861310dc63b0aa29cf63c13662b102"),
     "bench-ours-1e-3": (sweep(["bench", "--methods", "ours"], "1e-3"),
-                        "49b62752175991303625fecebd577e3256ff69e1f4d227666e36c4751b105908"),
+                        "4790b2ce74b15ba53c1ce872cfe89913e78c10cbd5a9265bca4c587cd41f3a0a"),
     "bench-all-1e-4": (sweep(OURS_ALL, "1e-4"),
-                       "f1c1fb775991a10dba948b9db29652c82158934754c56f3fa340b1ad702b4617"),
+                       "0b37931a885a98e4a20720061a90664d68db37804b3ec2360b6e8cc3a56b2738"),
     "bench-all-1e-3": (sweep(OURS_ALL, "1e-3"),
-                       "d67d908a67502e24716ad707f86dcbc9f3cabc7e21cecd07b75e69eaff2fb494"),
+                       "1bd5a89422fb4affd80389fcf762a90e29b8aae05447e8778a4e140d67fc76de"),
     "scaffold-r3": ([["scaffold", "--theta-l", "2pi/2^10", "--r", "3"]],
-                    "6e805ff247b893372dd4d4ef83f224b391ec4f33019afc598b4edd57e5d9906a"),
+                    "74eaedcb2498ae1433b0f86ae007e3685cd8ed84b89bdb8df605fc604a8c90bc"),
     "scaffold-perfect": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "perfect"]],
-                         "5deb60b7aea5f31b71890c5674ddd72587ff06689683183b293b945b84afe06c"),
+                         "c1dab5dd096dd421bebf6a84af751482ab6b8fe722498fe0d344821bd24e5d87"),
     "scaffold-phase-flip": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "phase-flip"]],
-                            "130086cf91596290a1bcb7d0d6b16eff34d13c49f1368c9194a62166924f99c6"),
+                            "6281f89109c7ef8085e30460e43d6439b36052149c7f04c1fa35927eb693da84"),
     # exit 3: the payload carries the closest plan
     "scaffold-ceiling": ([["scaffold", "--theta-l", "2pi/2^10", "--error-ceiling", "1e-9"]],
-                         "8c288ddd8dde06a318e6972e47c98d7ea4aaf3cba676f6b9c69fc885a6195e27"),
+                         "23c579e08445561bfd5ed9922e3ebfbb335f49dfa3b69c29fc6193d37c60e61d"),
     # the front on the fixed-distance codes and on a narrowed grid
     "bench-ours-perfect": ([["bench", "--methods", "ours", "--code", "perfect",
                              "--theta-l", "2pi/2^10"]],
-                           "21fb0e268772129435a8a5b385de8404895e37f5bcac11393b6e9314b5ea2960"),
+                           "0c22f433447973a50fadb5facab360c89bf696d1382d21b167d7bff663f1eb75"),
     "bench-ours-phase-flip": ([["bench", "--methods", "ours", "--code", "phase-flip",
                                 "--d-values", "3,5", "--theta-l", "2pi/2^10"]],
-                              "71d84884e3f49d55e004e8e2caf87d983884f793aa481d0be71b97e528b8f6b7"),
+                              "028ebb7e40330c779499eee7cf1681a3aed2b6e71fd231fb9e1835237c0ac68e"),
     "bench-ours-narrow": ([["bench", "--methods", "ours", "--d-values", "3,5", "--k-max", "3",
                             "--m-max", "8", "--theta-l", "2pi/2^10"]],
-                          "c8f8cce9edac14da87653b5e2c28aeb5fb851d7d90496751c8c983ed809103fc"),
+                          "2a236d05229f5a3c302eb955810d73529891dc6c3ea1f86d7711107bcecbb69a"),
     # theta = 0 included: the zero-base edge of the log-domain powers
     "analyze": ([["analyze", "--theta", "0:1.5:7", "--d", "5"]],
-                "1d883a404daae7eadd50790f5988a4696a25eefd9df5fe03ad858ba353b9a98c"),
+                "24108e9090f459b8367e5726a9fd0a6f1d14d7dc10d5add2cb44ef1fe86e5c53"),
 }
 
 

@@ -235,8 +235,9 @@ def test_fault_sets_match_the_walk_over_every_set(name, d, r):
     # r = 1, 2 and >= 3 accept different sets with readout flips in them;
     # r = 6 is the first r whose counts are extrapolated from r = 3, 4, 5
     code = codes.get_code(name, d)
-    got = [list(counts) for counts in code.error_multiplicities.fault_sets(r)]
-    assert got == fault_set_counts(code, r)
+    mult = code.error_multiplicities
+    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0, 2)
+    assert [list(counts) for counts in table] == fault_set_counts(code, r)
 
 
 @pytest.mark.parametrize(
@@ -328,8 +329,11 @@ def test_fault_sets_are_shared_by_code_value():
     a = codes.rotated_surface_code(5).error_multiplicities
     b = codes.rotated_surface_code(5).error_multiplicities
     assert a is not b
-    assert a.fault_sets(2) is b.fault_sets(2)
-    assert codes.Multiplicities(5, 2, 2).fault_sets(2) == ()
+    assert codes._fault_set_counts(a.channels, a.branch_columns, a.n_checks, 2, 0, 2) is (
+        codes._fault_set_counts(b.channels, b.branch_columns, b.n_checks, 2, 0, 2))
+    hand_built = codes.Multiplicities(5, 2, 2)
+    assert codes._fault_set_counts(hand_built.channels, hand_built.branch_columns,
+                                   hand_built.n_checks, 2, 0, 2) == ()
 
 
 def test_replace_rederives_from_the_checks():
