@@ -10,20 +10,21 @@ Error detection keeps only the pair {b, bbar}; the surviving state is a
 logical Z rotation whose angle depends only on the weight class
 m = min(|b|, d-|b|).  This module collects the resulting closed forms:
 the accepted logical angle, the per-branch angles, the one
-accepted-error model (through second order: every accepted set of at
-most two data faults and readout flips, plus r-fold readout masking,
-over the accepted share), success rates over the same fault sets and
-coherent-noise spread.  Every code that `codes.require_rotation`
-accepts goes through the same forms; a code enters only through its
-support weight and its derived error multiplicities.
+accepted-error model (through third order: every accepted set of at
+most three data faults and readout flips, plus r-fold readout masking
+from r = 4 on, over the accepted share), success rates over the same
+fault sets and coherent-noise spread.  Every code that
+`codes.require_rotation` accepts goes through the same forms; a code
+enters only through its support weight and its derived error
+multiplicities.
 
 The model is one rate vector and one function: `class_rates(noise,
 mult)` gives the accepted fault-set rate of each weight class, class 0
-first, once per (code, noise), weighted as the Monte Carlo engine
-weights its table (`codes.fault_set_rates`); `model_terms(theta, d,
+first, once per (code, noise), from the Monte Carlo engine's own
+weighted table (`codes.fault_set_rates`); `model_terms(theta, d,
 rates)` is the one evaluation per angle, of the error and the accepted
 share alike.  Together they are the engine's exact law of the trials
-with at most two faults.  `accepted_error_model`, `success_rate`,
+with at most three faults.  `accepted_error_model`, `success_rate`,
 ``analyze`` and the planner's base states read it.
 
 Conventions (fixed package-wide): angles in radians; the rotation is
@@ -255,18 +256,19 @@ def branch_infidelity(b_weight: int, d: int, theta: float,
 
 
 def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
-    """Prediction of the Monte-Carlo mean infidelity through second order.
+    """Prediction of the Monte-Carlo mean infidelity through third order.
 
     A fault set (data faults and readout flips over r cycles) that
     leaves the same syndrome in every cycle, equal to the syndrome of
     some branch strings, is accepted with those strings; the accepted
     state is then off by branch_angle(m) of their class m: the set's
     signatures (`codes.slot_events`) XOR to 0.  The model sums every
-    such set of at most two locations and the r-fold readout masking
-    path, each weighted by its rate (`class_rates`), the probability of
-    its branch pairs and their class infidelity, and divides by the
-    accepted share, in which `success_rate` counts the same sets.  Sets
-    of three or more locations are left out.  With a hand-built
+    such set of at most three locations and, from r = 4 on, the r-fold
+    readout masking path, each weighted by its rate (`class_rates`), the
+    probability of its branch pairs and their class infidelity, and
+    divides by the accepted share, in which `success_rate` counts the
+    same sets.  Sets of four or more locations are left out, the r-fold
+    masking set alone excepted.  With a hand-built
     `Multiplicities`, which lists no fault sets, only the first-order
     paths remain: flip projection, secondary flip and masking into the
     weight-1 branch.  As theta -> 0 that part tends to the compact
@@ -284,23 +286,23 @@ def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
 
     Class 0's sets are accepted with the branch pair {0, 1^d}: they add
     to the acceptance but not to the error (on the phase-flip code every
-    X fault is one).  The sets of one or two events are
-    `codes.fault_set_rates` at order 2, the Monte Carlo engine's
-    weighting: a = (p_in/3)/(1-p_in) per data fault and g = f/(1-f) per
-    flip at readout_flip f.  They hold the first-order paths (the flip
-    paths in class 1 and, for r <= 2, the masking flips: one at r = 1,
-    a pair at r = 2).  For r >= 3 the r-fold masking set,
-    readout_combos g^r in class 1, has more than two events and is
-    added alone.  A hand-built `Multiplicities` gives (0.0, m1 a +
-    readout_combos g^r).
+    X fault is one).  The sets of one to three events are
+    `codes.fault_set_rates`, the table and weighting that the Monte Carlo
+    engine reads: a = (p_in/3)/(1-p_in) per data fault and g = f/(1-f)
+    per flip at readout_flip f.  They hold the first-order paths (the
+    flip paths in class 1 and, for r <= 3, the masking flips: one at
+    r = 1, a pair at r = 2, three at r = 3).  For r >= 4 the r-fold
+    masking set, readout_combos g^r in class 1, has more than three
+    events and is added alone.  A hand-built `Multiplicities` gives
+    (0.0, m1 a + readout_combos g^r).
     """
     a, g = event_odds(noise.p_in, noise.readout_flip)
     masking = mult.readout_combos * _stable_pow(g, noise.r)
     if not mult.channels:
         return (0.0, mult.first_order * a + masking)
-    rates = fault_set_rates(mult.channels, mult.branch_columns, mult.n_checks, noise.r, 0, 2,
+    rates = fault_set_rates(mult.channels, mult.branch_columns, mult.n_checks, noise.r, 0,
                             noise.p_in, noise.readout_flip).tolist()
-    if noise.r >= 3:
+    if noise.r >= 4:
         rates[1] += masking
     return tuple(rates)
 

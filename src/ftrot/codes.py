@@ -31,18 +31,17 @@ branch patterns whose syndrome a single readout flip can mask
 signature and a branch string b0, over GF(2), and a set is accepted when
 its signatures XOR to 0, reading the XOR of its b0s.
 `_fault_set_counts` is the one cached fault-set table: every accepted
-set of at most two (or three) faults and flips over r cycles, grouped
-by signature and counted by the weight classes of the branch strings it
-is accepted with, class 0 included, once per check layout, r, target
-and order; past r = 5 (or 7) its counts are extrapolated exactly from
-r = 3..5 (or 4..7).  `fault_set_rates` is its one weighting, each set
-at the product of its events' odds (`event_odds`): at order 2 it is the
-model's second order, and at order 3, with an injected Z's form as the
-target, the Monte Carlo engine's law of the trials with at most three
-faults.  `code_of_size` finds the
-registered code of a given size, for callers that only hold a code's
-qubit and check counts.  The test suite walks every fault set one at a
-time with a Pauli frame per cycle.
+set of at most three faults and flips over r cycles, grouped by
+signature and counted by the weight classes of the branch strings it
+is accepted with, class 0 included, once per check layout, r and
+target; past r = 7 its counts are extrapolated exactly from r = 4..7.
+`fault_set_rates` is its one weighting, each set at the product of its
+events' odds (`event_odds`): both the model's class rates and the Monte
+Carlo engine's law of the trials with at most three faults, the
+engine's also with an injected Z's form as the target.  `code_of_size`
+finds the registered code of a given size, for callers that only hold
+a code's qubit and check counts.  The test suite walks every fault set
+one at a time with a Pauli frame per cycle.
 
 `require_rotation` is the one rule for which codes the protocol
 covers; the Monte Carlo engine, the planner and ``analyze`` call it.
@@ -287,14 +286,13 @@ def slot_events(
 @functools.lru_cache(maxsize=64)
 def _count_sets(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
-    order: int,
 ) -> collections.Counter:
-    """The accepted sets of one to `order` (2 or 3) events of
-    `slot_events` over r cycles, counted event by event, as {(b0,
-    shape): count}, shape 0..4: data, flip, data-data, data-flip,
-    flip-flip, then 5..8 for three events: data-data-data, data-data-
-    flip, data-flip-flip, flip-flip-flip.  A data event is one X/Y/Z
-    kind; two data faults in one slot are no set.
+    """The accepted sets of one to three events of `slot_events` over r
+    cycles, counted event by event, as {(b0, shape): count}, shape 0..4:
+    data, flip, data-data, data-flip, flip-flip, then 5..8 for three
+    events: data-data-data, data-data-flip, data-flip-flip, flip-flip-
+    flip.  A data event is one X/Y/Z kind; two data faults in one slot
+    are no set.
 
     A set is accepted when its signatures XOR to `target`: 0, or an
     injected Z's signature, its remainder (`_reduce`) in row 0 alone.
@@ -334,8 +332,6 @@ def _count_sets(
         for e, f in pairs:
             if slots[e] != slots[f]:
                 tally[b0s[e] ^ b0s[f], 2 + (e >= n_data) + (f >= n_data)] += 1
-    if order < 3:
-        return tally
 
     def add(e: int, f: int, g: int) -> None:
         if slots[g] != slots[e] and slots[g] != slots[f]:
@@ -429,57 +425,54 @@ def _label_sum(terms) -> dict:
 @functools.lru_cache(maxsize=64)
 def _fault_set_counts(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
-    order: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """Per weight class m = 0..d//2, the accepted sets of one to `order`
-    events over r cycles per shape, 5 at order 2 (a data fault, a flip,
-    two data faults, one of each, two flips) and 9 at order 3
-    (`_count_sets`): each count sums the class-m branch pairs {b, bbar}
-    that its sets are accepted with.  `target` is the form (`_reduce`'s
+    """Per weight class m = 0..d//2, the accepted sets of one to three
+    events over r cycles per shape (`_count_sets`: a data fault, a flip,
+    two data faults, one of each, two flips, then the four shapes of
+    three): each count sums the class-m branch pairs {b, bbar} that its
+    sets are accepted with.  `target` is the form (`_reduce`'s
     `rest << d | b0`) of a Z injected in the first cycle, 0 without one:
     each (b0, shape) of `_count_sets` at target `rest` adds the branch
     strings of b0 XOR the Z's per class (`_coset_counts`).  Cached by
-    value, so code objects with the same checks share one table.
+    value, so code objects with the same checks share one table, and the
+    model and the Monte Carlo engine share it.
 
-    Past r = 2 order + 1 each count is the polynomial of degree `order`
-    in r through r = order + 1, ..., 2 order + 1, exactly.  Call the
-    cycles that hold a set's events occupied, and a run of consecutive
-    occupied cycles a group.  A data fault's signature lies in its own
-    cycle's row and a flip's in its cycle's and the next, so groups with
-    an empty cycle between them touch disjoint rows, and the set is
-    accepted exactly when each group is: the group at cycle 0 with the
-    target, the others with 0.  Only cycle-0 events carry a b0, so that
-    group also fixes the set's b0.  A group that touches neither cycle 0
-    nor cycle r - 1 is accepted or not wherever it sits; one that
+    Past r = 7 each count is the cubic in r through r = 4..7, exactly.
+    Call the cycles that hold a set's events occupied, and a run of
+    consecutive occupied cycles a group.  A data fault's signature lies
+    in its own cycle's row and a flip's in its cycle's and the next, so
+    groups with an empty cycle between them touch disjoint rows, and the
+    set is accepted exactly when each group is: the group at cycle 0
+    with the target, the others with 0.  Only cycle-0 events carry a b0,
+    so that group also fixes the set's b0.  A group that touches neither
+    cycle 0 nor cycle r - 1 is accepted or not wherever it sits; one that
     touches only one end depends only on its offset from that end.  A
-    group spans at most as many cycles as it holds events, so from
-    r = order + 1 on no group touches both ends, and the sets of one
-    kind, with g middle groups spanning S cycles in all, are placed in
-    C(E - 1, g) ways, E = r - S >= 1: a polynomial in r of degree
-    g <= order.  A class count is a fixed integer sum of them.  At
-    r = order a group of `order` events can touch both ends, as the r
-    flips of one check do, so the polynomial does not reach down to it.
+    group spans at most as many cycles as it holds events, so from r = 4
+    on no group touches both ends, and the sets of one kind, with g
+    middle groups spanning S cycles in all, are placed in C(E - 1, g)
+    ways, E = r - S >= 1: a polynomial in r of degree g <= 3.  A class
+    count is a fixed integer sum of them.  At r = 3 a group of three
+    events can touch both ends, as the r flips of one check do, so the
+    cubic does not reach down to it.
     """
     if not columns:
         return ()
-    first = order + 1
-    if r > 2 * order + 1:
-        by_r = [_fault_set_counts(channels, columns, n_checks, t, target, order)
-                for t in range(first, first + order + 1)]
-        # the polynomial through r = first + i, i = 0..order, at r: the
-        # sum over j of C(k, j) times the j-th forward difference at first
-        k = r - first
+    if r > 7:
+        by_r = [_fault_set_counts(channels, columns, n_checks, t, target) for t in range(4, 8)]
+        # the cubic through r = 4 + i, i = 0..3, at r: the sum over j of
+        # C(k, j) times the j-th forward difference at r = 4
+        k = r - 4
         weights = [
-            sum(math.comb(k, j) * math.comb(j, i) * (-1) ** (j - i) for j in range(i, order + 1))
-            for i in range(order + 1)
+            sum(math.comb(k, j) * math.comb(j, i) * (-1) ** (j - i) for j in range(i, 4))
+            for i in range(4)
         ]
         return tuple(
             tuple(sum(w * v for w, v in zip(weights, values)) for values in zip(*rows))
             for rows in zip(*by_r)
         )
     d = len(columns)
-    counts = [[0] * (5 if order < 3 else 9) for _ in range(d // 2 + 1)]
-    tally = _count_sets(channels, columns, n_checks, r, target >> d, order)
+    counts = [[0] * 9 for _ in range(d // 2 + 1)]
+    tally = _count_sets(channels, columns, n_checks, r, target >> d)
     for (b0, shape), count in tally.items():
         strings = _coset_counts(columns, b0 ^ (target & (1 << d) - 1))
         for m, row in enumerate(counts):
@@ -497,16 +490,17 @@ def event_odds(p_in: float, readout_flip: float) -> tuple[float, float]:
 
 def fault_set_rates(
     channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
-    order: int, p_in: float, readout_flip: float,
+    p_in: float, readout_flip: float,
 ) -> np.ndarray:
     """`_fault_set_counts` (same arguments) with each set weighted by its
     events' odds (`event_odds`): per class m, P(exactly those events,
     accepted in class m) over P0 and the class-m pair weight, summed over
-    the sets.  The empty set is left to the caller."""
+    the sets of one to three events.  The empty set is left to the
+    caller."""
     a, g = event_odds(p_in, readout_flip)
     odds = (a, g, a * a, a * g, g * g, a**3, a * a * g, a * g * g, g**3)
-    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, target, order), dtype=float)
-    return counts @ odds[: counts.shape[1]]
+    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, target), dtype=float)
+    return counts @ odds
 
 
 def _bits(mask: int):

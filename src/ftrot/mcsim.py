@@ -20,11 +20,11 @@ averages it.
 
 Noise is sparse at the rates of interest, so most trials hold no fault,
 one, two or three.  Their outcomes are exact: `codes.fault_set_rates`,
-the weighted per-class table that the model reads over the sets of at
-most two events, here over those of at most three, gives once per
-(code, noise, injected Z) the probability that a trial holds at most
-three faults and is accepted in class m, as per-class counts times pair
-weights, and a batch draws the classes of all such trials at once.  Only the few that hold four or
+the weighted per-class table of the sets of at most three events that
+the model reads too, gives once per (code, noise, injected Z) the
+probability that a trial holds at most three faults and is accepted in
+class m, as per-class counts times pair weights, and a batch draws the
+classes of all such trials at once.  Only the few that hold four or
 more are evaluated, as check-mask words, a chunk of at most 2^20
 (cycle, trial) words at a time.  Noise is independent of b, so given
 the noise the class counts of the n_s trials that read s in every cycle
@@ -249,10 +249,11 @@ def _pair_weights(theta: float, d: int) -> np.ndarray:
     return s**m * (1.0 - s) ** (d - m) + s ** (d - m) * (1.0 - s) ** m
 
 
-def _coset_classes(code: StabilizerCode, theta: float, b0: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1024)
+def _coset_classes(columns: tuple[int, ...], theta: float, b0: int) -> np.ndarray:
     """Class probabilities of a trial that reads branch string b0's
-    syndrome in every cycle: P(accepted in class m) for m = 0..d//2,
-    then P(rejected).
+    syndrome in every cycle, for the code with these branch columns:
+    P(accepted in class m) for m = 0..d//2, then P(rejected).
 
     Such a trial is accepted exactly when its branch string lies in
     b0's coset, which `codes._coset_counts` counts by weight ({0, 1^d}
@@ -262,11 +263,6 @@ def _coset_classes(code: StabilizerCode, theta: float, b0: int) -> np.ndarray:
     (branch columns, theta, b0) across calls; the array is read-only,
     because every caller shares it.
     """
-    return _branch_classes(code.error_multiplicities.branch_columns, theta, b0)
-
-
-@functools.lru_cache(maxsize=1024)
-def _branch_classes(columns: tuple[int, ...], theta: float, b0: int) -> np.ndarray:
     d = len(columns)
     q = np.multiply(_coset_counts(columns, b0)[: d // 2 + 1], _pair_weights(theta, d))
     q = np.append(q, max(0.0, 1.0 - q.sum()))
@@ -411,8 +407,7 @@ def _plan(
     # (`codes.fault_set_rates`, per class over the accepted sets).  The
     # empty set reads the Z's own syndrome, accepted when that lies in
     # the branch span
-    sets = fault_set_rates(channels, columns, n_checks, r, injected, 3,
-                           noise.p_in, noise.readout_flip)
+    sets = fault_set_rates(channels, columns, n_checks, r, injected, noise.p_in, noise.readout_flip)
     empty = _coset_counts(columns, injected)[: d // 2 + 1] if injected < 1 << d else 0.0
     few = math.exp(before[-1]) * (empty + sets)
     words = _word_column(injected, width)[:, 0]
@@ -549,7 +544,7 @@ def estimate(
 
     mult = code.error_multiplicities
     plan = _plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
-    classes = functools.partial(_coset_classes, code, theta)
+    classes = functools.partial(_coset_classes, mult.branch_columns, theta)
     law = _batch_law(plan, theta)
     # each class's part of the exact mean, that of the trials with at
     # most three faults, and its expected accepted trials

@@ -291,26 +291,28 @@ class TestRotationTerms:
         )
 
 
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("name, d", [("surface", 3), ("surface", 5), ("surface", 7),
                                      ("phase-flip", 3), ("phase-flip", 5), ("perfect", None)])
-def test_model_is_the_exact_law_of_two_faults(name, d, r):
-    # the Monte Carlo engine's exact law of the trials with at most two
+def test_model_is_the_exact_law_of_three_faults(name, d, r):
+    # the Monte Carlo engine's exact law of the trials with at most three
     # faults, built here from the integer table: a set of events weighs
     # P0 times its odds, a = (p_in/3)/(1 - p_in) per data fault and
     # g = f/(1 - f) per flip, and the empty set is the coset of branch
     # syndrome 0; class m then takes its pair weight.  The model's error
     # is that law's mean infidelity, and its acceptance the law over P0.
+    # At r = 3 the r-fold readout masking is a set of three in the table.
     # Nearer pi than 3.0 the reference's arctangent route loses digits
     code = get_code(name, d)
     mult = code.error_multiplicities
-    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0, 2)
+    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0)
     empty = codes._coset_counts(mult.branch_columns, 0)[: code.d // 2 + 1]
     for noise in (NoiseModel(p_in=1e-3, r=r), NoiseModel(p_in=1e-2, r=r),
                   NoiseModel(p_in=1e-3, r=r, readout_flip=0.05)):
         a = noise.p_in / 3 / (1 - noise.p_in)
         g = noise.readout_flip / (1 - noise.readout_flip)
-        rates = np.add(empty, np.array(table, dtype=float) @ [a, g, a * a, a * g, g * g])
+        odds = [a, g, a * a, a * g, g * g, a**3, a * a * g, a * g * g, g**3]
+        rates = np.add(empty, np.array(table, dtype=float) @ odds)
         for theta in (0.01, 0.1, 0.357, 0.8, 2.0, 3.0):
             law = rates * mcsim._pair_weights(theta, code.d)
             infid = [analytics.branch_infidelity(m, code.d, theta) for m in range(code.d // 2 + 1)]
@@ -319,6 +321,18 @@ def test_model_is_the_exact_law_of_two_faults(name, d, r):
             assert error == pytest.approx(law @ infid / law.sum(), rel=1e-12, abs=0), theta
             sr = analytics.success_rate(cfg, code.n, len(code.stabilizers), mult)
             assert sr.p_s / sr.p_s_in == pytest.approx(law.sum(), rel=1e-12, abs=0), theta
+
+
+def test_model_and_engine_share_one_table():
+    # the model's class rates and the engine's plan at one (code, r)
+    # read one cached fault-set table
+    codes._fault_set_counts.cache_clear()
+    mcsim._plan.cache_clear()
+    noise = NoiseModel(p_in=1e-3, r=2)
+    mult = get_code("surface", 5).error_multiplicities
+    analytics.class_rates(noise, mult)
+    mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z=None)
+    assert codes._fault_set_counts.cache_info().currsize == 1
 
 
 class TestSuccessRate:
@@ -342,7 +356,7 @@ class TestSuccessRate:
         assert sr == analytics.success_rate(
             cfg, 9, 8, get_code("surface", 3).error_multiplicities
         )
-        assert sr.p_s == pytest.approx(0.8043113699276129, rel=1e-12)
+        assert sr.p_s == pytest.approx(0.8043113774697442, rel=1e-12)
 
     def test_unregistered_size_keeps_the_product(self):
         # no registered code has 10 qubits and 9 checks at d = 3
@@ -355,23 +369,24 @@ class TestSuccessRate:
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize("name, d", [("surface", 3), ("phase-flip", 3), ("perfect", None)])
     def test_accepted_mass_is_the_walk_over_every_set(self, name, d, r):
-        # p_s / p_s_in - p_s_coh against the sets that the scalar walk
-        # accepts, each at its rate times its class's pair weight, plus
-        # the r-fold readout masking, which has r > 2 locations at r = 3;
-        # a set weighs the product of its odds, a per data fault and
-        # g = q / (1 - q) per flip
+        # p_s / p_s_in - p_s_coh against the sets of at most three
+        # locations that the scalar walk accepts, each at its rate times
+        # its class's pair weight, plus the r-fold readout masking once
+        # it has more than three locations; a set weighs the product of
+        # its odds, a per data fault and g = q / (1 - q) per flip
         code = get_code(name, d)
         mult = code.error_multiplicities
         noise = NoiseModel(p_in=2e-3, r=r)
         a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
         g = noise.readout_flip / (1.0 - noise.readout_flip)
-        weights = (a, g, a * a, a * g, g * g)
+        weights = (a, g, a * a, a * g, g * g, a**3, a * a * g, a * g * g, g**3)
+        walk = fault_set_counts(code, r, order=3)
         for theta in (0.3, 0.8, 2.0):
             cfg = RotationConfig(theta=theta, d=code.d, **vars(noise))
             s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
             pair_1 = s2 * c2 ** (code.d - 1) + s2 ** (code.d - 1) * c2
-            mass = mult.readout_combos * g**r * pair_1 if r > 2 else 0.0
-            for m, counts in enumerate(fault_set_counts(code, r)):
+            mass = mult.readout_combos * g**r * pair_1 if r > 3 else 0.0
+            for m, counts in enumerate(walk):
                 pair = s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m
                 mass += pair * sum(c * w for c, w in zip(counts, weights))
             sr = analytics.success_rate(cfg, code.n, len(code.stabilizers))

@@ -27,39 +27,39 @@ OURS_ALL = ["bench", "--methods", "ours,rs,coh", "--distill-costs", "bundled"]
 
 CASES = {
     "scaffold-1e-4": (sweep(["scaffold"], "1e-4"),
-                      "7bb204478c81a0f1d094e1083f5e8471556613d19dd51334709adde43609c140"),
+                      "9b09cb577fbfea923971ae27d953f62f31e37c09bbb2e58cee239db268836a07"),
     "scaffold-1e-3": (sweep(["scaffold"], "1e-3"),
-                      "9bc097cee0663f75f9177b9bafd35f65e2a037cd2b02a3782df1a5ff7391cbbb"),
+                      "8c0354670ed1eb4c06053724ea171bfb052b670177679062a395663148c15e3c"),
     "bench-ours-1e-4": (sweep(["bench", "--methods", "ours"], "1e-4"),
-                        "326643731336630dcc6f07cbab59ba9597861310dc63b0aa29cf63c13662b102"),
+                        "8fbe282f4ee30534f70ed1905a549fb6d6024bd031a3f7dafdb2c97f1be2489e"),
     "bench-ours-1e-3": (sweep(["bench", "--methods", "ours"], "1e-3"),
-                        "4790b2ce74b15ba53c1ce872cfe89913e78c10cbd5a9265bca4c587cd41f3a0a"),
+                        "a8db40629032b7f7d29dd4cab4823be187ec082946f18b13cf0ddedf86169356"),
     "bench-all-1e-4": (sweep(OURS_ALL, "1e-4"),
-                       "0b37931a885a98e4a20720061a90664d68db37804b3ec2360b6e8cc3a56b2738"),
+                       "d8705ca57390f33021cfdec4d9a1af8895c6e4afdd58fbbffb50db69f09a2a6d"),
     "bench-all-1e-3": (sweep(OURS_ALL, "1e-3"),
-                       "1bd5a89422fb4affd80389fcf762a90e29b8aae05447e8778a4e140d67fc76de"),
+                       "ba56796d98a06c4fa27967322065dc137ea545aed4aca8e0c36dc61ef45f7f8d"),
     "scaffold-r3": ([["scaffold", "--theta-l", "2pi/2^10", "--r", "3"]],
-                    "74eaedcb2498ae1433b0f86ae007e3685cd8ed84b89bdb8df605fc604a8c90bc"),
+                    "2ed526052cb0610dd064fe4ba9c5d906f1889ce50a687cca915da005f14ec51b"),
     "scaffold-perfect": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "perfect"]],
-                         "c1dab5dd096dd421bebf6a84af751482ab6b8fe722498fe0d344821bd24e5d87"),
+                         "f5cc70381a54b7dfe77d202ea15cbc65ac96a7749eca2225a9e5020d3812bd7a"),
     "scaffold-phase-flip": ([["scaffold", "--theta-l", "2pi/2^10", "--code", "phase-flip"]],
-                            "6281f89109c7ef8085e30460e43d6439b36052149c7f04c1fa35927eb693da84"),
+                            "b43ca87de66dae62b7e3f5e94c8579c9da3c7bbcb7237a2020948b4570962c1b"),
     # exit 3: the payload carries the closest plan
     "scaffold-ceiling": ([["scaffold", "--theta-l", "2pi/2^10", "--error-ceiling", "1e-9"]],
-                         "23c579e08445561bfd5ed9922e3ebfbb335f49dfa3b69c29fc6193d37c60e61d"),
+                         "b5837f4f1b34e526d2ac48c4049f7e3c18b02c665b4bbdb95bc0f71b6f673af2"),
     # the front on the fixed-distance codes and on a narrowed grid
     "bench-ours-perfect": ([["bench", "--methods", "ours", "--code", "perfect",
                              "--theta-l", "2pi/2^10"]],
-                           "0c22f433447973a50fadb5facab360c89bf696d1382d21b167d7bff663f1eb75"),
+                           "95d5775070971ed9da26c5776be75c3183a4ad2d5b84671ae705b4f195c8f053"),
     "bench-ours-phase-flip": ([["bench", "--methods", "ours", "--code", "phase-flip",
                                 "--d-values", "3,5", "--theta-l", "2pi/2^10"]],
-                              "028ebb7e40330c779499eee7cf1681a3aed2b6e71fd231fb9e1835237c0ac68e"),
+                              "ae0a72d0ded305960cc570242d67756face1ebd99b6dc2e9b912d0d9e50ad02c"),
     "bench-ours-narrow": ([["bench", "--methods", "ours", "--d-values", "3,5", "--k-max", "3",
                             "--m-max", "8", "--theta-l", "2pi/2^10"]],
-                          "2a236d05229f5a3c302eb955810d73529891dc6c3ea1f86d7711107bcecbb69a"),
+                          "f82838ec2fa83843e680a7992508e4e87be9b403c2ba60a28f700e6c01b9fdfc"),
     # theta = 0 included: the zero-base edge of the log-domain powers
     "analyze": ([["analyze", "--theta", "0:1.5:7", "--d", "5"]],
-                "24108e9090f459b8367e5726a9fd0a6f1d14d7dc10d5add2cb44ef1fe86e5c53"),
+                "c61fe1677dacee6f440ae67cbc5121d0b5dc43160043b5e211c94bbe30a427bf"),
 }
 
 

@@ -240,7 +240,7 @@ class TestAnalyzeCommand:
         # surface d=3 counts 5 first-order channels (Z on the 3 support
         # qubits plus Z on the off-support qubits 3 and 5) and 2 readout
         # channels, so the column reflects the code, not bare d; the
-        # second-order sets come on top of that first-order part
+        # sets of two and three events come on top of that first-order part
         mult = codes.get_code("surface", 3).error_multiplicities
         assert mult == Multiplicities(3, 2, 2)
         eps = rows[0]["eps"]

@@ -229,25 +229,25 @@ def test_branch_coset_matches_all_branch_strings(name, d):
             assert rest, sigma
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 6])
+@pytest.mark.parametrize("r", [1, 2, 3, 6, 8])
 @pytest.mark.parametrize("name, d", [("surface", 3), ("phase-flip", 3), ("perfect", None)])
 def test_fault_sets_match_the_walk_over_every_set(name, d, r):
+    # the sets of one and two events, the table's first five shapes:
     # r = 1, 2 and >= 3 accept different sets with readout flips in them;
-    # r = 6 is the first r whose counts are extrapolated from r = 3, 4, 5
+    # r = 6 is counted directly, and r = 8 is the first r whose counts are
+    # extrapolated from r = 4..7
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
-    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0, 2)
-    assert [list(counts) for counts in table] == fault_set_counts(code, r)
+    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0)
+    assert [list(counts[:5]) for counts in table] == fault_set_counts(code, r)
 
 
 @pytest.mark.parametrize(
     "name, d", [("surface", 3), ("surface", 5), ("phase-flip", 3), ("perfect", None)]
 )
 def test_fault_set_counts_extrapolate_per_class(name, d):
-    # past r = 5 each class count of the sets of at most two events is
-    # the quadratic through r = 3, 4, 5, and past r = 7 each count of the
-    # sets of at most three the cubic through r = 4..7; against the
-    # event-by-event count at r = 6..12, expanded here over every branch
+    # past r = 7 each class count is the cubic through r = 4..7; against
+    # the event-by-event count at r = 6..12, expanded here over every branch
     # string of the set's syndrome, with no target and with Z injected
     # on qubits 0, 1 and n - 1 (off the support on the surface and
     # perfect codes, so the target's remainder is nonzero)
@@ -270,17 +270,17 @@ def test_fault_set_counts_extrapolate_per_class(name, d):
     targets = sorted({(0, 0)} | {codes._reduce(rows, mult.channels[3 * q + 2])
                                  for q in (0, 1, code.n - 1)})
     assert len({rest for rest, _ in targets}) == (1 if name == "phase-flip" else 2)
-    for (rest, b0), order, r in itertools.product(targets, (2, 3), range(6, 13)):
-        direct = codes._count_sets(*key, r, rest, order)
+    for (rest, b0), r in itertools.product(targets, range(6, 13)):
+        direct = codes._count_sets(*key, r, rest)
         assert direct and all(count > 0 for count in direct.values())
-        assert {shape for _, shape in direct} <= set(range(5 if order == 2 else 9))
-        want = [[0] * (5 if order == 2 else 9) for _ in range(width // 2 + 1)]
+        assert {shape for _, shape in direct} <= set(range(9))
+        want = [[0] * 9 for _ in range(width // 2 + 1)]
         for (b, shape), count in direct.items():
             strings = weights[branch_syndrome(b ^ b0)]
             for m, row in enumerate(want):
                 row[shape] += count * strings.count(m)
-        got = codes._fault_set_counts(*key, r, rest << width | b0, order)
-        assert [list(row) for row in got] == want, (rest, b0, order, r)
+        got = codes._fault_set_counts(*key, r, rest << width | b0)
+        assert [list(row) for row in got] == want, (rest, b0, r)
 
 
 @pytest.mark.parametrize(
@@ -296,8 +296,8 @@ def test_fault_set_counts_extrapolate_per_class(name, d):
     ],
 )
 def test_fault_sets_of_three_match_the_walk(name, d, r, inject):
-    # the table of sets of at most three events, which only the Monte
-    # Carlo engine reads, against the walk over every set of one, two
+    # the table of sets of at most three events, which the model and the
+    # Monte Carlo engine read, against the walk over every set of one, two
     # and three locations (about 1.9e5 sets at surface d = 3, r = 3),
     # with no Z and with Z injected on a support qubit (a branch
     # syndrome) or off the support (none); the walk's last kind is the
@@ -315,13 +315,10 @@ def test_fault_sets_of_three_match_the_walk(name, d, r, inject):
         rest, b0 = codes._reduce(codes._branch_basis(mult.branch_columns)[0],
                                  mult.channels[3 * inject_z + 2])
         target = rest << code.d | b0
-    got = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, target, 3)
+    got = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, target)
     walk = fault_set_counts(code, r, inject_z, order=3)
     assert [list(row) for row in got] == [row[:9] for row in walk]
     assert all(any(row[5:9]) for row in walk)  # every class takes some sets of three
-    # the order-2 table is the first five shapes
-    assert [row[:5] for row in got] == list(
-        codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, target, 2))
 
 
 def test_fault_sets_are_shared_by_code_value():
@@ -329,11 +326,11 @@ def test_fault_sets_are_shared_by_code_value():
     a = codes.rotated_surface_code(5).error_multiplicities
     b = codes.rotated_surface_code(5).error_multiplicities
     assert a is not b
-    assert codes._fault_set_counts(a.channels, a.branch_columns, a.n_checks, 2, 0, 2) is (
-        codes._fault_set_counts(b.channels, b.branch_columns, b.n_checks, 2, 0, 2))
+    assert codes._fault_set_counts(a.channels, a.branch_columns, a.n_checks, 2, 0) is (
+        codes._fault_set_counts(b.channels, b.branch_columns, b.n_checks, 2, 0))
     hand_built = codes.Multiplicities(5, 2, 2)
     assert codes._fault_set_counts(hand_built.channels, hand_built.branch_columns,
-                                   hand_built.n_checks, 2, 0, 2) == ()
+                                   hand_built.n_checks, 2, 0) == ()
 
 
 def test_replace_rederives_from_the_checks():

@@ -375,7 +375,7 @@ class TestPlan:
             rest, b0 = codes._reduce(rows, mult.channels[3 * inject_z + 2])
             target = rest << code.d | b0
         triples = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks,
-                                          noise.r, target, 3)
+                                          noise.r, target)
         want = np.array([
             (empty[m] + counts[0] * a + counts[1] * g
              + counts[2] * a * a + counts[3] * a * g + counts[4] * g * g
@@ -460,7 +460,7 @@ class TestUntouchedClasses:
             if rest:
                 assert not want[:-1].any()
                 continue
-            got = mcsim._coset_classes(code, 0.7, b0)
+            got = mcsim._coset_classes(mult.branch_columns, 0.7, b0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15), syndrome
             assert got.sum() == pytest.approx(1.0, rel=1e-15)
 
@@ -468,10 +468,11 @@ class TestUntouchedClasses:
     def test_shared_across_calls(self):
         # kept by (branch columns, theta, b0), so a second code object with
         # the same checks reads the same array, which no caller may write
-        a = mcsim._coset_classes(codes.rotated_surface_code(5), 0.8, 3)
-        b = mcsim._coset_classes(codes.rotated_surface_code(5), 0.8, 3)
+        one, other = (codes.rotated_surface_code(5).error_multiplicities for _ in range(2))
+        a = mcsim._coset_classes(one.branch_columns, 0.8, 3)
+        b = mcsim._coset_classes(other.branch_columns, 0.8, 3)
         assert a is b and not a.flags.writeable
-        assert mcsim._coset_classes(codes.rotated_surface_code(5), 0.7, 3) is not a
+        assert mcsim._coset_classes(one.branch_columns, 0.7, 3) is not a
 
 
 class TestEstimate:
@@ -826,7 +827,7 @@ class TestMultiFaultChunks:
         faults, which its first draw gives."""
         mult = code.error_multiplicities
         plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
-        classes = functools.partial(mcsim._coset_classes, code, 0.8)
+        classes = functools.partial(mcsim._coset_classes, mult.branch_columns, 0.8)
         law = mcsim._batch_law(plan, 0.8)
 
         def rng():
@@ -886,9 +887,9 @@ class TestMultiFaultChunks:
         coset_classes = mcsim._coset_classes
         drawn = []
 
-        def spy(code, theta, b0):
+        def spy(columns, theta, b0):
             drawn.append(b0)
-            return coset_classes(code, theta, b0)
+            return coset_classes(columns, theta, b0)
 
         monkeypatch.setattr(mcsim, "_coset_classes", spy)
         run, n4 = self.run_batch(surface3, NoiseModel(p_in=1e-1, r=1), 1 << 14)

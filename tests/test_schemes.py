@@ -149,9 +149,9 @@ class TestScaffold:
         plan = schemes.scaffold_optimize(self.TARGET, "surface", self.NOISE)
         assert (plan.d, plan.k, plan.m) == (5, 1, 1)
         assert plan.theta_base == pytest.approx(0.6090818542976749, rel=1e-12)
-        assert plan.expected_cost == pytest.approx(2.044154172325944, rel=1e-12)
+        assert plan.expected_cost == pytest.approx(2.0441541399581316, rel=1e-12)
         assert plan.predicted_error == pytest.approx(
-            2.72060962954384e-07, rel=1e-12, abs=0
+            2.7207121313095265e-07, rel=1e-12, abs=0
         )
 
     def test_predicted_error_is_the_accepted_error_model(self):
