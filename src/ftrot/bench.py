@@ -125,16 +125,20 @@ class DistillCostTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistillCostTable":
-        ents = tuple(
-            DistillEntry(
-                p_in=float(e["p_in"]),
-                out_error=float(e["out_error"]),
-                cost=float(e["cost"]),
-                protocol=str(e.get("protocol", "")),
-            )
-            for e in data["entries"]
-        )
-        return cls(provenance=str(data.get("provenance", "")), entries=ents)
+        """The table from its JSON form; ValueError names a malformed part."""
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise ValueError("distillation table must be an object with an 'entries' list")
+        provenance = data.get("provenance", "")
+        if not isinstance(provenance, str):
+            raise ValueError("distillation table provenance must be a string")
+        ents = []
+        for e in data["entries"]:
+            try:
+                ents.append(DistillEntry(p_in=float(e["p_in"]), out_error=float(e["out_error"]),
+                                         cost=float(e["cost"]), protocol=str(e.get("protocol", ""))))
+            except (TypeError, KeyError, ValueError) as exc:
+                raise ValueError(f"invalid distillation entry {e!r}") from exc
+        return cls(provenance=provenance, entries=tuple(ents))
 
     @classmethod
     def load(cls, path: str) -> "DistillCostTable":

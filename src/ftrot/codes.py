@@ -296,129 +296,83 @@ def _count_sets(
 
     A set is accepted when its signatures XOR to `target`: 0, or an
     injected Z's signature, its remainder (`_reduce`) in row 0 alone.
-    b0 is the XOR of the set's b0s.  The events are grouped by
-    signature; a set of two takes one event from a group and one from
-    the group whose signature is its XOR with the target, and a set of
-    three {e, f, g} takes g from the group of target ^ sig(e) ^ sig(f),
-    a meet in the middle.  Only pairs that can lead to one are tried:
-    two events that share a signature bit, or two whose signatures are
-    disjoint and within the target's bits, as a set of three with no two
-    events sharing a bit XORs to the union of its signatures.  The sets
-    with two or three zero signatures are counted per slot in closed
-    form, not set by set, as a code can hold hundreds of zero-signature
-    events (every X fault on the phase-flip code).  Cached by
-    target remainder, so the injected Zs that share one share the tally;
-    the Counter is shared and must not be written.
+    b0 is the XOR of the set's b0s.  Two rules count every set once.  A
+    set with a member that has a signature bit outside the target is
+    found from its lowest-index such member e, at e's lowest such bit b:
+    the set's XOR has no bit b, so exactly one other member f has it,
+    and a third member g, if any, comes from the group of events whose
+    signature is target ^ sig(e) ^ sig(f), kept when it has no bit
+    outside the target or comes after e.  Every other set lies within
+    the target's bits, and is counted slot by slot, not set by set, as a
+    code can hold hundreds of such events (every X fault on the
+    phase-flip code has a zero signature): k slots with equal sums A of
+    (signature, b0, flips) labels add j events in C(k, j) A^j ways.
+    Cached by target remainder, so the injected Zs that share one share
+    the tally; the Counter is shared and must not be written.
     """
     sigs, b0s = slot_events(channels, columns, n_checks, r)
     n_data = len(channels) * r
     # a data event's slot is its (cycle, qubit); a flip is its own slot
     slots = [e // 3 if e < n_data else e for e in range(len(sigs))]
+    # each event's lowest signature bit outside the target, -1 if none
+    low: list[int] = []
     groups: dict[int, list[int]] = {}
+    by_bit: dict[int, list[int]] = {}
+    by_slot: dict[int, dict] = {}
     for e, sig in enumerate(sigs):
         groups.setdefault(sig, []).append(e)
+        outside = sig & ~target
+        low.append((outside & -outside).bit_length() - 1)
+        for bit in _bits(outside):
+            by_bit.setdefault(bit, []).append(e)
+        if low[e] < 0:
+            labels = by_slot.setdefault(slots[e], collections.Counter())
+            labels[sig, b0s[e], int(e >= n_data)] += 1
 
     tally: collections.Counter = collections.Counter()
-    for e in groups.get(target, ()):
-        tally[b0s[e], int(e >= n_data)] += 1
-    for sig, members in groups.items():
-        other = sig ^ target
-        if other == sig:
-            pairs = itertools.combinations(members, 2)
-        elif sig < other and other in groups:  # each pair of groups once
-            pairs = itertools.product(members, groups[other])
-        else:
-            continue
-        for e, f in pairs:
-            if slots[e] != slots[f]:
-                tally[b0s[e] ^ b0s[f], 2 + (e >= n_data) + (f >= n_data)] += 1
-
-    def add(e: int, f: int, g: int) -> None:
-        if slots[g] != slots[e] and slots[g] != slots[f]:
-            flips = (e >= n_data) + (f >= n_data) + (g >= n_data)
-            tally[b0s[e] ^ b0s[f] ^ b0s[g], 5 + flips] += 1
-
-    # a set of three with two events that share a signature bit, from the
-    # first such pair in index order; each pair once, at its lowest
-    # shared bit
-    by_bit: dict[int, list[int]] = {}
     for e, sig in enumerate(sigs):
-        for bit in _bits(sig):
-            by_bit.setdefault(bit, []).append(e)
-    for bit, members in by_bit.items():
-        for e, f in itertools.combinations(members, 2):
-            shared = sigs[e] & sigs[f]
-            if slots[e] == slots[f] or shared & -shared != 1 << bit:
+        if low[e] < 0:
+            continue
+        for f in by_bit[low[e]]:
+            if f <= e or slots[f] == slots[e]:
                 continue
-            for g in groups.get(target ^ sigs[e] ^ sigs[f], ()):
-                earlier = (g < f and sigs[e] & sigs[g]) or (g < e and sigs[f] & sigs[g])
-                if g != e and g != f and not earlier:
-                    add(e, f, g)
-    # the rest have pairwise disjoint signatures whose union is the
-    # target, so each lies within the target's bits.  Those with at most
-    # one zero signature go by their two lowest events, never both zero
-    zeros = groups.get(0, [])
-    inside = [e for e, sig in enumerate(sigs) if sig and not sig & ~target]
-    pairs = itertools.chain(
-        itertools.combinations(inside, 2), ((min(z, e), max(z, e)) for z in zeros for e in inside)
-    )
-    for e, f in pairs:
-        if slots[e] != slots[f] and not sigs[e] & sigs[f]:
-            for g in groups.get(target ^ sigs[e] ^ sigs[f], ()):
-                if g > f and (sigs[g] or (sigs[e] and sigs[f])):
-                    add(e, f, g)
-    if not zeros:
-        return tally
-    # those with two or three zero signatures are counted by slot.  In
-    # the algebra of (b0, flips) labels, which combine by XOR and sum,
-    # let A_s be the sum of slot s's zero events and p_k the sum of A_s^k:
-    # the sets of two on distinct slots are e_2 = (p_1^2 - p_2) / 2 and of
-    # three e_3 = (p_1^3 - 3 p_1 p_2 + 2 p_3) / 6 (Newton's identities)
-    by_slot: dict[int, dict] = {}
-    for e in zeros:
-        labels = by_slot.setdefault(slots[e], collections.defaultdict(int))
-        labels[b0s[e], int(e >= n_data)] += 1
-    p1 = _label_sum((1, labels) for labels in by_slot.values())
-    p2 = _label_sum((1, _label_product(labels, labels)) for labels in by_slot.values())
-    if not target:  # three zeros, whose union 0 is the target
-        p3 = _label_sum(
-            (1, _label_product(_label_product(labels, labels), labels)) for labels in by_slot.values()
-        )
-        triples = _label_sum([(1, _label_product(_label_product(p1, p1), p1)),
-                              (-3, _label_product(p1, p2)), (2, p3)])
-        for (b0, flips), count in triples.items():
-            if count:
-                tally[b0, 5 + flips] += count // 6
-        return tally
-    # two zeros and one event g whose signature is the target, the two
-    # on distinct slots other than g's: e_2 - A_g (p_1 - A_g), doubled
-    twice_pairs = _label_sum([(1, _label_product(p1, p1)), (-1, p2)])
-    for g in groups.get(target, ()):
-        labels = by_slot.get(slots[g], {})
-        pairs = _label_sum([(1, twice_pairs), (-2, _label_product(labels, p1)),
-                            (2, _label_product(labels, labels))])
-        for (b0, flips), count in pairs.items():
-            if count:
-                tally[b0 ^ b0s[g], 5 + flips + (g >= n_data)] += count // 2
+            b0, flips = b0s[e] ^ b0s[f], (e >= n_data) + (f >= n_data)
+            rest = target ^ sig ^ sigs[f]
+            if not rest:
+                tally[b0, 2 + flips] += 1
+            for g in groups.get(rest, ()):
+                if slots[g] != slots[e] and slots[g] != slots[f] and (g > e or low[g] < 0):
+                    tally[b0 ^ b0s[g], 5 + flips + (g >= n_data)] += 1
+
+    # sets[k]: the sets of k events within the target's bits on distinct
+    # slots, by label; the slots are added one kind at a time, sets[3]
+    # first, so that sets[k - j] does not yet hold the kind
+    sets = [{(0, 0, 0): 1}] + [collections.Counter() for _ in range(3)]
+    kinds = collections.Counter(frozenset(labels.items()) for labels in by_slot.values())
+    for kind, k in kinds.items():
+        powers = [sets[0], dict(kind)]
+        while len(powers) < 4:
+            powers.append(_label_product(powers[-1], powers[1]))
+        for n in (3, 2, 1):
+            for j in range(1, min(n, k) + 1):
+                ways = math.comb(k, j)
+                for label, x in _label_product(sets[n - j], powers[j]).items():
+                    sets[n][label] += ways * x
+    for n, shape in ((1, 0), (2, 2), (3, 5)):
+        for (sig, b0, flips), count in sets[n].items():
+            if sig == target:
+                tally[b0, shape + flips] += count
     return tally
 
 
 def _label_product(a: dict, b: dict) -> dict:
-    """The product of two sums of (b0, flips) labels, which combine by
-    XOR of the b0s and sum of the flips."""
+    """The product of two sums of (signature, b0, flips) labels, which
+    combine by XOR of the signatures and of the b0s and sum of the
+    flips."""
     out: dict = collections.defaultdict(int)
-    for (b0, n), x in a.items():
-        for (c0, m), y in b.items():
-            out[b0 ^ c0, n + m] += x * y
-    return out
-
-
-def _label_sum(terms) -> dict:
-    """sum(c x) over the (c, x) of `terms`, x a sum of labels."""
-    out: dict = collections.defaultdict(int)
-    for c, labels in terms:
-        for label, x in labels.items():
-            out[label] += c * x
+    for (s, b0, n), x in a.items():
+        for (t, c0, m), y in b.items():
+            out[s ^ t, b0 ^ c0, n + m] += x * y
     return out
 
 

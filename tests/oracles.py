@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ftrot import analytics
+from ftrot import analytics, codes
 from ftrot.analytics import NoiseModel, RotationConfig, _stable_pow
 from ftrot.bench import CostPoint
 from ftrot.codes import StabilizerCode, syndrome
@@ -443,6 +443,31 @@ def fault_set_counts(
     for size in range(1, order + 1):
         for fault_set in itertools.combinations(locations, size):
             tally(list(fault_set))
+    return counts
+
+
+def count_sets_by_brute_force(
+    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
+) -> dict[tuple[int, int], int]:
+    """`codes._count_sets` by brute force: every set of one to three
+    `codes.slot_events` events, walked with `itertools.combinations`,
+    counted as {(b0, shape): count} when its signatures XOR to `target`.
+    Sets with two data events in one slot (cycle, qubit) are skipped."""
+    sigs, b0s = codes.slot_events(channels, columns, n_checks, r)
+    n_data = len(channels) * r
+    counts: dict[tuple[int, int], int] = {}
+    for size, first_shape in ((1, 0), (2, 2), (3, 5)):
+        for events in itertools.combinations(range(len(sigs)), size):
+            data_slots = [e // 3 for e in events if e < n_data]
+            if len(set(data_slots)) < len(data_slots):
+                continue
+            sig = b0 = 0
+            for e in events:
+                sig ^= sigs[e]
+                b0 ^= b0s[e]
+            if sig == target:
+                key = b0, first_shape + size - len(data_slots)
+                counts[key] = counts.get(key, 0) + 1
     return counts
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,21 @@ class TestDistillTable:
         entry = {"p_in": 1e-3, "out_error": 1e-8, "cost": 10.0, field: value}
         with pytest.raises(ValueError, match="invalid distillation entry"):
             DistillCostTable.from_dict({"provenance": "x", "entries": [entry]})
+
+    @pytest.mark.parametrize(
+        "data,part",
+        [
+            ([1, 2], "'entries' list"),
+            ({"provenance": "x", "entries": 5}, "'entries' list"),
+            ({"provenance": "x", "entries": ["a"]}, "invalid distillation entry 'a'"),
+            ({"provenance": "x", "entries": [{"p_in": [1], "out_error": 1e-8, "cost": 10.0}]},
+             "invalid distillation entry"),
+            ({"provenance": None, "entries": []}, "provenance must be a string"),
+        ],
+    )
+    def test_from_dict_rejects_malformed(self, data, part):
+        with pytest.raises(ValueError, match=re.escape(part)):
+            DistillCostTable.from_dict(data)
 
     def test_load_round_trip(self, table, tmp_path):
         p = tmp_path / "t.json"

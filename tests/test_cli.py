@@ -774,6 +774,27 @@ class TestBadPaths:
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [1, 2],
+            {"provenance": "x", "entries": 5},
+            {"provenance": "x", "entries": ["a"]},
+            {"provenance": "x", "entries": [{"p_in": [1], "out_error": 1e-8, "cost": 10.0}]},
+            {"provenance": None, "entries": [{"p_in": 1e-3, "out_error": 1e-8, "cost": 10.0}]},
+        ],
+    )
+    def test_malformed_distill_costs(self, capsys, tmp_path, no_work, table):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        rc, out, err = run_main(
+            ["bench", "--theta-l", "2pi/2^10", "--methods", "rs", "--distill-costs", str(path)],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["scaffold", "bench"])
     @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
     def test_out(self, capsys, tmp_path, no_work, command, kind):

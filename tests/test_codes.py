@@ -11,6 +11,7 @@ from ftrot.pauli import PauliString, commutes
 
 from oracles import (
     branch_syndromes,
+    count_sets_by_brute_force,
     fault_set_counts,
     first_order_multiplicity,
     matrices_commute,
@@ -301,10 +302,10 @@ def test_fault_sets_of_three_match_the_walk(name, d, r, inject):
     # and three locations (about 1.9e5 sets at surface d = 3, r = 3),
     # with no Z and with Z injected on a support qubit (a branch
     # syndrome) or off the support (none); the walk's last kind is the
-    # empty set.  Every phase-flip X fault has a zero signature, so its
-    # sets of three zero signatures are counted by slot, not one by one;
-    # on the surface code, Z off the support pairs two zero signatures
-    # with one event of the target's
+    # empty set.  Every phase-flip X fault has a zero signature, so most
+    # of its sets lie within the target's bits and are counted slot by
+    # slot; on the surface code, Z off the support gives a nonzero
+    # target, so the sets within its bits also take nonzero signatures
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
     inject_z = None
@@ -319,6 +320,27 @@ def test_fault_sets_of_three_match_the_walk(name, d, r, inject):
     walk = fault_set_counts(code, r, inject_z, order=3)
     assert [list(row) for row in got] == [row[:9] for row in walk]
     assert all(any(row[5:9]) for row in walk)  # every class takes some sets of three
+
+
+@pytest.mark.parametrize(
+    "name, d, r",
+    [("surface", 3, 4), ("phase-flip", 5, 4), ("phase-flip", 3, 5), ("perfect", None, 4),
+     ("perfect", None, 5), ("four-qubit", None, 4)],
+)
+def test_fault_sets_match_brute_force_past_r_3(name, d, r):
+    # the rows r = 4..7 that the cubic reads past r = 7, counted directly,
+    # against every set of one to three events walked one by one, with no
+    # target and with every distinct remainder of an injected Z.  The
+    # four-qubit code gives no rotation, but its four cycle-0 slots hold
+    # equal zero-signature events with b0 != 0, so three of them read A^3
+    code = codes.get_code(name, d)
+    mult = code.error_multiplicities
+    key = (mult.channels, mult.branch_columns, mult.n_checks)
+    rows = codes._branch_basis(mult.branch_columns)[0]
+    targets = {0} | {codes._reduce(rows, mult.channels[3 * q + 2])[0] for q in range(code.n)}
+    for target in sorted(targets):
+        got = {k: v for k, v in codes._count_sets(*key, r, target).items() if v}
+        assert got == count_sets_by_brute_force(*key, r, target), target
 
 
 def test_fault_sets_are_shared_by_code_value():
