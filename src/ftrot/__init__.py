@@ -22,7 +22,7 @@ from .analytics import (
 )
 from .bench import CostPoint, DistillCostTable, pareto_report
 from .codes import StabilizerCode, get_code, list_codes, validate
-from .mcsim import McStats, coherent_mc, estimate
+from .mcsim import McStats, estimate
 from .pauli import PauliString, commutes
 from .schemes import (
     InfeasibleError,
@@ -53,7 +53,6 @@ __all__ = [
     "NoiseModel",
     "McStats",
     "estimate",
-    "coherent_mc",
     "ScaffoldPlan",
     "InfeasibleError",
     "walk_expected_steps",

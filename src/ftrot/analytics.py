@@ -15,8 +15,8 @@ most three data faults and readout flips, plus r-fold readout masking
 from r = 4 on, over the accepted share), success rates over the same
 fault sets and coherent-noise spread.  Every code that
 `codes.require_rotation` accepts goes through the same forms; a code
-enters only through its support weight and its derived error
-multiplicities.
+enters only through its support weight and the check masks derived
+from its checks (`codes.Multiplicities`).
 
 The model is one rate vector and one function: `class_rates(noise,
 mult)` gives the accepted fault-set rate of each weight class, class 0
@@ -268,12 +268,7 @@ def accepted_error_model(cfg: RotationConfig, mult: Multiplicities) -> float:
     probability of its branch pairs and their class infidelity, and
     divides by the accepted share, in which `success_rate` counts the
     same sets.  Sets of four or more locations are left out, the r-fold
-    masking set alone excepted.  With a hand-built
-    `Multiplicities`, which lists no fault sets, only the first-order
-    paths remain: flip projection, secondary flip and masking into the
-    weight-1 branch.  As theta -> 0 that part tends to the compact
-    published form (m1 p_in/3 + combos q^r) sin^{2(d-1)}(theta/2) /
-    cos(theta/2), with p_in/3 divided by (1-p_in) and q by (1-q).
+    masking set alone excepted.
     """
     return model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))[3]
 
@@ -292,18 +287,15 @@ def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
     per flip at readout_flip f.  They hold the first-order paths (the
     flip paths in class 1 and, for r <= 3, the masking flips: one at
     r = 1, a pair at r = 2, three at r = 3).  For r >= 4 the r-fold
-    masking set, readout_combos g^r in class 1, has more than three
-    events and is added alone.  A hand-built `Multiplicities` gives
-    (0.0, m1 a + readout_combos g^r).
+    masking set has more than three events and is added alone: g^r in
+    class 1 for each support position whose branch column is a single
+    check, as one flip per cycle on that check hides it.
     """
-    a, g = event_odds(noise.p_in, noise.readout_flip)
-    masking = mult.readout_combos * _stable_pow(g, noise.r)
-    if not mult.channels:
-        return (0.0, mult.first_order * a + masking)
-    rates = fault_set_rates(mult.channels, mult.branch_columns, mult.n_checks, noise.r, 0,
-                            noise.p_in, noise.readout_flip).tolist()
+    rates = fault_set_rates(mult, noise.r, 0, noise.p_in, noise.readout_flip).tolist()
     if noise.r >= 4:
-        rates[1] += masking
+        g = event_odds(noise.p_in, noise.readout_flip)[1]
+        single = sum(column.bit_count() == 1 for column in mult.branch_columns)
+        rates[1] += single * _stable_pow(g, noise.r)
     return tuple(rates)
 
 
@@ -318,15 +310,15 @@ def success_rate(
     p_s = p_s_in (p_s_coh + M), where the accepted-fault mass M sums the
     fault sets of `accepted_error_model`, class 0 included, each at its
     rate times the weight of its branch pairs (`model_terms`).
-    mult defaults to the multiplicities of the registered code of this
-    size (`codes.code_of_size`); with no such code M = 0, and a
-    hand-built `Multiplicities` gives M its first-order paths alone.
+    mult defaults to the check masks of the registered code of this
+    size (`codes.code_of_size`); with no such code M = 0.
     """
     p_s_in = substrate_success(cfg, n_qubits, n_stabilizers)
     if mult is None:
         code = code_of_size(n_qubits, n_stabilizers, cfg.d)
-        mult = code.error_multiplicities if code else Multiplicities(0, 0, 0)
-    p_s_coh, _, _, _, accepted = model_terms(cfg.theta, cfg.d, class_rates(cfg, mult))
+        mult = code.error_multiplicities if code else None
+    rates = (0.0, 0.0) if mult is None else class_rates(cfg, mult)
+    p_s_coh, _, _, _, accepted = model_terms(cfg.theta, cfg.d, rates)
     return SuccessRate(p_s=p_s_in * accepted, p_s_in=p_s_in, p_s_coh=p_s_coh)
 
 

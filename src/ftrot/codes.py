@@ -21,12 +21,8 @@ Four code families are registered:
 A code stores only the values someone chooses: its checks, its
 logical pair and its parameters.  Everything else is derived from the
 checks, once per code object: the rotation support (the support of
-``logical_z``) and the three numbers the analytic error model needs.
-Those count the single-qubit errors on the rotated support that a
-weight-one branch pattern hides (``flip_projection``), the off-support
-errors hidden the same way (``secondary_flip``), and the weight-one
-branch patterns whose syndrome a single readout flip can mask
-(``readout_combos``).  One rule says which fault sets are accepted:
+``logical_z``) and the check masks that its fault sets are read from
+(`Multiplicities`).  One rule says which fault sets are accepted:
 `slot_events` gives each data fault and readout flip over r cycles a
 signature and a branch string b0, over GF(2), and a set is accepted when
 its signatures XOR to 0, reading the XOR of its b0s.
@@ -53,55 +49,35 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import PauliString, commutes
 
-Syndrome = tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class Multiplicities:
-    """First-order error-path counts for the analytic model.
-
-    A weight-1 branch pattern on support qubit s flips the readings of
-    exactly the checks that Z_s trips, so a single-qubit fault is first
-    order when its syndrome equals that of Z on some support qubit.
-    Derived from the checks by the code (see
-    ``StabilizerCode.error_multiplicities``), with the check masks that
-    `fault_set_rates` reads.
+class Multiplicities(NamedTuple):
+    """The check masks that a code's fault sets are read from, and the
+    key of the cached fault-set table (`_fault_set_counts`) and of the
+    Monte Carlo engine's plan.  Derived from the checks by the code (see
+    ``StabilizerCode.error_multiplicities``).
 
     Attributes
     ----------
-    flip_projection:
-        Number of single-qubit X/Y/Z channels on the logical-Z support
-        that a weight-1 branch pattern hides: Z on each support qubit,
-        plus Y wherever no Z-type check sees its X part (phase-flip: 2d).
-    secondary_flip:
-        The same count over the qubits off the support.
-    readout_combos:
-        Number of weight-1 branch patterns whose true syndrome has
-        weight 1, so a single readout flip per cycle hides them.
+    channels:
+        The check bit mask of each single-qubit channel, qubit-major,
+        X Y Z: bit i is set when the channel anticommutes with check i.
+    branch_columns:
+        The check mask of Z on each support position.
+    n_checks:
+        The check count.
     """
 
-    flip_projection: int
-    secondary_flip: int
-    readout_combos: int
-
-    # what the fault-set enumeration reads: the check bit mask of each
-    # single-qubit channel (qubit-major, X Y Z), of Z on each support
-    # position and the check count; empty in a hand-built instance
-    channels: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    branch_columns: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    n_checks: int = field(default=0, repr=False, compare=False)
-
-    @property
-    def first_order(self) -> int:
-        """Total multiplicity of the first-order substrate error path."""
-        return self.flip_projection + self.secondary_flip
+    channels: tuple[int, ...]
+    branch_columns: tuple[int, ...]
+    n_checks: int
 
 
 @dataclass(frozen=True)
@@ -159,32 +135,14 @@ class StabilizerCode:
                 z_trips[q] |= 1 << i
             for q in _bits(s.z):
                 x_trips[q] |= 1 << i
-        hidden = {z_trips[q] for q in self.z_support}
-        on_support = set(self.z_support)
-        counts = [0, 0]  # [on the support, off it]
-        for q in range(self.n):
-            for trips in (x_trips[q], x_trips[q] ^ z_trips[q], z_trips[q]):
-                if trips in hidden:
-                    counts[q not in on_support] += 1
-        readout = sum(1 for q in self.z_support if z_trips[q].bit_count() == 1)
         channels = tuple(
             trips
             for q in range(self.n)
             for trips in (x_trips[q], x_trips[q] ^ z_trips[q], z_trips[q])
         )
         return Multiplicities(
-            counts[0], counts[1], readout, channels,
-            tuple(z_trips[q] for q in self.z_support), len(self.stabilizers),
+            channels, tuple(z_trips[q] for q in self.z_support), len(self.stabilizers)
         )
-
-
-def syndrome(error: PauliString, code: StabilizerCode) -> Syndrome:
-    """Bit i is 1 when ``error`` anticommutes with generator i."""
-    if error.n != code.n:
-        raise ValueError("error length does not match code")
-    return tuple(
-        0 if commutes(error, s) else 1 for s in code.stabilizers
-    )
 
 
 def require_rotation(code: StabilizerCode) -> None:
@@ -251,9 +209,7 @@ def _reduce(rows: tuple[tuple[int, int, int], ...], syndrome: int) -> tuple[int,
     return syndrome, pos
 
 
-def slot_events(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def slot_events(mult: Multiplicities, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The acceptance signature and branch string b0 of every event over
     r cycles, in the Monte Carlo engine's slot order: the data slots
     (cycle, qubit), each as X, Y and Z, then the flip slots (cycle, check).
@@ -268,6 +224,7 @@ def slot_events(
     syndrome) exactly when its signatures XOR to 0, and then reads the
     XOR of its b0s.  Not cached: its one caller, `_count_sets`, is.
     """
+    channels, columns, n_checks = mult
     rows = _branch_basis(columns)[0]
     data = [_reduce(rows, s) for s in channels]
     flip = [_reduce(rows, 1 << i) for i in range(n_checks)]
@@ -284,9 +241,7 @@ def slot_events(
 
 
 @functools.lru_cache(maxsize=64)
-def _count_sets(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
-) -> collections.Counter:
+def _count_sets(mult: Multiplicities, r: int, target: int) -> collections.Counter:
     """The accepted sets of one to three events of `slot_events` over r
     cycles, counted event by event, as {(b0, shape): count}, shape 0..4:
     data, flip, data-data, data-flip, flip-flip, then 5..8 for three
@@ -310,8 +265,8 @@ def _count_sets(
     Cached by target remainder, so the injected Zs that share one share
     the tally; the Counter is shared and must not be written.
     """
-    sigs, b0s = slot_events(channels, columns, n_checks, r)
-    n_data = len(channels) * r
+    sigs, b0s = slot_events(mult, r)
+    n_data = len(mult.channels) * r
     # a data event's slot is its (cycle, qubit); a flip is its own slot
     slots = [e // 3 if e < n_data else e for e in range(len(sigs))]
     # each event's lowest signature bit outside the target, -1 if none
@@ -377,9 +332,7 @@ def _label_product(a: dict, b: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=64)
-def _fault_set_counts(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
-) -> tuple[tuple[int, ...], ...]:
+def _fault_set_counts(mult: Multiplicities, r: int, target: int) -> tuple[tuple[int, ...], ...]:
     """Per weight class m = 0..d//2, the accepted sets of one to three
     events over r cycles per shape (`_count_sets`: a data fault, a flip,
     two data faults, one of each, two flips, then the four shapes of
@@ -409,10 +362,8 @@ def _fault_set_counts(
     events can touch both ends, as the r flips of one check do, so the
     cubic does not reach down to it.
     """
-    if not columns:
-        return ()
     if r > 7:
-        by_r = [_fault_set_counts(channels, columns, n_checks, t, target) for t in range(4, 8)]
+        by_r = [_fault_set_counts(mult, t, target) for t in range(4, 8)]
         # the cubic through r = 4 + i, i = 0..3, at r: the sum over j of
         # C(k, j) times the j-th forward difference at r = 4
         k = r - 4
@@ -424,9 +375,10 @@ def _fault_set_counts(
             tuple(sum(w * v for w, v in zip(weights, values)) for values in zip(*rows))
             for rows in zip(*by_r)
         )
+    columns = mult.branch_columns
     d = len(columns)
     counts = [[0] * 9 for _ in range(d // 2 + 1)]
-    tally = _count_sets(channels, columns, n_checks, r, target >> d)
+    tally = _count_sets(mult, r, target >> d)
     for (b0, shape), count in tally.items():
         strings = _coset_counts(columns, b0 ^ (target & (1 << d) - 1))
         for m, row in enumerate(counts):
@@ -443,8 +395,7 @@ def event_odds(p_in: float, readout_flip: float) -> tuple[float, float]:
 
 
 def fault_set_rates(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int,
-    p_in: float, readout_flip: float,
+    mult: Multiplicities, r: int, target: int, p_in: float, readout_flip: float
 ) -> np.ndarray:
     """`_fault_set_counts` (same arguments) with each set weighted by its
     events' odds (`event_odds`): per class m, P(exactly those events,
@@ -453,7 +404,7 @@ def fault_set_rates(
     caller."""
     a, g = event_odds(p_in, readout_flip)
     odds = (a, g, a * a, a * g, g * g, a**3, a * a * g, a * g * g, g**3)
-    counts = np.array(_fault_set_counts(channels, columns, n_checks, r, target), dtype=float)
+    counts = np.array(_fault_set_counts(mult, r, target), dtype=float)
     return counts @ odds
 
 

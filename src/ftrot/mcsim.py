@@ -31,7 +31,7 @@ the noise the class counts of the n_s trials that read s in every cycle
 are one multinomial draw over s's coset.  No branch string is drawn.
 
 Determinism: `_philox_batches` is the one place the contract is
-implemented, for `estimate`, `coherent_mc` and `schemes.simulate_walk`.
+implemented, for `estimate` and `schemes.simulate_walk`.
 Work is partitioned into fixed-size batches, batch i drawing from a
 counter-based Philox stream keyed by (seed, i), seed in [0, 2^64).
 All reductions are integer counts, so results are bit-identical for a
@@ -103,8 +103,8 @@ import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import StabilizerCode, _branch_basis, _coset_counts, _reduce, fault_set_rates
-from .codes import require_rotation
+from .codes import Multiplicities, StabilizerCode, _branch_basis, _coset_counts, _reduce
+from .codes import fault_set_rates, require_rotation
 
 DEFAULT_BATCH_SIZE = 1 << 18
 _READ_CELLS = 1 << 20  # the most (row, trial) words one `_readings` call holds
@@ -114,10 +114,8 @@ RARE_SHARE = 0.01  # a class's share of the exact mean from which its rarity war
 __all__ = [
     "NoiseModel",
     "McStats",
-    "CoherentStats",
     "RareEventWarning",
     "estimate",
-    "coherent_mc",
 ]
 
 
@@ -141,14 +139,6 @@ class McStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CoherentStats:
-    mean_theta_l: float
-    std_theta_l: float
-    n_samples: int
-    seed: int
 
 
 def _worker_count(threads: int, n_batches: int) -> int:
@@ -357,18 +347,13 @@ def _inverse_cdf(tail: np.ndarray, start: int | np.ndarray, u: np.ndarray) -> np
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(
-    channels: tuple[int, ...],
-    columns: tuple[int, ...],
-    n_checks: int,
-    noise: NoiseModel,
-    inject_z: int | None,
-) -> _Plan:
-    """The `_Plan` of the code whose channels and branch columns have
-    these check masks (`codes.Multiplicities`), under `noise`, with a Z
-    injected on qubit `inject_z` in the first cycle.  Cached by value,
-    as `codes._branch_basis` is; its arrays are read-only, because
-    every caller shares them."""
+def _plan(mult: Multiplicities, noise: NoiseModel, inject_z: int | None) -> _Plan:
+    """The `_Plan` of the code with the check masks `mult`
+    (`codes.Multiplicities`), under `noise`, with a Z injected on qubit
+    `inject_z` in the first cycle.  Cached by value, as
+    `codes._branch_basis` is; its arrays are read-only, because every
+    caller shares them."""
+    channels, columns, n_checks = mult
     n, d, r = len(channels) // 3, len(columns), noise.r
     rows = _branch_basis(columns)[0]
 
@@ -407,7 +392,7 @@ def _plan(
     # (`codes.fault_set_rates`, per class over the accepted sets).  The
     # empty set reads the Z's own syndrome, accepted when that lies in
     # the branch span
-    sets = fault_set_rates(channels, columns, n_checks, r, injected, noise.p_in, noise.readout_flip)
+    sets = fault_set_rates(mult, r, injected, noise.p_in, noise.readout_flip)
     empty = _coset_counts(columns, injected)[: d // 2 + 1] if injected < 1 << d else 0.0
     few = math.exp(before[-1]) * (empty + sets)
     words = _word_column(injected, width)[:, 0]
@@ -543,7 +528,7 @@ def estimate(
     )
 
     mult = code.error_multiplicities
-    plan = _plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
+    plan = _plan(mult, noise, inject_z)
     classes = functools.partial(_coset_classes, mult.branch_columns, theta)
     law = _batch_law(plan, theta)
     # each class's part of the exact mean, that of the trials with at
@@ -607,33 +592,4 @@ def estimate(
         branch_histogram=tuple(int(c) for c in hist),
         seed=seed,
         params=params,
-    )
-
-
-def coherent_mc(
-    d: int,
-    theta: float,
-    sigma_theta: float,
-    n_samples: int,
-    seed: int,
-) -> CoherentStats:
-    """Sample the logical angle under per-qubit Gaussian angle noise.
-
-    Each sample draws d angle offsets N(0, sigma^2) and evaluates the
-    exact product form theta_L = 2 atan(prod_i tan((theta+dtheta_i)/2)).
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        angles = theta + sigma_theta * rng.standard_normal((size, d))
-        return 2.0 * np.arctan(np.prod(np.tan(angles / 2.0), axis=1))
-
-    # one batch keyed (seed, 0)
-    (theta_l,) = _philox_batches(seed, n_samples, n_samples, sample)
-    return CoherentStats(
-        mean_theta_l=float(theta_l.mean()),
-        std_theta_l=float(theta_l.std(ddof=1)),
-        n_samples=n_samples,
-        seed=seed,
     )

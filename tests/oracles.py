@@ -19,9 +19,10 @@ import numpy as np
 from ftrot import analytics, codes
 from ftrot.analytics import NoiseModel, RotationConfig, _stable_pow
 from ftrot.bench import CostPoint
-from ftrot.codes import StabilizerCode, syndrome
+from ftrot.codes import StabilizerCode
+from ftrot.mcsim import _philox_batches
 from ftrot.schemes import InfeasibleError, ScaffoldPlan, iter_plans
-from ftrot.pauli import PauliString
+from ftrot.pauli import PauliString, commutes
 
 
 def statevector_branch_angles(d: int, theta: float) -> list[float]:
@@ -172,18 +173,58 @@ def multi_rotation_coherent_std(m: int, d: int, sigma_frac: float) -> float:
     return math.sqrt(d / m) * sigma_frac
 
 
-def first_order_multiplicity(code) -> tuple[int, int]:
+def syndrome(error: PauliString, code: StabilizerCode) -> tuple[int, ...]:
+    """Bit i is 1 when ``error`` anticommutes with generator i."""
+    if error.n != code.n:
+        raise ValueError("error length does not match code")
+    return tuple(0 if commutes(error, s) else 1 for s in code.stabilizers)
+
+
+@dataclass(frozen=True)
+class CoherentStats:
+    mean_theta_l: float
+    std_theta_l: float
+    n_samples: int
+    seed: int
+
+
+def coherent_mc(d: int, theta: float, sigma_theta: float, n_samples: int,
+                seed: int) -> CoherentStats:
+    """Sample the logical angle under per-qubit Gaussian angle noise.
+
+    Each sample draws d angle offsets N(0, sigma^2) and evaluates the
+    exact product form theta_L = 2 atan(prod_i tan((theta+dtheta_i)/2)),
+    all in one batch keyed (seed, 0).
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        angles = theta + sigma_theta * rng.standard_normal((size, d))
+        return 2.0 * np.arctan(np.prod(np.tan(angles / 2.0), axis=1))
+
+    (theta_l,) = _philox_batches(seed, n_samples, n_samples, sample)
+    return CoherentStats(
+        mean_theta_l=float(theta_l.mean()),
+        std_theta_l=float(theta_l.std(ddof=1)),
+        n_samples=n_samples,
+        seed=seed,
+    )
+
+
+def first_order_multiplicity(code) -> tuple[int, int, int]:
     """Count single-Pauli channels accepted via a weight-1 branch swap.
 
     A single error E on one qubit is accepted exactly when some branch
     pattern of weight one over the rotation support flips the same set
     of stabilizer readings E does; the sampled pattern then mislabels
-    the output branch.  Returns (count, readout-channel count): the
-    readout channels are the weight-1 patterns whose reading signature
-    is a single stabilizer, which one persistent readout flip can fake.
+    the output branch.  Returns (on, off, readout): the channels on the
+    rotation support and off it, and the readout channels, the weight-1
+    patterns whose reading signature is a single stabilizer, which one
+    persistent readout flip can fake.
     """
     support = sorted(code.z_support)
-    flips = 0
+    flips = [0, 0]
     for q in range(code.n):
         for p in ("X", "Y", "Z"):
             label = "".join(p if i == q else "I" for i in range(code.n))
@@ -194,14 +235,32 @@ def first_order_multiplicity(code) -> tuple[int, int]:
                     _anticommutes(g.x, g.z, err_x, err_z) == _parity(g.x & pat)
                     for g in code.stabilizers
                 ):
-                    flips += 1
+                    flips[q not in support] += 1
                     break
     readout = sum(
         1
         for s in support
         if sum(_parity(g.x & (1 << s)) for g in code.stabilizers) == 1
     )
-    return flips, readout
+    return flips[0], flips[1], readout
+
+
+def first_order_rates(noise: NoiseModel, counts: tuple[int, int, int]) -> tuple[float, float]:
+    """The class rates of the first-order paths alone, class 0 first, as
+    `analytics.model_terms` reads them: (0, (on + off) a + readout g^r)
+    for `first_order_multiplicity`'s counts, with a = (p_in/3)/(1 - p_in)
+    per hidden single-qubit fault and g = q/(1 - q) per flip at readout
+    flip q, one flip per cycle masking a readout channel."""
+    on, off, readout = counts
+    a = noise.p_in / 3.0 / (1.0 - noise.p_in)
+    g = noise.readout_flip / (1.0 - noise.readout_flip)
+    return (0.0, (on + off) * a + readout * g**noise.r)
+
+
+def first_order_error(cfg: RotationConfig, counts: tuple[int, int, int]) -> float:
+    """The model's error over the first-order paths alone: the public
+    one evaluation `analytics.model_terms` at `first_order_rates`."""
+    return analytics.model_terms(cfg.theta, cfg.d, first_order_rates(cfg, counts))[3]
 
 
 def _label_bits(label: str) -> tuple[int, int]:
@@ -282,18 +341,19 @@ def filter_coefficients(theta: float, d: int, sign: int = 1) -> tuple[float, flo
     return (c0, c1)
 
 
-def compact_error_first_order(cfg, mult) -> float:
+def compact_error_first_order(cfg, counts: tuple[int, int, int]) -> float:
     """The compact published first-order error, readout masking included.
 
     (m1 (p_in/3) + combos q^r) sin^{2(d-1)}(theta/2) / cos(theta/2) with
-    m1 = mult.first_order, combos = mult.readout_combos and q the
-    readout flip: the small-angle form that
-    `analytics.accepted_error_model` refines with the exact branch-pair
-    factors and the (1-p_in)^{-1} conditioning of the flip path.
+    m1 = on + off and combos = readout from `first_order_multiplicity`'s
+    counts and q the readout flip: the small-angle form that
+    `first_order_error` refines with the exact branch-pair factors and
+    the (1-p_in)^{-1} conditioning of the flip path.
     """
+    on, off, readout = counts
     s = math.sin(cfg.theta / 2.0)
     c = math.cos(cfg.theta / 2.0)
-    rate = mult.first_order * cfg.p_in / 3.0 + mult.readout_combos * cfg.readout_flip ** cfg.r
+    rate = (on + off) * cfg.p_in / 3.0 + readout * cfg.readout_flip ** cfg.r
     return rate * s ** (2 * (cfg.d - 1)) / c
 
 
@@ -447,14 +507,14 @@ def fault_set_counts(
 
 
 def count_sets_by_brute_force(
-    channels: tuple[int, ...], columns: tuple[int, ...], n_checks: int, r: int, target: int
+    mult: codes.Multiplicities, r: int, target: int
 ) -> dict[tuple[int, int], int]:
     """`codes._count_sets` by brute force: every set of one to three
     `codes.slot_events` events, walked with `itertools.combinations`,
     counted as {(b0, shape): count} when its signatures XOR to `target`.
     Sets with two data events in one slot (cycle, qubit) are skipped."""
-    sigs, b0s = codes.slot_events(channels, columns, n_checks, r)
-    n_data = len(channels) * r
+    sigs, b0s = codes.slot_events(mult, r)
+    n_data = len(mult.channels) * r
     counts: dict[tuple[int, int], int] = {}
     for size, first_shape in ((1, 0), (2, 2), (3, 5)):
         for events in itertools.combinations(range(len(sigs)), size):

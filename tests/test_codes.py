@@ -16,6 +16,7 @@ from oracles import (
     first_order_multiplicity,
     matrices_commute,
     pauli_matrix,
+    syndrome,
 )
 
 ALL_INSTANCES = [
@@ -160,20 +161,30 @@ def test_perfect_code_commutation_table_exhaustive():
     assert not matrices_commute(zl, xl)
 
 
+def counts_from_masks(code) -> tuple[int, int, int]:
+    """The oracle's three counts read from the code's derived check
+    masks: a channel is hidden when its mask is a support position's
+    branch column, on the support or off it, and a branch column of a
+    single check is a readout channel."""
+    channels, columns, _ = code.error_multiplicities
+    counts = [0, 0]
+    for e, mask in enumerate(channels):
+        if mask in columns:
+            counts[e // 3 not in code.z_support] += 1
+    return counts[0], counts[1], sum(column.bit_count() == 1 for column in columns)
+
+
 def test_multiplicities_match_enumeration_oracle():
     """Re-derive the undetected-channel counts by direct enumeration.
 
     The oracle counts single-qubit Paulis whose stabilizer signature a
-    weight-1 branch pattern can cancel, one Pauli at a time; the code
-    derives the same counts from its per-qubit check columns.
+    weight-1 branch pattern can cancel, one Pauli at a time; the code's
+    check masks give the same counts, and its readout channels are the
+    single-check branch columns that the model's masking term counts.
     """
     for name, d in ALL_INSTANCES:
         code = codes.get_code(name, d)
-        mult = code.error_multiplicities
-        assert first_order_multiplicity(code) == (
-            mult.first_order,
-            mult.readout_combos,
-        ), (name, d)
+        assert first_order_multiplicity(code) == counts_from_masks(code), (name, d)
 
 
 def test_stored_multiplicity_tuples():
@@ -192,8 +203,8 @@ def test_stored_multiplicity_tuples():
         ("perfect", None): (3, 0, 1),
     }
     for (name, d), counts in expected.items():
-        got = codes.get_code(name, d).error_multiplicities
-        assert got == codes.Multiplicities(*counts), (name, d)
+        got = first_order_multiplicity(codes.get_code(name, d))
+        assert got == counts, (name, d)
 
 
 def syndrome_mask(bits) -> int:
@@ -214,7 +225,7 @@ def test_branch_coset_matches_all_branch_strings(name, d):
     rows = codes._branch_basis(columns)[0]
     branches = {syndrome_mask(s): w for s, w in branch_syndromes(code).items()}
     singles = {
-        syndrome_mask(codes.syndrome(PauliString.from_label(
+        syndrome_mask(syndrome(PauliString.from_label(
             "".join(p if i == q else "I" for i in range(code.n))), code))
         for q in range(code.n) for p in "XYZ"
     }
@@ -239,7 +250,7 @@ def test_fault_sets_match_the_walk_over_every_set(name, d, r):
     # extrapolated from r = 4..7
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
-    table = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, 0)
+    table = codes._fault_set_counts(mult, r, 0)
     assert [list(counts[:5]) for counts in table] == fault_set_counts(code, r)
 
 
@@ -254,7 +265,6 @@ def test_fault_set_counts_extrapolate_per_class(name, d):
     # perfect codes, so the target's remainder is nonzero)
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
-    key = (mult.channels, mult.branch_columns, mult.n_checks)
     width = len(mult.branch_columns)
 
     def branch_syndrome(b):
@@ -272,7 +282,7 @@ def test_fault_set_counts_extrapolate_per_class(name, d):
                                  for q in (0, 1, code.n - 1)})
     assert len({rest for rest, _ in targets}) == (1 if name == "phase-flip" else 2)
     for (rest, b0), r in itertools.product(targets, range(6, 13)):
-        direct = codes._count_sets(*key, r, rest)
+        direct = codes._count_sets(mult, r, rest)
         assert direct and all(count > 0 for count in direct.values())
         assert {shape for _, shape in direct} <= set(range(9))
         want = [[0] * 9 for _ in range(width // 2 + 1)]
@@ -280,7 +290,7 @@ def test_fault_set_counts_extrapolate_per_class(name, d):
             strings = weights[branch_syndrome(b ^ b0)]
             for m, row in enumerate(want):
                 row[shape] += count * strings.count(m)
-        got = codes._fault_set_counts(*key, r, rest << width | b0)
+        got = codes._fault_set_counts(mult, r, rest << width | b0)
         assert [list(row) for row in got] == want, (rest, b0, r)
 
 
@@ -316,7 +326,7 @@ def test_fault_sets_of_three_match_the_walk(name, d, r, inject):
         rest, b0 = codes._reduce(codes._branch_basis(mult.branch_columns)[0],
                                  mult.channels[3 * inject_z + 2])
         target = rest << code.d | b0
-    got = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks, r, target)
+    got = codes._fault_set_counts(mult, r, target)
     walk = fault_set_counts(code, r, inject_z, order=3)
     assert [list(row) for row in got] == [row[:9] for row in walk]
     assert all(any(row[5:9]) for row in walk)  # every class takes some sets of three
@@ -335,12 +345,11 @@ def test_fault_sets_match_brute_force_past_r_3(name, d, r):
     # equal zero-signature events with b0 != 0, so three of them read A^3
     code = codes.get_code(name, d)
     mult = code.error_multiplicities
-    key = (mult.channels, mult.branch_columns, mult.n_checks)
     rows = codes._branch_basis(mult.branch_columns)[0]
     targets = {0} | {codes._reduce(rows, mult.channels[3 * q + 2])[0] for q in range(code.n)}
     for target in sorted(targets):
-        got = {k: v for k, v in codes._count_sets(*key, r, target).items() if v}
-        assert got == count_sets_by_brute_force(*key, r, target), target
+        got = {k: v for k, v in codes._count_sets(mult, r, target).items() if v}
+        assert got == count_sets_by_brute_force(mult, r, target), target
 
 
 def test_fault_sets_are_shared_by_code_value():
@@ -348,11 +357,7 @@ def test_fault_sets_are_shared_by_code_value():
     a = codes.rotated_surface_code(5).error_multiplicities
     b = codes.rotated_surface_code(5).error_multiplicities
     assert a is not b
-    assert codes._fault_set_counts(a.channels, a.branch_columns, a.n_checks, 2, 0) is (
-        codes._fault_set_counts(b.channels, b.branch_columns, b.n_checks, 2, 0))
-    hand_built = codes.Multiplicities(5, 2, 2)
-    assert codes._fault_set_counts(hand_built.channels, hand_built.branch_columns,
-                                   hand_built.n_checks, 2, 0) == ()
+    assert codes._fault_set_counts(a, 2, 0) is codes._fault_set_counts(b, 2, 0)
 
 
 def test_replace_rederives_from_the_checks():
@@ -364,8 +369,7 @@ def test_replace_rederives_from_the_checks():
         code, logical_z=code.logical_z * PauliString.from_label("IIIZZIZZI")
     )
     assert moved.z_support == (0, 3, 6, 7, 8)
-    mult = moved.error_multiplicities
-    assert first_order_multiplicity(moved) == (mult.first_order, mult.readout_combos)
+    assert first_order_multiplicity(moved) == counts_from_masks(moved)
     assert codes.validate(moved).ok
 
 
@@ -391,14 +395,14 @@ def test_require_rotation_refuses_x_part_and_wrong_weight():
 
 def test_syndrome_of_known_errors():
     code = codes.get_code("phase-flip", 3)
-    clean = codes.syndrome(PauliString.identity(3), code)
+    clean = syndrome(PauliString.identity(3), code)
     assert clean == (0,) * 2
     z_mid = PauliString.single_z(3, 1)
-    assert codes.syndrome(z_mid, code) == (1, 1)
+    assert syndrome(z_mid, code) == (1, 1)
     z_end = PauliString.single_z(3, 0)
-    assert codes.syndrome(z_end, code) == (1, 0)
+    assert syndrome(z_end, code) == (1, 0)
     # X errors commute with the X-type checks
-    assert codes.syndrome(PauliString.single_x(3, 1), code) == (0, 0)
+    assert syndrome(PauliString.single_x(3, 1), code) == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,9 +413,9 @@ def test_syndrome_is_linear(data):
     bits = st.integers(min_value=0, max_value=(1 << code.n) - 1)
     e1 = PauliString(code.n, data.draw(bits), data.draw(bits))
     e2 = PauliString(code.n, data.draw(bits), data.draw(bits))
-    s1 = codes.syndrome(e1, code)
-    s2 = codes.syndrome(e2, code)
-    s12 = codes.syndrome(e1 * e2, code)
+    s1 = syndrome(e1, code)
+    s2 = syndrome(e2, code)
+    s12 = syndrome(e1 * e2, code)
     assert s12 == tuple(a ^ b for a, b in zip(s1, s2))
 
 
@@ -422,7 +426,7 @@ def test_syndrome_matches_commutation(data):
     code = codes.get_code(name, d)
     bits = st.integers(min_value=0, max_value=(1 << code.n) - 1)
     err = PauliString(code.n, data.draw(bits), data.draw(bits))
-    syn = codes.syndrome(err, code)
+    syn = syndrome(err, code)
     for bit, g in zip(syn, code.stabilizers):
         assert bit == (0 if commutes(err, g) else 1)
 

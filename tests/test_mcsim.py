@@ -298,7 +298,7 @@ class TestPlan:
     @staticmethod
     def plan(code, noise):
         mult = code.error_multiplicities
-        return mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
+        return mcsim._plan(mult, noise, None)
 
     @staticmethod
     def slot_odds(code, noise):
@@ -362,7 +362,7 @@ class TestPlan:
         p0, _, g, _, _ = self.slot_odds(code, noise)
         a = noise.p_in / 3 / (1 - noise.p_in)
         mult = code.error_multiplicities
-        plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, inject_z)
+        plan = mcsim._plan(mult, noise, inject_z)
         theta = 0.8
         got = mcsim._batch_law(plan, theta)
         assert got[-2] == plan.tails[0, 0] and got[-1] == 0.0
@@ -374,8 +374,7 @@ class TestPlan:
             rows = codes._branch_basis(mult.branch_columns)[0]
             rest, b0 = codes._reduce(rows, mult.channels[3 * inject_z + 2])
             target = rest << code.d | b0
-        triples = codes._fault_set_counts(mult.channels, mult.branch_columns, mult.n_checks,
-                                          noise.r, target)
+        triples = codes._fault_set_counts(mult, noise.r, target)
         want = np.array([
             (empty[m] + counts[0] * a + counts[1] * g
              + counts[2] * a * a + counts[3] * a * g + counts[4] * g * g
@@ -429,7 +428,7 @@ class TestUntouchedClasses:
             z = 0
             for i, qubit in enumerate(code.z_support):
                 z ^= (b >> i & 1) << qubit
-            bits = codes.syndrome(oracles.PauliString(code.n, 0, z), code)
+            bits = oracles.syndrome(oracles.PauliString(code.n, 0, z), code)
             w = bin(b).count("1")
             prob = s2**w * (1 - s2) ** (code.d - w)
             if sum(bit << i for i, bit in enumerate(bits)) == syndrome:
@@ -763,8 +762,7 @@ class TestEstimate:
         cfg = analytics.RotationConfig(theta=0.6, d=5, **vars(noise))
         full = code.error_multiplicities
         model = analytics.accepted_error_model(cfg, full)
-        first_order = analytics.accepted_error_model(cfg, codes.Multiplicities(
-            full.flip_projection, full.secondary_flip, full.readout_combos))
+        first_order = oracles.first_order_error(cfg, oracles.first_order_multiplicity(code))
         st = mcsim.estimate(code, 0.6, None, noise, 40_000_000, seed=17, threads=2)
         z_model = (st.mean_infidelity - model) / st.infidelity_stderr
         z_first = (st.mean_infidelity - first_order) / st.infidelity_stderr
@@ -826,7 +824,7 @@ class TestMultiFaultChunks:
         """The batch, and the count n4 of its trials with four or more
         faults, which its first draw gives."""
         mult = code.error_multiplicities
-        plan = mcsim._plan(mult.channels, mult.branch_columns, mult.n_checks, noise, None)
+        plan = mcsim._plan(mult, noise, None)
         classes = functools.partial(mcsim._coset_classes, mult.branch_columns, 0.8)
         law = mcsim._batch_law(plan, 0.8)
 
@@ -1005,7 +1003,7 @@ class TestWorkerCount:
 
 class TestCoherentMc:
     def test_std_matches_linearized_formula(self):
-        st = mcsim.coherent_mc(5, 0.1, 0.001, 100_000, seed=7)
+        st = oracles.coherent_mc(5, 0.1, 0.001, 100_000, seed=7)
         pred = analytics.coherent_angle_std(5, analytics.logical_angle(0.1, 5), 0.01)
         assert abs(st.std_theta_l / pred - 1.0) < 0.02
         assert st.mean_theta_l == pytest.approx(
@@ -1013,10 +1011,10 @@ class TestCoherentMc:
         )
 
     def test_deterministic(self):
-        a = mcsim.coherent_mc(3, 0.4, 0.004, 10_000, seed=9)
-        b = mcsim.coherent_mc(3, 0.4, 0.004, 10_000, seed=9)
+        a = oracles.coherent_mc(3, 0.4, 0.004, 10_000, seed=9)
+        b = oracles.coherent_mc(3, 0.4, 0.004, 10_000, seed=9)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mcsim.coherent_mc(3, 0.4, 0.004, 1, seed=9)
+            oracles.coherent_mc(3, 0.4, 0.004, 1, seed=9)

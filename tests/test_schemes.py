@@ -8,6 +8,8 @@ from ftrot.mcsim import NoiseModel
 from ftrot.schemes import InfeasibleError
 
 from oracles import (
+    first_order_multiplicity,
+    first_order_rates,
     our_curve_by_records,
     plan_records,
     scaffold_by_records,
@@ -183,11 +185,7 @@ class TestScaffold:
         # slope at d = 5)
         code = codes.get_code("surface", d)
         p_s_in = analytics.substrate_success(self.NOISE, code.n, len(code.stabilizers))
-        counts = code.error_multiplicities
-        order_one = codes.Multiplicities(
-            counts.flip_projection, counts.secondary_flip, counts.readout_combos
-        )
-        rates = analytics.class_rates(self.NOISE, order_one)
+        rates = first_order_rates(self.NOISE, first_order_multiplicity(code))
         theta_l = analytics.logical_angle(0.5, d)
         ms = np.unique(np.round(np.logspace(1, 3, 25)).astype(int))
         eps = [m * schemes._base_state(theta_l / m, d, p_s_in, rates)[2] for m in ms]
