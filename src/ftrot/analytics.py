@@ -213,15 +213,12 @@ def logical_angle(theta: float, d: int) -> float:
     Equals 2*asin(sin^d / sqrt(cos^{2d} + sin^{2d})) (half-angles
     implied), or equivalently 2*atan(tan^d(theta/2)), which is the
     numerically stable form used here.  Monotone nondecreasing on
-    [0, pi] with fixed points 0, pi/2 (d odd), and pi.
+    [0, pi] with fixed points 0, pi/2 (d odd), and pi: the angle of
+    the codespace branch pair, `branch_angle(0, d, theta)`.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must be in [0, pi], got {theta}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if theta == math.pi:
-        return math.pi
-    return _branch_angle(_log(math.tan(theta / 2.0)), d, 0)
+    return branch_angle(0, d, theta)
 
 
 def branch_angle(b_weight: int, d: int, theta: float) -> float:
@@ -299,25 +296,20 @@ def class_rates(noise: NoiseModel, mult: Multiplicities) -> tuple[float, ...]:
     return tuple(rates)
 
 
-def success_rate(
-    cfg: RotationConfig, n_qubits: int, n_stabilizers: int,
-    mult: Multiplicities | None = None,
-) -> SuccessRate:
+def success_rate(cfg: RotationConfig, n_qubits: int, n_stabilizers: int) -> SuccessRate:
     """Acceptance probability, with its substrate and coherent parts.
 
     p_s_in from `substrate_success` is the chance of no fault at all;
     p_s_coh = cos^{2d} + sin^{2d} is the trivial branch pair's weight.
     p_s = p_s_in (p_s_coh + M), where the accepted-fault mass M sums the
     fault sets of `accepted_error_model`, class 0 included, each at its
-    rate times the weight of its branch pairs (`model_terms`).
-    mult defaults to the check masks of the registered code of this
-    size (`codes.code_of_size`); with no such code M = 0.
+    rate times the weight of its branch pairs (`model_terms`), read
+    from the check masks of the registered code of this size
+    (`codes.code_of_size`); with no such code M = 0.
     """
     p_s_in = substrate_success(cfg, n_qubits, n_stabilizers)
-    if mult is None:
-        code = code_of_size(n_qubits, n_stabilizers, cfg.d)
-        mult = code.error_multiplicities if code else None
-    rates = (0.0, 0.0) if mult is None else class_rates(cfg, mult)
+    code = code_of_size(n_qubits, n_stabilizers, cfg.d)
+    rates = class_rates(cfg, code.error_multiplicities) if code else (0.0, 0.0)
     p_s_coh, _, _, _, accepted = model_terms(cfg.theta, cfg.d, rates)
     return SuccessRate(p_s=p_s_in * accepted, p_s_in=p_s_in, p_s_coh=p_s_coh)
 

@@ -222,7 +222,9 @@ def slot_events(mult: Multiplicities, r: int) -> tuple[tuple[int, ...], tuple[in
     `_reduce`'s branch string of the event's part of s_0.  It is all
     linear, so a set is accepted (every cycle reads s_0, a branch
     syndrome) exactly when its signatures XOR to 0, and then reads the
-    XOR of its b0s.  Not cached: its one caller, `_count_sets`, is.
+    XOR of its b0s.  Not cached: `_count_sets` reads it once per
+    cached table (`_fault_set_counts`), and the Monte Carlo engine's
+    cached plan reads its one-cycle forms.
     """
     channels, columns, n_checks = mult
     rows = _branch_basis(columns)[0]
@@ -240,7 +242,6 @@ def slot_events(mult: Multiplicities, r: int) -> tuple[tuple[int, ...], tuple[in
     return tuple(sigs), tuple(b0s)
 
 
-@functools.lru_cache(maxsize=64)
 def _count_sets(mult: Multiplicities, r: int, target: int) -> collections.Counter:
     """The accepted sets of one to three events of `slot_events` over r
     cycles, counted event by event, as {(b0, shape): count}, shape 0..4:
@@ -262,8 +263,7 @@ def _count_sets(mult: Multiplicities, r: int, target: int) -> collections.Counte
     code can hold hundreds of such events (every X fault on the
     phase-flip code has a zero signature): k slots with equal sums A of
     (signature, b0, flips) labels add j events in C(k, j) A^j ways.
-    Cached by target remainder, so the injected Zs that share one share
-    the tally; the Counter is shared and must not be written.
+    Not cached: its one caller, `_fault_set_counts`, is.
     """
     sigs, b0s = slot_events(mult, r)
     n_data = len(mult.channels) * r
@@ -602,11 +602,11 @@ def get_code(name: str, d: int | None = None) -> StabilizerCode:
     return _FIXED[name]()
 
 
-@functools.lru_cache(maxsize=64)
 def code_of_size(n: int, n_checks: int, d: int) -> StabilizerCode | None:
     """The registered code with n qubits, n_checks checks and distance
     d, or None.  No two registered codes share all three, so the sizes
-    that `analytics.success_rate` is given name its code."""
+    that `analytics.success_rate` is given name its code.  Not cached:
+    the codes come from `get_code`, which is."""
     for name in CODE_DESCRIPTIONS:
         try:
             code = get_code(name, d)

@@ -46,18 +46,20 @@ slots (cycle, check) at readout_flip.  Stream 9 draws, per batch:
      count n4 of those with four or more, as one multinomial(size,
      (Q_0, ..., Q_{d//2}, P4+, rest)), where Q_m = P(at most three
      faults, accepted in class m) and the rest is rejected;
-  2. the n4 trials, one chunk of at most 2^20 / (2 r) trials at a time,
-     each chunk drawing in turn: one uniform per trial for the first
-     fault's slot J, then one each for the second's, K > J, the
-     third's, L > K, and the fourth's, M > L; then the X/Y/Z kinds of
-     the four, J's first; then the data faults over the flat (trial,
-     data slot) index (the gaps between hits, then one kind per hit),
-     and the flips over the flat (trial, flip slot) index (the gaps),
-     of which only those after the trial's M are kept;
+  2. the n4 trials, in chunks of at most `_READ_CELLS` // (2 r) trials
+     (`_READ_CELLS` = 2^20), each chunk drawing in turn: a (4, n) block
+     of uniforms, whose rows pick by `_inverse_cdf` each trial's first
+     fault's slot J, then its second's, K > J, its third's, L > K, and
+     its fourth's, M > L; then a (4, n) block of the four's X/Y/Z
+     kinds, J's row first; then the data faults over the flat (trial,
+     data slot) index (the gaps between hits by `_sparse_hits`, then
+     one kind per hit), and the flips over the flat (trial, flip slot)
+     index (the gaps), of which only those after the trial's M are
+     kept;
   3. for each b0 that some of the n4 trials reach, in ascending order,
-     the class counts of its n_b0 trials as multinomial(n_b0, q(b0)),
-     with q_m(b0) = P(b in b0's coset, class m) for m = 0..d//2 and the
-     rejection probability last.
+     the class counts of its n_b0 trials as multinomial(n_b0, q(b0))
+     (`_coset_classes`), with q_m(b0) = P(b in b0's coset, class m) for
+     m = 0..d//2 and the rejection probability last.
 
 Step 1 is exact: a trial with at most three faults reads b0 with a
 known probability and then lands in class m with probability q_m(b0),
@@ -103,8 +105,8 @@ import numpy as np
 
 from . import analytics
 from .analytics import NoiseModel
-from .codes import Multiplicities, StabilizerCode, _branch_basis, _coset_counts, _reduce
-from .codes import fault_set_rates, require_rotation
+from .codes import Multiplicities, StabilizerCode, _coset_counts, fault_set_rates
+from .codes import require_rotation, slot_events
 
 DEFAULT_BATCH_SIZE = 1 << 18
 _READ_CELLS = 1 << 20  # the most (row, trial) words one `_readings` call holds
@@ -239,7 +241,6 @@ def _pair_weights(theta: float, d: int) -> np.ndarray:
     return s**m * (1.0 - s) ** (d - m) + s ** (d - m) * (1.0 - s) ** m
 
 
-@functools.lru_cache(maxsize=1024)
 def _coset_classes(columns: tuple[int, ...], theta: float, b0: int) -> np.ndarray:
     """Class probabilities of a trial that reads branch string b0's
     syndrome in every cycle, for the code with these branch columns:
@@ -249,15 +250,11 @@ def _coset_classes(columns: tuple[int, ...], theta: float, b0: int) -> np.ndarra
     b0's coset, which `codes._coset_counts` counts by weight ({0, 1^d}
     for b0 = 0).  The coset is closed under complement, as 1^d lies in
     the kernel for every code that `codes.require_rotation` accepts, so
-    class m is the count of weight m times the pair weight.  Cached by
-    (branch columns, theta, b0) across calls; the array is read-only,
-    because every caller shares it.
+    class m is the count of weight m times the pair weight.
     """
     d = len(columns)
     q = np.multiply(_coset_counts(columns, b0)[: d // 2 + 1], _pair_weights(theta, d))
-    q = np.append(q, max(0.0, 1.0 - q.sum()))
-    q.setflags(write=False)
-    return q
+    return np.append(q, max(0.0, 1.0 - q.sum()))
 
 
 def _word_column(mask: int, width: int) -> np.ndarray:
@@ -350,22 +347,18 @@ def _inverse_cdf(tail: np.ndarray, start: int | np.ndarray, u: np.ndarray) -> np
 def _plan(mult: Multiplicities, noise: NoiseModel, inject_z: int | None) -> _Plan:
     """The `_Plan` of the code with the check masks `mult`
     (`codes.Multiplicities`), under `noise`, with a Z injected on qubit
-    `inject_z` in the first cycle.  Cached by value, as
-    `codes._branch_basis` is; its arrays are read-only, because every
-    caller shares them."""
+    `inject_z` in the first cycle.  A location's form is `rest << d |
+    b0` of its event in `codes.slot_events` over one cycle, where an
+    event's signature is its remainder (`codes._reduce`) alone.  Cached
+    by value, as `codes._fault_set_counts` is; its arrays are read-only,
+    because every caller shares them."""
     channels, columns, n_checks = mult
     n, d, r = len(channels) // 3, len(columns), noise.r
-    rows = _branch_basis(columns)[0]
-
-    def form(mask: int) -> int:
-        rest, b0 = _reduce(rows, mask)
-        return rest << d | b0
-
+    forms = [sig << d | b0 for sig, b0 in zip(*slot_events(mult, 1))]
     width = -(-(n_checks + d) // 64)
-    locations = [*channels, *(1 << i for i in range(n_checks))]
-    table = np.hstack([_word_column(form(m), width) for m in locations])
-    # the check mask of Z on qubit q is its third channel (X, Y, Z)
-    injected = form(0 if inject_z is None else channels[3 * inject_z + 2])
+    table = np.hstack([_word_column(form, width) for form in forms])
+    # Z on qubit q is its third channel (X, Y, Z)
+    injected = 0 if inject_z is None else forms[3 * inject_z + 2]
 
     n_data, n_flip = r * n, r * n_checks
     qubit, check = np.arange(n_data) % n, np.arange(n_flip) % n_checks
@@ -427,24 +420,8 @@ def _run_batch(
     """Simulate one batch; returns its branch class histogram.
 
     `classes(b0)` is `_coset_classes` of b0 and `law` is
-    `_batch_law(plan, theta)`.  Draw order per batch (stream 9) is
-    part of the determinism contract:
-      1. the class counts of the trials with at most three faults, and
-         the count n4 of those with four or more, as multinomial(size,
-         law), its classes the plan's per-class counts times the pair
-         weights;
-      2. the n4 trials, in chunks of at most _READ_CELLS // (2 r) trials,
-         each chunk drawing in turn: a (4, n) block of uniforms, whose
-         rows pick each trial's first fault J, its second K, its third L
-         and its fourth M by `_inverse_cdf`, each from the slot after the
-         last; a (4, n) block of X/Y/Z kinds, J's row first; the data
-         faults over the flat (trial, data slot) index: the gaps between
-         hits (`_sparse_hits`), then one kind per hit; the flips over the
-         flat (trial, flip slot) index: the gaps.  Of the last two, the
-         faults after the trial's M are kept;
-      3. for each b0 that some of the n4 trials read, in ascending
-         order, the class counts of its n_b0 trials, multinomial(n_b0,
-         classes(b0)).
+    `_batch_law(plan, theta)`.  The draws follow stream 9's order, part
+    of the determinism contract, as the module docstring states it.
     """
     counts = rng.multinomial(size, law)
     hist, n4 = counts[:-2], int(counts[-2])

@@ -36,7 +36,7 @@ import numpy as np
 from . import analytics
 from .analytics import NoiseModel
 from .codes import get_code, require_rotation
-from .mcsim import _check_seed, _philox_batches
+from .mcsim import _philox_batches
 
 __all__ = [
     "D_VALUES",
@@ -116,7 +116,6 @@ def simulate_walk(m: int, n_walks: int, seed: int) -> WalkStats:
     """
     if not 1 <= m <= M_MAX or n_walks < 1:
         raise ValueError(f"need 1 <= m <= {M_MAX} and n_walks >= 1")
-    _check_seed(seed)
     p = _walk_geometric_p(m)
 
     def batch(rng: np.random.Generator, size: int) -> tuple[int, int, int]:

@@ -10,6 +10,7 @@ slow and obvious.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -445,6 +446,16 @@ def branch_syndromes(code: StabilizerCode) -> dict[tuple[int, ...], list[int]]:
 def fault_set_counts(
     code: StabilizerCode, r: int, inject_z: int | None = None, order: int = 2
 ) -> list[list[int]]:
+    """`_walk_fault_sets` as fresh lists: the walk runs once per (code, r,
+    inject_z, order), however the arguments are passed, and no caller
+    can edit the shared result."""
+    return [list(row) for row in _walk_fault_sets(code, r, inject_z, order)]
+
+
+@functools.cache
+def _walk_fault_sets(
+    code: StabilizerCode, r: int, inject_z: int | None, order: int
+) -> tuple[tuple[int, ...], ...]:
     """Accepted fault sets of at most `order` (2 or 3) locations over r
     cycles, walked one set at a time: counts[m][kind] for class m =
     0..d//2, kind 0..4 = (data), (flip), (data, data), (data, flip),
@@ -503,7 +514,7 @@ def fault_set_counts(
     for size in range(1, order + 1):
         for fault_set in itertools.combinations(locations, size):
             tally(list(fault_set))
-    return counts
+    return tuple(map(tuple, counts))
 
 
 def count_sets_by_brute_force(

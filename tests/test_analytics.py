@@ -315,7 +315,7 @@ def test_model_is_the_exact_law_of_three_faults(name, d, r):
             cfg = RotationConfig(theta=theta, d=code.d, **vars(noise))
             error = analytics.accepted_error_model(cfg, mult)
             assert error == pytest.approx(law @ infid / law.sum(), rel=1e-12, abs=0), theta
-            sr = analytics.success_rate(cfg, code.n, len(code.stabilizers), mult)
+            sr = analytics.success_rate(cfg, code.n, len(code.stabilizers))
             assert sr.p_s / sr.p_s_in == pytest.approx(law.sum(), rel=1e-12, abs=0), theta
 
 
@@ -370,10 +370,14 @@ class TestSuccessRate:
         assert sr.p_s_coh == pytest.approx(0.8276133647005521, rel=1e-12)
         # 9 qubits, 8 checks and d = 3 are the surface code's sizes, so
         # p_s holds its accepted-fault mass: 1.20e-4 of the product
-        assert sr == analytics.success_rate(
-            cfg, 9, 8, get_code("surface", 3).error_multiplicities
-        )
+        rates = analytics.class_rates(cfg, SURFACE_3.error_multiplicities)
+        assert sr.p_s == sr.p_s_in * analytics.model_terms(0.5, 3, rates)[4]
         assert sr.p_s == pytest.approx(0.8043113774697442, rel=1e-12)
+
+    @pytest.mark.parametrize("n_qubits, n_stabilizers", [(0, 8), (9, -1)])
+    def test_substrate_refuses_bad_counts(self, n_qubits, n_stabilizers):
+        with pytest.raises(ValueError):
+            analytics.substrate_success(NoiseModel(p_in=1e-3), n_qubits, n_stabilizers)
 
     def test_unregistered_size_keeps_the_product(self):
         # no registered code has 10 qubits and 9 checks at d = 3
@@ -420,7 +424,8 @@ class TestSuccessRate:
         sr = analytics.success_rate(cfg, 9, 8)
         for v in sr:
             assert 0.0 <= v <= 1.0
-        assert sr == analytics.success_rate(cfg, 9, 8, SURFACE_3.error_multiplicities)
+        rates = analytics.class_rates(cfg, SURFACE_3.error_multiplicities)
+        assert sr.p_s == sr.p_s_in * analytics.model_terms(theta, 3, rates)[4]
         assert sr.p_s >= sr.p_s_in * sr.p_s_coh
 
 
@@ -435,6 +440,12 @@ class TestCoherent:
         assert analytics.coherent_angle_std(5, 1e-3, 0.01) == pytest.approx(
             2.2360679774997898e-05, rel=1e-12
         )
+
+    @pytest.mark.parametrize("d, theta_l0, sigma_frac", [(0, 0.5, 0.01), (3, -0.5, 0.01),
+                                                         (3, 0.5, -0.01)])
+    def test_refuses_bad_inputs(self, d, theta_l0, sigma_frac):
+        with pytest.raises(ValueError):
+            analytics.coherent_angle_std(d, theta_l0, sigma_frac)
 
     def test_matches_gaussian_sampling_oracle(self):
         theta, d, sigma_frac = 0.1, 5, 0.01

@@ -115,6 +115,15 @@ class TestParsing:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("value", ["3,x", ","])
+    def test_bad_distance_list_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.BASE["scaffold"] + ["--d-values", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer list" in captured.err
+
 
 class TestFlagsRead:
     """Each command accepts only the flags it reads."""

@@ -460,3 +460,20 @@ def test_validate_flags_dependent_generators():
     dependent = dataclasses.replace(good, stabilizers=good.stabilizers[:-1] + (first * second,))
     assert "generators are not independent" in codes.validate(dependent).failures
     assert "generators are not independent" not in codes.validate(good).failures
+
+
+def test_validate_flags_each_broken_part():
+    # one broken part per copy of the phase-flip code, each named once
+    good = codes.get_code("phase-flip", 3)
+    x_part = good.logical_z * good.logical_x  # YYY up to phase
+    broken = {
+        "expected 2 generators, found 1": dataclasses.replace(
+            good, stabilizers=good.stabilizers[:1]),
+        "logical_z and logical_x commute": dataclasses.replace(good, logical_x=good.logical_z),
+        "logical_z is not pure Z": dataclasses.replace(good, logical_z=x_part),
+    }
+    for failure, code in broken.items():
+        report = codes.validate(code)
+        assert not report.ok
+        assert failure in report.failures, report.failures
+

@@ -416,6 +416,36 @@ class TestPlan:
         draw(0, 0)
 
 
+@pytest.mark.parametrize(
+    "name, d", [(name, d) for name in ("surface", "phase-flip") for d in (3, 5, 7)]
+    + [("perfect", None)]
+)
+def test_plan_forms_are_the_reduction_of_every_location(name, d):
+    # the plan's table and injected Z's words against a route of their
+    # own: each location's check mask reduced against the branch
+    # columns' echelon rows, as rest << d | b0.  The locations are the 3n
+    # single-qubit channels, qubit-major X Y Z, then the checks' readout
+    # flips; the Z on qubit q is its third channel, for every q
+    code = codes.get_code(name, d)
+    mult = code.error_multiplicities
+    rows = codes._branch_basis(mult.branch_columns)[0]
+    width = -(-(mult.n_checks + code.d) // 64)
+
+    def words(mask):
+        rest, b0 = codes._reduce(rows, mask)
+        form = rest << code.d | b0
+        return [form >> 64 * w & (1 << 64) - 1 for w in range(width)]
+
+    noise = NoiseModel(p_in=1e-3, r=1)
+    plan = mcsim._plan(mult, noise, None)
+    locations = [*mult.channels, *(1 << i for i in range(mult.n_checks))]
+    assert plan.table.T.tolist() == [words(mask) for mask in locations]
+    assert plan.injected.tolist() == words(0)
+    for q in range(code.n):
+        injected = mcsim._plan(mult, noise, q).injected
+        assert injected.tolist() == words(mult.channels[3 * q + 2]), q
+
+
 class TestUntouchedClasses:
     """The class probabilities of the trials that read one syndrome, against
     all 2^d strings."""
@@ -462,16 +492,6 @@ class TestUntouchedClasses:
             got = mcsim._coset_classes(mult.branch_columns, 0.7, b0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15), syndrome
             assert got.sum() == pytest.approx(1.0, rel=1e-15)
-
-
-    def test_shared_across_calls(self):
-        # kept by (branch columns, theta, b0), so a second code object with
-        # the same checks reads the same array, which no caller may write
-        one, other = (codes.rotated_surface_code(5).error_multiplicities for _ in range(2))
-        a = mcsim._coset_classes(one.branch_columns, 0.8, 3)
-        b = mcsim._coset_classes(other.branch_columns, 0.8, 3)
-        assert a is b and not a.flags.writeable
-        assert mcsim._coset_classes(one.branch_columns, 0.7, 3) is not a
 
 
 class TestEstimate:

@@ -44,6 +44,11 @@ def test_bad_inputs():
         PauliString.from_label("XX") * PauliString.from_label("X")
 
 
+def test_commutes_refuses_mismatched_sizes():
+    with pytest.raises(ValueError):
+        commutes(PauliString.from_label("XX"), PauliString.from_label("X"))
+
+
 def test_product_phases_small_cases():
     X = PauliString.from_label("X")
     Y = PauliString.from_label("Y")
