@@ -83,19 +83,10 @@ def rs_t_count(theta_eps: float) -> int:
     return round(3.0 * math.log2(1.0 / theta_eps))
 
 
-def rs_clifford_cost(
-    theta_label: str | None = None,
-    counts: tuple[int, int, int] | None = None,
-) -> float:
-    """Circuit cost h*1 + s*6 + t*5 for a tabulated angle or raw counts:
-    per-gate space-time costs in d^3 units of H, S and T consumption."""
-    if counts is None:
-        if theta_label is None or theta_label not in RS_GATE_COUNTS:
-            raise KeyError(
-                f"no gate counts for {theta_label!r}; known labels: "
-                f"{sorted(RS_GATE_COUNTS)} (or pass counts=)"
-            )
-        counts = RS_GATE_COUNTS[theta_label]
+def rs_clifford_cost(counts: tuple[int, int, int]) -> float:
+    """Circuit cost h*1 + s*6 + t*5 of the gate counts (h, s, t), as
+    `RS_GATE_COUNTS` holds them: per-gate space-time costs in d^3 units
+    of H, S and T consumption."""
     h, s, t = counts
     return h * 1.0 + s * 6.0 + t * 5.0
 
@@ -196,7 +187,7 @@ def rs_curve(
         # elsewhere reuse the T count as the H count scale (one H per T
         # layer) plus one S
         label = f"2pi/2^{_dyadic_level(theta_l)}"
-        clifford = rs_clifford_cost(counts=RS_GATE_COUNTS.get(label, (n_t, 1, n_t)))
+        clifford = rs_clifford_cost(RS_GATE_COUNTS.get(label, (n_t, 1, n_t)))
     return [
         CostPoint(
             method="rs",

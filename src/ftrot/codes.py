@@ -626,15 +626,16 @@ def check_distance(name: str, d: int | None) -> None:
     """Raise ValueError unless `get_code(name, d)` accepts the pair.
 
     Builds no parametrized code, so a caller can check a grid of
-    distances before any work starts.
+    distances before any work starts.  A fixed code's d is read from
+    `get_code(name)`, which builds it once; `get_code` calls this with
+    d = None, which reads nothing.
     """
     if name in _PARAMETRIZED:
         if d is None:
             raise ValueError(f"code {name!r} needs a distance d")
         _require_distance(d)
     elif name in _FIXED:
-        fixed = _FIXED[name]().d
-        if d is not None and d != fixed:
+        if d is not None and d != (fixed := get_code(name).d):
             raise ValueError(f"code {name!r} has fixed d={fixed}")
     else:
         raise ValueError(f"unknown code {name!r}")

@@ -21,14 +21,15 @@ averages it.
 Noise is sparse at the rates of interest, so most trials hold no fault,
 one, two or three.  Their outcomes are exact: `codes.fault_set_rates`,
 the weighted per-class table of the sets of at most three events that
-the model reads too, gives once per (code, noise, injected Z) the
-probability that a trial holds at most three faults and is accepted in
-class m, as per-class counts times pair weights, and a batch draws the
-classes of all such trials at once.  Only the few that hold four or
-more are evaluated, as check-mask words, a chunk of at most 2^20
-(cycle, trial) words at a time.  Noise is independent of b, so given
-the noise the class counts of the n_s trials that read s in every cycle
-are one multinomial draw over s's coset.  No branch string is drawn.
+the model reads too, gives once per (code, noise, theta, injected Z)
+the probability that a trial holds at most three faults and is
+accepted in class m, as per-class counts times pair weights, and a
+batch draws the classes of all such trials at once.  Only the few
+that hold four or more are evaluated, as check-mask words, a chunk of
+at most 2^20 (cycle, trial) words at a time.  Noise is independent of
+b, so given the noise the class counts of the n_s trials that read s
+in every cycle are one multinomial draw over s's coset.  No branch
+string is drawn.
 
 Determinism: `_philox_batches` is the one place the contract is
 implemented, for `estimate` and `schemes.simulate_walk`.
@@ -44,8 +45,9 @@ slots (cycle, check) at readout_flip.  Stream 9 draws, per batch:
 
   1. the class counts of the trials with at most three faults, and the
      count n4 of those with four or more, as one multinomial(size,
-     (Q_0, ..., Q_{d//2}, P4+, rest)), where Q_m = P(at most three
-     faults, accepted in class m) and the rest is rejected;
+     (Q_0, ..., Q_{d//2}, P4+, rest)), the plan's `law`, where Q_m =
+     P(at most three faults, accepted in class m) and the rest is
+     rejected;
   2. the n4 trials, in chunks of at most `_READ_CELLS` // (2 r) trials
      (`_READ_CELLS` = 2^20), each chunk drawing in turn: a (4, n) block
      of uniforms, whose rows pick by `_inverse_cdf` each trial's first
@@ -144,9 +146,8 @@ class McStats:
 
 
 def _worker_count(threads: int, n_batches: int) -> int:
-    """Threads to start: never more than the batches or the cpus."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    """Threads to start: never more than the batches or the cpus.
+    `threads` is at least 1; `estimate` refuses any other count."""
     return min(threads, n_batches, os.cpu_count() or 1)
 
 
@@ -264,7 +265,8 @@ def _word_column(mask: int, width: int) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """What every batch of one (code, noise, injected Z) reads; see `_plan`.
+    """What every batch of one (code, noise, theta, injected Z) reads;
+    see `_plan`.
 
     A slot is one of a trial's Bernoulli locations: the data slots
     (cycle, qubit) at p_in, then the flip slots (cycle, check) at
@@ -278,8 +280,11 @@ class _Plan(NamedTuple):
     loc: np.ndarray  # (slots, 3): the slot's location for kind X, Y, Z
     n_data: int  # data slots, r n
     noise: NoiseModel
-    d: int
-    few: np.ndarray  # (d//2 + 1,): P(at most three faults, accepted in class m) / the pair weight
+    columns: tuple[int, ...]  # the branch columns, d of them
+    theta: float
+    # (d//2 + 3,): a batch's first draw, q_m = P(at most three faults,
+    # accepted in class m) for m = 0..d//2, then P4+, then the rest
+    law: np.ndarray
     # (4, slots + 1): T_4, T_3, T_2, T_1, where T_t[k] = P(no fault before
     # slot k, t or more from k on); P4+ = tails[0, 0], and row i draws
     # the (i + 1)-th fault of a trial with four or more
@@ -326,7 +331,7 @@ def _readings(
             kept &= syndrome == 0
         else:
             b0 = syndrome
-    kept &= b0 < np.uint64(1 << plan.d)
+    kept &= b0 < np.uint64(1 << len(plan.columns))
     return np.where(kept, b0.astype(np.int64), -1)
 
 
@@ -344,14 +349,19 @@ def _inverse_cdf(tail: np.ndarray, start: int | np.ndarray, u: np.ndarray) -> np
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(mult: Multiplicities, noise: NoiseModel, inject_z: int | None) -> _Plan:
+def _plan(mult: Multiplicities, noise: NoiseModel, inject_z: int | None, theta: float) -> _Plan:
     """The `_Plan` of the code with the check masks `mult`
-    (`codes.Multiplicities`), under `noise`, with a Z injected on qubit
-    `inject_z` in the first cycle.  A location's form is `rest << d |
-    b0` of its event in `codes.slot_events` over one cycle, where an
-    event's signature is its remainder (`codes._reduce`) alone.  Cached
-    by value, as `codes._fault_set_counts` is; its arrays are read-only,
-    because every caller shares them."""
+    (`codes.Multiplicities`), under `noise`, at rotation angle `theta`,
+    with a Z injected on qubit `inject_z` in the first cycle.  A
+    location's form is `rest << d | b0` of its event in
+    `codes.slot_events` over one cycle, where an event's signature is
+    its remainder (`codes._reduce`) alone.
+
+    The law is step 1's: q_m is the per-class count of the accepted
+    sets of at most three events times the pair weight of class m, as
+    each coset holds its class-m strings as pairs (`_coset_classes`).
+    Cached by value, as `codes._fault_set_counts` is; its arrays are
+    read-only, because every caller shares them."""
     channels, columns, n_checks = mult
     n, d, r = len(channels) // 3, len(columns), noise.r
     forms = [sig << d | b0 for sig, b0 in zip(*slot_events(mult, 1))]
@@ -388,42 +398,24 @@ def _plan(mult: Multiplicities, noise: NoiseModel, inject_z: int | None) -> _Pla
     sets = fault_set_rates(mult, r, injected, noise.p_in, noise.readout_flip)
     empty = _coset_counts(columns, injected)[: d // 2 + 1] if injected < 1 << d else 0.0
     few = math.exp(before[-1]) * (empty + sets)
+    # P4+ may round past 1, which the multinomial refuses
+    law = np.append(few * _pair_weights(theta, d), [min(chain[-1][0], 1.0), 0.0])
     words = _word_column(injected, width)[:, 0]
-    plan = _Plan(table, words, row, loc, n_data, noise, d, few, np.array(chain[::-1]))
+    plan = _Plan(table, words, row, loc, n_data, noise, columns, theta, law, np.array(chain[::-1]))
     for array in plan:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
     return plan
 
 
-def _batch_law(plan: _Plan, theta: float) -> np.ndarray:
-    """The probabilities of a batch's first draw: q_m = P(at most three
-    faults, accepted in class m) for m = 0..d//2, then P4+, then a
-    last entry that the multinomial reads as the rest, the rejected
-    trials with at most three faults.
-
-    q_m = `plan.few`[m] times the pair weight of class m: every accepted
-    set's coset is closed under complement (`_coset_classes`), so it
-    holds its strings of class m as pairs {b, complement of b}.
-    """
-    # P4+ may round past 1, which the multinomial refuses
-    return np.append(plan.few * _pair_weights(theta, plan.d), [min(plan.tails[0, 0], 1.0), 0.0])
-
-
-def _run_batch(
-    plan: _Plan,
-    classes: Callable[[int], np.ndarray],
-    law: np.ndarray,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
+def _run_batch(plan: _Plan, rng: np.random.Generator, size: int) -> np.ndarray:
     """Simulate one batch; returns its branch class histogram.
 
-    `classes(b0)` is `_coset_classes` of b0 and `law` is
-    `_batch_law(plan, theta)`.  The draws follow stream 9's order, part
-    of the determinism contract, as the module docstring states it.
+    The draws follow stream 9's order, part of the determinism
+    contract, as the module docstring states it: the first reads
+    `plan.law`, and each reached b0's reads `_coset_classes` of b0.
     """
-    counts = rng.multinomial(size, law)
+    counts = rng.multinomial(size, plan.law)
     hist, n4 = counts[:-2], int(counts[-2])
     if not n4:
         return hist
@@ -456,7 +448,7 @@ def _run_batch(
     b0s, count = np.unique(np.concatenate(readings), return_counts=True)
     for b0, n_b0 in zip(b0s.tolist(), count.tolist()):
         if b0 >= 0:
-            hist += rng.multinomial(n_b0, classes(b0))[:-1]
+            hist += rng.multinomial(n_b0, _coset_classes(plan.columns, plan.theta, b0))[:-1]
     return hist
 
 
@@ -479,6 +471,8 @@ def estimate(
     batch i draws from Philox key (seed, i), so the result is
     bit-identical across thread counts.  theta_l_target defaults to
     the accepted angle of (theta, d), making the m=0 class exact-zero.
+    Every batch reads one `_plan` of the run's (code, noise, theta,
+    injected Z), which holds the law of its first draw.
     """
     require_rotation(code)
     if n_trials < 1:
@@ -504,21 +498,19 @@ def estimate(
         ]
     )
 
-    mult = code.error_multiplicities
-    plan = _plan(mult, noise, inject_z)
-    classes = functools.partial(_coset_classes, mult.branch_columns, theta)
-    law = _batch_law(plan, theta)
+    plan = _plan(code.error_multiplicities, noise, inject_z, theta)
     # each class's part of the exact mean, that of the trials with at
     # most three faults, and its expected accepted trials
-    part = law[:-2] * values
-    expected = law[:-2] * n_trials
+    few = plan.law[:-2]
+    part = few * values
+    expected = few * n_trials
     rare = np.flatnonzero((part >= RARE_SHARE * part.sum()) & (part > 0.0) & (expected < 10.0))
     if rare.size:
         m = int(rare[np.argmax(part[rare])])
         warnings.warn(
             RareEventWarning(
                 f"expected about {expected[m]:.3g} accepted weight-{m} trials at N={n_trials}, "
-                f"{part[m] / part.sum():.0%} of the exact mean {part.sum() / law[:-2].sum():.3g}; "
+                f"{part[m] / part.sum():.0%} of the exact mean {part.sum() / few.sum():.3g}; "
                 "the infidelity estimate will be noise-dominated"
             ),
             stacklevel=2,
@@ -526,12 +518,7 @@ def estimate(
 
     hist = np.zeros(d // 2 + 1, dtype=np.int64)
     for batch in _philox_batches(
-        seed,
-        n_trials,
-        batch_size,
-        functools.partial(_run_batch, plan, classes, law),
-        threads,
-        progress,
+        seed, n_trials, batch_size, functools.partial(_run_batch, plan), threads, progress
     ):
         hist += batch
     accepted = int(hist.sum())

@@ -204,13 +204,14 @@ def test_08_multi_rotation_error_and_coherent_scaling():
 
 def test_09_synthesis_cost_tables():
     """Gate-count identities: rs_clifford_cost returns exactly 97, 145,
-    186 and equals h+6s+5t per tabulated angle; parity-check cost
-    constants echo their table; rs_t_count within 3 of 14, 22, 30."""
-    assert bench.rs_clifford_cost("2pi/2^4") == 97.0
-    assert bench.rs_clifford_cost("2pi/2^7") == 145.0
-    assert bench.rs_clifford_cost("2pi/2^10") == 186.0
+    186 and equals h+6s+5t for each tabulated angle's counts;
+    parity-check cost constants echo their table; rs_t_count within 3
+    of 14, 22, 30."""
+    assert bench.rs_clifford_cost(bench.RS_GATE_COUNTS["2pi/2^4"]) == 97.0
+    assert bench.rs_clifford_cost(bench.RS_GATE_COUNTS["2pi/2^7"]) == 145.0
+    assert bench.rs_clifford_cost(bench.RS_GATE_COUNTS["2pi/2^10"]) == 186.0
     for label, (h, s, t) in bench.RS_GATE_COUNTS.items():
-        assert bench.rs_clifford_cost(label) == h + 6 * s + 5 * t
+        assert bench.rs_clifford_cost((h, s, t)) == h + 6 * s + 5 * t
     assert bench.COH_COSTS == {
         "success": 165.0,
         "fail": 181.0,

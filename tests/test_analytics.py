@@ -348,7 +348,7 @@ def test_model_and_engine_share_one_table():
     noise = NoiseModel(p_in=1e-3, r=2)
     mult = get_code("surface", 5).error_multiplicities
     analytics.class_rates(noise, mult)
-    mcsim._plan(mult, noise, inject_z=None)
+    mcsim._plan(mult, noise, inject_z=None, theta=0.8)
     assert codes._fault_set_counts.cache_info().currsize == 1
 
 

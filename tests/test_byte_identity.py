@@ -1,11 +1,14 @@
-"""Byte-identity guard for the planner's payloads.
+"""Byte-identity guard for the planner's and the Monte Carlo engine's
+payloads.
 
 Each case runs a sweep of CLI queries in-process and hashes the exit
-codes and the stdout bytes together.  The digests were taken from the
-tree before the planner was restructured for speed; a refactor of
-`analytics`, `schemes`, `bench` or `cli` that moves one bit of any
-payload fails here.  A deliberate change to the model or to a payload
-re-pins the digest it moves and says so in CHANGES.md.
+codes and the stdout bytes together.  The planner's digests were taken
+from the tree before the planner was restructured for speed, and the
+`simulate` digest from the tree before the engine's plan took its
+batch law; a refactor of `analytics`, `schemes`, `bench`, `mcsim`,
+`codes` or `cli` that moves one bit of any payload fails here.  A
+deliberate change to the model or to a payload re-pins the digest it
+moves and says so in CHANGES.md.
 """
 
 import contextlib
@@ -24,6 +27,18 @@ def sweep(base, p_in):
 
 
 OURS_ALL = ["bench", "--methods", "ours,rs,coh", "--distill-costs", "bundled"]
+
+# one seeded run per code, noise and injected Z: a heavy noise, where
+# most trials reach the engine's path for four or more faults, and a
+# light one, each with no Z and with a Z on qubit 1
+SIMULATE = [
+    ["simulate", *code, "--theta", "0.8", "--p-in", p_in, "--r", r, "--trials", "200000",
+     "--seed", "7", *inject]
+    for code in (["--code", "surface", "--d", "3"], ["--code", "surface", "--d", "5"],
+                 ["--code", "phase-flip", "--d", "5"], ["--code", "perfect"])
+    for p_in, r in (("5e-2", "3"), ("1e-3", "2"))
+    for inject in ([], ["--inject-z", "1"])
+]
 
 CASES = {
     "scaffold-1e-4": (sweep(["scaffold"], "1e-4"),
@@ -60,6 +75,8 @@ CASES = {
     # theta = 0 included: the zero-base edge of the log-domain powers
     "analyze": ([["analyze", "--theta", "0:1.5:7", "--d", "5"]],
                 "c61fe1677dacee6f440ae67cbc5121d0b5dc43160043b5e211c94bbe30a427bf"),
+    "simulate": (SIMULATE,
+                 "715a3f4b3ca91ffa177a73365450ed9a859a868f35e1c400c9b3f37df5d4c781"),
 }
 
 

@@ -82,6 +82,26 @@ def test_check_distance_agrees_with_get_code():
             codes.check_distance(name, d)
 
 
+def test_fixed_code_built_once(monkeypatch):
+    # a fixed code's d is read from its one cached build, so checking a
+    # distance or looking a size up again builds nothing
+    build, built = codes._FIXED["perfect"], []
+
+    def counting():
+        built.append(None)
+        return build()
+
+    monkeypatch.setitem(codes._FIXED, "perfect", counting)
+    codes.get_code.cache_clear()
+    after = []
+    for _ in range(3):
+        codes.check_distance("perfect", 3)
+        assert codes.code_of_size(7, 6, 3) is None
+        assert codes.code_of_size(5, 4, 3) is codes.get_code("perfect", 3)
+        after.append(len(built))
+    assert after[0] == after[2], after
+
+
 def test_validate_passes_everywhere(code):
     report = codes.validate(code)
     assert report.ok, report.failures

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import os
 import re
@@ -298,7 +297,7 @@ class TestPlan:
     @staticmethod
     def plan(code, noise):
         mult = code.error_multiplicities
-        return mcsim._plan(mult, noise, None)
+        return mcsim._plan(mult, noise, None, 0.8)
 
     @staticmethod
     def slot_odds(code, noise):
@@ -362,9 +361,9 @@ class TestPlan:
         p0, _, g, _, _ = self.slot_odds(code, noise)
         a = noise.p_in / 3 / (1 - noise.p_in)
         mult = code.error_multiplicities
-        plan = mcsim._plan(mult, noise, inject_z)
         theta = 0.8
-        got = mcsim._batch_law(plan, theta)
+        plan = mcsim._plan(mult, noise, inject_z, theta)
+        got = plan.law
         assert got[-2] == plan.tails[0, 0] and got[-1] == 0.0
         s2, c2 = math.sin(theta / 2) ** 2, math.cos(theta / 2) ** 2
         walk = oracles.fault_set_counts(code, noise.r, inject_z)
@@ -437,12 +436,12 @@ def test_plan_forms_are_the_reduction_of_every_location(name, d):
         return [form >> 64 * w & (1 << 64) - 1 for w in range(width)]
 
     noise = NoiseModel(p_in=1e-3, r=1)
-    plan = mcsim._plan(mult, noise, None)
+    plan = mcsim._plan(mult, noise, None, 0.8)
     locations = [*mult.channels, *(1 << i for i in range(mult.n_checks))]
     assert plan.table.T.tolist() == [words(mask) for mask in locations]
     assert plan.injected.tolist() == words(0)
     for q in range(code.n):
-        injected = mcsim._plan(mult, noise, q).injected
+        injected = mcsim._plan(mult, noise, q, 0.8).injected
         assert injected.tolist() == words(mult.channels[3 * q + 2]), q
 
 
@@ -844,15 +843,13 @@ class TestMultiFaultChunks:
         """The batch, and the count n4 of its trials with four or more
         faults, which its first draw gives."""
         mult = code.error_multiplicities
-        plan = mcsim._plan(mult, noise, None)
-        classes = functools.partial(mcsim._coset_classes, mult.branch_columns, 0.8)
-        law = mcsim._batch_law(plan, 0.8)
+        plan = mcsim._plan(mult, noise, None, 0.8)
 
         def rng():
             return np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
 
-        n4 = int(rng().multinomial(size, law)[-2])
-        return lambda: mcsim._run_batch(plan, classes, law, rng(), size), n4
+        n4 = int(rng().multinomial(size, plan.law)[-2])
+        return lambda: mcsim._run_batch(plan, rng(), size), n4
 
     def test_chunks_read_what_one_call_reads(self, surface3, monkeypatch):
         # about 2,560 of 4,096 trials hold four or more faults; with
@@ -1014,11 +1011,6 @@ class TestWorkerCount:
         assert mcsim._worker_count(10**6, 1526) == min(cpus, 1526)
         assert mcsim._worker_count(64, 3) == min(cpus, 3)
         assert mcsim._worker_count(4, 1) == 1
-
-    def test_rejects_non_positive(self):
-        for threads in (0, -3):
-            with pytest.raises(ValueError, match="threads must be >= 1"):
-                mcsim._worker_count(threads, 4)
 
 
 class TestCoherentMc:
