@@ -587,19 +587,24 @@ def is_parametrized(name: str) -> bool:
     return name in _PARAMETRIZED
 
 
-@functools.lru_cache(maxsize=32)
 def get_code(name: str, d: int | None = None) -> StabilizerCode:
     """Instantiate a registered code.
 
     ``d`` is required for the parametrized families (phase-flip,
-    surface) and must be omitted or match for the fixed ones.  Cached
-    by its arguments, so repeated calls share one object; a code is
-    frozen, so sharing it and the values derived from it is safe.
+    surface) and must be omitted or match for the fixed ones.  Every
+    call that names the same code shares one object, however d is
+    passed: the build is cached on (name, d) with a fixed code's d read
+    as None.  A code is frozen, so sharing it and the values derived
+    from it is safe.
     """
     check_distance(name, d)
-    if name in _PARAMETRIZED:
-        return _PARAMETRIZED[name](d)
-    return _FIXED[name]()
+    return _build(name, d if name in _PARAMETRIZED else None)
+
+
+@functools.lru_cache(maxsize=32)
+def _build(name: str, d: int | None) -> StabilizerCode:
+    """The one build of a checked (name, d), d None for a fixed code."""
+    return _FIXED[name]() if d is None else _PARAMETRIZED[name](d)
 
 
 def code_of_size(n: int, n_checks: int, d: int) -> StabilizerCode | None:
@@ -627,15 +632,14 @@ def check_distance(name: str, d: int | None) -> None:
 
     Builds no parametrized code, so a caller can check a grid of
     distances before any work starts.  A fixed code's d is read from
-    `get_code(name)`, which builds it once; `get_code` calls this with
-    d = None, which reads nothing.
+    its one cached build.
     """
     if name in _PARAMETRIZED:
         if d is None:
             raise ValueError(f"code {name!r} needs a distance d")
         _require_distance(d)
     elif name in _FIXED:
-        if d is not None and d != (fixed := get_code(name).d):
+        if d is not None and d != (fixed := _build(name, None).d):
             raise ValueError(f"code {name!r} has fixed d={fixed}")
     else:
         raise ValueError(f"unknown code {name!r}")

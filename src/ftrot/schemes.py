@@ -21,7 +21,12 @@ r+1 cycles (init+rotation, then r detection rounds), see
 walk teleportation is one logical CNOT worth 2 d^3.
 
 The plan grid is searched over d in D_VALUES, k in 1..K_MAX and m in
-1..M_MAX unless a caller narrows it.
+1..M_MAX unless a caller narrows it.  `scaffold_optimize` caps its
+walk: a (d, k) row stops at the first cell whose cost floor (the cost
+at one GHZ attempt, which needs no base state) is above the cheapest
+feasible cost already seen, so only cells that could win or tie have
+their base state worked out.  The cut is exact.  `bench`'s front
+needs every cell and walks them all.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -196,6 +201,16 @@ def _base_state(
     return theta_base, p_s, error
 
 
+def _cost_floor(m: int, k: int, attempt: float) -> float:
+    """The cost of cell (k, m) at one GHZ attempt, taken with the cost's
+    own float operations; no cell costs less (see `iter_plans`)."""
+    walk_steps = m * m
+    legs = walk_steps * 1.0 * k
+    merge = legs * _GHZ_MERGE_COST_PER_LEG if k >= 2 else 0.0
+    teleport = walk_steps * _TELEPORT_STEP_COST if m >= 2 else 0.0
+    return legs * attempt + merge + teleport
+
+
 def iter_plans(
     theta_l_target: float,
     code_family: str,
@@ -204,6 +219,7 @@ def iter_plans(
     d_values: tuple[int, ...] = D_VALUES,
     k_max: int = K_MAX,
     m_max: int = M_MAX,
+    cap: Callable[[], float] | None = None,
 ) -> Iterator[tuple]:
     """All candidate cells of the (d, k, m) grid, in (d, k, m) order.
 
@@ -223,9 +239,21 @@ def iter_plans(
 
     A cell's walk takes m^2 steps (`walk_expected_steps`, inlined here)
     and its GHZ stage p_s^-k attempts.
+
+    `cap`, when given, is read before each cell: a (d, k) row ends at
+    the first cell whose cost floor is above `cap()`, before that cell's
+    state is worked out.  The floor is the cost with one attempt, taken
+    with the same float operations; p_s <= 1 makes p_s^-k >= 1 and every
+    rounding is monotone, so no cell costs less than its floor.  The
+    floor rises with m, so every later cell of the row is above the cap
+    too.  A caller that only wants cells costing at most some running
+    best passes that best as the cap and loses none of them.
     """
     if theta_l_target <= 0.0:
         raise ValueError("theta_l_target must be positive")
+    # per m: the walk's steps and its teleportation cost
+    walks = [(m, m * m, m * m * _TELEPORT_STEP_COST if m >= 2 else 0.0)
+             for m in range(1, m_max + 1)]
     for d in d_values:
         code = get_code(code_family, d)
         require_rotation(code)
@@ -234,7 +262,10 @@ def iter_plans(
         rates = analytics.class_rates(noise, code.error_multiplicities)
         states: dict[int, tuple[float, float, float] | None] = {}
         for k in range(1, k_max + 1):
-            for m in range(1, m_max + 1):
+            for m, walk_steps, teleport in walks:
+                if (cap is not None and (limit := cap()) < math.inf
+                        and _cost_floor(m, k, attempt) > limit):
+                    break
                 km = k * m
                 if km not in states:
                     states[km] = _base_state(theta_l_target / km, d, p_s_in, rates)
@@ -242,7 +273,6 @@ def iter_plans(
                 if state is None:
                     continue
                 theta_base, p_s, eps_base = state
-                walk_steps = m * m
                 try:
                     attempts = p_s ** -k
                 except OverflowError:
@@ -250,7 +280,6 @@ def iter_plans(
                 legs = walk_steps * attempts * k
                 prep = legs * attempt
                 merge = legs * _GHZ_MERGE_COST_PER_LEG if k >= 2 else 0.0
-                teleport = walk_steps * _TELEPORT_STEP_COST if m >= 2 else 0.0
                 cost = prep + merge + teleport
                 if math.isfinite(cost):
                     yield (walk_steps * k * eps_base, cost, d, k, m, theta_base,
@@ -285,8 +314,20 @@ def scaffold_optimize(
     ceiling.  Ties break toward lower predicted error, then smaller d,
     then smaller m, then smaller k (a total order, so the result does
     not depend on enumeration order).  `grid` (d_values, k_max, m_max)
-    goes to `iter_plans` unchanged."""
-    cells = list(iter_plans(theta_l_target, code_family, noise, **grid))
+    goes to `iter_plans` unchanged.
+
+    The walk is capped at the cheapest feasible cost seen so far (see
+    `iter_plans`), so it skips only cells dearer than the answer: the
+    selection below sees every cell that could win or tie.  While no
+    cell is feasible the cap stays infinite, so an infeasible query
+    walks the whole grid and carries its most accurate plan."""
+    ceiling = math.inf if error_ceiling is None else error_ceiling
+    best = math.inf
+    cells = []
+    for cell in iter_plans(theta_l_target, code_family, noise, cap=lambda: best, **grid):
+        cells.append(cell)
+        if cell[0] <= ceiling and cell[1] < best:
+            best = cell[1]
     if not cells:
         raise ValueError("empty grid: no representable plan")
 

@@ -3,9 +3,10 @@ payloads.
 
 Each case runs a sweep of CLI queries in-process and hashes the exit
 codes and the stdout bytes together.  The planner's digests were taken
-from the tree before the planner was restructured for speed, and the
-`simulate` digest from the tree before the engine's plan took its
-batch law; a refactor of `analytics`, `schemes`, `bench`, `mcsim`,
+from the tree before the planner was restructured for speed (the
+feasible-ceilings digest from the tree before the planner capped its
+walk), and the `simulate` digest from the tree before the engine's plan
+took its batch law; a refactor of `analytics`, `schemes`, `bench`, `mcsim`,
 `codes` or `cli` that moves one bit of any payload fails here.  A
 deliberate change to the model or to a payload re-pins the digest it
 moves and says so in CHANGES.md.
@@ -40,6 +41,16 @@ SIMULATE = [
     for inject in ([], ["--inject-z", "1"])
 ]
 
+# feasible error ceilings, where the planner's capped walk skips the
+# most cells, on the default grid and on two narrowed ones
+CEILINGS = [
+    query + ["--error-ceiling", ceiling, *grid]
+    for p_in in ("1e-4", "1e-3")
+    for ceiling in ("1e-5", "1e-7")
+    for grid in ([], ["--d-values", "5,3"], ["--k-max", "3", "--m-max", "8"])
+    for query in sweep(["scaffold"], p_in)
+]
+
 CASES = {
     "scaffold-1e-4": (sweep(["scaffold"], "1e-4"),
                       "9b09cb577fbfea923971ae27d953f62f31e37c09bbb2e58cee239db268836a07"),
@@ -62,6 +73,8 @@ CASES = {
     # exit 3: the payload carries the closest plan
     "scaffold-ceiling": ([["scaffold", "--theta-l", "2pi/2^10", "--error-ceiling", "1e-9"]],
                          "b5837f4f1b34e526d2ac48c4049f7e3c18b02c665b4bbdb95bc0f71b6f673af2"),
+    "scaffold-ceilings": (CEILINGS,
+                          "4526f5393827a67c2634abb8971a6fbf446d41092d8c1e57b79a604ab9356c79"),
     # the front on the fixed-distance codes and on a narrowed grid
     "bench-ours-perfect": ([["bench", "--methods", "ours", "--code", "perfect",
                              "--theta-l", "2pi/2^10"]],

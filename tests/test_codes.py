@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import re
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrot import codes
+from ftrot import cli, codes
 from ftrot.pauli import PauliString, commutes
 
 from oracles import (
@@ -92,7 +94,7 @@ def test_fixed_code_built_once(monkeypatch):
         return build()
 
     monkeypatch.setitem(codes._FIXED, "perfect", counting)
-    codes.get_code.cache_clear()
+    codes._build.cache_clear()
     after = []
     for _ in range(3):
         codes.check_distance("perfect", 3)
@@ -100,6 +102,30 @@ def test_fixed_code_built_once(monkeypatch):
         assert codes.code_of_size(5, 4, 3) is codes.get_code("perfect", 3)
         after.append(len(built))
     assert after[0] == after[2], after
+
+
+def test_one_build_per_code_whatever_the_call_form(monkeypatch):
+    # the build is cached on the resolved (name, d), so every form of a
+    # call that names one code builds it once and returns that object
+    built = []
+    for table, name in ((codes._PARAMETRIZED, "surface"), (codes._FIXED, "perfect")):
+        def counting(*args, build=table[name], name=name):
+            built.append(name)
+            return build(*args)
+
+        monkeypatch.setitem(table, name, counting)
+    codes._build.cache_clear()
+    surface = [codes.get_code("surface", 5), codes.get_code("surface", d=5)]
+    perfect = [codes.get_code("perfect"), codes.get_code("perfect", 3),
+               codes.get_code("perfect", None), codes.get_code("perfect", d=3)]
+    assert built == ["surface", "perfect"]
+    assert all(code is surface[0] for code in surface)
+    assert all(code is perfect[0] for code in perfect)
+    # a planner query on a fixed code reads its d and builds it once
+    codes._build.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["scaffold", "--code", "perfect", "--theta-l", "2pi/2^6"]) == 0
+    assert built[2:] == ["perfect"]
 
 
 def test_validate_passes_everywhere(code):

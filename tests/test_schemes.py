@@ -1,9 +1,11 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from ftrot import analytics, bench, codes, schemes
+from ftrot import analytics, bench, cli, codes, schemes
 from ftrot.mcsim import NoiseModel
 from ftrot.schemes import InfeasibleError
 
@@ -365,3 +367,89 @@ def test_zero_error_refusal_names_the_first_cell(d_values):
         bench.our_method_curve(math.tau / 2**10, "surface", noise, d_values=d_values)
     assert str(got.value) == str(want.value)
     assert f"({d_values[0]}, 1, 1)" in str(got.value)
+
+
+def full_walk(theta_l_target, family, noise, *, error_ceiling=None, **grid):
+    """`scaffold_optimize` as a selection over every cell of the
+    uncapped walk: the planner that the capped walk must agree with."""
+    cells = list(schemes.iter_plans(theta_l_target, family, noise, **grid))
+    if not cells:
+        raise ValueError("empty grid: no representable plan")
+    feasible = [c for c in cells if error_ceiling is None or c[0] <= error_ceiling]
+    if not feasible:
+        best = schemes._record(min(cells, key=schemes._MOST_ACCURATE), theta_l_target)
+        raise InfeasibleError(
+            f"no plan reaches error ceiling {error_ceiling:.3g}; best achieves "
+            f"{best.predicted_error:.3g} at cost {best.expected_cost:.3g}",
+            best_plan=best,
+        )
+    return schemes._record(min(feasible, key=schemes._CHEAPEST), theta_l_target)
+
+
+PRUNE_P_IN = (0.0, 1e-4, 1e-3, 1e-2)
+# at 2pi/2^14, p_in 1e-3 and ceiling 1e-9 the cheapest plan, (7, 2, 1),
+# lies in the row after the first row the cap cut at d = 7
+PRUNE_TARGETS = [math.tau / 2**k for k in (1, 2, 4, 6, 8, 10, 12, 14, 16)] + [0.3, 3.1]
+# (code family, r, error ceiling, grid)
+PRUNE_CASES = {
+    "free": ("surface", 2, None, {}),
+    **{f"ceiling-{c:g}": ("surface", 2, c, {}) for c in (1e-3, 1e-5, 1e-7, 1e-9, 0.0)},
+    "r3": ("surface", 3, None, {}),
+    "r1-ceiling-1e-6": ("surface", 1, 1e-6, {}),
+    "d-5-3": ("surface", 2, None, {"d_values": (5, 3)}),
+    "narrow": ("surface", 2, None, {"k_max": 3, "m_max": 7}),
+    "perfect": ("perfect", 2, None, {"d_values": (3,)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNE_CASES))
+def test_pruned_planner_matches_the_full_walk(case):
+    # the walk capped at the cheapest feasible cost skips only dearer
+    # cells, so plans, ties and refusals are those of the whole grid
+    family, r, ceiling, grid = PRUNE_CASES[case]
+    for p_in in PRUNE_P_IN:
+        noise = NoiseModel(p_in=p_in, r=r)
+        for target in PRUNE_TARGETS:
+            try:
+                want = full_walk(target, family, noise, error_ceiling=ceiling, **grid)
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError) as got:
+                    schemes.scaffold_optimize(target, family, noise, error_ceiling=ceiling, **grid)
+                assert str(got.value) == str(exc)
+                assert got.value.best_plan == exc.best_plan
+            else:
+                got = schemes.scaffold_optimize(target, family, noise, error_ceiling=ceiling, **grid)
+                assert got == want
+
+
+@pytest.mark.parametrize(
+    "family,d_values",
+    [("surface", (3, 5, 7)), ("perfect", (3,)), ("phase-flip", (3, 5, 7, 9))],
+)
+def test_cost_floor_is_below_every_cost(family, d_values):
+    # the floor prices one GHZ attempt; p_s <= 1 means no cell costs less
+    for p_in in (0.0, 1e-5, 1e-4, 1e-3, 1e-2):
+        for r in (1, 2, 3):
+            noise = NoiseModel(p_in=p_in, r=r)
+            attempt = {d: schemes.attempt_cost(d, r) for d in d_values}
+            for level in (1, 2, 4, 8, 12, 16):
+                for cell in schemes.iter_plans(math.tau / 2**level, family, noise,
+                                               d_values=d_values):
+                    _, cost, d, k, m = cell[:5]
+                    assert schemes._cost_floor(m, k, attempt[d]) <= cost, cell
+
+
+def test_pruned_scaffold_works_out_few_states(monkeypatch):
+    # the cheapest plan at 2pi/2^10 is (5, 1, 1); past each d's (d, 1, 1)
+    # state the cap ends every row before its first state is worked out,
+    # where the whole grid holds 888
+    base_state, calls = schemes._base_state, []
+
+    def counting(*args):
+        calls.append(args)
+        return base_state(*args)
+
+    monkeypatch.setattr(schemes, "_base_state", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["scaffold", "--theta-l", "2pi/2^10", "--p-in", "1e-3"]) == 0
+    assert 1 <= len(calls) <= 3
